@@ -63,7 +63,7 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _add_common(sub, with_eps=True):
+def _add_common(sub, with_eps=True, with_schedule=True):
     sub.add_argument("--horizon", type=int, default=None,
                      help=f"analysis horizon (default per command; ${ENV_HORIZON} overrides)")
     sub.add_argument("--tolerance", type=float, default=None,
@@ -71,8 +71,9 @@ def _add_common(sub, with_eps=True):
     if with_eps:
         sub.add_argument("--eps", type=_float_list, default=None, metavar="A,B,C",
                          help="epsilon grid, comma separated")
-    sub.add_argument("--schedule", default=None, metavar="KIND:VALUE",
-                     help="checkpoint schedule, e.g. geometric:10 or linear:5000")
+    if with_schedule:
+        sub.add_argument("--schedule", default=None, metavar="KIND:VALUE",
+                         help="checkpoint schedule, e.g. geometric:10 or linear:5000")
     sub.add_argument("--output", choices=("json", "csv"), default="json")
     sub.add_argument("--expect", default=None,
                      choices=("confirmed", "refuted", "inconclusive", "consistent"),
@@ -124,10 +125,10 @@ def build_parser():
     p.add_argument("--operator", required=True)
     p.add_argument("--property", required=True, dest="prop",
                    choices=PROPERTIES)
-    _add_common(p, with_eps=False)
+    _add_common(p, with_eps=False, with_schedule=False)
 
     p = subs.add_parser("suite", help="run the full theorem-check suite")
-    _add_common(p, with_eps=False)
+    _add_common(p, with_eps=False, with_schedule=False)
 
     return parser
 
@@ -151,7 +152,7 @@ def _resolve_tolerance(args):
 
 
 def _resolve_schedule(args):
-    if getattr(args, "schedule", None):
+    if args.schedule:
         return density.parse_schedule(args.schedule)
     return density.DEFAULT_SCHEDULE
 

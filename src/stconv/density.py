@@ -32,14 +32,25 @@ class HorizonExhausted(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # prime sieve (shared, grow-on-demand)
+#
+# The sieve mask, its running count and the table of primes it holds are
+# rebuilt together whenever a request passes the current size, and are
+# read-only: callers receive views of them.  A larger sieve only extends
+# the arrays, so no answer depends on the order of the calls that grew it.
 # ---------------------------------------------------------------------------
 
-_sieve_mask = np.zeros(2, dtype=bool)   # _sieve_mask[i] == (i is prime)
-_sieve_cum = np.zeros(2, dtype=np.int64)
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+_sieve_mask = _frozen(np.zeros(2, dtype=bool))   # _sieve_mask[i] == (i is prime)
+_sieve_cum = _frozen(np.zeros(2, dtype=np.int64))
+_prime_table = _frozen(np.zeros(0, dtype=np.int64))   # the primes < len(_sieve_mask)
 
 
 def _ensure_sieve(limit):
-    global _sieve_mask, _sieve_cum
+    global _sieve_mask, _sieve_cum, _prime_table
     if limit < len(_sieve_mask):
         return
     size = max(limit + 1, 2 * len(_sieve_mask), 1024)
@@ -48,12 +59,13 @@ def _ensure_sieve(limit):
     for p in range(2, math.isqrt(size - 1) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    _sieve_mask = mask
-    _sieve_cum = np.cumsum(mask).astype(np.int64)
+    _sieve_mask = _frozen(mask)
+    _sieve_cum = _frozen(np.cumsum(mask, dtype=np.int64))
+    _prime_table = _frozen(np.flatnonzero(mask).astype(np.int64, copy=False))
 
 
 def prime_mask(limit):
-    """Boolean array ``m`` of length ``limit + 1`` with ``m[i]`` true iff ``i`` is prime."""
+    """Read-only boolean view ``m`` of length ``limit + 1``, ``m[i]`` true iff ``i`` is prime."""
     _ensure_sieve(limit)
     return _sieve_mask[: limit + 1]
 
@@ -67,20 +79,18 @@ def prime_count(n):
 
 
 def nth_primes(count):
-    """Array of the first ``count`` primes."""
-    if count <= 0:
-        return np.zeros(0, dtype=np.int64)
+    """The first ``count`` primes as a read-only int64 view of the shared prime table.
+
+    The table grows with the sieve; the result does not depend on call order.
+    """
+    count = max(int(count), 0)
+    # p_n < n (ln n + ln ln n) for n >= 6 (Rosser), so one sieve growth suffices
     if count < 6:
         bound = 16
     else:
-        # standard overestimate of the count-th prime
         bound = int(count * (math.log(count) + math.log(math.log(count))) * 1.2) + 16
     _ensure_sieve(bound)
-    primes = np.flatnonzero(_sieve_mask)
-    while len(primes) < count:
-        _ensure_sieve(2 * (len(_sieve_mask) - 1))
-        primes = np.flatnonzero(_sieve_mask)
-    return primes[:count].astype(np.int64)
+    return _prime_table[:count]
 
 
 def is_prime(n):
@@ -109,6 +119,12 @@ class IndexSet:
     params: tuple = ()
     analytic_density: Optional[Fraction] = None
     fn: Optional[Callable[[int], bool]] = None
+    # membership lookup of a ``finite`` set, derived from ``params``
+    _finite_members: frozenset = field(default=frozenset(), init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "finite":
+            object.__setattr__(self, "_finite_members", frozenset(self.params))
 
     def contains(self, k):
         if k < 1:
@@ -120,7 +136,7 @@ class IndexSet:
         if self.kind == "squares":
             return math.isqrt(k) ** 2 == k
         if self.kind == "finite":
-            return k in self._finite_set()
+            return k in self._finite_members
         if self.kind == "complement":
             return not self.params[0].contains(k)
         if self.kind == "union":
@@ -128,13 +144,6 @@ class IndexSet:
         if self.kind == "intersection":
             return self.params[0].contains(k) and self.params[1].contains(k)
         return bool(self.fn(k))
-
-    def _finite_set(self):
-        cached = _finite_sets.get(id(self))
-        if cached is None:
-            cached = frozenset(self.params)
-            _finite_sets[id(self)] = cached
-        return cached
 
     def describe(self):
         if self.kind in ("primes", "squares"):
@@ -152,9 +161,6 @@ class IndexSet:
 
     def __repr__(self):
         return f"IndexSet({self.describe()})"
-
-
-_finite_sets: dict = {}
 
 
 def primes():
@@ -431,24 +437,29 @@ def density_profile(s, horizon=DEFAULT_HORIZON, schedule=None):
     """Exact counts of ``s`` at scheduled checkpoints up to ``horizon``."""
     schedule = schedule or DEFAULT_SCHEDULE
     cps = schedule.checkpoints(horizon)
-    if _fast_countable(s):
-        counts = [count(s, c) for c in cps]
-    else:
-        mask = membership_mask(s, cps[-1])
-        cum = np.cumsum(mask, dtype=np.int64)
-        counts = [int(cum[c - 1]) for c in cps]
+    if not _fast_countable(s):
+        return profile_from_mask(membership_mask(s, cps[-1]), cps[-1], schedule)
+    counts = [count(s, c) for c in cps]
     return DensityProfile(tuple(cps), tuple(counts))
 
 
 def profile_from_mask(mask, horizon, schedule=None):
-    """Profile of a precomputed membership mask (entry ``k-1`` is index ``k``)."""
+    """Profile of a precomputed membership mask (entry ``k-1`` is index ``k``).
+
+    Counts are summed segment by segment between checkpoints into Python
+    integers, so no horizon-length running-count array is built.
+    """
     schedule = schedule or DEFAULT_SCHEDULE
     horizon = int(horizon)
     if len(mask) < horizon:
         raise ValueError("mask shorter than horizon")
     cps = schedule.checkpoints(horizon)
-    cum = np.cumsum(mask[:horizon], dtype=np.int64)
-    counts = [int(cum[c - 1]) for c in cps]
+    counts = []
+    total = prev = 0
+    for c in cps:
+        total += int(np.count_nonzero(mask[prev:c]))
+        counts.append(total)
+        prev = c
     return DensityProfile(tuple(cps), tuple(counts))
 
 

@@ -45,12 +45,6 @@ class Cursor:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
     def try_eat(self, token):
         self.skip_ws()
         if self.text.startswith(token, self.pos):

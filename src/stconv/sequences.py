@@ -503,17 +503,27 @@ def _chunked_abs_rowmax(coeff, mat, offset):
 
 
 def _sparse_support_arrays(x):
-    items = sorted(x.support.items())
-    idx = np.asarray([k for k, _ in items], dtype=np.int64)
-    val = np.asarray([v for _, v in items])
-    return idx, val
+    """Support indices in increasing order and their values, as arrays."""
+    size = len(x.support)
+    idx = np.fromiter(x.support.keys(), dtype=np.int64, count=size)
+    val = np.fromiter(x.support.values(), dtype=float, count=size)
+    order = np.argsort(idx)
+    return idx[order], val[order]
 
 
 def _candidate_key(candidate):
-    text = spaces.format_element(candidate)
-    if len(text) <= 80:
-        return text
-    return "sha1:" + hashlib.sha1(text.encode()).hexdigest()
+    """Distance-cache key: a digest of the candidate's exact float64 bits.
+
+    The support is sorted first, so dict insertion order does not matter;
+    adding ``0.0`` turns ``-0.0`` into ``0.0``, so equal candidates get equal
+    keys, and candidates differing in any bit of any value get different ones.
+    """
+    if isinstance(candidate, SparseElement):
+        idx, val = _sparse_support_arrays(candidate)
+        data = idx.tobytes() + (val + 0.0).tobytes()
+    else:
+        data = (np.asarray(candidate.coords, dtype=float) + 0.0).tobytes()
+    return spaces.space_of(candidate).kind + ":" + hashlib.sha1(data).hexdigest()
 
 
 def _block_norms(block, nrm):
@@ -629,7 +639,7 @@ def _structured_sweep(seq, candidate, horizon):
 
 
 def norm_sweep(seq, horizon):
-    """``||x_n||`` for ``n = 1..horizon`` as one array (cached)."""
+    """``||x_n||`` for ``n = 1..horizon`` as one read-only array (cached)."""
     horizon = int(horizon)
     key = "norms"
     have = seq.cache.get(key)
@@ -638,12 +648,13 @@ def norm_sweep(seq, horizon):
     arr = _structured_sweep(seq, None, horizon)
     if arr is None:
         arr = _generic_sweep(seq, None, horizon)
+    arr.setflags(write=False)
     seq.cache[key] = arr
     return arr
 
 
 def distance_sweep(seq, candidate, horizon):
-    """``||x_n - candidate||`` for ``n = 1..horizon`` as one array (cached)."""
+    """``||x_n - candidate||`` for ``n = 1..horizon`` as one read-only array (cached)."""
     horizon = int(horizon)
     if spaces.space_of(candidate) != seq.space:
         raise ValueError("candidate lives in a different space than the sequence")
@@ -656,6 +667,7 @@ def distance_sweep(seq, candidate, horizon):
     arr = _structured_sweep(seq, candidate, horizon)
     if arr is None:
         arr = _generic_sweep(seq, candidate, horizon)
+    arr.setflags(write=False)
     seq.cache[key] = arr
     return arr
 

@@ -30,6 +30,7 @@ from .sequences import (
     DenseBlock,
     FixedBasisCombo,
     PrefixValues,
+    SingleSupport,
     distance_sweep,
     element_block,
     norm_sweep,
@@ -394,6 +395,14 @@ def _median_candidate(seq, horizon, samples=255):
         for c, b in zip(med, st.basis):
             out = spaces.add(out, spaces.scale(float(c), b))
         return out
+    if isinstance(st, SingleSupport):
+        # one row per support index, one column per sample; a sample's
+        # entry is zero off its support index, as in the sparse element
+        keys, rows = np.unique(st.index_of(ns), return_inverse=True)
+        table = np.zeros((len(keys), len(ns)))
+        table[rows, np.arange(len(ns))] = st.value_of(ns)
+        med = np.median(table, axis=1)
+        return spaces.sparse_element(dict(zip(keys.tolist(), med.tolist())))
     if seq.space.kind == "dense":
         block = element_block(seq, ns)
         return spaces.dense_element(np.median(block, axis=0))

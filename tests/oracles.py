@@ -89,6 +89,23 @@ def matrix_norm_by_search(rows, samples=20_000, seed=0):
     return float(np.linalg.norm(images, axis=1).max())
 
 
+def sparse_window_median(generator, horizon, samples=255):
+    """Coordinatewise median of sparse terms over the window [horizon/2, horizon].
+
+    Built one generated element at a time: a coordinate absent from a term
+    counts as zero, and zero medians are dropped.
+    """
+    lo = max(1, horizon // 2)
+    ns = sorted({int(n) for n in np.linspace(lo, horizon, samples).astype(np.int64)})
+    supports = [generator(n).support for n in ns]
+    out = {}
+    for k in sorted({k for x in supports for k in x}):
+        med = float(np.median([x.get(k, 0.0) for x in supports]))
+        if med != 0.0:
+            out[k] = med
+    return out
+
+
 def sparse_sup_norm(support):
     return max((abs(v) for v in support.values()), default=0.0)
 

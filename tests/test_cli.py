@@ -193,6 +193,17 @@ def test_suite_passes_and_exits_zero(capsys):
 # expectations and exit codes
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--operator", "diag(identity)", "--property", "st_bounded"],
+    ["suite"],
+], ids=["classify", "suite"])
+def test_schedule_rejected_where_not_honoured(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([*argv, "--horizon", "2000", "--schedule", "linear:500"])
+    assert exc.value.code == 2
+    assert "--schedule" in capsys.readouterr().err
+
+
 def test_expect_match_and_mismatch(capsys):
     ok, _, _ = run_text(
         capsys,

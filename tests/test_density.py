@@ -34,6 +34,27 @@ def test_nth_primes_prefix():
     assert tuple(density.nth_primes(15)) == oracles.FIRST_PRIMES
 
 
+@pytest.fixture
+def empty_sieve(monkeypatch):
+    """Start the shared sieve from scratch; the grown one is restored afterwards."""
+    monkeypatch.setattr(density, "_sieve_mask", np.zeros(2, dtype=bool))
+    monkeypatch.setattr(density, "_sieve_cum", np.zeros(2, dtype=np.int64))
+    monkeypatch.setattr(density, "_prime_table", np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("order", [(10, 5_000, 100), (5_000, 10, 100)],
+                         ids=["small_then_large", "large_then_small"])
+def test_nth_primes_independent_of_call_order(empty_sieve, order):
+    oracle = oracles.sieve_primes(60_000)
+    served = []
+    for k in order:
+        served.append(density.nth_primes(k))
+        assert served[-1].tolist() == oracle[:k]
+    # views handed out before the sieve grew keep their primes
+    for k, got in zip(order, served):
+        assert got.tolist() == oracle[:k]
+
+
 def test_is_prime_agrees_with_sieve():
     primes = set(oracles.sieve_primes(2_000))
     for k in range(1, 2_001):
@@ -64,6 +85,15 @@ def test_union_intersection_complement_counts():
         assert density.count(union, n) == ua
         assert density.count(inter, n) == ia
         assert density.count(comp, n) == n - n // 2
+
+
+def test_finite_sets_do_not_share_members():
+    # a freed set's id is reused by the next one; membership must not carry over
+    for _ in range(2000):
+        assert density.finite([1, 2, 3]).contains(1)
+        assert not density.finite([500]).contains(1)
+    assert density.IndexSet("finite", (7, 3)).contains(3)
+    assert density.finite([7, 3]) == density.IndexSet("finite", (3, 7), analytic_density=0)
 
 
 def test_finite_set_counting_and_members():
@@ -156,6 +186,30 @@ def test_profile_from_mask_matches_density_profile():
     a = density.profile_from_mask(mask, 1_000)
     b = density.density_profile(s, horizon=1_000)
     assert a == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_profile_from_mask_matches_cumsum_oracle(data):
+    mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=20, max_size=300)))
+    horizon = data.draw(st.integers(min_value=20, max_value=len(mask)))
+    if data.draw(st.booleans()):
+        schedule = density.geometric(data.draw(st.integers(min_value=2, max_value=10)))
+    else:
+        schedule = density.linear(data.draw(st.integers(min_value=1, max_value=horizon - 1)))
+    cum = np.cumsum(mask[:horizon], dtype=np.int64)
+    prof = density.profile_from_mask(mask, horizon, schedule)
+    assert prof.counts == tuple(int(cum[c - 1]) for c in prof.checkpoints)
+
+
+@pytest.mark.parametrize("schedule", [density.linear(25), density.geometric(10)],
+                         ids=lambda s: s.describe())
+def test_profile_from_mask_counts_the_last_index(schedule):
+    mask = np.zeros(100, dtype=bool)
+    mask[-1] = True
+    prof = density.profile_from_mask(mask, 100, schedule)
+    assert prof.checkpoints[-1] == 100
+    assert prof.counts == (0,) * (len(prof.counts) - 1) + (1,)
 
 
 def test_profile_rejects_bad_horizon():

@@ -254,6 +254,38 @@ def test_distance_cache_keyed_by_candidate():
     assert np.array_equal(again, d0)
 
 
+def test_candidate_key_exact_and_insertion_order_free():
+    key = sequences._candidate_key
+    small = {1: 0.5, 7: 0.25, 3: -1.0}
+    large = {k: 1.0 / k for k in range(1, 100_001)}
+    for support, k in ((small, 7), (large, 50_000)):
+        forward = spaces.SparseElement(dict(support))
+        backward = spaces.SparseElement(dict(reversed(list(support.items()))))
+        assert key(forward) == key(backward)
+        nudged = dict(support)
+        nudged[k] = np.nextafter(nudged[k], 2.0)
+        assert key(forward) != key(spaces.SparseElement(nudged))
+    assert key(spaces.DenseElement((-0.0, 1.0))) == key(spaces.dense_element((0.0, 1.0)))
+    assert key(spaces.dense_element((1.0,))) != key(spaces.dense_element((1.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        lambda: density.nth_primes(50),
+        lambda: density.prime_mask(100),
+        lambda: sequences.norm_sweep(sequences.harmonic_prefix_sequence(), 100),
+        lambda: sequences.distance_sweep(
+            sequences.unit_coordinate_sequence(), spaces.sparse_element({2: 1.0}), 100
+        ),
+    ],
+    ids=["nth_primes", "prime_mask", "norm_sweep", "distance_sweep"],
+)
+def test_shared_cached_arrays_are_read_only(result):
+    with pytest.raises(ValueError):
+        result()[:] = 99
+
+
 # ---------------------------------------------------------------------------
 # descriptor grammar
 # ---------------------------------------------------------------------------

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stconv import density, sequences, spaces, stanalysis
+import oracles
+from stconv import density, operators, sequences, spaces, stanalysis
+from stconv.classify import (
+    _compact_consistent_pool,
+    _iff_operator_pool,
+    _norm_bounded_operator_pool,
+    sparse_corpus,
+)
 
 SPARSE = spaces.sparse_space()
 H = 10_000
@@ -239,6 +246,28 @@ def test_find_limit_candidates_include_zero():
     assert any(
         isinstance(c, spaces.SparseElement) and not c.support for c in cands
     )
+
+
+def _classify_sparse_operators():
+    pools = _norm_bounded_operator_pool() + _iff_operator_pool() + _compact_consistent_pool()
+    ops = [op for op in pools if op.domain.kind == "sparse"]
+    return ops + [operators.prime_position_transform()]
+
+
+@pytest.mark.parametrize(
+    "member",
+    [m for m in sparse_corpus().members
+     if isinstance(m.structure, sequences.SingleSupport)],
+    ids=lambda m: m.label,
+)
+def test_single_support_median_matches_generator(member):
+    images = [operators.image_sequence(op, member) for op in _classify_sparse_operators()]
+    checked = [member] + [im for im in images
+                          if isinstance(im.structure, sequences.SingleSupport)]
+    assert len(checked) > 10
+    for seq in checked:
+        got = stanalysis._median_candidate(seq, 2_000)
+        assert got.support == oracles.sparse_window_median(seq.generator, 2_000), seq.label
 
 
 def test_search_finds_nonzero_dense_limit():
