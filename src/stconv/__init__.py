@@ -91,7 +91,6 @@ from .classify import (
     TheoremCheckResult,
     cauchy_corpus,
     check_theorem,
-    classify,
     dense_corpus,
     run_suite,
     sparse_corpus,
@@ -130,7 +129,7 @@ __all__ = [
     "StVerdict", "st_converges", "st_bounded", "st_bounded_real",
     "weakly_st_bounded", "st_cauchy", "st_converges_search",
     # classify
-    "ClassificationReport", "TheoremCheckResult", "classify",
+    "ClassificationReport", "TheoremCheckResult",
     "check_theorem", "run_suite", "sparse_corpus", "dense_corpus",
     "cauchy_corpus",
 ]

@@ -236,94 +236,58 @@ def _run_density(args):
     return _check_expect(args.expect, decision)
 
 
-def _run_converge(args):
-    horizon = _resolve_horizon(args)
-    tolerance = _resolve_tolerance(args)
-    schedule = _resolve_schedule(args)
-    grid = args.eps or stanalysis.DEFAULT_EPS_GRID
-    seq = _sequence_under_analysis(args)
+def _converge(args, seq, horizon, tolerance, schedule):
     candidate = spaces.parse_element(args.candidate) if args.candidate else None
-    verdict = stanalysis.st_converges(
-        seq, candidate, grid, horizon, tolerance, schedule
-    )
-    report = {
-        "command": "converge",
-        "config": {
-            "sequence": args.sequence,
-            "candidate": args.candidate,
-            "operator": args.operator,
-            "horizon": horizon,
-            "tolerance": tolerance,
-            "epsilon_grid": list(verdict.epsilon_grid),
-            "seed": args.seed,
-            "schedule": schedule.describe(),
-        },
-        "verdict": verdict.to_json_dict(),
-    }
-    if args.output == "csv":
-        _emit_verdict_csv(_verdict_csv_entries(verdict))
-    else:
-        _emit_json(report)
-    return _check_expect(args.expect, verdict.decision)
+    grid = args.eps or stanalysis.DEFAULT_EPS_GRID
+    verdict = stanalysis.st_converges(seq, candidate, grid, horizon, tolerance, schedule)
+    return verdict, {"candidate": args.candidate, "epsilon_grid": list(verdict.epsilon_grid)}
 
 
-def _run_bounded(args):
-    horizon = _resolve_horizon(args)
-    tolerance = _resolve_tolerance(args)
-    schedule = _resolve_schedule(args)
+def _bounded(args, seq, horizon, tolerance, schedule):
     probes = args.probes or stanalysis.DEFAULT_PROBES
-    seq = _sequence_under_analysis(args)
     if args.weak:
         verdict = stanalysis.weakly_st_bounded(
             seq, probes=probes, horizon=horizon, tolerance=tolerance, schedule=schedule
         )
     else:
-        verdict = stanalysis.st_bounded(
-            seq, probes, horizon, tolerance, schedule
-        )
-    report = {
-        "command": "bounded",
-        "config": {
-            "sequence": args.sequence,
-            "operator": args.operator,
-            "probes": list(probes),
-            "weak": bool(args.weak),
-            "horizon": horizon,
-            "tolerance": tolerance,
-            "seed": args.seed,
-            "schedule": schedule.describe(),
-        },
-        "verdict": verdict.to_json_dict(),
-    }
-    if args.output == "csv":
-        _emit_verdict_csv(_verdict_csv_entries(verdict))
-    else:
-        _emit_json(report)
-    return _check_expect(args.expect, verdict.decision)
+        verdict = stanalysis.st_bounded(seq, probes, horizon, tolerance, schedule)
+    return verdict, {"probes": list(probes), "weak": bool(args.weak)}
 
 
-def _run_cauchy(args):
-    horizon = _resolve_horizon(args)
-    tolerance = _resolve_tolerance(args)
-    schedule = _resolve_schedule(args)
+def _cauchy(args, seq, horizon, tolerance, schedule):
     grid = args.eps or stanalysis.DEFAULT_EPS_GRID
-    seq = _sequence_under_analysis(args)
     verdict = stanalysis.st_cauchy(
         seq, grid, horizon, tolerance, anchors=args.anchors, schedule=schedule
     )
+    anchors = args.anchors or stanalysis.default_anchors(horizon)
+    return verdict, {"epsilon_grid": list(verdict.epsilon_grid), "anchors": list(anchors)}
+
+
+# sequence verdict subcommands: the analysis call, returning the verdict and
+# the config keys the command echoes beyond the shared ones
+_VERDICT_ANALYSES = {
+    "converge": _converge,
+    "bounded": _bounded,
+    "cauchy": _cauchy,
+}
+
+
+def _run_verdict(args):
+    horizon = _resolve_horizon(args)
+    tolerance = _resolve_tolerance(args)
+    schedule = _resolve_schedule(args)
+    seq = _sequence_under_analysis(args)
+    verdict, extra = _VERDICT_ANALYSES[args.command](args, seq, horizon, tolerance, schedule)
     report = {
-        "command": "cauchy",
+        "command": args.command,
         "config": {
             "sequence": args.sequence,
             "operator": args.operator,
             "horizon": horizon,
             "tolerance": tolerance,
-            "epsilon_grid": list(verdict.epsilon_grid),
-            "anchors": list(args.anchors) if args.anchors else list(
-                stanalysis.default_anchors(horizon)
-            ),
             "seed": args.seed,
             "schedule": schedule.describe(),
+            **extra,
         },
         "verdict": verdict.to_json_dict(),
     }
@@ -375,9 +339,9 @@ def _run_suite(args):
 
 _RUNNERS = {
     "density": _run_density,
-    "converge": _run_converge,
-    "bounded": _run_bounded,
-    "cauchy": _run_cauchy,
+    "converge": _run_verdict,
+    "bounded": _run_verdict,
+    "cauchy": _run_verdict,
     "classify": _run_classify,
     "suite": _run_suite,
 }

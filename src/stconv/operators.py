@@ -24,11 +24,9 @@ from .parsing import Cursor, format_float
 from .sequences import (
     DenseBlock,
     FixedBasisCombo,
-    PrefixValues,
-    Reindexed,
     Scaled,
     SequenceSpec,
-    SingleSupport,
+    functional_sweep,
 )
 from .spaces import DenseElement, Space, SparseElement, dense_space, sparse_space
 
@@ -125,69 +123,6 @@ _FUNCTIONAL_NAMES = {
     "index_weights": linear_growth_functional,
     "geometric_weights": geometric_weights_functional,
 }
-
-
-def functional_sweep(f, seq, horizon):
-    """``f(x_n)`` for ``n = 1..horizon``, vectorised when the structure allows."""
-    horizon = int(horizon)
-    ns = np.arange(1, horizon + 1, dtype=np.int64)
-    st = seq.structure
-
-    if isinstance(st, SingleSupport):
-        idx = st.index_of(ns)
-        val = st.value_of(ns).astype(float)
-        if f.kind == "coordinate":
-            return np.where(idx == f.params[0], val, 0.0)
-        if f.kind == "dense_weights":
-            w = np.asarray(f.params)
-            safe = np.minimum(idx - 1, len(w) - 1)
-            return np.where(idx <= len(w), w[safe], 0.0) * val
-        return f.wfun(idx) * val
-
-    if isinstance(st, PrefixValues):
-        vals = st.value_of(ns).astype(float)
-        if f.kind == "coordinate":
-            j = f.params[0]
-            if j > horizon:
-                return np.zeros(horizon)
-            return np.where(ns >= j, vals[j - 1], 0.0)
-        if f.kind == "dense_weights":
-            w = np.zeros(horizon)
-            upto = min(len(f.params), horizon)
-            w[:upto] = f.params[:upto]
-            return np.cumsum(w * vals)
-        return np.cumsum(f.wfun(ns) * vals)
-
-    if isinstance(st, FixedBasisCombo):
-        fvec = np.asarray([f.evaluate(b) for b in st.basis])
-        return st.coeff_of(ns) @ fvec
-
-    if isinstance(st, DenseBlock):
-        block = st.block_of(ns)
-        dim = block.shape[1]
-        if f.kind == "coordinate":
-            j = f.params[0]
-            if j > dim:
-                raise ValueError(f"coordinate {j} outside dense:{dim}")
-            return block[:, j - 1].copy()
-        if f.kind == "dense_weights":
-            w = np.zeros(dim)
-            upto = min(len(f.params), dim)
-            w[:upto] = f.params[:upto]
-            return block @ w
-        return block @ f.wfun(np.arange(1, dim + 1, dtype=np.int64))
-
-    if isinstance(st, Reindexed):
-        members_upto = seq.cache.get("members_upto")
-        if members_upto is not None:
-            m = members_upto(horizon)
-            return functional_sweep(f, st.parent, int(m[-1]))[m - 1]
-
-    if isinstance(st, Scaled):
-        return st.scale_of(ns).astype(float) * functional_sweep(f, st.parent, horizon)
-
-    gen = seq.generator
-    return np.asarray([f.evaluate(gen(int(n))) for n in ns])
 
 
 # ---------------------------------------------------------------------------
@@ -397,37 +332,13 @@ _TRANSFORM_NAMES = {
 # image sequences
 # ---------------------------------------------------------------------------
 
-def _lower_dense_combo(structure, dim):
-    """A FixedBasisCombo over dense elements is just a dense block."""
-    mat = np.asarray([b.coords for b in structure.basis])
-
-    def block_of(ns):
-        return structure.coeff_of(ns) @ mat
-
-    return DenseBlock(block_of)
-
-
 def _image_structure(op, seq):
     st = seq.structure
     if st is None:
         return None
 
     if op.kind == "diagonal":
-        dfun = op.params[1]
-        if isinstance(st, SingleSupport):
-            return SingleSupport(
-                st.index_of,
-                lambda ns: dfun(st.index_of(ns)).astype(float) * st.value_of(ns),
-            )
-        if isinstance(st, PrefixValues):
-            return PrefixValues(lambda ks: dfun(np.asarray(ks, dtype=np.int64)) * st.value_of(ks))
-        if isinstance(st, FixedBasisCombo):
-            return FixedBasisCombo(st.coeff_of, tuple(apply(op, b) for b in st.basis))
-        if isinstance(st, DenseBlock):
-            dim = op.domain.dim
-            d = dfun(np.arange(1, dim + 1, dtype=np.int64))
-            return DenseBlock(lambda ns: st.block_of(ns) * d[None, :])
-        return None
+        return st.diagonal_image(op.params[1], lambda x: apply(op, x))
 
     if op.kind in ("rank_one", "finite_rank"):
         pieces = [op.params] if op.kind == "rank_one" else list(op.params)
@@ -439,16 +350,14 @@ def _image_structure(op, seq):
             cols = [functional_sweep(f, seq, horizon)[np.asarray(ns) - 1] for f in fs]
             return np.stack(cols, axis=1)
 
-        combo = FixedBasisCombo(coeff_of, basis)
         if op.codomain.kind == "dense":
-            return _lower_dense_combo(combo, op.codomain.dim)
-        return combo
+            # a combination of fixed dense elements is just a dense block
+            mat = np.asarray([y0.coords for y0 in basis])
+            return DenseBlock(lambda ns: coeff_of(ns) @ mat)
+        return FixedBasisCombo(coeff_of, basis)
 
     if op.kind == "matrix":
-        a = _matrix_array(op)
-        if isinstance(st, DenseBlock):
-            return DenseBlock(lambda ns: st.block_of(ns) @ a.T)
-        return None
+        return st.matrix_image(_matrix_array(op))
 
     if op.kind == "compose":
         outer, inner = op.params
@@ -458,24 +367,7 @@ def _image_structure(op, seq):
         alpha, s, beta, t = op.params
         left = image_sequence(s, seq).structure
         right = image_sequence(t, seq).structure
-        if isinstance(left, DenseBlock) and isinstance(right, DenseBlock):
-            return DenseBlock(lambda ns: alpha * left.block_of(ns) + beta * right.block_of(ns))
-        if isinstance(left, PrefixValues) and isinstance(right, PrefixValues):
-            return PrefixValues(lambda ks: alpha * left.value_of(ks) + beta * right.value_of(ks))
-        if isinstance(left, SingleSupport) and isinstance(right, SingleSupport):
-            # both children scale the same base terms, so supports coincide
-            return SingleSupport(
-                left.index_of,
-                lambda ns: alpha * left.value_of(ns) + beta * right.value_of(ns),
-            )
-        if isinstance(left, FixedBasisCombo) and isinstance(right, FixedBasisCombo):
-            def coeff_of(ns):
-                return np.concatenate(
-                    [alpha * left.coeff_of(ns), beta * right.coeff_of(ns)], axis=1
-                )
-
-            return FixedBasisCombo(coeff_of, left.basis + right.basis)
-        return None
+        return None if left is None else left.combined(right, alpha, beta)
 
     return None
 
@@ -491,24 +383,9 @@ def image_sequence(op, seq):
 
         structure = None
         if op.scale_of is not None:
-            st = seq.structure
-            if isinstance(st, SingleSupport):
-                structure = SingleSupport(
-                    st.index_of,
-                    lambda ns: op.scale_of(np.asarray(ns, dtype=np.int64)) * st.value_of(ns),
-                )
-            elif isinstance(st, DenseBlock):
-                structure = DenseBlock(
-                    lambda ns: st.block_of(ns)
-                    * op.scale_of(np.asarray(ns, dtype=np.int64))[:, None]
-                )
-            elif isinstance(st, FixedBasisCombo):
-                structure = FixedBasisCombo(
-                    lambda ns: st.coeff_of(ns)
-                    * op.scale_of(np.asarray(ns, dtype=np.int64))[:, None],
-                    st.basis,
-                )
-            else:
+            if seq.structure is not None:
+                structure = seq.structure.rescaled(op.scale_of)
+            if structure is None:
                 structure = Scaled(seq, op.scale_of)
         return SequenceSpec(
             tgen, seq.space, seq.norm, f"{op.label}({seq.label})",

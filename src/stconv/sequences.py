@@ -2,10 +2,13 @@
 
 A :class:`SequenceSpec` couples a per-index generator with the space and
 norm the sequence lives in.  Specs built by the constructors here also carry
-a *structure* record: a vectorised description of the whole sequence that
-the sweep engine uses to evaluate ``||x_n||`` or ``||x_n - c||`` for every
-``n`` up to a horizon in one numpy pass.  Sequences without a structure fall
-back to a per-index loop, which is fine for cheap generators and small
+a *structure*: a vectorised description of the whole sequence, one of the
+:class:`Structure` kinds below.  Each kind answers through its own methods:
+norm and distance sweeps, functional sweeps, windowed medians, and its image
+under a diagonal, a matrix, a positional rescale or a linear combination.
+All of these run over every ``n`` up to a horizon in a few numpy passes.
+Where a kind cannot answer, and for sequences without a structure, callers
+fall back to a per-index loop, which is fine for cheap generators and small
 horizons but would be hopeless for, say, growing-support prefixes at
 ``n = 10^5``.
 
@@ -48,49 +51,338 @@ CORPUS_VERSION = "v1"
 # structures: vectorised whole-sequence descriptions
 # ---------------------------------------------------------------------------
 
+DEFAULT_MEMBER_CAP = 100_000_000
+
+
+def _upto(horizon):
+    return np.arange(1, horizon + 1, dtype=np.int64)
+
+
+class Structure:
+    """The structure protocol: vectorised answers about a whole sequence.
+
+    Each kind below overrides what it can answer.  A method returns ``None``
+    where the kind cannot answer; the caller then evaluates the sequence
+    index by index, exactly as for a sequence whose ``structure`` is None.
+    """
+
+    def sweep(self, norm, candidate, horizon):
+        """``||x_n - candidate||`` (``||x_n||`` for ``candidate=None``), ``n = 1..horizon``."""
+        return None
+
+    def functional(self, f, horizon):
+        """``f(x_n)`` for ``n = 1..horizon``; ``f`` is an ``operators.FunctionalSpec``."""
+        return None
+
+    def median(self, seq, ns):
+        """Coordinatewise median of the terms at the sample indices ``ns``."""
+        return None
+
+    def rows(self, ns):
+        """Dense coordinate rows at the indices ``ns``."""
+        return None
+
+    def diagonal_image(self, dfun, apply_to):
+        """Structure of ``n -> D x_n``, ``D`` the diagonal ``dfun``; ``apply_to(x)`` is ``D x``."""
+        return None
+
+    def matrix_image(self, a):
+        """Structure of ``n -> a @ x_n``."""
+        return None
+
+    def rescaled(self, scale_of):
+        """Structure of ``n -> scale_of(n) * x_n``."""
+        return None
+
+    def combined(self, other, alpha, beta):
+        """Structure of ``n -> alpha * x_n + beta * y_n``; ``other`` is that of ``y``."""
+        return None
+
+
 @dataclass(frozen=True)
-class SingleSupport:
+class SingleSupport(Structure):
     """Sparse ``x_n = value_of(n) * e_{index_of(n)}``."""
 
     index_of: Callable
     value_of: Callable
 
+    def sweep(self, norm, candidate, horizon):
+        ns = _upto(horizon)
+        idx = self.index_of(ns)
+        val = self.value_of(ns).astype(float)
+        if candidate is None:
+            return np.abs(val)
+        cidx, cval = _sparse_support_arrays(candidate)
+        if len(cidx) == 0:
+            return np.abs(val)
+        acv = np.abs(cval)
+        top = int(np.argmax(acv))
+        top_val = acv[top]
+        second = np.max(np.delete(acv, top)) if len(acv) > 1 else 0.0
+        off = np.where(idx == cidx[top], second, top_val)
+        pos = np.searchsorted(cidx, idx)
+        pos_ok = (pos < len(cidx)) & (cidx[np.minimum(pos, len(cidx) - 1)] == idx)
+        c_at = np.where(pos_ok, cval[np.minimum(pos, len(cidx) - 1)], 0.0)
+        return np.maximum(np.abs(val - c_at), off)
+
+    def functional(self, f, horizon):
+        ns = _upto(horizon)
+        idx = self.index_of(ns)
+        val = self.value_of(ns).astype(float)
+        if f.kind == "coordinate":
+            return np.where(idx == f.params[0], val, 0.0)
+        if f.kind == "dense_weights":
+            w = np.asarray(f.params)
+            safe = np.minimum(idx - 1, len(w) - 1)
+            return np.where(idx <= len(w), w[safe], 0.0) * val
+        return f.wfun(idx) * val
+
+    def median(self, seq, ns):
+        # one row per support index, one column per sample; a sample's
+        # entry is zero off its support index, as in the sparse element
+        keys, rows = np.unique(self.index_of(ns), return_inverse=True)
+        table = np.zeros((len(keys), len(ns)))
+        table[rows, np.arange(len(ns))] = self.value_of(ns)
+        med = np.median(table, axis=1)
+        return spaces.sparse_element(dict(zip(keys.tolist(), med.tolist())))
+
+    def diagonal_image(self, dfun, apply_to):
+        return SingleSupport(
+            self.index_of,
+            lambda ns: dfun(self.index_of(ns)).astype(float) * self.value_of(ns),
+        )
+
+    def rescaled(self, scale_of):
+        return SingleSupport(
+            self.index_of,
+            lambda ns: scale_of(np.asarray(ns, dtype=np.int64)) * self.value_of(ns),
+        )
+
+    def combined(self, other, alpha, beta):
+        # only terms on one shared support index add up to a single support;
+        # operator images of one sequence share the ``index_of`` object
+        if type(other) is not SingleSupport or other.index_of is not self.index_of:
+            return None
+        return SingleSupport(
+            self.index_of, lambda ns: alpha * self.value_of(ns) + beta * other.value_of(ns)
+        )
+
 
 @dataclass(frozen=True)
-class PrefixValues:
+class PrefixValues(Structure):
     """Sparse ``x_n = {k -> value_of(k) : k <= n}``."""
 
     value_of: Callable
 
+    def sweep(self, norm, candidate, horizon):
+        vals = self.value_of(_upto(horizon)).astype(float)
+        if candidate is None:
+            return np.maximum.accumulate(np.abs(vals))
+        cidx, cval = _sparse_support_arrays(candidate)
+        j = int(cidx.max()) if len(cidx) else 0
+        cfull = np.zeros(max(horizon, j))
+        if len(cidx):
+            cfull[cidx - 1] = cval
+        diff = np.abs(vals - cfull[:horizon])
+        prefix = np.maximum.accumulate(diff)
+        suffix_part = np.zeros(horizon)
+        if j > 1:
+            tail = np.abs(cfull[:j])
+            rev = np.maximum.accumulate(tail[::-1])[::-1]   # rev[i] = max_{t >= i} |c_{t+1}|
+            upto = min(horizon, j - 1)
+            suffix_part[:upto] = rev[1 : upto + 1]
+        return np.maximum(prefix, suffix_part)
+
+    def functional(self, f, horizon):
+        ns = _upto(horizon)
+        vals = self.value_of(ns).astype(float)
+        if f.kind == "coordinate":
+            j = f.params[0]
+            if j > horizon:
+                return np.zeros(horizon)
+            return np.where(ns >= j, vals[j - 1], 0.0)
+        if f.kind == "dense_weights":
+            w = np.zeros(horizon)
+            upto = min(len(f.params), horizon)
+            w[:upto] = f.params[:upto]
+            return np.cumsum(w * vals)
+        return np.cumsum(f.wfun(ns) * vals)
+
+    def median(self, seq, ns):
+        # prefix supports are nested, so the middle sample is the
+        # coordinatewise median
+        return seq.generator(int(np.median(ns)))
+
+    def diagonal_image(self, dfun, apply_to):
+        return PrefixValues(lambda ks: dfun(np.asarray(ks, dtype=np.int64)) * self.value_of(ks))
+
+    def combined(self, other, alpha, beta):
+        if type(other) is not PrefixValues:
+            return None
+        return PrefixValues(lambda ks: alpha * self.value_of(ks) + beta * other.value_of(ks))
+
 
 @dataclass(frozen=True)
-class FixedBasisCombo:
+class FixedBasisCombo(Structure):
     """``x_n = sum_j coeff_of(n)[., j] * basis[j]`` over a fixed finite basis."""
 
     coeff_of: Callable      # (N,) int array -> (N, r) float array
     basis: tuple
 
+    def sweep(self, norm, candidate, horizon):
+        coeff = self.coeff_of(_upto(horizon))
+        support = set()
+        for b in self.basis:
+            support.update(b.support.keys())
+        if candidate is not None:
+            support.update(candidate.support.keys())
+        uidx = np.asarray(sorted(support), dtype=np.int64)
+        mat = np.zeros((len(self.basis), len(uidx)))
+        lookup = {k: t for t, k in enumerate(uidx)}
+        for r, b in enumerate(self.basis):
+            for k, v in b.support.items():
+                mat[r, lookup[k]] = v
+        offset = None
+        if candidate is not None:
+            offset = np.zeros(len(uidx))
+            for k, v in candidate.support.items():
+                offset[lookup[k]] = v
+        if len(uidx) == 0:
+            return np.zeros(horizon)
+        return _chunked_abs_rowmax(coeff, mat, offset)
+
+    def functional(self, f, horizon):
+        fvec = np.asarray([f.evaluate(b) for b in self.basis])
+        return self.coeff_of(_upto(horizon)) @ fvec
+
+    def median(self, seq, ns):
+        med = np.median(self.coeff_of(ns), axis=0)
+        out = spaces.zero(seq.space)
+        for c, b in zip(med, self.basis):
+            out = spaces.add(out, spaces.scale(float(c), b))
+        return out
+
+    def diagonal_image(self, dfun, apply_to):
+        return FixedBasisCombo(self.coeff_of, tuple(apply_to(b) for b in self.basis))
+
+    def rescaled(self, scale_of):
+        return FixedBasisCombo(
+            lambda ns: self.coeff_of(ns) * scale_of(np.asarray(ns, dtype=np.int64))[:, None],
+            self.basis,
+        )
+
+    def combined(self, other, alpha, beta):
+        if type(other) is not FixedBasisCombo:
+            return None
+
+        def coeff_of(ns):
+            return np.concatenate([alpha * self.coeff_of(ns), beta * other.coeff_of(ns)], axis=1)
+
+        return FixedBasisCombo(coeff_of, self.basis + other.basis)
+
 
 @dataclass(frozen=True)
-class DenseBlock:
+class DenseBlock(Structure):
     """Dense rows: ``block_of(ns)`` returns the ``(len(ns), dim)`` coordinate rows."""
 
     block_of: Callable
 
+    def sweep(self, norm, candidate, horizon):
+        block = self.block_of(_upto(horizon))
+        if candidate is not None:
+            block = block - np.asarray(candidate.coords)[None, :]
+        return _block_norms(block, norm)
+
+    def functional(self, f, horizon):
+        block = self.block_of(_upto(horizon))
+        dim = block.shape[1]
+        if f.kind == "coordinate":
+            j = f.params[0]
+            if j > dim:
+                raise ValueError(f"coordinate {j} outside dense:{dim}")
+            return block[:, j - 1].copy()
+        if f.kind == "dense_weights":
+            w = np.zeros(dim)
+            upto = min(len(f.params), dim)
+            w[:upto] = f.params[:upto]
+            return block @ w
+        return block @ f.wfun(np.arange(1, dim + 1, dtype=np.int64))
+
+    def rows(self, ns):
+        return self.block_of(ns)
+
+    def diagonal_image(self, dfun, apply_to):
+        def block_of(ns):
+            block = self.block_of(ns)
+            return block * dfun(np.arange(1, block.shape[1] + 1, dtype=np.int64))[None, :]
+
+        return DenseBlock(block_of)
+
+    def matrix_image(self, a):
+        return DenseBlock(lambda ns: self.block_of(ns) @ a.T)
+
+    def rescaled(self, scale_of):
+        return DenseBlock(
+            lambda ns: self.block_of(ns) * scale_of(np.asarray(ns, dtype=np.int64))[:, None]
+        )
+
+    def combined(self, other, alpha, beta):
+        if type(other) is not DenseBlock:
+            return None
+        return DenseBlock(lambda ns: alpha * self.block_of(ns) + beta * other.block_of(ns))
+
 
 @dataclass(frozen=True)
-class Reindexed:
-    """``x_k = parent`` at the k-th member of an index set."""
+class Reindexed(Structure):
+    """``x_k = parent`` at the k-th member of the index set ``along`` (see :func:`subsequence`)."""
 
     parent: "SequenceSpec"
+    along: object
+    cap: int = DEFAULT_MEMBER_CAP
+    _members: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def members_upto(self, count):
+        """The first ``count`` members of ``along``, as an index array."""
+        have = self._members.get("members")
+        if have is None or len(have) < count:
+            try:
+                self._members["members"] = density.members(self.along, max(count, 64), cap=self.cap)
+            except density.HorizonExhausted:
+                # the set may simply be smaller than the chunk; only a
+                # request it genuinely cannot satisfy should raise
+                self._members["members"] = density.members(self.along, count, cap=self.cap)
+        return self._members["members"][:count]
+
+    def sweep(self, norm, candidate, horizon):
+        m = self.members_upto(horizon)
+        parent_sweep = (
+            norm_sweep(self.parent, int(m[-1]))
+            if candidate is None
+            else distance_sweep(self.parent, candidate, int(m[-1]))
+        )
+        return parent_sweep[m - 1]
+
+    def functional(self, f, horizon):
+        m = self.members_upto(horizon)
+        return functional_sweep(f, self.parent, int(m[-1]))[m - 1]
 
 
 @dataclass(frozen=True)
-class Scaled:
+class Scaled(Structure):
     """``x_n = scale_of(n) * parent_n`` (norm sweeps only; distances stay generic)."""
 
     parent: "SequenceSpec"
     scale_of: Callable
+
+    def sweep(self, norm, candidate, horizon):
+        if candidate is not None:
+            return None
+        base = norm_sweep(self.parent, horizon)
+        return np.abs(self.scale_of(_upto(horizon)).astype(float)) * base
+
+    def functional(self, f, horizon):
+        base = functional_sweep(f, self.parent, horizon)
+        return self.scale_of(_upto(horizon)).astype(float) * base
 
 
 @dataclass(frozen=True)
@@ -102,7 +394,7 @@ class SequenceSpec:
     norm: Norm
     label: str
     seed: Optional[int] = None
-    structure: object = None
+    structure: Optional[Structure] = None
     norm_bound: Optional[float] = None
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -378,19 +670,17 @@ def random_unit_ball(space, seed, norm=None):
     if space.kind == "dense":
         dim = space.dim
 
-        def rows_upto(count):
-            raw = _random_table(cache, seed, count, dim)
-            if norm.kind == "sup":
-                return raw   # already inside the sup ball
-            lens = np.sum(np.abs(raw) ** norm.p, axis=1) ** (1.0 / norm.p)
-            return raw / np.maximum(lens, 1.0)[:, None]
-
         def block_of(ns):
+            # normalise only the rows asked for, in place in their own copy
             ns = _as_index_array(ns)
-            return rows_upto(int(ns.max()))[ns - 1]
+            rows = _random_table(cache, seed, int(ns.max()), dim)[ns - 1]
+            if norm.kind == "sup":
+                return rows   # already inside the sup ball
+            rows /= np.maximum(_block_norms(rows, norm), 1.0)[:, None]
+            return rows
 
         def gen(n):
-            return DenseElement(tuple(float(c) for c in rows_upto(n)[n - 1]))
+            return DenseElement(tuple(float(c) for c in block_of([n])[0]))
 
         structure = DenseBlock(block_of)
     else:
@@ -424,18 +714,7 @@ def combine(a, b, alpha, beta, label=None):
     def gen(n):
         return spaces.add(spaces.scale(alpha, ga(n)), spaces.scale(beta, gb(n)))
 
-    structure = None
-    sa, sb = a.structure, b.structure
-    if isinstance(sa, DenseBlock) and isinstance(sb, DenseBlock):
-        structure = DenseBlock(lambda ns: alpha * sa.block_of(ns) + beta * sb.block_of(ns))
-    elif isinstance(sa, PrefixValues) and isinstance(sb, PrefixValues):
-        structure = PrefixValues(lambda ks: alpha * sa.value_of(ks) + beta * sb.value_of(ks))
-    elif isinstance(sa, FixedBasisCombo) and isinstance(sb, FixedBasisCombo):
-        def coeff_of(ns):
-            return np.concatenate([alpha * sa.coeff_of(ns), beta * sb.coeff_of(ns)], axis=1)
-
-        structure = FixedBasisCombo(coeff_of, sa.basis + sb.basis)
-
+    structure = None if a.structure is None else a.structure.combined(b.structure, alpha, beta)
     bound = None
     if a.norm_bound is not None and b.norm_bound is not None:
         bound = abs(alpha) * a.norm_bound + abs(beta) * b.norm_bound
@@ -446,40 +725,23 @@ def combine(a, b, alpha, beta, label=None):
     )
 
 
-DEFAULT_MEMBER_CAP = 100_000_000
-
-
 def subsequence(seq, along, cap=DEFAULT_MEMBER_CAP, label=None):
     """``x_k = seq`` at the k-th member of ``along``.
 
     Raises :class:`HorizonExhausted` if the set runs out of members (finite
     sets) or enumeration would pass ``cap``.
     """
-    spec_cache = {}
-
-    def members_upto(count):
-        have = spec_cache.get("members")
-        if have is None or len(have) < count:
-            try:
-                spec_cache["members"] = density.members(along, max(count, 64), cap=cap)
-            except density.HorizonExhausted:
-                # the set may simply be smaller than the chunk; only a
-                # request it genuinely cannot satisfy should raise
-                spec_cache["members"] = density.members(along, count, cap=cap)
-        return spec_cache["members"][:count]
+    structure = Reindexed(seq, along, cap)
 
     def gen(k):
-        m = int(members_upto(k)[k - 1])
-        return seq.generator(m)
+        return seq.generator(int(structure.members_upto(k)[k - 1]))
 
-    out = SequenceSpec(
+    return SequenceSpec(
         gen, seq.space, seq.norm,
         label or f"subseq({seq.label},{along.describe()})",
-        structure=Reindexed(seq),
+        structure=structure,
         norm_bound=seq.norm_bound,
     )
-    out.cache["members_upto"] = members_upto
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +789,11 @@ def _candidate_key(candidate):
 
 
 def _block_norms(block, nrm):
+    mags = np.abs(block)
     if nrm.kind == "sup":
-        return np.max(np.abs(block), axis=1)
-    return np.sum(np.abs(block) ** nrm.p, axis=1) ** (1.0 / nrm.p)
+        return np.max(mags, axis=1)
+    mags **= nrm.p   # in place: one block-sized temporary rather than two
+    return np.sum(mags, axis=1) ** (1.0 / nrm.p)
 
 
 def _is_zero_element(x):
@@ -548,109 +812,23 @@ def _generic_sweep(seq, candidate, horizon):
     )
 
 
-def _structured_sweep(seq, candidate, horizon):
-    """Vectorised sweep; ``candidate=None`` means plain norms.  Returns None
-    when the structure cannot handle the request."""
+def _sweep(seq, key, candidate, horizon):
+    """Cached sweep under ``key``: the structure's answer, else per-index."""
+    have = seq.cache.get(key)
+    if have is not None and len(have) >= horizon:
+        return have[:horizon]
     st = seq.structure
-    ns = np.arange(1, horizon + 1, dtype=np.int64)
-
-    if isinstance(st, DenseBlock):
-        block = st.block_of(ns)
-        if candidate is not None:
-            block = block - np.asarray(candidate.coords)[None, :]
-        return _block_norms(block, seq.norm)
-
-    if isinstance(st, SingleSupport):
-        idx = st.index_of(ns)
-        val = st.value_of(ns).astype(float)
-        if candidate is None:
-            return np.abs(val)
-        cidx, cval = _sparse_support_arrays(candidate)
-        if len(cidx) == 0:
-            return np.abs(val)
-        acv = np.abs(cval)
-        top = int(np.argmax(acv))
-        top_val = acv[top]
-        second = np.max(np.delete(acv, top)) if len(acv) > 1 else 0.0
-        off = np.where(idx == cidx[top], second, top_val)
-        pos = np.searchsorted(cidx, idx)
-        pos_ok = (pos < len(cidx)) & (cidx[np.minimum(pos, len(cidx) - 1)] == idx)
-        c_at = np.where(pos_ok, cval[np.minimum(pos, len(cidx) - 1)], 0.0)
-        return np.maximum(np.abs(val - c_at), off)
-
-    if isinstance(st, PrefixValues):
-        vals = st.value_of(ns).astype(float)
-        if candidate is None:
-            return np.maximum.accumulate(np.abs(vals))
-        cidx, cval = _sparse_support_arrays(candidate)
-        j = int(cidx.max()) if len(cidx) else 0
-        cfull = np.zeros(max(horizon, j))
-        if len(cidx):
-            cfull[cidx - 1] = cval
-        diff = np.abs(vals - cfull[:horizon])
-        prefix = np.maximum.accumulate(diff)
-        suffix_part = np.zeros(horizon)
-        if j > 1:
-            tail = np.abs(cfull[:j])
-            rev = np.maximum.accumulate(tail[::-1])[::-1]   # rev[i] = max_{t >= i} |c_{t+1}|
-            upto = min(horizon, j - 1)
-            suffix_part[:upto] = rev[1 : upto + 1]
-        return np.maximum(prefix, suffix_part)
-
-    if isinstance(st, FixedBasisCombo):
-        coeff = st.coeff_of(ns)
-        support = set()
-        for b in st.basis:
-            support.update(b.support.keys())
-        if candidate is not None:
-            support.update(candidate.support.keys())
-        uidx = np.asarray(sorted(support), dtype=np.int64)
-        mat = np.zeros((len(st.basis), len(uidx)))
-        lookup = {k: t for t, k in enumerate(uidx)}
-        for r, b in enumerate(st.basis):
-            for k, v in b.support.items():
-                mat[r, lookup[k]] = v
-        offset = None
-        if candidate is not None:
-            offset = np.zeros(len(uidx))
-            for k, v in candidate.support.items():
-                offset[lookup[k]] = v
-        if len(uidx) == 0:
-            return np.zeros(horizon)
-        return _chunked_abs_rowmax(coeff, mat, offset)
-
-    if isinstance(st, Reindexed):
-        members_upto = seq.cache.get("members_upto")
-        if members_upto is None:
-            return None
-        m = members_upto(horizon)
-        parent_sweep = (
-            norm_sweep(st.parent, int(m[-1]))
-            if candidate is None
-            else distance_sweep(st.parent, candidate, int(m[-1]))
-        )
-        return parent_sweep[m - 1]
-
-    if isinstance(st, Scaled) and candidate is None:
-        base = norm_sweep(st.parent, horizon)
-        return np.abs(st.scale_of(ns).astype(float)) * base
-
-    return None
+    arr = None if st is None else st.sweep(seq.norm, candidate, horizon)
+    if arr is None:
+        arr = _generic_sweep(seq, candidate, horizon)
+    arr.setflags(write=False)
+    seq.cache[key] = arr
+    return arr
 
 
 def norm_sweep(seq, horizon):
     """``||x_n||`` for ``n = 1..horizon`` as one read-only array (cached)."""
-    horizon = int(horizon)
-    key = "norms"
-    have = seq.cache.get(key)
-    if have is not None and len(have) >= horizon:
-        return have[:horizon]
-    arr = _structured_sweep(seq, None, horizon)
-    if arr is None:
-        arr = _generic_sweep(seq, None, horizon)
-    arr.setflags(write=False)
-    seq.cache[key] = arr
-    return arr
+    return _sweep(seq, "norms", None, int(horizon))
 
 
 def distance_sweep(seq, candidate, horizon):
@@ -660,16 +838,18 @@ def distance_sweep(seq, candidate, horizon):
         raise ValueError("candidate lives in a different space than the sequence")
     if _is_zero_element(candidate):
         return norm_sweep(seq, horizon)
-    key = ("dist", _candidate_key(candidate))
-    have = seq.cache.get(key)
-    if have is not None and len(have) >= horizon:
-        return have[:horizon]
-    arr = _structured_sweep(seq, candidate, horizon)
-    if arr is None:
-        arr = _generic_sweep(seq, candidate, horizon)
-    arr.setflags(write=False)
-    seq.cache[key] = arr
-    return arr
+    return _sweep(seq, ("dist", _candidate_key(candidate)), candidate, horizon)
+
+
+def functional_sweep(f, seq, horizon):
+    """``f(x_n)`` for ``n = 1..horizon``, vectorised when the structure allows."""
+    horizon = int(horizon)
+    st = seq.structure
+    out = None if st is None else st.functional(f, horizon)
+    if out is None:
+        gen = seq.generator
+        out = np.asarray([f.evaluate(gen(n)) for n in range(1, horizon + 1)])
+    return out
 
 
 def element_block(seq, ns):
@@ -677,10 +857,10 @@ def element_block(seq, ns):
     if seq.space.kind != "dense":
         raise ValueError("element blocks are a dense-space facility")
     ns = _as_index_array(ns)
-    st = seq.structure
-    if isinstance(st, DenseBlock):
-        return st.block_of(ns)
-    return np.asarray([seq.generator(int(n)).coords for n in ns])
+    block = None if seq.structure is None else seq.structure.rows(ns)
+    if block is None:
+        block = np.asarray([seq.generator(int(n)).coords for n in ns])
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +984,7 @@ __all__ = [
     "DEFAULT_MEMBER_CAP",
     "HorizonExhausted",
     "SequenceSpec",
+    "Structure",
     "SingleSupport",
     "PrefixValues",
     "FixedBasisCombo",
@@ -828,5 +1009,6 @@ __all__ = [
     "parse_sequence_at",
     "norm_sweep",
     "distance_sweep",
+    "functional_sweep",
     "element_block",
 ]

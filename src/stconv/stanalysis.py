@@ -26,15 +26,7 @@ import numpy as np
 
 from . import operators, spaces
 from .density import DEFAULT_SCHEDULE, DensityVerdict, density_verdict, profile_from_mask
-from .sequences import (
-    DenseBlock,
-    FixedBasisCombo,
-    PrefixValues,
-    SingleSupport,
-    distance_sweep,
-    element_block,
-    norm_sweep,
-)
+from .sequences import distance_sweep, element_block, norm_sweep
 
 DEFAULT_ANALYSIS_HORIZON = 100_000
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
@@ -381,28 +373,9 @@ def _median_candidate(seq, horizon, samples=255):
     """
     lo = max(1, horizon // 2)
     ns = np.unique(np.linspace(lo, horizon, samples).astype(np.int64))
-    st = seq.structure
-    if isinstance(st, PrefixValues):
-        # prefix supports are nested, so the middle sample is the
-        # coordinatewise median
-        return seq.generator(int(np.median(ns)))
-    if isinstance(st, DenseBlock):
-        med = np.median(st.block_of(ns), axis=0)
-        return spaces.dense_element(med)
-    if isinstance(st, FixedBasisCombo):
-        med = np.median(st.coeff_of(ns), axis=0)
-        out = spaces.zero(seq.space)
-        for c, b in zip(med, st.basis):
-            out = spaces.add(out, spaces.scale(float(c), b))
-        return out
-    if isinstance(st, SingleSupport):
-        # one row per support index, one column per sample; a sample's
-        # entry is zero off its support index, as in the sparse element
-        keys, rows = np.unique(st.index_of(ns), return_inverse=True)
-        table = np.zeros((len(keys), len(ns)))
-        table[rows, np.arange(len(ns))] = st.value_of(ns)
-        med = np.median(table, axis=1)
-        return spaces.sparse_element(dict(zip(keys.tolist(), med.tolist())))
+    median = None if seq.structure is None else seq.structure.median(seq, ns)
+    if median is not None:
+        return median
     if seq.space.kind == "dense":
         block = element_block(seq, ns)
         return spaces.dense_element(np.median(block, axis=0))

@@ -146,6 +146,16 @@ def test_suite_catalog():
     )
 
 
+def test_classify_module_is_importable_by_name():
+    # the package must not rebind ``stconv.classify`` to the function of that name
+    import types
+
+    import stconv.classify as m
+
+    assert isinstance(m, types.ModuleType)
+    assert callable(m.run_suite)
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         check_theorem("no_such_check", horizon=REDUCED)

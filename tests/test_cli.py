@@ -76,7 +76,7 @@ def test_converge_refutes_harmonic_to_zero(capsys):
     assert [e["epsilon"] for e in report["verdict"]["per_epsilon"]] == [0.5, 0.1]
 
 
-def test_converge_search_mode_without_candidate(capsys):
+def test_converge_without_candidate_tests_against_zero(capsys):
     code, report = run_json(
         capsys,
         ["converge", "--sequence", "null(sparse{1:1})", "--horizon", "10000"],

@@ -232,6 +232,26 @@ def test_random_ball_labels_carry_seed():
     assert sequences.random_unit_ball(spaces.dense_space(3), seed=7).label == "random_ball_7"
 
 
+@pytest.mark.parametrize("norm", [spaces.p_norm(1), spaces.p_norm(2), spaces.p_norm(3),
+                                  spaces.sup_norm()], ids=lambda n: n.describe())
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_random_ball_rows_match_whole_table_normalisation(norm, dim):
+    # reference: normalise every row of the table up to the largest index
+    # asked for, then pick rows; the sequence normalises only the rows picked
+    count, seed = 2500, 17
+    table = sequences._random_table({}, seed, count, dim)
+    if norm.kind == "sup":
+        whole = table
+    else:
+        lens = np.sum(np.abs(table) ** norm.p, axis=1) ** (1.0 / norm.p)
+        whole = table / np.maximum(lens, 1.0)[:, None]
+    seq = sequences.random_unit_ball(spaces.dense_space(dim), seed, norm)
+    ns = np.asarray([count, 1, 7, 7, 1024, 1025, 2, 1999])
+    assert sequences.element_block(seq, ns).tobytes() == whole[ns - 1].tobytes()
+    for n in (1, 2, 1025, count):
+        assert np.asarray(seq.generator(n).coords).tobytes() == whole[n - 1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # caching
 # ---------------------------------------------------------------------------
