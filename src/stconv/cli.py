@@ -49,18 +49,22 @@ _COMMAND_TOLERANCES = {
 }
 
 
-def _float_list(text):
+def _number_list(text, kind, name):
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a comma-separated {name} list: {text!r}")
+    return values
+
+
+def _float_list(text):
+    return _number_list(text, float, "float")
 
 
 def _int_list(text):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    return _number_list(text, int, "integer")
 
 
 def _add_common(sub, with_eps=True, with_schedule=True):

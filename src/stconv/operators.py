@@ -51,28 +51,26 @@ class FunctionalSpec:
     wfun: Optional[Callable] = None
     bounded: bool = True
 
-    def evaluate(self, x):
+    def weights(self, ks):
+        """``f(e_k)`` at the int64 indices ``ks`` (zero off the support)."""
         if self.kind == "coordinate":
-            j = self.params[0]
-            if isinstance(x, SparseElement):
-                return x.support.get(j, 0.0)
-            if j > len(x.coords):
-                raise ValueError(f"coordinate {j} outside dense:{len(x.coords)}")
-            return x.coords[j - 1]
+            return (ks == self.params[0]).astype(float)
         if self.kind == "dense_weights":
-            w = self.params
-            if isinstance(x, SparseElement):
-                return sum(v * w[k - 1] for k, v in x.support.items() if k <= len(w))
-            return float(sum(wi * xi for wi, xi in zip(w, x.coords)))
-        # sparse_weighted
+            w = np.asarray(self.params)
+            return np.where(ks <= len(w), w[np.minimum(ks, len(w)) - 1], 0.0)
+        return self.wfun(ks)
+
+    def weights_upto(self, dim):
+        """``f(e_k)`` for ``k = 1..dim``, the weights on ``dense:dim``."""
+        if self.kind == "coordinate" and self.params[0] > dim:
+            raise ValueError(f"coordinate {self.params[0]} outside dense:{dim}")
+        return self.weights(np.arange(1, dim + 1, dtype=np.int64))
+
+    def evaluate(self, x):
         if isinstance(x, SparseElement):
-            if not x.support:
-                return 0.0
-            idx = np.asarray(sorted(x.support.keys()), dtype=np.int64)
-            vals = np.asarray([x.support[int(k)] for k in idx])
-            return float(np.sum(self.wfun(idx) * vals))
-        idx = np.arange(1, len(x.coords) + 1, dtype=np.int64)
-        return float(np.sum(self.wfun(idx) * np.asarray(x.coords)))
+            idx, vals = sequences._sparse_support_arrays(x)
+            return float(np.sum(self.weights(idx) * vals))
+        return float(np.sum(self.weights_upto(len(x.coords)) * np.asarray(x.coords)))
 
     def norm_bound(self, domain_norm):
         """Known bound on ``|f(x)| / ||x||``, or None."""
@@ -336,6 +334,9 @@ def _image_structure(op, seq):
     st = seq.structure
     if st is None:
         return None
+    lifted = st.lifted(lambda parent: image_sequence(op, parent))
+    if lifted is not None:
+        return lifted
 
     if op.kind == "diagonal":
         return st.diagonal_image(op.params[1], lambda x: apply(op, x))

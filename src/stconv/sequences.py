@@ -5,7 +5,8 @@ norm the sequence lives in.  Specs built by the constructors here also carry
 a *structure*: a vectorised description of the whole sequence, one of the
 :class:`Structure` kinds below.  Each kind answers through its own methods:
 norm and distance sweeps, functional sweeps, windowed medians, and its image
-under a diagonal, a matrix, a positional rescale or a linear combination.
+under a diagonal, a matrix, a positional rescale, a linear combination or,
+for subsequences, any operator.
 All of these run over every ``n`` up to a horizon in a few numpy passes.
 Where a kind cannot answer, and for sequences without a structure, callers
 fall back to a per-index loop, which is fine for cheap generators and small
@@ -51,9 +52,6 @@ CORPUS_VERSION = "v1"
 # structures: vectorised whole-sequence descriptions
 # ---------------------------------------------------------------------------
 
-DEFAULT_MEMBER_CAP = 100_000_000
-
-
 def _upto(horizon):
     return np.arange(1, horizon + 1, dtype=np.int64)
 
@@ -78,10 +76,6 @@ class Structure:
         """Coordinatewise median of the terms at the sample indices ``ns``."""
         return None
 
-    def rows(self, ns):
-        """Dense coordinate rows at the indices ``ns``."""
-        return None
-
     def diagonal_image(self, dfun, apply_to):
         """Structure of ``n -> D x_n``, ``D`` the diagonal ``dfun``; ``apply_to(x)`` is ``D x``."""
         return None
@@ -96,6 +90,10 @@ class Structure:
 
     def combined(self, other, alpha, beta):
         """Structure of ``n -> alpha * x_n + beta * y_n``; ``other`` is that of ``y``."""
+        return None
+
+    def lifted(self, image_of):
+        """Structure of ``n -> T x_n``; ``image_of(s)`` is the sequence ``n -> T s_n``."""
         return None
 
 
@@ -127,15 +125,7 @@ class SingleSupport(Structure):
 
     def functional(self, f, horizon):
         ns = _upto(horizon)
-        idx = self.index_of(ns)
-        val = self.value_of(ns).astype(float)
-        if f.kind == "coordinate":
-            return np.where(idx == f.params[0], val, 0.0)
-        if f.kind == "dense_weights":
-            w = np.asarray(f.params)
-            safe = np.minimum(idx - 1, len(w) - 1)
-            return np.where(idx <= len(w), w[safe], 0.0) * val
-        return f.wfun(idx) * val
+        return f.weights(self.index_of(ns)) * self.value_of(ns).astype(float)
 
     def median(self, seq, ns):
         # one row per support index, one column per sample; a sample's
@@ -195,18 +185,7 @@ class PrefixValues(Structure):
 
     def functional(self, f, horizon):
         ns = _upto(horizon)
-        vals = self.value_of(ns).astype(float)
-        if f.kind == "coordinate":
-            j = f.params[0]
-            if j > horizon:
-                return np.zeros(horizon)
-            return np.where(ns >= j, vals[j - 1], 0.0)
-        if f.kind == "dense_weights":
-            w = np.zeros(horizon)
-            upto = min(len(f.params), horizon)
-            w[:upto] = f.params[:upto]
-            return np.cumsum(w * vals)
-        return np.cumsum(f.wfun(ns) * vals)
+        return np.cumsum(f.weights(ns) * self.value_of(ns).astype(float))
 
     def median(self, seq, ns):
         # prefix supports are nested, so the middle sample is the
@@ -295,21 +274,10 @@ class DenseBlock(Structure):
 
     def functional(self, f, horizon):
         block = self.block_of(_upto(horizon))
-        dim = block.shape[1]
-        if f.kind == "coordinate":
-            j = f.params[0]
-            if j > dim:
-                raise ValueError(f"coordinate {j} outside dense:{dim}")
-            return block[:, j - 1].copy()
-        if f.kind == "dense_weights":
-            w = np.zeros(dim)
-            upto = min(len(f.params), dim)
-            w[:upto] = f.params[:upto]
-            return block @ w
-        return block @ f.wfun(np.arange(1, dim + 1, dtype=np.int64))
+        return block @ f.weights_upto(block.shape[1])
 
-    def rows(self, ns):
-        return self.block_of(ns)
+    def median(self, seq, ns):
+        return spaces.dense_element(np.median(self.block_of(ns), axis=0))
 
     def diagonal_image(self, dfun, apply_to):
         def block_of(ns):
@@ -338,7 +306,6 @@ class Reindexed(Structure):
 
     parent: "SequenceSpec"
     along: object
-    cap: int = DEFAULT_MEMBER_CAP
     _members: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def members_upto(self, count):
@@ -346,11 +313,11 @@ class Reindexed(Structure):
         have = self._members.get("members")
         if have is None or len(have) < count:
             try:
-                self._members["members"] = density.members(self.along, max(count, 64), cap=self.cap)
+                self._members["members"] = density.members(self.along, max(count, 64))
             except density.HorizonExhausted:
                 # the set may simply be smaller than the chunk; only a
                 # request it genuinely cannot satisfy should raise
-                self._members["members"] = density.members(self.along, count, cap=self.cap)
+                self._members["members"] = density.members(self.along, count)
         return self._members["members"][:count]
 
     def sweep(self, norm, candidate, horizon):
@@ -365,6 +332,10 @@ class Reindexed(Structure):
     def functional(self, f, horizon):
         m = self.members_upto(horizon)
         return functional_sweep(f, self.parent, int(m[-1]))[m - 1]
+
+    def lifted(self, image_of):
+        # T(x_{m_k}) = (T x)_{m_k}: the image is the same subsequence of the parent's image
+        return Reindexed(image_of(self.parent), self.along)
 
 
 @dataclass(frozen=True)
@@ -725,13 +696,13 @@ def combine(a, b, alpha, beta, label=None):
     )
 
 
-def subsequence(seq, along, cap=DEFAULT_MEMBER_CAP, label=None):
+def subsequence(seq, along, label=None):
     """``x_k = seq`` at the k-th member of ``along``.
 
     Raises :class:`HorizonExhausted` if the set runs out of members (finite
-    sets) or enumeration would pass ``cap``.
+    sets) or enumeration would pass the member cap of :func:`density.members`.
     """
-    structure = Reindexed(seq, along, cap)
+    structure = Reindexed(seq, along)
 
     def gen(k):
         return seq.generator(int(structure.members_upto(k)[k - 1]))
@@ -852,17 +823,6 @@ def functional_sweep(f, seq, horizon):
     return out
 
 
-def element_block(seq, ns):
-    """Dense coordinate rows at the given indices (vectorised when possible)."""
-    if seq.space.kind != "dense":
-        raise ValueError("element blocks are a dense-space facility")
-    ns = _as_index_array(ns)
-    block = None if seq.structure is None else seq.structure.rows(ns)
-    if block is None:
-        block = np.asarray([seq.generator(int(n)).coords for n in ns])
-    return block
-
-
 # ---------------------------------------------------------------------------
 # descriptor grammar
 # ---------------------------------------------------------------------------
@@ -981,7 +941,6 @@ __all__ = [
     "CORPUS_VERSION",
     "DEFAULT_DENSE_NORM",
     "DEFAULT_SPARSE_NORM",
-    "DEFAULT_MEMBER_CAP",
     "HorizonExhausted",
     "SequenceSpec",
     "Structure",
@@ -1010,5 +969,4 @@ __all__ = [
     "norm_sweep",
     "distance_sweep",
     "functional_sweep",
-    "element_block",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import operators, spaces
 from .density import DEFAULT_SCHEDULE, DensityVerdict, density_verdict, profile_from_mask
-from .sequences import distance_sweep, element_block, norm_sweep
+from .sequences import distance_sweep, norm_sweep
 
 DEFAULT_ANALYSIS_HORIZON = 100_000
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
@@ -175,6 +175,8 @@ def st_converges(seq, candidate=None, grid=DEFAULT_EPS_GRID,
 
 def _bounded_scan(values, probes, horizon, tolerance, schedule):
     """Probe-ladder scan over nonnegative ``values``; shared by all bounded kinds."""
+    if not probes or list(probes) != sorted(probes):
+        raise ValueError("probes must be a nonempty increasing ladder")
     reports = []
     bound = None
     for m in probes:
@@ -201,8 +203,6 @@ def st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
     """
     horizon = int(horizon)
     probes = tuple(float(m) for m in probes)
-    if not probes or list(probes) != sorted(probes):
-        raise ValueError("probes must be a nonempty increasing ladder")
     norms = norm_sweep(seq, horizon)
     decision, bound, reports, witness = _bounded_scan(
         norms, probes, horizon, tolerance, schedule
@@ -376,11 +376,10 @@ def _median_candidate(seq, horizon, samples=255):
     median = None if seq.structure is None else seq.structure.median(seq, ns)
     if median is not None:
         return median
-    if seq.space.kind == "dense":
-        block = element_block(seq, ns)
-        return spaces.dense_element(np.median(block, axis=0))
     gen = seq.generator
     elements = [gen(int(n)) for n in ns]
+    if seq.space.kind == "dense":
+        return spaces.dense_element(np.median([x.coords for x in elements], axis=0))
     support = sorted({k for x in elements for k in x.support})
     out = {}
     for k in support:

@@ -134,6 +134,16 @@ def test_bounded_weak_flag_dense_only(capsys):
     assert "error" in err
 
 
+def test_bounded_weak_rejects_a_decreasing_ladder(capsys):
+    code, _, err = run_text(
+        capsys,
+        ["bounded", "--sequence", "random(dim=3, seed=7)", "--weak", "--probes", "4,2,1",
+         "--horizon", "1000"],
+    )
+    assert code == 2
+    assert "increasing ladder" in err
+
+
 def test_cauchy_harmonic(capsys):
     code, report = run_json(capsys, ["cauchy", "--sequence", "harmonic", "--horizon", "100000"])
     assert code == 0
@@ -202,6 +212,18 @@ def test_schedule_rejected_where_not_honoured(capsys, argv):
         cli.run([*argv, "--horizon", "2000", "--schedule", "linear:500"])
     assert exc.value.code == 2
     assert "--schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--sequence", "harmonic", "--eps", ","],
+    ["bounded", "--sequence", "harmonic", "--probes", ","],
+    ["cauchy", "--sequence", "harmonic", "--anchors", ","],
+], ids=["eps", "probes", "anchors"])
+def test_empty_list_flags_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([*argv, "--horizon", "1000"])
+    assert exc.value.code == 2
+    assert "list" in capsys.readouterr().err
 
 
 def test_expect_match_and_mismatch(capsys):

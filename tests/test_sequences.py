@@ -98,7 +98,7 @@ def test_distance_to_own_term_is_zero():
 
 def test_element_block_matches_generator():
     seq = sequences.random_unit_ball(spaces.dense_space(3), seed=9)
-    block = sequences.element_block(seq, np.arange(1, 31))
+    block = seq.structure.block_of(np.arange(1, 31))
     want = np.array([seq.generator(n).coords for n in range(1, 31)])
     assert np.allclose(block, want, atol=0.0)
 
@@ -247,7 +247,7 @@ def test_random_ball_rows_match_whole_table_normalisation(norm, dim):
         whole = table / np.maximum(lens, 1.0)[:, None]
     seq = sequences.random_unit_ball(spaces.dense_space(dim), seed, norm)
     ns = np.asarray([count, 1, 7, 7, 1024, 1025, 2, 1999])
-    assert sequences.element_block(seq, ns).tobytes() == whole[ns - 1].tobytes()
+    assert seq.structure.block_of(ns).tobytes() == whole[ns - 1].tobytes()
     for n in (1, 2, 1025, count):
         assert np.asarray(seq.generator(n).coords).tobytes() == whole[n - 1].tobytes()
 

@@ -153,6 +153,12 @@ def test_bounded_probe_validation():
         stanalysis.st_bounded(seq, probes=(), horizon=H)
     with pytest.raises(ValueError):
         stanalysis.st_bounded(seq, probes=(4.0, 2.0), horizon=H)
+    # the weak and the real-valued verdicts share the ladder check
+    for probes in ((), (4.0, 2.0)):
+        with pytest.raises(ValueError, match="increasing ladder"):
+            stanalysis.weakly_st_bounded(seq, probes=probes, horizon=H)
+        with pytest.raises(ValueError, match="increasing ladder"):
+            stanalysis.st_bounded_real(np.ones(H), probes=probes, horizon=H)
 
 
 def test_st_bounded_real_accepts_arrays():

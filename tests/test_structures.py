@@ -107,3 +107,21 @@ def test_structured_sweeps_match_per_index(name, seq):
     for f in FUNCTIONALS:
         _assert_close(operators.functional_sweep(f, seq, H),
                       operators.functional_sweep(f, twin, H), f.describe())
+
+
+def test_subsequence_images_keep_a_structure():
+    seq = sequences.parse_sequence("subseq(harmonic, multiples(3))")
+    op = operators.parse_operator("combo(1,diag(inverse),-0.5,diag(identity))")
+    image = operators.image_sequence(op, seq)
+    assert isinstance(image.structure, sequences.Reindexed)
+
+
+def test_dense_coordinate_outside_the_space_raises_on_both_paths():
+    seq = sequences.random_unit_ball(spaces.dense_space(3), seed=5)
+    f = operators.coordinate_functional(4)
+    messages = []
+    for s in (seq, _per_index(seq)):
+        with pytest.raises(ValueError) as exc:
+            operators.functional_sweep(f, s, 10)
+        messages.append(str(exc.value))
+    assert messages == ["coordinate 4 outside dense:3"] * 2
