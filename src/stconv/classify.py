@@ -344,23 +344,18 @@ def _norm_bounded_operator_pool():
     return ops
 
 
-def _classify_ok(op, prop, horizon, tolerance, expect="consistent"):
-    report = classify(op, prop, corpus_for(op), horizon, tolerance)
-    detail = "" if report.outcome == expect else f"{prop} outcome {report.outcome}"
-    return report, report.outcome == expect, detail
+def _consistent(op, props, horizon, tolerance):
+    """``(label, ok, detail)``: ``op`` classifies consistent under every one of ``props``."""
+    corpus = corpus_for(op)
+    outcomes = {prop: classify(op, prop, corpus, horizon, tolerance).outcome for prop in props}
+    detail = "; ".join(f"{p} outcome {o}" for p, o in outcomes.items() if o != "consistent")
+    return op.describe(), not detail, detail
 
 
 def check_bounded_inclusion(horizon, tolerance):
     """Operators with a known norm bound classify st-bounded both ways."""
-    outcomes = []
-    for op in _norm_bounded_operator_pool():
-        oks, details = [], []
-        for prop in ("st_bounded", "n_st_bounded"):
-            _, ok, detail = _classify_ok(op, prop, horizon, tolerance)
-            oks.append(ok)
-            if detail:
-                details.append(detail)
-        outcomes.append((op.describe(), all(oks), "; ".join(details)))
+    outcomes = [_consistent(op, ("st_bounded", "n_st_bounded"), horizon, tolerance)
+                for op in _norm_bounded_operator_pool()]
     return _result("bounded_inclusion", outcomes,
                    notes="norm-bounded operators stay statistically bounded")
 
@@ -372,8 +367,7 @@ def check_finite_dim_all_bounded(horizon, tolerance):
     for i in range(20):
         d = int(rng.integers(1, 9))
         a = rng.normal(size=(d, d))
-        op = matrix_operator(a)
-        _, ok, detail = _classify_ok(op, "st_bounded", horizon, tolerance)
+        _, ok, detail = _consistent(matrix_operator(a), ("st_bounded",), horizon, tolerance)
         outcomes.append((f"seeded_matrix_{i}(d={d})", ok, detail))
     return _result("finite_dim_all_bounded", outcomes,
                    notes="every matrix operator on a finite-dimensional space is st-bounded")
@@ -449,10 +443,7 @@ def check_subspace_closure(horizon, tolerance):
         linear_combo(1.0, matrix_operator([[2.0, 0.0], [0.0, 3.0]]),
                      -0.5, matrix_operator([[1.0, 1.0], [0.0, 1.0]])),
     ]
-    outcomes = []
-    for op in combos:
-        _, ok, detail = _classify_ok(op, "st_bounded", horizon, tolerance)
-        outcomes.append((op.describe(), ok, detail))
+    outcomes = [_consistent(op, ("st_bounded",), horizon, tolerance) for op in combos]
     return _result("subspace_closure", outcomes,
                    notes="st-bounded operators form a linear subspace")
 
@@ -465,15 +456,7 @@ def check_finite_rank_bounded(horizon, tolerance):
                      (dense_weights([0.5, 0.5, 0.0]), dense_element([0.0, 1.0, 0.0]))],
                     domain=dense_space(3)),
     ]
-    outcomes = []
-    for op in ops:
-        oks, details = [], []
-        for prop in ("st_bounded", "n_st_bounded"):
-            _, ok, detail = _classify_ok(op, prop, horizon, tolerance)
-            oks.append(ok)
-            if detail:
-                details.append(detail)
-        outcomes.append((op.describe(), all(oks), "; ".join(details)))
+    outcomes = [_consistent(op, ("st_bounded", "n_st_bounded"), horizon, tolerance) for op in ops]
     return _result("finite_rank_bounded", outcomes,
                    notes="finite-rank operators with bounded functionals are st-bounded")
 
@@ -512,15 +495,8 @@ def check_bounded_iff_continuous(horizon, tolerance):
 
 def check_continuity_inclusions(horizon, tolerance):
     """Norm-continuous (known-bound) operators classify st-continuous."""
-    outcomes = []
-    for op in _norm_bounded_operator_pool():
-        oks, details = [], []
-        for prop in ("st_continuous", "n_st_continuous"):
-            _, ok, detail = _classify_ok(op, prop, horizon, tolerance)
-            oks.append(ok)
-            if detail:
-                details.append(detail)
-        outcomes.append((op.describe(), all(oks), "; ".join(details)))
+    outcomes = [_consistent(op, ("st_continuous", "n_st_continuous"), horizon, tolerance)
+                for op in _norm_bounded_operator_pool()]
     return _result("continuity_inclusions", outcomes,
                    notes="norm continuity implies both statistical continuity notions")
 
@@ -537,15 +513,8 @@ def _compact_consistent_pool():
 
 
 def check_compact_implies_bounded_and_continuous(horizon, tolerance):
-    outcomes = []
-    for op in _compact_consistent_pool():
-        oks, details = [], []
-        for prop in ("st_compact", "st_bounded", "st_continuous"):
-            _, ok, detail = _classify_ok(op, prop, horizon, tolerance)
-            oks.append(ok)
-            if detail:
-                details.append(detail)
-        outcomes.append((op.describe(), all(oks), "; ".join(details)))
+    outcomes = [_consistent(op, ("st_compact", "st_bounded", "st_continuous"), horizon, tolerance)
+                for op in _compact_consistent_pool()]
     return _result("compact_implies_bounded_and_continuous", outcomes)
 
 
@@ -555,10 +524,8 @@ def check_compact_composition(horizon, tolerance):
     t = named_diagonal("inverse")                 # compact-consistent
     s = named_diagonal("one_plus_inverse")        # continuous-consistent
     r = linear_combo(0.5, identity_operator(), 0.0, identity_operator())
-    outcomes = []
-    for op in (operators.compose(s, t), operators.compose(t, r)):
-        _, ok, detail = _classify_ok(op, "st_compact", horizon, tolerance)
-        outcomes.append((op.describe(), ok, detail))
+    outcomes = [_consistent(op, ("st_compact",), horizon, tolerance)
+                for op in (operators.compose(s, t), operators.compose(t, r))]
     return _result("compact_composition", outcomes)
 
 
@@ -585,8 +552,7 @@ def check_compact_norm_limit(horizon, tolerance):
         detail = "" if ok else f"norm probe {probe!r} vs expected {expected!r}"
         outcomes.append((f"truncation m={m}", ok, detail))
         data["probes"].append({"m": m, "probe": probe, "expected": expected})
-    _, ok, detail = _classify_ok(s, "st_compact", horizon, tolerance)
-    outcomes.append((s.describe(), ok, detail))
+    outcomes.append(_consistent(s, ("st_compact",), horizon, tolerance))
     return _result("compact_norm_limit", outcomes, data=data,
                    notes="operator-norm limits of st-compact operators are st-compact")
 

@@ -33,10 +33,10 @@ class HorizonExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 # prime sieve (shared, grow-on-demand)
 #
-# The sieve mask, its running count and the table of primes it holds are
-# rebuilt together whenever a request passes the current size, and are
-# read-only: callers receive views of them.  A larger sieve only extends
-# the arrays, so no answer depends on the order of the calls that grew it.
+# The sieve mask and the table of primes it holds are rebuilt together
+# whenever a request passes the current size, and are read-only: callers
+# receive views of them.  A larger sieve only extends the arrays, so no
+# answer depends on the order of the calls that grew it.
 # ---------------------------------------------------------------------------
 
 def _frozen(arr):
@@ -45,12 +45,11 @@ def _frozen(arr):
 
 
 _sieve_mask = _frozen(np.zeros(2, dtype=bool))   # _sieve_mask[i] == (i is prime)
-_sieve_cum = _frozen(np.zeros(2, dtype=np.int64))
 _prime_table = _frozen(np.zeros(0, dtype=np.int64))   # the primes < len(_sieve_mask)
 
 
 def _ensure_sieve(limit):
-    global _sieve_mask, _sieve_cum, _prime_table
+    global _sieve_mask, _prime_table
     if limit < len(_sieve_mask):
         return
     size = max(limit + 1, 2 * len(_sieve_mask), 1024)
@@ -60,7 +59,6 @@ def _ensure_sieve(limit):
         if mask[p]:
             mask[p * p :: p] = False
     _sieve_mask = _frozen(mask)
-    _sieve_cum = _frozen(np.cumsum(mask, dtype=np.int64))
     _prime_table = _frozen(np.flatnonzero(mask).astype(np.int64, copy=False))
 
 
@@ -72,10 +70,8 @@ def prime_mask(limit):
 
 def prime_count(n):
     """Number of primes ``<= n``."""
-    if n < 2:
-        return 0
     _ensure_sieve(n)
-    return int(_sieve_cum[n])
+    return int(np.searchsorted(_prime_table, n, side="right"))
 
 
 def nth_primes(count):
@@ -334,11 +330,13 @@ def members(s, how_many, cap=100_000_000):
 # checkpoint schedules and profiles
 # ---------------------------------------------------------------------------
 
+_GEOMETRIC_START = 10
+
+
 @dataclass(frozen=True)
 class Schedule:
     kind: str          # "geometric" | "linear"
     value: int         # base, resp. step
-    start: int = 10
 
     def checkpoints(self, horizon):
         horizon = int(horizon)
@@ -346,7 +344,7 @@ class Schedule:
             raise ValueError("horizon must be at least 2")
         cps = []
         if self.kind == "geometric":
-            c = self.start
+            c = _GEOMETRIC_START
             while c < horizon:
                 cps.append(c)
                 c *= self.value
@@ -368,10 +366,11 @@ class Schedule:
         return f"{self.kind}:{self.value}"
 
 
-def geometric(base=10, start=10):
+def geometric(base=10):
+    """Checkpoints ``10, 10 * base, 10 * base^2, ...`` below the horizon, then the horizon."""
     if base < 2:
         raise ValueError("geometric schedule needs base >= 2")
-    return Schedule("geometric", int(base), int(start))
+    return Schedule("geometric", int(base))
 
 
 def linear(step):

@@ -256,17 +256,17 @@ def operator_norm_bound(op):
         return op.params[2]
     if op.kind == "rank_one":
         f, y0 = op.params
-        fb = f.norm_bound(_space_norm(op.domain))
+        fb = f.norm_bound(sequences._default_norm(op.domain))
         if fb is None:
             return None
-        return fb * spaces.norm(y0, _space_norm(op.codomain))
+        return fb * spaces.norm(y0, sequences._default_norm(op.codomain))
     if op.kind == "finite_rank":
         total = 0.0
         for f, y0 in op.params:
-            fb = f.norm_bound(_space_norm(op.domain))
+            fb = f.norm_bound(sequences._default_norm(op.domain))
             if fb is None:
                 return None
-            total += fb * spaces.norm(y0, _space_norm(op.codomain))
+            total += fb * spaces.norm(y0, sequences._default_norm(op.codomain))
         return total
     if op.kind == "matrix":
         return float(np.linalg.svd(_matrix_array(op), compute_uv=False)[0])
@@ -279,10 +279,6 @@ def operator_norm_bound(op):
         a, b = operator_norm_bound(s), operator_norm_bound(t)
         return None if a is None or b is None else abs(alpha) * a + abs(beta) * b
     return None
-
-
-def _space_norm(space):
-    return sequences.DEFAULT_DENSE_NORM if space.kind == "dense" else sequences.DEFAULT_SPARSE_NORM
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +399,7 @@ def image_sequence(op, seq):
     def igen(n):
         return apply(op, gen(n))
 
-    norm = seq.norm if op.codomain == seq.space else _space_norm(op.codomain)
+    norm = seq.norm if op.codomain == seq.space else sequences._default_norm(op.codomain)
     bound = None
     ob = operator_norm_bound(op)
     if ob is not None and seq.norm_bound is not None:
@@ -422,7 +418,7 @@ def operator_norm_estimate(op, probes=64, seed=2024):
     """Lower bound on the operator norm from coordinate and random unit probes."""
     if isinstance(op, SequenceTransform):
         raise TypeError("sequence transforms have no single operator norm")
-    dn, cn = _space_norm(op.domain), _space_norm(op.codomain)
+    dn, cn = sequences._default_norm(op.domain), sequences._default_norm(op.codomain)
     candidates = []
     if op.domain.kind == "dense":
         dim = op.domain.dim

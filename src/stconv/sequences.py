@@ -19,7 +19,6 @@ evaluation strategy, never a second source of truth.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -332,6 +331,12 @@ class Reindexed(Structure):
     def functional(self, f, horizon):
         m = self.members_upto(horizon)
         return functional_sweep(f, self.parent, int(m[-1]))[m - 1]
+
+    def median(self, seq, ns):
+        st = self.parent.structure
+        if st is None:
+            return None
+        return st.median(self.parent, self.members_upto(int(ns.max()))[ns - 1])
 
     def lifted(self, image_of):
         # T(x_{m_k}) = (T x)_{m_k}: the image is the same subsequence of the parent's image
@@ -744,21 +749,6 @@ def _sparse_support_arrays(x):
     return idx[order], val[order]
 
 
-def _candidate_key(candidate):
-    """Distance-cache key: a digest of the candidate's exact float64 bits.
-
-    The support is sorted first, so dict insertion order does not matter;
-    adding ``0.0`` turns ``-0.0`` into ``0.0``, so equal candidates get equal
-    keys, and candidates differing in any bit of any value get different ones.
-    """
-    if isinstance(candidate, SparseElement):
-        idx, val = _sparse_support_arrays(candidate)
-        data = idx.tobytes() + (val + 0.0).tobytes()
-    else:
-        data = (np.asarray(candidate.coords, dtype=float) + 0.0).tobytes()
-    return spaces.space_of(candidate).kind + ":" + hashlib.sha1(data).hexdigest()
-
-
 def _block_norms(block, nrm):
     mags = np.abs(block)
     if nrm.kind == "sup":
@@ -783,33 +773,36 @@ def _generic_sweep(seq, candidate, horizon):
     )
 
 
-def _sweep(seq, key, candidate, horizon):
-    """Cached sweep under ``key``: the structure's answer, else per-index."""
-    have = seq.cache.get(key)
-    if have is not None and len(have) >= horizon:
-        return have[:horizon]
+def _sweep(seq, candidate, horizon):
+    """The structure's sweep, else the per-index one."""
     st = seq.structure
     arr = None if st is None else st.sweep(seq.norm, candidate, horizon)
     if arr is None:
         arr = _generic_sweep(seq, candidate, horizon)
     arr.setflags(write=False)
-    seq.cache[key] = arr
     return arr
 
 
 def norm_sweep(seq, horizon):
-    """``||x_n||`` for ``n = 1..horizon`` as one read-only array (cached)."""
-    return _sweep(seq, "norms", None, int(horizon))
+    """``||x_n||`` for ``n = 1..horizon`` as one read-only array, cached per spec."""
+    horizon = int(horizon)
+    have = seq.cache.get("norms")
+    if have is None or len(have) < horizon:
+        have = seq.cache["norms"] = _sweep(seq, None, horizon)
+    return have[:horizon]
 
 
 def distance_sweep(seq, candidate, horizon):
-    """``||x_n - candidate||`` for ``n = 1..horizon`` as one read-only array (cached)."""
+    """``||x_n - candidate||`` for ``n = 1..horizon`` as one read-only array.
+
+    Only the zero candidate's sweep (the norm sweep) is cached.
+    """
     horizon = int(horizon)
     if spaces.space_of(candidate) != seq.space:
         raise ValueError("candidate lives in a different space than the sequence")
     if _is_zero_element(candidate):
         return norm_sweep(seq, horizon)
-    return _sweep(seq, ("dist", _candidate_key(candidate)), candidate, horizon)
+    return _sweep(seq, candidate, horizon)
 
 
 def functional_sweep(f, seq, horizon):

@@ -34,6 +34,7 @@ DEFAULT_PROBES = tuple(float(2 ** i) for i in range(11))
 DEFAULT_ST_TOLERANCE = 0.1
 _LIMIT_LITERAL_SUPPORT = 32
 WEAK_PROBE_SEED = 4242
+_WEAK_RANDOM_PROBES = 8
 
 
 @dataclass(frozen=True)
@@ -238,10 +239,10 @@ def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
     )
 
 
-def _weak_probe_functionals(dim, n_random=8, seed=WEAK_PROBE_SEED):
+def _weak_probe_functionals(dim):
     probes = [operators.coordinate_functional(j) for j in range(1, dim + 1)]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(WEAK_PROBE_SEED)
+    for _ in range(_WEAK_RANDOM_PROBES):
         w = rng.random(dim) * 2.0 - 1.0
         probes.append(operators.dense_weights(w))
     return probes
@@ -321,6 +322,8 @@ def st_cauchy(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
     anchors = tuple(int(a) for a in (anchors or default_anchors(horizon)))
     if not anchors:
         raise ValueError("need at least one anchor index")
+    if min(anchors) < 1:
+        raise ValueError("anchor indices start at 1")
     sweeps = []
     for a in anchors:
         x_a = seq.generator(a)

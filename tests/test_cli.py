@@ -159,6 +159,17 @@ def test_cauchy_explicit_anchors(capsys):
     assert report["config"]["anchors"] == [10, 100]
 
 
+@pytest.mark.parametrize("anchors", ["0", "-3"])
+def test_cauchy_rejects_anchors_below_one(capsys, anchors):
+    code, out, err = run_text(
+        capsys,
+        ["cauchy", "--sequence", "prime_coords", f"--anchors={anchors}", "--horizon", "1000"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "anchor indices start at 1" in err
+
+
 # ---------------------------------------------------------------------------
 # classify / suite
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Counting and density checks against independent enumeration oracles."""
 
+import bisect
 import math
 
 import numpy as np
@@ -38,7 +39,6 @@ def test_nth_primes_prefix():
 def empty_sieve(monkeypatch):
     """Start the shared sieve from scratch; the grown one is restored afterwards."""
     monkeypatch.setattr(density, "_sieve_mask", np.zeros(2, dtype=bool))
-    monkeypatch.setattr(density, "_sieve_cum", np.zeros(2, dtype=np.int64))
     monkeypatch.setattr(density, "_prime_table", np.zeros(0, dtype=np.int64))
 
 
@@ -48,11 +48,15 @@ def test_nth_primes_independent_of_call_order(empty_sieve, order):
     oracle = oracles.sieve_primes(60_000)
     served = []
     for k in order:
+        # the count grows the sieve first, then the prime table may grow it again
+        assert density.prime_count(12 * k) == bisect.bisect_right(oracle, 12 * k)
         served.append(density.nth_primes(k))
         assert served[-1].tolist() == oracle[:k]
+        assert density.prime_count(oracle[k - 1]) == k
     # views handed out before the sieve grew keep their primes
     for k, got in zip(order, served):
         assert got.tolist() == oracle[:k]
+        assert density.prime_count(12 * k) == bisect.bisect_right(oracle, 12 * k)
 
 
 def test_is_prime_agrees_with_sieve():

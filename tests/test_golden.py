@@ -5,8 +5,10 @@ any digest means a report changed, which a refactor must never do; a change
 that is meant to alter a report updates the digest and says why.
 
 The cases are the six README examples at horizons small enough to keep this
-file fast, one CSV report, a weak-boundedness report, and images through
-``subseq``, ``combo``, ``compose`` and the prime transform.
+file fast, one CSV report, a weak-boundedness report, images through
+``subseq``, ``combo``, ``compose`` and the prime transform, and a Cauchy
+report whose anchors are equal terms, so its distance sweeps repeat one
+candidate.
 """
 
 import contextlib
@@ -53,6 +55,9 @@ GOLDEN = [
     (["classify", "--operator", "compose(diag(inverse),rank1(geometric_weights,sparse{1:1}))",
       "--property", "st_compact", "--horizon", "3000"],
      0, "e2077231a7c8d653444a52139d34266d6c7bfb70eee3e2c686a398eefc5c6b09"),
+    (["cauchy", "--sequence", "alternating(dim=3)", "--anchors", "10,100,1000",
+      "--horizon", "5000"],
+     0, "1f18d9201249a06432e1d1e87e57328fa99c08941b49156a3b97bac63923df63"),
 ]
 
 

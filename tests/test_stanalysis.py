@@ -237,6 +237,13 @@ def test_cauchy_respects_explicit_anchors():
     assert v.anchor_index == 100
 
 
+def test_cauchy_rejects_anchors_below_one():
+    for seq in (sequences.unit_coordinate_sequence(), sequences.prime_coordinate_sequence()):
+        for anchors in ((0,), (10, -3)):
+            with pytest.raises(ValueError, match="anchor indices start at 1"):
+                stanalysis.st_cauchy(seq, horizon=H, anchors=anchors)
+
+
 def test_cauchy_and_convergence_agree_for_convergent_case():
     seq = sequences.decaying_sequence(spaces.sparse_element({3: 1.0}))
     assert stanalysis.st_cauchy(seq, horizon=H).decision == "confirmed"

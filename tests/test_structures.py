@@ -109,6 +109,19 @@ def test_structured_sweeps_match_per_index(name, seq):
                       operators.functional_sweep(f, twin, H), f.describe())
 
 
+REINDEXED = [(name, seq) for name, seq in CASES if isinstance(seq.structure, sequences.Reindexed)]
+
+
+@pytest.mark.parametrize("name,seq", REINDEXED, ids=[name for name, _ in REINDEXED])
+def test_reindexed_median_matches_per_index(name, seq):
+    ns = np.unique(np.linspace(H // 2, H, 255).astype(np.int64))
+    assert seq.structure.median(seq, ns) is not None
+    got = stanalysis._median_candidate(seq, H)
+    want = stanalysis._median_candidate(_per_index(seq), H)
+    scale = max(1.0, spaces.norm(want, seq.norm))
+    assert spaces.norm(spaces.sub(got, want), seq.norm) <= RTOL * scale
+
+
 def test_subsequence_images_keep_a_structure():
     seq = sequences.parse_sequence("subseq(harmonic, multiples(3))")
     op = operators.parse_operator("combo(1,diag(inverse),-0.5,diag(identity))")
