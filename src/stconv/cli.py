@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -351,9 +352,14 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _parser():
+    # built on the first call, not at import; parsing leaves it unchanged
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
     except ParseError as exc:

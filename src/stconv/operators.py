@@ -114,7 +114,8 @@ def linear_growth_functional():
 
 
 def geometric_weights_functional():
-    return sparse_weighted("geometric_weights", lambda ks: 0.5 ** ks.astype(float), bounded=True)
+    # 2^-k by exponent alone; bitwise equal to 0.5 ** k, underflow included
+    return sparse_weighted("geometric_weights", lambda ks: np.ldexp(1.0, -ks), bounded=True)
 
 
 _FUNCTIONAL_NAMES = {
@@ -219,9 +220,9 @@ def apply(op, x):
         if isinstance(x, SparseElement):
             if not x.support:
                 return x
-            idx = np.asarray(sorted(x.support.keys()), dtype=np.int64)
-            vals = dfun(idx)
-            out = {int(k): float(v) * x.support[int(k)] for k, v in zip(idx, vals)}
+            keys = sorted(x.support)
+            d = np.asarray(dfun(np.asarray(keys, dtype=np.int64)), dtype=float).tolist()
+            out = {k: dk * x.support[k] for k, dk in zip(keys, d)}
             return spaces.sparse_element(out)
         dim = len(x.coords)
         d = dfun(np.arange(1, dim + 1, dtype=np.int64))

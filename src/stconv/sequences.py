@@ -187,9 +187,17 @@ class PrefixValues(Structure):
         return np.cumsum(f.weights(ns) * self.value_of(ns).astype(float))
 
     def median(self, seq, ns):
-        # prefix supports are nested, so the middle sample is the
-        # coordinatewise median
-        return seq.generator(int(np.median(ns)))
+        # prefix supports are nested: coordinate k is nonzero exactly in the
+        # samples n >= k, so the median is value_of(k) up to the middle
+        # sample and 0 past it.  An even window has two middle samples:
+        # between them half of the samples hold value_of(k), the median half
+        ns = np.sort(ns)
+        mid = len(ns) // 2
+        ks = _upto(int(ns[mid]))
+        vals = self.value_of(ks).astype(float)
+        if len(ns) % 2 == 0:
+            vals[int(ns[mid - 1]):] /= 2
+        return spaces.sparse_element(dict(zip(ks.tolist(), vals.tolist())))
 
     def diagonal_image(self, dfun, apply_to):
         return PrefixValues(lambda ks: dfun(np.asarray(ks, dtype=np.int64)) * self.value_of(ks))
@@ -649,7 +657,7 @@ def random_unit_ball(space, seed, norm=None):
         def block_of(ns):
             # normalise only the rows asked for, in place in their own copy
             ns = _as_index_array(ns)
-            rows = _random_table(cache, seed, int(ns.max()), dim)[ns - 1]
+            rows = np.take(_random_table(cache, seed, int(ns.max()), dim), ns - 1, axis=0)
             if norm.kind == "sup":
                 return rows   # already inside the sup ball
             rows /= np.maximum(_block_norms(rows, norm), 1.0)[:, None]
@@ -727,6 +735,19 @@ def subsequence(seq, along, label=None):
 _CHUNK = 8192
 
 
+def _abs_rowmax(rows):
+    """``max_j |rows[:, j]|`` per row, folded in one column at a time.
+
+    numpy reduces ``axis=1`` one short row at a time; a whole column per
+    step is far faster on narrow blocks, and a maximum is exact in any order.
+    """
+    acc = np.abs(rows[:, 0])
+    col = np.empty_like(acc)
+    for j in range(1, rows.shape[1]):
+        np.maximum(acc, np.abs(rows[:, j], out=col), out=acc)
+    return acc
+
+
 def _chunked_abs_rowmax(coeff, mat, offset):
     """max_j |coeff @ mat - offset| per row, chunked to keep memory flat."""
     n = coeff.shape[0]
@@ -735,8 +756,8 @@ def _chunked_abs_rowmax(coeff, mat, offset):
         hi = min(lo + _CHUNK, n)
         rows = coeff[lo:hi] @ mat
         if offset is not None:
-            rows = rows - offset
-        out[lo:hi] = np.max(np.abs(rows), axis=1) if rows.shape[1] else 0.0
+            rows -= offset
+        out[lo:hi] = _abs_rowmax(rows)
     return out
 
 
@@ -750,11 +771,24 @@ def _sparse_support_arrays(x):
 
 
 def _block_norms(block, nrm):
-    mags = np.abs(block)
     if nrm.kind == "sup":
-        return np.max(mags, axis=1)
-    mags **= nrm.p   # in place: one block-sized temporary rather than two
-    return np.sum(mags, axis=1) ** (1.0 / nrm.p)
+        return _abs_rowmax(block)
+    p = nrm.p
+    if block.shape[1] >= 8:
+        # numpy sums a row of 8 or more by pairwise blocks, an order that
+        # only its own row-wise reduction repeats bit for bit
+        mags = np.abs(block)
+        mags **= p
+        return np.sum(mags, axis=1) ** (1.0 / p)
+    # narrower rows numpy sums left to right, as this column-wise fold does
+    acc = np.abs(block[:, 0])
+    acc **= p
+    col = np.empty_like(acc)
+    for j in range(1, block.shape[1]):
+        np.abs(block[:, j], out=col)
+        col **= p
+        acc += col
+    return acc ** (1.0 / p)
 
 
 def _is_zero_element(x):

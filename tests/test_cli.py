@@ -296,6 +296,41 @@ def test_reports_are_byte_identical(capsys):
     assert first == second
 
 
+# a flag set in one call must not survive into the next through the parser
+# that ``run`` keeps for the whole process
+_CALL_SEQUENCE = [
+    ["converge", "--sequence", "harmonic", "--candidate", "sparse{1:1}", "--horizon", "2000"],
+    ["converge", "--sequence", "harmonic", "--horizon", "2000"],
+    ["bounded", "--sequence", "random(dim=3, seed=7)", "--weak", "--horizon", "2000"],
+    ["bounded", "--sequence", "random(dim=3, seed=7)", "--horizon", "2000"],
+    ["bounded", "--sequence", "harmonic", "--no-such-flag"],
+    ["density", "--set", "primes", "--horizon", "1000"],
+]
+
+
+def _run_calls(capsys, calls):
+    results = []
+    for argv in calls:
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:    # argparse rejects the argv
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_one_parser_per_process_leaks_nothing_between_calls(capsys, monkeypatch):
+    reused = _run_calls(capsys, _CALL_SEQUENCE)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _run_calls(capsys, _CALL_SEQUENCE)
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+    assert json.loads(reused[1][1])["config"]["candidate"] is None
+    assert json.loads(reused[3][1])["config"]["weak"] is False
+
+
 def test_report_keys_are_sorted(capsys):
     _, out, _ = run_text(capsys, ["density", "--set", "primes", "--horizon", "1000"])
     report = json.loads(out)

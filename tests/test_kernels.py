@@ -1,0 +1,89 @@
+"""Narrow-block kernels of the sweep engine against their row-wise references.
+
+Each kernel must give the same bits as the plain numpy expression it
+replaces, so every comparison here is exact (``np.array_equal``), never a
+tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from stconv import operators, sequences, spaces
+
+NORMS = [spaces.p_norm(1), spaces.p_norm(1.5), spaces.p_norm(2), spaces.p_norm(3),
+         spaces.sup_norm()]
+
+
+def _block(rows, width, seed):
+    # magnitudes spread over sixteen decades, with exact and negative zeros,
+    # so a change of summation order shows in the last bits
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-8, 9, (rows, width))
+    block[rng.random((rows, width)) < 0.05] = 0.0
+    block[rng.random((rows, width)) < 0.05] = -0.0
+    return block
+
+
+@pytest.mark.parametrize("nrm", NORMS, ids=lambda n: n.describe())
+@pytest.mark.parametrize("width", range(1, 13))
+def test_block_norms_match_rowwise_reduction(nrm, width):
+    block = _block(5000, width, seed=width)
+    if nrm.kind == "sup":
+        want = np.max(np.abs(block), axis=1)
+    else:
+        want = np.sum(np.abs(block) ** nrm.p, axis=1) ** (1 / nrm.p)
+    got = sequences._block_norms(block, nrm)
+    assert np.array_equal(got, want)
+
+
+def test_block_norms_leave_the_block_alone():
+    block = _block(100, 3, seed=0)
+    before = block.copy()
+    sequences._block_norms(block, spaces.p_norm(2))
+    assert block.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("with_offset", [False, True], ids=["no_offset", "offset"])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("columns", range(1, 10))
+def test_chunked_abs_rowmax_matches_rowwise_max(columns, rank, with_offset):
+    n = 2 * sequences._CHUNK + 5
+    rng = np.random.default_rng(100 * columns + rank)
+    coeff = rng.standard_normal((n, rank))
+    mat = rng.standard_normal((rank, columns))
+    offset = rng.standard_normal(columns) if with_offset else None
+    rows = coeff @ mat
+    if with_offset:
+        rows = rows - offset
+    want = np.max(np.abs(rows), axis=1)
+    assert np.array_equal(sequences._chunked_abs_rowmax(coeff, mat, offset), want)
+
+
+def test_geometric_weights_match_powers_of_one_half():
+    ks = np.arange(1, 2_000_001, dtype=np.int64)
+    got = operators.geometric_weights_functional().weights(ks)
+    want = 0.5 ** ks.astype(float)
+    assert np.array_equal(got, want)
+    assert got[1073] > 0.0 and got[1074] == 0.0   # 2^-1074 is the last subnormal
+
+
+def _old_diagonal_apply(dfun, x):
+    idx = np.asarray(sorted(x.support.keys()), dtype=np.int64)
+    vals = dfun(idx)
+    return spaces.sparse_element(
+        {int(k): float(v) * x.support[int(k)] for k, v in zip(idx, vals)}
+    )
+
+
+@pytest.mark.parametrize("name,arg", [("inverse_trunc", 5), ("inverse", None),
+                                      ("prime_scale", None), ("index", None)])
+def test_sparse_diagonal_apply_matches_elementwise_products(name, arg):
+    op = operators.named_diagonal(name, arg)
+    rng = np.random.default_rng(3)
+    keys = rng.permutation(np.arange(1, 400))[:150]
+    x = spaces.sparse_element({int(k): float(v) for k, v in zip(keys, rng.standard_normal(150))})
+    got = operators.apply(op, x)
+    want = _old_diagonal_apply(op.params[1], x)
+    assert list(got.support.items()) == list(want.support.items())
+    if name == "inverse_trunc":
+        assert set(got.support) == {k for k in x.support if k <= arg}

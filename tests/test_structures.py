@@ -138,3 +138,23 @@ def test_dense_coordinate_outside_the_space_raises_on_both_paths():
             operators.functional_sweep(f, s, 10)
         messages.append(str(exc.value))
     assert messages == ["coordinate 4 outside dense:3"] * 2
+
+
+_DIAGONALS = [("identity", None), ("inverse", None), ("one_plus_inverse", None),
+              ("index", None), ("prime_scale", None), ("inverse_trunc", 5)]
+_PREFIX_CASES = [("harmonic", sequences.harmonic_prefix_sequence())] + [
+    (f"diag({name})(harmonic)",
+     operators.image_sequence(operators.named_diagonal(name, arg),
+                              sequences.harmonic_prefix_sequence()))
+    for name, arg in _DIAGONALS
+]
+
+
+@pytest.mark.parametrize("horizon", [300, 301, 302])
+@pytest.mark.parametrize("name,seq", _PREFIX_CASES, ids=[name for name, _ in _PREFIX_CASES])
+def test_prefix_median_matches_per_index(name, seq, horizon):
+    # 300 gives an odd sample window, 301 and 302 an even one
+    assert isinstance(seq.structure, sequences.PrefixValues)
+    got = stanalysis._median_candidate(seq, horizon)
+    want = stanalysis._median_candidate(_per_index(seq), horizon)
+    assert list(got.support.items()) == list(want.support.items())
