@@ -67,7 +67,18 @@ from . import density
 DEFAULT_CLASSIFY_HORIZON = 100_000
 DEFAULT_CLASSIFY_TOLERANCE = 0.1
 
-PROPERTIES = ("st_bounded", "n_st_bounded", "st_continuous", "n_st_continuous", "st_compact")
+# The paper's five definitions as data.  Each property is an implication:
+# when the input x_n satisfies the hypothesis, the image T x_n must satisfy
+# the conclusion, which names the ``stanalysis`` verdict that decides it.
+_DEFINITIONS = {
+    "st_bounded": ("st_bounded", "st_bounded"),
+    "n_st_bounded": ("norm_bounded", "st_bounded"),
+    "st_continuous": ("st_null", "st_converges"),
+    "n_st_continuous": ("norm_null", "st_converges"),
+    "st_compact": ("st_bounded", "st_converges_search"),
+}
+
+PROPERTIES = tuple(_DEFINITIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +92,6 @@ class Corpus:
     version: str
     space: spaces.Space
     members: tuple
-
-    def labels(self):
-        return tuple(m.label for m in self.members)
 
 
 @lru_cache(maxsize=None)
@@ -199,18 +207,8 @@ class ClassificationReport:
         return f"ClassificationReport({self.operator}, {self.property}: {self.outcome})"
 
 
-_HYPOTHESIS_OF = {
-    "st_bounded": "st_bounded",
-    "st_compact": "st_bounded",
-    "n_st_bounded": "norm_bounded",
-    "st_continuous": "st_null",
-    "n_st_continuous": "norm_null",
-}
-
-
-def _hypothesis_confirmed(member, prop, horizon, tolerance):
-    """Whether the corpus member satisfies the property's input hypothesis."""
-    kind = _HYPOTHESIS_OF[prop]
+def _hypothesis_confirmed(member, kind, horizon, tolerance):
+    """Whether the corpus member satisfies the input hypothesis ``kind``."""
     key = ("hypothesis", kind, horizon, tolerance)
     hit = member.cache.get(key)
     if hit is None:
@@ -227,25 +225,15 @@ def _hypothesis_confirmed(member, prop, horizon, tolerance):
     return hit == "confirmed"
 
 
-def _conclusion_verdict(op, member, prop, horizon, tolerance):
-    image = image_sequence(op, member)
-    if prop in ("st_bounded", "n_st_bounded"):
-        return st_bounded(image, horizon=horizon, tolerance=tolerance)
-    if prop in ("st_continuous", "n_st_continuous"):
-        return st_converges(image, horizon=horizon, tolerance=tolerance)
-    return st_converges_search(image, horizon=horizon, tolerance=tolerance)
+def _classify(op, props, corpus, horizon, tolerance):
+    """One report per property in ``props``, from one walk over the corpus.
 
-
-def classify(op, prop, corpus=None, horizon=DEFAULT_CLASSIFY_HORIZON,
-             tolerance=DEFAULT_CLASSIFY_TOLERANCE):
-    """Empirically test one operator property against a corpus.
-
-    Refuted when some member confirms the hypothesis while its image refutes
-    the conclusion; consistent when no member refutes and at least one
-    hypothesis was confirmed; inconclusive otherwise.
+    Each member's image is built at most once, and each distinct conclusion
+    verdict on it is computed at most once.
     """
-    if prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    for prop in props:
+        if prop not in _DEFINITIONS:
+            raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     if corpus is None:
         corpus = corpus_for(op)
     if not corpus.members:
@@ -256,25 +244,48 @@ def classify(op, prop, corpus=None, horizon=DEFAULT_CLASSIFY_HORIZON,
             f"operator domain {op.domain.describe()}"
         )
     horizon = int(horizon)
-    witnesses = []
-    confirmed = 0
+    witnesses = {prop: [] for prop in props}
+    confirmed = dict.fromkeys(props, 0)
     for member in corpus.members:
-        if not _hypothesis_confirmed(member, prop, horizon, tolerance):
+        held = [prop for prop in props
+                if _hypothesis_confirmed(member, _DEFINITIONS[prop][0], horizon, tolerance)]
+        if not held:
             continue
-        confirmed += 1
-        verdict = _conclusion_verdict(op, member, prop, horizon, tolerance)
-        if verdict.decision == "refuted":
-            witnesses.append((member.label, verdict))
-    if witnesses:
-        outcome = "refuted"
-    elif confirmed:
-        outcome = "consistent"
-    else:
-        outcome = "inconclusive"
-    return ClassificationReport(
-        op.describe(), prop, outcome, tuple(witnesses),
-        corpus.version, horizon, tolerance,
-    )
+        image = image_sequence(op, member)
+        verdicts = {}
+        for prop in held:
+            confirmed[prop] += 1
+            conclusion = _DEFINITIONS[prop][1]
+            verdict = verdicts.get(conclusion)
+            if verdict is None:
+                decide = getattr(stanalysis, conclusion)
+                verdict = verdicts[conclusion] = decide(image, horizon=horizon, tolerance=tolerance)
+            if verdict.decision == "refuted":
+                witnesses[prop].append((member.label, verdict))
+    reports = []
+    for prop in props:
+        if witnesses[prop]:
+            outcome = "refuted"
+        elif confirmed[prop]:
+            outcome = "consistent"
+        else:
+            outcome = "inconclusive"
+        reports.append(ClassificationReport(
+            op.describe(), prop, outcome, tuple(witnesses[prop]),
+            corpus.version, horizon, tolerance,
+        ))
+    return reports
+
+
+def classify(op, prop, corpus=None, horizon=DEFAULT_CLASSIFY_HORIZON,
+             tolerance=DEFAULT_CLASSIFY_TOLERANCE):
+    """Empirically test one operator property against a corpus.
+
+    Refuted when some member confirms the hypothesis while its image refutes
+    the conclusion; consistent when no member refutes and at least one
+    hypothesis was confirmed; inconclusive otherwise.
+    """
+    return _classify(op, (prop,), corpus, horizon, tolerance)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +357,9 @@ def _norm_bounded_operator_pool():
 
 def _consistent(op, props, horizon, tolerance):
     """``(label, ok, detail)``: ``op`` classifies consistent under every one of ``props``."""
-    corpus = corpus_for(op)
-    outcomes = {prop: classify(op, prop, corpus, horizon, tolerance).outcome for prop in props}
-    detail = "; ".join(f"{p} outcome {o}" for p, o in outcomes.items() if o != "consistent")
+    reports = _classify(op, props, corpus_for(op), horizon, tolerance)
+    detail = "; ".join(f"{r.property} outcome {r.outcome}"
+                       for r in reports if r.outcome != "consistent")
     return op.describe(), not detail, detail
 
 
@@ -376,11 +387,11 @@ def check_finite_dim_all_bounded(horizon, tolerance):
 def _find_ratio_bound(op, corpus, horizon, tolerance, start, max_doublings=60):
     """Smallest doubling multiple of ``start`` with ||Sx_n|| <= M ||x_n|| a.e."""
     m = max(float(start), 1e-9)
+    sweeps = [(norm_sweep(member, horizon), norm_sweep(image_sequence(op, member), horizon))
+              for member in corpus.members]
     for k in range(max_doublings):
         ok = True
-        for member in corpus.members:
-            base = norm_sweep(member, horizon)
-            img = norm_sweep(image_sequence(op, member), horizon)
+        for base, img in sweeps:
             mask = img > m * base * (1.0 + 1e-12)
             verdict = stanalysis._zero_density_verdict(
                 mask, horizon, tolerance, density.DEFAULT_SCHEDULE
@@ -484,8 +495,7 @@ def check_bounded_iff_continuous(horizon, tolerance):
     """st_bounded and st_continuous classification outcomes agree per operator."""
     outcomes = []
     for op in _iff_operator_pool():
-        b = classify(op, "st_bounded", corpus_for(op), horizon, tolerance)
-        c = classify(op, "st_continuous", corpus_for(op), horizon, tolerance)
+        b, c = _classify(op, ("st_bounded", "st_continuous"), corpus_for(op), horizon, tolerance)
         ok = b.outcome == c.outcome
         detail = "" if ok else f"st_bounded {b.outcome} vs st_continuous {c.outcome}"
         outcomes.append((op.describe(), ok, detail))

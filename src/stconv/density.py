@@ -417,10 +417,6 @@ class DensityProfile:
         object.__setattr__(self, "ratios", tuple(c / n for c, n in zip(cnt, cps)))
 
     @property
-    def horizon(self):
-        return self.checkpoints[-1]
-
-    @property
     def final_ratio(self):
         return self.ratios[-1]
 
@@ -486,10 +482,6 @@ class DensityVerdict:
     @property
     def final_ratio(self):
         return self.profile.final_ratio
-
-    @property
-    def horizon(self):
-        return self.profile.horizon
 
     def to_json_dict(self):
         out = self.profile.to_json_dict()

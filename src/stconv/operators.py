@@ -43,13 +43,12 @@ class FunctionalSpec:
 
     kinds: ``coordinate`` (params: index), ``dense_weights`` (params: weight
     tuple), ``sparse_weighted`` (params: name; ``wfun`` vectorised weight
-    function, ``bounded`` advisory flag from the caller).
+    function).
     """
 
     kind: str
     params: tuple = ()
     wfun: Optional[Callable] = None
-    bounded: bool = True
 
     def weights(self, ks):
         """``f(e_k)`` at the int64 indices ``ks`` (zero off the support)."""
@@ -104,18 +103,18 @@ def dense_weights(weights):
     return FunctionalSpec("dense_weights", tuple(float(w) for w in weights))
 
 
-def sparse_weighted(name, wfun, bounded):
-    return FunctionalSpec("sparse_weighted", (name,), wfun=wfun, bounded=bounded)
+def sparse_weighted(name, wfun):
+    return FunctionalSpec("sparse_weighted", (name,), wfun=wfun)
 
 
 def linear_growth_functional():
     """The classic unbounded functional: weight k at coordinate k."""
-    return sparse_weighted("index_weights", lambda ks: ks.astype(float), bounded=False)
+    return sparse_weighted("index_weights", lambda ks: ks.astype(float))
 
 
 def geometric_weights_functional():
     # 2^-k by exponent alone; bitwise equal to 0.5 ** k, underflow included
-    return sparse_weighted("geometric_weights", lambda ks: np.ldexp(1.0, -ks), bounded=True)
+    return sparse_weighted("geometric_weights", lambda ks: np.ldexp(1.0, -ks))
 
 
 _FUNCTIONAL_NAMES = {

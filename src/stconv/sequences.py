@@ -215,38 +215,39 @@ class FixedBasisCombo(Structure):
     coeff_of: Callable      # (N,) int array -> (N, r) float array
     basis: tuple
 
-    def sweep(self, norm, candidate, horizon):
-        coeff = self.coeff_of(_upto(horizon))
-        support = set()
+    def _support_matrix(self, extra=()):
+        """The basis support joined with the indices ``extra``, increasing, and
+        the basis rows over it, one row per basis element."""
+        support = set(extra)
         for b in self.basis:
             support.update(b.support.keys())
-        if candidate is not None:
-            support.update(candidate.support.keys())
         uidx = np.asarray(sorted(support), dtype=np.int64)
         mat = np.zeros((len(self.basis), len(uidx)))
-        lookup = {k: t for t, k in enumerate(uidx)}
         for r, b in enumerate(self.basis):
-            for k, v in b.support.items():
-                mat[r, lookup[k]] = v
-        offset = None
-        if candidate is not None:
-            offset = np.zeros(len(uidx))
-            for k, v in candidate.support.items():
-                offset[lookup[k]] = v
+            idx, val = _sparse_support_arrays(b)
+            mat[r, np.searchsorted(uidx, idx)] = val
+        return uidx, mat
+
+    def sweep(self, norm, candidate, horizon):
+        uidx, mat = self._support_matrix(() if candidate is None else candidate.support)
         if len(uidx) == 0:
             return np.zeros(horizon)
-        return _chunked_abs_rowmax(coeff, mat, offset)
+        offset = None
+        if candidate is not None:
+            cidx, cval = _sparse_support_arrays(candidate)
+            offset = np.zeros(len(uidx))
+            offset[np.searchsorted(uidx, cidx)] = cval
+        return _chunked_abs_rowmax(self.coeff_of(_upto(horizon)), mat, offset)
 
     def functional(self, f, horizon):
         fvec = np.asarray([f.evaluate(b) for b in self.basis])
         return self.coeff_of(_upto(horizon)) @ fvec
 
     def median(self, seq, ns):
-        med = np.median(self.coeff_of(ns), axis=0)
-        out = spaces.zero(seq.space)
-        for c, b in zip(med, self.basis):
-            out = spaces.add(out, spaces.scale(float(c), b))
-        return out
+        # coordinatewise over the support: basis supports may overlap
+        uidx, mat = self._support_matrix()
+        med = np.median(self.coeff_of(ns) @ mat, axis=0)
+        return spaces.sparse_element(dict(zip(uidx.tolist(), med.tolist())))
 
     def diagonal_image(self, dfun, apply_to):
         return FixedBasisCombo(self.coeff_of, tuple(apply_to(b) for b in self.basis))
@@ -319,8 +320,10 @@ class Reindexed(Structure):
         """The first ``count`` members of ``along``, as an index array."""
         have = self._members.get("members")
         if have is None or len(have) < count:
+            # grow geometrically, so term-by-term callers rescan only log-many times
+            grow = 64 if have is None else 2 * len(have)
             try:
-                self._members["members"] = density.members(self.along, max(count, 64))
+                self._members["members"] = density.members(self.along, max(count, grow))
             except density.HorizonExhausted:
                 # the set may simply be smaller than the chunk; only a
                 # request it genuinely cannot satisfy should raise
@@ -377,7 +380,6 @@ class SequenceSpec:
     space: Space
     norm: Norm
     label: str
-    seed: Optional[int] = None
     structure: Optional[Structure] = None
     norm_bound: Optional[float] = None
     cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -681,7 +683,7 @@ def random_unit_ball(space, seed, norm=None):
         )
 
     return SequenceSpec(
-        gen, space, norm, f"random_ball_{seed}", seed=seed,
+        gen, space, norm, f"random_ball_{seed}",
         structure=structure, norm_bound=1.0,
     )
 
@@ -791,12 +793,6 @@ def _block_norms(block, nrm):
     return acc ** (1.0 / p)
 
 
-def _is_zero_element(x):
-    if isinstance(x, SparseElement):
-        return not x.support
-    return all(c == 0.0 for c in x.coords)
-
-
 def _generic_sweep(seq, candidate, horizon):
     gen = seq.generator
     nrm = seq.norm
@@ -818,23 +814,16 @@ def _sweep(seq, candidate, horizon):
 
 
 def norm_sweep(seq, horizon):
-    """``||x_n||`` for ``n = 1..horizon`` as one read-only array, cached per spec."""
-    horizon = int(horizon)
-    have = seq.cache.get("norms")
-    if have is None or len(have) < horizon:
-        have = seq.cache["norms"] = _sweep(seq, None, horizon)
-    return have[:horizon]
+    """``||x_n||`` for ``n = 1..horizon`` as one read-only array, computed afresh."""
+    return _sweep(seq, None, int(horizon))
 
 
 def distance_sweep(seq, candidate, horizon):
-    """``||x_n - candidate||`` for ``n = 1..horizon`` as one read-only array.
-
-    Only the zero candidate's sweep (the norm sweep) is cached.
-    """
+    """``||x_n - candidate||`` for ``n = 1..horizon`` as one read-only array."""
     horizon = int(horizon)
     if spaces.space_of(candidate) != seq.space:
         raise ValueError("candidate lives in a different space than the sequence")
-    if _is_zero_element(candidate):
+    if candidate == spaces.zero(seq.space):
         return norm_sweep(seq, horizon)
     return _sweep(seq, candidate, horizon)
 

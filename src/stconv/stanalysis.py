@@ -202,16 +202,7 @@ def st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
 
     Refuted only when the largest probe still yields a refuted-zero verdict.
     """
-    horizon = int(horizon)
-    probes = tuple(float(m) for m in probes)
-    norms = norm_sweep(seq, horizon)
-    decision, bound, reports, witness = _bounded_scan(
-        norms, probes, horizon, tolerance, schedule
-    )
-    return StVerdict(
-        "bounded", decision, horizon, probes, tuple(reports),
-        bound=bound, witness=witness,
-    )
+    return st_bounded_real(norm_sweep(seq, horizon), probes, horizon, tolerance, schedule)
 
 
 def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,

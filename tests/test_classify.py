@@ -1,8 +1,14 @@
 """Empirical operator classification and the theorem-check suite."""
 
+import contextlib
+import hashlib
+import io
+
+import numpy as np
 import pytest
 
-from stconv import operators, spaces, stanalysis
+from stconv import classify as classify_module
+from stconv import cli, operators, spaces, stanalysis
 from stconv.classify import (
     PROPERTIES,
     SUITE_CHECKS,
@@ -11,6 +17,7 @@ from stconv.classify import (
     classify,
     corpus_for,
     dense_corpus,
+    run_suite,
     sparse_corpus,
 )
 
@@ -123,6 +130,32 @@ def test_all_properties_run_for_one_operator():
         assert rep.outcome in ("consistent", "refuted", "inconclusive")
 
 
+def test_property_table_keeps_the_order():
+    assert PROPERTIES == ("st_bounded", "n_st_bounded", "st_continuous", "n_st_continuous",
+                          "st_compact")
+
+
+@pytest.mark.parametrize("op", [
+    operators.named_diagonal("prime_scale"),
+    operators.rank_one(operators.linear_growth_functional(), spaces.sparse_element({1: 1.0})),
+    operators.matrix_operator([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [3.0, 0.0, 1.0]]),
+], ids=lambda op: op.describe())
+def test_one_pass_matches_one_property_at_a_time(op, monkeypatch):
+    images = []
+    build_image = classify_module.image_sequence
+
+    def counted(op_, member):
+        images.append(member.label)
+        return build_image(op_, member)
+
+    monkeypatch.setattr(classify_module, "image_sequence", counted)
+    reports = classify_module._classify(op, PROPERTIES, corpus_for(op), REDUCED, 0.1)
+    assert len(images) == len(set(images)) <= len(corpus_for(op).members)
+    for prop, report in zip(PROPERTIES, reports):
+        alone = classify(op, prop, horizon=REDUCED)
+        assert report.to_json_dict() == alone.to_json_dict()
+
+
 # ---------------------------------------------------------------------------
 # theorem checks (individual, at reduced horizon)
 # ---------------------------------------------------------------------------
@@ -189,3 +222,18 @@ def test_compact_norm_limit_probe_values():
     for row in probes:
         assert row["probe"] == pytest.approx(1.0 / (row["m"] + 1), abs=1e-12)
         assert row["probe"] == pytest.approx(row["expected"], abs=1e-12)
+
+
+def test_suite_retains_no_sweeps_and_keeps_its_reports():
+    run_suite(REDUCED)
+    corpora = [sparse_corpus(), cauchy_corpus()] + [dense_corpus(d) for d in range(1, 9)]
+    for corpus in corpora:
+        for member in corpus.members:
+            held = [k for k, v in member.cache.items() if isinstance(v, np.ndarray)]
+            assert held == [], (corpus.version, member.label)
+    # the same report as in a fresh process (pinned in test_golden.py)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["suite", "--horizon", "2000"]) == 1
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "2c537c8705b0f9e46d3b07643a6a32f5f6c7feeabf3fe6d27437b3cbf83cb9a5")

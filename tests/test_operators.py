@@ -59,14 +59,12 @@ def test_dense_weights_functional():
 
 def test_index_weights_functional_is_unbounded():
     f = operators.linear_growth_functional()
-    assert not f.bounded
     assert f.norm_bound(spaces.sup_norm()) is None
     assert f.evaluate(spaces.sparse_element({5: 1.0})) == 5.0
 
 
 def test_geometric_weights_functional():
     f = operators.geometric_weights_functional()
-    assert f.bounded
     assert f.evaluate(spaces.sparse_element({1: 1.0, 2: 1.0})) == pytest.approx(0.75)
 
 

@@ -190,6 +190,30 @@ def test_subsequence_of_finite_set_exhausts():
         sub.generator(3)
 
 
+def test_subsequence_terms_regrow_members_geometrically(monkeypatch):
+    requests = []
+    enumerate_members = density.members
+
+    def counted(s, how_many, *args, **kwargs):
+        requests.append(how_many)
+        return enumerate_members(s, how_many, *args, **kwargs)
+
+    monkeypatch.setattr(density, "members", counted)
+    sub = sequences.parse_sequence("subseq(unit_coords, complement(squares))")
+    terms = [sub.generator(k) for k in range(1, 5001)]
+    assert len(requests) <= 2 * np.log2(5000)
+    ks = np.arange(1, 20_000)
+    nonsquares = ks[np.sqrt(ks).astype(np.int64) ** 2 != ks][:5000]
+    assert [dict(x.support) for x in terms] == [{int(m): 1.0} for m in nonsquares]
+    # a finite set smaller than the grown request still yields all its members
+    hundred = sequences.subsequence(sequences.unit_coordinate_sequence(),
+                                    density.finite(range(1, 101)))
+    assert [dict(hundred.generator(k).support) for k in (64, 65, 100)] == [
+        {64: 1.0}, {65: 1.0}, {100: 1.0}]
+    with pytest.raises(sequences.HorizonExhausted):
+        hundred.generator(101)
+
+
 def test_zero_sequence_norm_bound():
     z = sequences.zero_sequence(spaces.sparse_space())
     assert z.norm_bound == 0.0
@@ -256,13 +280,14 @@ def test_random_ball_rows_match_whole_table_normalisation(norm, dim):
 # caching
 # ---------------------------------------------------------------------------
 
-def test_norm_sweep_cached_and_extended():
+def test_norm_sweep_uncached_and_extended():
     seq = sequences.harmonic_prefix_sequence()
     first = sequences.norm_sweep(seq, 100)
     second = sequences.norm_sweep(seq, 100)
     assert np.array_equal(first, second)
     longer = sequences.norm_sweep(seq, 200)
     assert np.array_equal(longer[:100], first)
+    assert list(seq.cache) == []
 
 
 def test_distance_cache_keyed_by_candidate():
@@ -279,7 +304,7 @@ def test_distance_sweeps_are_not_cached():
     sequences.distance_sweep(seq, spaces.sparse_element({2: 1.0}), 100)
     assert list(seq.cache) == []
     sequences.distance_sweep(seq, spaces.sparse_element({}), 100)
-    assert list(seq.cache) == ["norms"]
+    assert list(seq.cache) == []
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from stconv.classify import (
     _compact_consistent_pool,
     _iff_operator_pool,
     _norm_bounded_operator_pool,
+    cauchy_corpus,
+    dense_corpus,
     sparse_corpus,
 )
 
@@ -366,3 +368,63 @@ def test_bounded_decision_total_and_stable(horizon):
     v = stanalysis.st_bounded(sequences.random_unit_ball(SPARSE, seed=1), horizon=horizon)
     assert v.decision in ("confirmed", "refuted", "inconclusive")
     assert v.horizon == horizon
+
+
+# ---------------------------------------------------------------------------
+# Connor's strong p-Cesaro guard
+# ---------------------------------------------------------------------------
+#
+# For bounded sequences st-convergence to L is equivalent to strong p-Cesaro
+# convergence, (1/n) sum_{k<=n} |x_k - L|^p -> 0 (J. Connor, "The statistical
+# and strong p-Cesaro convergence of sequences", Analysis 8, 1988).  At every
+# finite n the Cesaro mean C_n of the distance sweep d and the exceedance
+# count N_n(eps) = #{k <= n : d_k >= eps} obey two exact inequalities, with
+# M = max(d_1..d_n):
+#     N_n / n <= C_n / eps^p                  (Markov)
+#     C_n <= eps^p + M^p * N_n / n
+# C_n comes from one cumsum of powers, never through masks or profiles, so
+# the guard checks the count pipeline independently.
+
+CESARO_H = 20_000
+CESARO_SLACK = 1e-12
+CESARO_MEMBERS = [
+    (f"{corpus.version}:{m.label}", m)
+    for corpus in (sparse_corpus(), dense_corpus(3), cauchy_corpus())
+    for m in corpus.members
+]
+
+
+def _assert_cesaro_bounds(d, checkpoints, counts, eps, p):
+    cesaro = np.cumsum(d ** p)
+    for n, count in zip(checkpoints, counts):
+        mean = cesaro[n - 1] / n
+        top = float(np.max(d[:n]))
+        assert count / n <= mean / eps ** p * (1 + CESARO_SLACK), (n, eps, p)
+        assert mean <= (eps ** p + top ** p * count / n) * (1 + CESARO_SLACK), (n, eps, p)
+
+
+@pytest.mark.parametrize("name,seq", CESARO_MEMBERS, ids=[name for name, _ in CESARO_MEMBERS])
+def test_counts_obey_strong_cesaro_bounds(name, seq):
+    for candidate in (spaces.zero(seq.space), stanalysis._median_candidate(seq, CESARO_H)):
+        verdict = stanalysis.st_converges(seq, candidate, horizon=CESARO_H)
+        assert verdict.epsilon_grid == stanalysis.DEFAULT_EPS_GRID
+        d = sequences.distance_sweep(seq, candidate, CESARO_H)
+        for report in verdict.per_epsilon:
+            profile = report.verdict.profile
+            assert profile.checkpoints == tuple(density.DEFAULT_SCHEDULE.checkpoints(CESARO_H))
+            for p in (1, 2):
+                _assert_cesaro_bounds(d, profile.checkpoints, profile.counts, report.epsilon, p)
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=2, max_size=400),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.sampled_from([1, 2]),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_counts_obey_strong_cesaro_bounds(values, eps, p, data):
+    d = np.asarray(values)
+    step = data.draw(st.integers(min_value=1, max_value=len(d) - 1))
+    profile = density.profile_from_mask(d >= eps, len(d), density.linear(step))
+    _assert_cesaro_bounds(d, profile.checkpoints, profile.counts, eps, p)
