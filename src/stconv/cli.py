@@ -139,15 +139,18 @@ def build_parser():
 
 
 def _resolve_horizon(args):
-    if args.horizon is not None:
-        return int(args.horizon)
-    env = os.environ.get(ENV_HORIZON)
-    if env:
+    horizon = args.horizon
+    if horizon is None:
+        env = os.environ.get(ENV_HORIZON)
+        if not env:
+            return _COMMAND_HORIZONS[args.command]
         try:
-            return int(env)
+            horizon = int(env)
         except ValueError:
             raise ParseError(env, 0, f"${ENV_HORIZON} is not an integer")
-    return _COMMAND_HORIZONS[args.command]
+    if horizon < 2:
+        raise ValueError("horizon must be at least 2")
+    return horizon
 
 
 def _resolve_tolerance(args):
@@ -200,10 +203,9 @@ def _verdict_csv_entries(verdict):
 def _check_expect(expect, decision):
     if expect is None:
         return 0
-    want = expect
-    if want == "confirmed" and decision == "consistent":
+    if expect == "confirmed" and decision == "consistent":
         return 0
-    return 0 if decision == want else 1
+    return 0 if decision == expect else 1
 
 
 def _run_density(args):

@@ -512,8 +512,8 @@ def density_verdict(profile, target, tolerance=DEFAULT_TOLERANCE):
     """Three-valued verdict for ``density(s) == target`` from a finite profile."""
     tval = _normalize_target(target)
     tol = float(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     ratios = profile.ratios
     r = len(ratios)
     window = ratios[-math.ceil(r / 3):]
@@ -544,7 +544,8 @@ def density_verdict(profile, target, tolerance=DEFAULT_TOLERANCE):
 # descriptor grammar
 # ---------------------------------------------------------------------------
 
-def _parse_set(cur):
+def parse_index_set_at(cur):
+    """Parse an index set starting at an existing cursor (for host grammars)."""
     name = cur.ident()
     if name == "primes":
         return primes()
@@ -564,28 +565,23 @@ def _parse_set(cur):
         return finite(values)
     if name == "complement":
         cur.expect("(")
-        inner = _parse_set(cur)
+        inner = parse_index_set_at(cur)
         cur.expect(")")
         return complement(inner)
     if name in ("union", "intersection"):
         cur.expect("(")
-        a = _parse_set(cur)
+        a = parse_index_set_at(cur)
         cur.expect(",")
-        b = _parse_set(cur)
+        b = parse_index_set_at(cur)
         cur.expect(")")
         return union(a, b) if name == "union" else intersection(a, b)
     cur.error(f"unknown index set {name!r}")
 
 
-def parse_index_set_at(cur):
-    """Parse an index set starting at an existing cursor (for host grammars)."""
-    return _parse_set(cur)
-
-
 def parse_index_set(text):
     """Parse descriptors like ``primes`` or ``union(multiples(3),squares)``."""
     cur = Cursor(text)
-    s = _parse_set(cur)
+    s = parse_index_set_at(cur)
     cur.finish("index set")
     return s
 

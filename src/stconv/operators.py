@@ -3,10 +3,10 @@ sequence transforms.
 
 Operators are descriptor records (diagonal, rank-one, finite-rank, matrix,
 composition, linear combination) evaluated by :func:`apply`.  When an
-operator is pushed through a structured sequence with
-:func:`image_sequence`, the image keeps a vectorised structure wherever one
-can be derived, so downstream sweeps stay fast; otherwise the image falls
-back to per-index evaluation.
+operator is pushed through a sequence with :func:`image_sequence`, the
+image's structure is derived from the sequence's: it stays vectorised
+wherever the sequence's kind can say how, so downstream sweeps stay fast,
+and is the per-index kind otherwise.
 
 Diagonal coefficient functions and the weight functions of
 ``sparse_weighted`` functionals must accept numpy integer arrays.
@@ -24,8 +24,8 @@ from .parsing import Cursor, format_float
 from .sequences import (
     DenseBlock,
     FixedBasisCombo,
-    Scaled,
     SequenceSpec,
+    Structure,
     functional_sweep,
 )
 from .spaces import DenseElement, Space, SparseElement, dense_space, sparse_space
@@ -287,15 +287,15 @@ def operator_norm_bound(op):
 
 @dataclass(frozen=True, eq=False)
 class SequenceTransform:
-    """Maps a whole sequence by ``y_n = rule(n, x_n)``.
+    """Maps a whole sequence by the positional rescaling ``y_n = rule(n, x_n)``.
 
-    When the rule is a positional rescaling ``y_n = scale(n) * x_n``, pass the
-    vectorised ``scale_of`` so image sequences keep their structure.
+    ``scale_of`` is the same rescaling vectorised: ``rule(n, x)`` must equal
+    ``scale_of(n) * x``, so that image sequences keep a structure.
     """
 
     rule: Callable
     label: str
-    scale_of: Optional[Callable] = None
+    scale_of: Callable
 
     def describe(self):
         return f"transform({self.label})"
@@ -328,8 +328,8 @@ _TRANSFORM_NAMES = {
 
 def _image_structure(op, seq):
     st = seq.structure
-    if st is None:
-        return None
+    if type(st) is Structure:
+        return st   # the image of a per-index sequence runs per index too
     lifted = st.lifted(lambda parent: image_sequence(op, parent))
     if lifted is not None:
         return lifted
@@ -363,10 +363,9 @@ def _image_structure(op, seq):
     if op.kind == "linear_combo":
         alpha, s, beta, t = op.params
         left = image_sequence(s, seq).structure
-        right = image_sequence(t, seq).structure
-        return None if left is None else left.combined(right, alpha, beta)
+        return left.combined(image_sequence(t, seq).structure, alpha, beta)
 
-    return None
+    raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
 def image_sequence(op, seq):
@@ -378,15 +377,9 @@ def image_sequence(op, seq):
         def tgen(n):
             return rule(n, gen(n))
 
-        structure = None
-        if op.scale_of is not None:
-            if seq.structure is not None:
-                structure = seq.structure.rescaled(op.scale_of)
-            if structure is None:
-                structure = Scaled(seq, op.scale_of)
         return SequenceSpec(
             tgen, seq.space, seq.norm, f"{op.label}({seq.label})",
-            structure=structure,
+            structure=seq.structure.rescaled(seq, op.scale_of),
         )
 
     if seq.space != op.domain:

@@ -1,17 +1,16 @@
 """Sequence generators over the dense and sparse spaces.
 
 A :class:`SequenceSpec` couples a per-index generator with the space and
-norm the sequence lives in.  Specs built by the constructors here also carry
-a *structure*: a vectorised description of the whole sequence, one of the
-:class:`Structure` kinds below.  Each kind answers through its own methods:
-norm and distance sweeps, functional sweeps, windowed medians, and its image
-under a diagonal, a matrix, a positional rescale, a linear combination or,
-for subsequences, any operator.
-All of these run over every ``n`` up to a horizon in a few numpy passes.
-Where a kind cannot answer, and for sequences without a structure, callers
-fall back to a per-index loop, which is fine for cheap generators and small
+norm the sequence lives in, and with a *structure* that answers questions
+about the whole sequence: norm and distance sweeps, functional sweeps,
+windowed medians, and its image under a diagonal, a matrix, a positional
+rescale, a linear combination or, for subsequences, any operator.
+The base :class:`Structure` is the per-index kind: it evaluates the
+generator term by term, which is fine for cheap generators and small
 horizons but would be hopeless for, say, growing-support prefixes at
-``n = 10^5``.
+``n = 10^5``.  The constructors here give their specs a vectorised kind
+instead, which answers over every ``n`` up to a horizon in a few numpy
+passes and leaves to the per-index kind only what it cannot answer.
 
 Structures are consistency-tested against the generators; they are an
 evaluation strategy, never a second source of truth.
@@ -48,7 +47,7 @@ CORPUS_VERSION = "v1"
 
 
 # ---------------------------------------------------------------------------
-# structures: vectorised whole-sequence descriptions
+# structures: per-index and vectorised whole-sequence evaluation
 # ---------------------------------------------------------------------------
 
 def _upto(horizon):
@@ -56,43 +55,60 @@ def _upto(horizon):
 
 
 class Structure:
-    """The structure protocol: vectorised answers about a whole sequence.
+    """The structure protocol, and its per-index kind.
 
-    Each kind below overrides what it can answer.  A method returns ``None``
-    where the kind cannot answer; the caller then evaluates the sequence
-    index by index, exactly as for a sequence whose ``structure`` is None.
+    This base kind answers every question by evaluating the generator term
+    by term.  Each vectorised kind below overrides what it can answer and
+    leaves the rest to this one.
     """
 
-    def sweep(self, norm, candidate, horizon):
+    def sweep(self, seq, candidate, horizon):
         """``||x_n - candidate||`` (``||x_n||`` for ``candidate=None``), ``n = 1..horizon``."""
-        return None
+        gen = seq.generator
+        nrm = seq.norm
+        if candidate is None:
+            return np.asarray([element_norm(gen(n), nrm) for n in range(1, horizon + 1)])
+        return np.asarray(
+            [element_norm(sub(gen(n), candidate), nrm) for n in range(1, horizon + 1)]
+        )
 
-    def functional(self, f, horizon):
+    def functional(self, seq, f, horizon):
         """``f(x_n)`` for ``n = 1..horizon``; ``f`` is an ``operators.FunctionalSpec``."""
-        return None
+        gen = seq.generator
+        return np.asarray([f.evaluate(gen(n)) for n in range(1, horizon + 1)])
 
     def median(self, seq, ns):
         """Coordinatewise median of the terms at the sample indices ``ns``."""
-        return None
+        gen = seq.generator
+        elements = [gen(int(n)) for n in ns]
+        if seq.space.kind == "dense":
+            return spaces.dense_element(np.median([x.coords for x in elements], axis=0))
+        support = sorted({k for x in elements for k in x.support})
+        out = {}
+        for k in support:
+            vals = np.asarray([x.support.get(k, 0.0) for x in elements])
+            out[k] = float(np.median(vals))
+        return spaces.sparse_element(out)
 
     def diagonal_image(self, dfun, apply_to):
         """Structure of ``n -> D x_n``, ``D`` the diagonal ``dfun``; ``apply_to(x)`` is ``D x``."""
-        return None
+        return Structure()
 
     def matrix_image(self, a):
         """Structure of ``n -> a @ x_n``."""
-        return None
+        return Structure()
 
-    def rescaled(self, scale_of):
-        """Structure of ``n -> scale_of(n) * x_n``."""
-        return None
+    def rescaled(self, seq, scale_of):
+        """Structure of ``n -> scale_of(n) * x_n``, ``seq`` the sequence ``x``."""
+        return Scaled(seq, scale_of)
 
     def combined(self, other, alpha, beta):
         """Structure of ``n -> alpha * x_n + beta * y_n``; ``other`` is that of ``y``."""
-        return None
+        return Structure()
 
     def lifted(self, image_of):
-        """Structure of ``n -> T x_n``; ``image_of(s)`` is the sequence ``n -> T s_n``."""
+        """Structure of ``n -> T x_n`` for any operator ``T``, or None where it
+        depends on ``T``; ``image_of(s)`` is the sequence ``n -> T s_n``."""
         return None
 
 
@@ -103,7 +119,7 @@ class SingleSupport(Structure):
     index_of: Callable
     value_of: Callable
 
-    def sweep(self, norm, candidate, horizon):
+    def sweep(self, seq, candidate, horizon):
         ns = _upto(horizon)
         idx = self.index_of(ns)
         val = self.value_of(ns).astype(float)
@@ -122,7 +138,7 @@ class SingleSupport(Structure):
         c_at = np.where(pos_ok, cval[np.minimum(pos, len(cidx) - 1)], 0.0)
         return np.maximum(np.abs(val - c_at), off)
 
-    def functional(self, f, horizon):
+    def functional(self, seq, f, horizon):
         ns = _upto(horizon)
         return f.weights(self.index_of(ns)) * self.value_of(ns).astype(float)
 
@@ -141,7 +157,7 @@ class SingleSupport(Structure):
             lambda ns: dfun(self.index_of(ns)).astype(float) * self.value_of(ns),
         )
 
-    def rescaled(self, scale_of):
+    def rescaled(self, seq, scale_of):
         return SingleSupport(
             self.index_of,
             lambda ns: scale_of(np.asarray(ns, dtype=np.int64)) * self.value_of(ns),
@@ -151,7 +167,7 @@ class SingleSupport(Structure):
         # only terms on one shared support index add up to a single support;
         # operator images of one sequence share the ``index_of`` object
         if type(other) is not SingleSupport or other.index_of is not self.index_of:
-            return None
+            return super().combined(other, alpha, beta)
         return SingleSupport(
             self.index_of, lambda ns: alpha * self.value_of(ns) + beta * other.value_of(ns)
         )
@@ -163,7 +179,7 @@ class PrefixValues(Structure):
 
     value_of: Callable
 
-    def sweep(self, norm, candidate, horizon):
+    def sweep(self, seq, candidate, horizon):
         vals = self.value_of(_upto(horizon)).astype(float)
         if candidate is None:
             return np.maximum.accumulate(np.abs(vals))
@@ -182,7 +198,7 @@ class PrefixValues(Structure):
             suffix_part[:upto] = rev[1 : upto + 1]
         return np.maximum(prefix, suffix_part)
 
-    def functional(self, f, horizon):
+    def functional(self, seq, f, horizon):
         ns = _upto(horizon)
         return np.cumsum(f.weights(ns) * self.value_of(ns).astype(float))
 
@@ -204,7 +220,7 @@ class PrefixValues(Structure):
 
     def combined(self, other, alpha, beta):
         if type(other) is not PrefixValues:
-            return None
+            return super().combined(other, alpha, beta)
         return PrefixValues(lambda ks: alpha * self.value_of(ks) + beta * other.value_of(ks))
 
 
@@ -228,7 +244,7 @@ class FixedBasisCombo(Structure):
             mat[r, np.searchsorted(uidx, idx)] = val
         return uidx, mat
 
-    def sweep(self, norm, candidate, horizon):
+    def sweep(self, seq, candidate, horizon):
         uidx, mat = self._support_matrix(() if candidate is None else candidate.support)
         if len(uidx) == 0:
             return np.zeros(horizon)
@@ -239,7 +255,7 @@ class FixedBasisCombo(Structure):
             offset[np.searchsorted(uidx, cidx)] = cval
         return _chunked_abs_rowmax(self.coeff_of(_upto(horizon)), mat, offset)
 
-    def functional(self, f, horizon):
+    def functional(self, seq, f, horizon):
         fvec = np.asarray([f.evaluate(b) for b in self.basis])
         return self.coeff_of(_upto(horizon)) @ fvec
 
@@ -252,7 +268,7 @@ class FixedBasisCombo(Structure):
     def diagonal_image(self, dfun, apply_to):
         return FixedBasisCombo(self.coeff_of, tuple(apply_to(b) for b in self.basis))
 
-    def rescaled(self, scale_of):
+    def rescaled(self, seq, scale_of):
         return FixedBasisCombo(
             lambda ns: self.coeff_of(ns) * scale_of(np.asarray(ns, dtype=np.int64))[:, None],
             self.basis,
@@ -260,7 +276,7 @@ class FixedBasisCombo(Structure):
 
     def combined(self, other, alpha, beta):
         if type(other) is not FixedBasisCombo:
-            return None
+            return super().combined(other, alpha, beta)
 
         def coeff_of(ns):
             return np.concatenate([alpha * self.coeff_of(ns), beta * other.coeff_of(ns)], axis=1)
@@ -274,13 +290,13 @@ class DenseBlock(Structure):
 
     block_of: Callable
 
-    def sweep(self, norm, candidate, horizon):
+    def sweep(self, seq, candidate, horizon):
         block = self.block_of(_upto(horizon))
         if candidate is not None:
             block = block - np.asarray(candidate.coords)[None, :]
-        return _block_norms(block, norm)
+        return _block_norms(block, seq.norm)
 
-    def functional(self, f, horizon):
+    def functional(self, seq, f, horizon):
         block = self.block_of(_upto(horizon))
         return block @ f.weights_upto(block.shape[1])
 
@@ -297,14 +313,14 @@ class DenseBlock(Structure):
     def matrix_image(self, a):
         return DenseBlock(lambda ns: self.block_of(ns) @ a.T)
 
-    def rescaled(self, scale_of):
+    def rescaled(self, seq, scale_of):
         return DenseBlock(
             lambda ns: self.block_of(ns) * scale_of(np.asarray(ns, dtype=np.int64))[:, None]
         )
 
     def combined(self, other, alpha, beta):
         if type(other) is not DenseBlock:
-            return None
+            return super().combined(other, alpha, beta)
         return DenseBlock(lambda ns: alpha * self.block_of(ns) + beta * other.block_of(ns))
 
 
@@ -330,24 +346,17 @@ class Reindexed(Structure):
                 self._members["members"] = density.members(self.along, count)
         return self._members["members"][:count]
 
-    def sweep(self, norm, candidate, horizon):
+    def sweep(self, seq, candidate, horizon):
         m = self.members_upto(horizon)
-        parent_sweep = (
-            norm_sweep(self.parent, int(m[-1]))
-            if candidate is None
-            else distance_sweep(self.parent, candidate, int(m[-1]))
-        )
-        return parent_sweep[m - 1]
+        return _sweep(self.parent, candidate, int(m[-1]))[m - 1]
 
-    def functional(self, f, horizon):
+    def functional(self, seq, f, horizon):
         m = self.members_upto(horizon)
         return functional_sweep(f, self.parent, int(m[-1]))[m - 1]
 
     def median(self, seq, ns):
-        st = self.parent.structure
-        if st is None:
-            return None
-        return st.median(self.parent, self.members_upto(int(ns.max()))[ns - 1])
+        m = self.members_upto(int(ns.max()))
+        return self.parent.structure.median(self.parent, m[ns - 1])
 
     def lifted(self, image_of):
         # T(x_{m_k}) = (T x)_{m_k}: the image is the same subsequence of the parent's image
@@ -356,18 +365,18 @@ class Reindexed(Structure):
 
 @dataclass(frozen=True)
 class Scaled(Structure):
-    """``x_n = scale_of(n) * parent_n`` (norm sweeps only; distances stay generic)."""
+    """``x_n = scale_of(n) * parent_n``; distance sweeps and medians run per index."""
 
     parent: "SequenceSpec"
     scale_of: Callable
 
-    def sweep(self, norm, candidate, horizon):
+    def sweep(self, seq, candidate, horizon):
         if candidate is not None:
-            return None
+            return super().sweep(seq, candidate, horizon)
         base = norm_sweep(self.parent, horizon)
         return np.abs(self.scale_of(_upto(horizon)).astype(float)) * base
 
-    def functional(self, f, horizon):
+    def functional(self, seq, f, horizon):
         base = functional_sweep(f, self.parent, horizon)
         return self.scale_of(_upto(horizon)).astype(float) * base
 
@@ -380,7 +389,7 @@ class SequenceSpec:
     space: Space
     norm: Norm
     label: str
-    structure: Optional[Structure] = None
+    structure: Structure = Structure()
     norm_bound: Optional[float] = None
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -562,7 +571,7 @@ def spike_sequence(base, spikes, magnitude=None, label=None):
                 return SparseElement({n: m} if m != 0.0 else {})
             return base_gen(n)
 
-        structure = None
+        structure = Structure()
         if base.norm_bound == 0.0:
             structure = SingleSupport(
                 lambda ns: _as_index_array(ns),
@@ -578,7 +587,7 @@ def spike_sequence(base, spikes, magnitude=None, label=None):
                 return DenseElement(tuple(coords))
             return base_gen(n)
 
-        structure = None
+        structure = Structure()
         if isinstance(base.structure, DenseBlock):
             base_block = base.structure.block_of
 
@@ -637,13 +646,17 @@ def alternating_sequence(dim=1):
                         structure=DenseBlock(block_of), norm_bound=1.0)
 
 
-def _random_table(cache, seed, count, width):
-    """Seeded uniform [-1, 1] table, grown as needed; prefixes are stable."""
+def _random_table(cache, seed, count, width, norm):
+    """Seeded uniform [-1, 1] rows scaled into ``norm``'s unit ball; read-only,
+    grown as needed, prefixes stable."""
     have = cache.get("table")
     if have is None or have.shape[0] < count:
         size = max(count, 2 * (have.shape[0] if have is not None else 0), 1024)
-        rng = np.random.default_rng(seed)
-        cache["table"] = rng.random((size, width)) * 2.0 - 1.0
+        table = np.random.default_rng(seed).random((size, width)) * 2.0 - 1.0
+        if norm.kind != "sup":   # uniform rows already lie in the sup ball
+            table /= np.maximum(_block_norms(table, norm), 1.0)[:, None]
+        table.setflags(write=False)
+        cache["table"] = table
     return cache["table"][:count]
 
 
@@ -657,13 +670,8 @@ def random_unit_ball(space, seed, norm=None):
         dim = space.dim
 
         def block_of(ns):
-            # normalise only the rows asked for, in place in their own copy
             ns = _as_index_array(ns)
-            rows = np.take(_random_table(cache, seed, int(ns.max()), dim), ns - 1, axis=0)
-            if norm.kind == "sup":
-                return rows   # already inside the sup ball
-            rows /= np.maximum(_block_norms(rows, norm), 1.0)[:, None]
-            return rows
+            return np.take(_random_table(cache, seed, int(ns.max()), dim, norm), ns - 1, axis=0)
 
         def gen(n):
             return DenseElement(tuple(float(c) for c in block_of([n])[0]))
@@ -671,7 +679,7 @@ def random_unit_ball(space, seed, norm=None):
         structure = DenseBlock(block_of)
     else:
         def values_upto(count):
-            return _random_table(cache, seed, count, 1)[:, 0]
+            return _random_table(cache, seed, count, 1, norm)[:, 0]
 
         def gen(n):
             v = float(values_upto(n)[n - 1])
@@ -700,7 +708,7 @@ def combine(a, b, alpha, beta, label=None):
     def gen(n):
         return spaces.add(spaces.scale(alpha, ga(n)), spaces.scale(beta, gb(n)))
 
-    structure = None if a.structure is None else a.structure.combined(b.structure, alpha, beta)
+    structure = a.structure.combined(b.structure, alpha, beta)
     bound = None
     if a.norm_bound is not None and b.norm_bound is not None:
         bound = abs(alpha) * a.norm_bound + abs(beta) * b.norm_bound
@@ -793,22 +801,8 @@ def _block_norms(block, nrm):
     return acc ** (1.0 / p)
 
 
-def _generic_sweep(seq, candidate, horizon):
-    gen = seq.generator
-    nrm = seq.norm
-    if candidate is None:
-        return np.asarray([element_norm(gen(n), nrm) for n in range(1, horizon + 1)])
-    return np.asarray(
-        [element_norm(sub(gen(n), candidate), nrm) for n in range(1, horizon + 1)]
-    )
-
-
 def _sweep(seq, candidate, horizon):
-    """The structure's sweep, else the per-index one."""
-    st = seq.structure
-    arr = None if st is None else st.sweep(seq.norm, candidate, horizon)
-    if arr is None:
-        arr = _generic_sweep(seq, candidate, horizon)
+    arr = seq.structure.sweep(seq, candidate, horizon)
     arr.setflags(write=False)
     return arr
 
@@ -829,14 +823,8 @@ def distance_sweep(seq, candidate, horizon):
 
 
 def functional_sweep(f, seq, horizon):
-    """``f(x_n)`` for ``n = 1..horizon``, vectorised when the structure allows."""
-    horizon = int(horizon)
-    st = seq.structure
-    out = None if st is None else st.functional(f, horizon)
-    if out is None:
-        gen = seq.generator
-        out = np.asarray([f.evaluate(gen(n)) for n in range(1, horizon + 1)])
-    return out
+    """``f(x_n)`` for ``n = 1..horizon``, as the sequence's structure answers it."""
+    return seq.structure.functional(seq, f, int(horizon))
 
 
 # ---------------------------------------------------------------------------

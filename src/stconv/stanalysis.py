@@ -18,6 +18,7 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -117,8 +118,8 @@ def _normalized_grid(grid):
     grid = tuple(float(e) for e in grid)
     if not grid:
         raise ValueError("epsilon grid must be nonempty")
-    if any(e <= 0 for e in grid):
-        raise ValueError("epsilon grid entries must be positive")
+    if not all(0 < e < math.inf for e in grid):
+        raise ValueError("epsilon grid entries must be positive and finite")
     return tuple(sorted(grid, reverse=True))
 
 
@@ -178,6 +179,8 @@ def _bounded_scan(values, probes, horizon, tolerance, schedule):
     """Probe-ladder scan over nonnegative ``values``; shared by all bounded kinds."""
     if not probes or list(probes) != sorted(probes):
         raise ValueError("probes must be a nonempty increasing ladder")
+    if not all(math.isfinite(m) for m in probes):
+        raise ValueError("probes must be finite")
     reports = []
     bound = None
     for m in probes:
@@ -367,19 +370,7 @@ def _median_candidate(seq, horizon, samples=255):
     """
     lo = max(1, horizon // 2)
     ns = np.unique(np.linspace(lo, horizon, samples).astype(np.int64))
-    median = None if seq.structure is None else seq.structure.median(seq, ns)
-    if median is not None:
-        return median
-    gen = seq.generator
-    elements = [gen(int(n)) for n in ns]
-    if seq.space.kind == "dense":
-        return spaces.dense_element(np.median([x.coords for x in elements], axis=0))
-    support = sorted({k for x in elements for k in x.support})
-    out = {}
-    for k in support:
-        vals = np.asarray([x.support.get(k, 0.0) for x in elements])
-        out[k] = float(np.median(vals))
-    return spaces.sparse_element(out)
+    return seq.structure.median(seq, ns)
 
 
 def find_limit_candidates(seq, horizon=DEFAULT_ANALYSIS_HORIZON, samples=255):

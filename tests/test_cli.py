@@ -237,6 +237,34 @@ def test_empty_list_flags_rejected(capsys, argv):
     assert "list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv,message", [
+    (["converge", "--sequence", "index(dim=1)", "--eps"], "epsilon grid"),
+    (["cauchy", "--sequence", "index(dim=1)", "--eps"], "epsilon grid"),
+    (["bounded", "--sequence", "index(dim=1)", "--probes"], "probes must be finite"),
+    (["converge", "--sequence", "index(dim=1)", "--tolerance"], "tolerance"),
+    (["density", "--set", "primes", "--tolerance"], "tolerance"),
+], ids=["converge-eps", "cauchy-eps", "probes", "converge-tolerance", "density-tolerance"])
+def test_non_finite_flags_rejected(capsys, argv, message, value):
+    code, out, err = run_text(capsys, [*argv, value, "--horizon", "100"])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--operator", "diag(inverse)", "--property", "st_bounded"],
+    ["converge", "--sequence", "random(sparse)"],
+    ["density", "--set", "primes"],
+], ids=["classify", "converge", "density"])
+@pytest.mark.parametrize("horizon", ["0", "1", "-5"])
+def test_horizon_below_two_rejected(capsys, argv, horizon):
+    code, out, err = run_text(capsys, [*argv, f"--horizon={horizon}"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: horizon must be at least 2\n"
+
+
 def test_expect_match_and_mismatch(capsys):
     ok, _, _ = run_text(
         capsys,

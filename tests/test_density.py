@@ -258,6 +258,13 @@ def test_verdict_epsilon_window_rule():
     assert density.density_verdict(prof, 0.5, tolerance=0.003).decision != "confirmed"
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -0.1, math.nan, math.inf])
+def test_verdict_rejects_a_tolerance_not_positive_and_finite(tolerance):
+    prof = density.density_profile(density.multiples(2), horizon=1_000)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        density.density_verdict(prof, 0.5, tolerance=tolerance)
+
+
 def test_verdict_json_shape():
     prof = density.density_profile(density.squares(), horizon=1_000)
     v = density.density_verdict(prof, 0.0, tolerance=0.05)

@@ -6,9 +6,12 @@ that is meant to alter a report updates the digest and says why.
 
 The cases are the six README examples at horizons small enough to keep this
 file fast, one CSV report, a weak-boundedness report, images through
-``subseq``, ``combo``, ``compose`` and the prime transform, and a Cauchy
+``subseq``, ``combo``, ``compose`` and the prime transform, a Cauchy
 report whose anchors are equal terms, so its distance sweeps repeat one
-candidate.
+candidate, and two reports that run on the per-index kind: a finite-rank
+image of a mixed-kind combination, whose structure is per-index, and a
+compactness classification through the prime transform, whose ``Scaled``
+images take their medians and nonzero-candidate distance sweeps per index.
 """
 
 import contextlib
@@ -58,6 +61,13 @@ GOLDEN = [
     (["cauchy", "--sequence", "alternating(dim=3)", "--anchors", "10,100,1000",
       "--horizon", "5000"],
      0, "1f18d9201249a06432e1d1e87e57328fa99c08941b49156a3b97bac63923df63"),
+    (["cauchy", "--sequence", "combine(unit_coords, null(sparse{1:1}), 1, -1)",
+      "--operator", "finite_rank(coord(1),sparse{1:1};coord(2),sparse{2:0.5})",
+      "--horizon", "3000"],
+     0, "afc4bd683ae3a24ba1bcddce1aa2e43cf86d2fdcb489adf9d939f4cb9b27368b"),
+    (["classify", "--operator", "transform(prime_scale_by_position)",
+      "--property", "st_compact", "--horizon", "1000"],
+     0, "f312a169648aa618472401208e87f87da6de600eb0d017d41679a61370ad880c"),
 ]
 
 

@@ -260,10 +260,10 @@ def test_random_ball_labels_carry_seed():
                                   spaces.sup_norm()], ids=lambda n: n.describe())
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_random_ball_rows_match_whole_table_normalisation(norm, dim):
-    # reference: normalise every row of the table up to the largest index
-    # asked for, then pick rows; the sequence normalises only the rows picked
+    # reference: draw the raw table straight from the seed, normalise every
+    # row up to the largest index asked for, then pick rows
     count, seed = 2500, 17
-    table = sequences._random_table({}, seed, count, dim)
+    table = np.random.default_rng(seed).random((count, dim)) * 2.0 - 1.0
     if norm.kind == "sup":
         whole = table
     else:
@@ -312,12 +312,13 @@ def test_distance_sweeps_are_not_cached():
     [
         lambda: density.nth_primes(50),
         lambda: density.prime_mask(100),
+        lambda: sequences._random_table({}, 17, 100, 3, spaces.p_norm(2)),
         lambda: sequences.norm_sweep(sequences.harmonic_prefix_sequence(), 100),
         lambda: sequences.distance_sweep(
             sequences.unit_coordinate_sequence(), spaces.sparse_element({2: 1.0}), 100
         ),
     ],
-    ids=["nth_primes", "prime_mask", "norm_sweep", "distance_sweep"],
+    ids=["nth_primes", "prime_mask", "random_table", "norm_sweep", "distance_sweep"],
 )
 def test_shared_cached_arrays_are_read_only(result):
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Finite-horizon statistical verdicts: convergence, boundedness, Cauchy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,11 @@ def test_converges_grid_validation():
         stanalysis.st_converges(seq, spaces.sparse_element({}), grid=(), horizon=H)
     with pytest.raises(ValueError):
         stanalysis.st_converges(seq, spaces.sparse_element({}), grid=(0.1, -0.5), horizon=H)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            stanalysis.st_converges(seq, grid=(0.5, eps), horizon=H)
+        with pytest.raises(ValueError, match="finite"):
+            stanalysis.st_cauchy(seq, grid=(eps,), horizon=H)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +168,11 @@ def test_bounded_probe_validation():
             stanalysis.weakly_st_bounded(seq, probes=probes, horizon=H)
         with pytest.raises(ValueError, match="increasing ladder"):
             stanalysis.st_bounded_real(np.ones(H), probes=probes, horizon=H)
+    for probes in ((math.nan,), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="probes must be finite"):
+            stanalysis.st_bounded(seq, probes=probes, horizon=H)
+        with pytest.raises(ValueError, match="probes must be finite"):
+            stanalysis.weakly_st_bounded(seq, probes=probes, horizon=H)
 
 
 def test_st_bounded_real_accepts_arrays():

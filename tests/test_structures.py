@@ -3,7 +3,7 @@
 Every corpus member, a few subsequences, and their images under the
 operators of the classify pools (compositions, linear combinations and the
 prime transform included) are swept twice: once through their structure
-and once through a per-index twin that has the structure stripped.  Norms,
+and once through a per-index twin, whose structure is the base kind.  Norms,
 distances to the windowed median candidate, functional sweeps and the
 median candidate itself must agree to 1e-12 relative.
 """
@@ -33,6 +33,11 @@ FUNCTIONALS = (
 )
 
 
+# the operators of the classify pools, one per description
+_POOL = {op.describe(): op for op in
+         _norm_bounded_operator_pool() + _iff_operator_pool() + _compact_consistent_pool()}
+
+
 def _operators():
     e1 = spaces.sparse_element({1: 1.0})
     rank_coord = operators.rank_one(operators.coordinate_functional(1), e1)
@@ -55,9 +60,7 @@ def _operators():
                               domain=spaces.dense_space(3)),
         operators.prime_position_transform(),
     ]
-    pools = _norm_bounded_operator_pool() + _iff_operator_pool() + _compact_consistent_pool()
-    unique = {op.describe(): op for op in pools + extra}
-    return list(unique.values())
+    return list({**_POOL, **{op.describe(): op for op in extra}}.values())
 
 
 def _domain(op):
@@ -79,14 +82,14 @@ def _cases():
         for m in members:
             if m.space == _domain(op):
                 cases.append((f"{op.describe()}({m.label})", operators.image_sequence(op, m)))
-    return [(name, seq) for name, seq in cases if seq.structure is not None]
+    return [(name, seq) for name, seq in cases if type(seq.structure) is not sequences.Structure]
 
 
 CASES = _cases()
 
 
 def _per_index(seq):
-    return dataclasses.replace(seq, structure=None, cache={})
+    return dataclasses.replace(seq, structure=sequences.Structure(), cache={})
 
 
 def _assert_close(got, want, what):
@@ -116,8 +119,7 @@ def test_structured_sweeps_match_per_index(name, seq):
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
 def test_structured_median_matches_per_index(name, seq):
     # every kind but Scaled answers a median itself
-    ns = np.unique(np.linspace(H // 2, H, 255).astype(np.int64))
-    answered = seq.structure.median(seq, ns) is not None
+    answered = type(seq.structure).median is not sequences.Structure.median
     assert answered != isinstance(seq.structure, sequences.Scaled)
     got = stanalysis._median_candidate(seq, H)
     want = stanalysis._median_candidate(_per_index(seq), H)
@@ -130,6 +132,14 @@ def test_subsequence_images_keep_a_structure():
     op = operators.parse_operator("combo(1,diag(inverse),-0.5,diag(identity))")
     image = operators.image_sequence(op, seq)
     assert isinstance(image.structure, sequences.Reindexed)
+
+
+@pytest.mark.parametrize("op", list(_POOL.values()), ids=list(_POOL))
+def test_images_of_a_per_index_sequence_run_per_index(op):
+    seq = (sequences.random_unit_ball(op.domain, seed=5) if op.domain.kind == "dense"
+           else sequences.harmonic_prefix_sequence())
+    image = operators.image_sequence(op, _per_index(seq))
+    assert type(image.structure) is sequences.Structure
 
 
 def test_dense_coordinate_outside_the_space_raises_on_both_paths():
