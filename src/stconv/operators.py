@@ -342,16 +342,17 @@ def _image_structure(op, seq):
         basis = tuple(y0 for _, y0 in pieces)
         fs = [f for f, _ in pieces]
 
-        def coeff_of(ns):
-            horizon = int(np.asarray(ns).max())
-            cols = [functional_sweep(f, seq, horizon)[np.asarray(ns) - 1] for f in fs]
-            return np.stack(cols, axis=1)
+        def coeffs(ns):
+            # the parent is asked once, at ns, so a prefix parent is walked once
+            cols = [st.functional(seq, f, ns) for f in fs]
+            return (np.stack([col[lo:hi] for col in cols], axis=1)
+                    for lo, hi in sequences._spans(len(ns)))
 
         if op.codomain.kind == "dense":
             # a combination of fixed dense elements is just a dense block
             mat = np.asarray([y0.coords for y0 in basis])
-            return DenseBlock(lambda ns: coeff_of(ns) @ mat)
-        return FixedBasisCombo(coeff_of, basis)
+            return DenseBlock(lambda ns: (coeff @ mat for coeff in coeffs(ns)))
+        return FixedBasisCombo(coeffs, basis)
 
     if op.kind == "matrix":
         return st.matrix_image(_matrix_array(op))

@@ -9,8 +9,16 @@ The base :class:`Structure` is the per-index kind: it evaluates the
 generator term by term, which is fine for cheap generators and small
 horizons but would be hopeless for, say, growing-support prefixes at
 ``n = 10^5``.  The constructors here give their specs a vectorised kind
-instead, which answers over every ``n`` up to a horizon in a few numpy
-passes and leaves to the per-index kind only what it cannot answer.
+instead, which answers in a few numpy passes and leaves to the per-index
+kind only what it cannot answer.
+
+Every structure method takes an increasing int64 array ``ns`` of the
+indices it is asked about and evaluates only those, one chunk of at most
+``_CHUNK`` indices at a time: a sweep holds its ``len(ns)`` results and no
+temporary wider than one chunk, so its memory is ``O(len(ns))`` words
+whatever the dimension or support width.  A prefix kind walks
+``1..ns[-1]`` once, chunk by chunk, carrying its running state; a
+subsequence asks its parent only about its members.
 
 Structures are consistency-tested against the generators; they are an
 evaluation strategy, never a second source of truth.
@@ -47,35 +55,88 @@ CORPUS_VERSION = "v1"
 
 
 # ---------------------------------------------------------------------------
-# structures: per-index and vectorised whole-sequence evaluation
+# chunks: every sweep evaluates its indices this many at a time
 # ---------------------------------------------------------------------------
+
+# large enough that a sweep to the default horizon 10^5 is one chunk
+_CHUNK = 1 << 17
+
 
 def _upto(horizon):
     return np.arange(1, horizon + 1, dtype=np.int64)
 
+
+def _spans(count):
+    """``(lo, hi)`` bounds of the consecutive chunks of ``count`` positions."""
+    return [(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
+
+
+def _chunks(ns):
+    return (ns[lo:hi] for lo, hi in _spans(len(ns)))
+
+
+def _pointwise(fn):
+    """The chunk stream of ``fn``, a function of index arrays whose value at
+    an index does not depend on the other indices."""
+    return lambda ns: map(fn, _chunks(ns))
+
+
+def _joined(blocks):
+    blocks = list(blocks)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _fill(ns, blocks, fn):
+    """``fn`` of each block of the chunk stream ``blocks`` over ``ns``, written
+    into one array of ``len(ns)`` values.
+
+    ``fn`` must return a new array (or a list): a lone chunk's result is
+    returned as it is, and callers write into what they get.
+    """
+    spans = _spans(len(ns))
+    if len(spans) == 1:
+        return np.asarray(fn(next(iter(blocks))), dtype=float)
+    out = np.empty(len(ns))
+    for (lo, hi), block in zip(spans, blocks):
+        out[lo:hi] = fn(block)
+    return out
+
+
+def _rescale(vals, ns, factor_of):
+    """``vals * factor_of(ns)`` in place, one chunk at a time."""
+    for lo, hi in _spans(len(ns)):
+        vals[lo:hi] *= factor_of(ns[lo:hi])
+    return vals
+
+
+# ---------------------------------------------------------------------------
+# structures: per-index and vectorised whole-sequence evaluation
+# ---------------------------------------------------------------------------
 
 class Structure:
     """The structure protocol, and its per-index kind.
 
     This base kind answers every question by evaluating the generator term
     by term.  Each vectorised kind below overrides what it can answer and
-    leaves the rest to this one.
+    leaves the rest to this one.  ``ns`` is always an increasing int64
+    index array.
     """
 
-    def sweep(self, seq, candidate, horizon):
-        """``||x_n - candidate||`` (``||x_n||`` for ``candidate=None``), ``n = 1..horizon``."""
-        gen = seq.generator
-        nrm = seq.norm
+    def sweep(self, seq, candidate, ns):
+        """``||x_n - candidate||`` (``||x_n||`` for ``candidate=None``) at ``n`` in ``ns``."""
+        gen, nrm = seq.generator, seq.norm
         if candidate is None:
-            return np.asarray([element_norm(gen(n), nrm) for n in range(1, horizon + 1)])
-        return np.asarray(
-            [element_norm(sub(gen(n), candidate), nrm) for n in range(1, horizon + 1)]
-        )
+            def term(n):
+                return element_norm(gen(n), nrm)
+        else:
+            def term(n):
+                return element_norm(sub(gen(n), candidate), nrm)
+        return _fill(ns, _chunks(ns), lambda c: [term(n) for n in c.tolist()])
 
-    def functional(self, seq, f, horizon):
-        """``f(x_n)`` for ``n = 1..horizon``; ``f`` is an ``operators.FunctionalSpec``."""
+    def functional(self, seq, f, ns):
+        """``f(x_n)`` at ``n`` in ``ns``; ``f`` is an ``operators.FunctionalSpec``."""
         gen = seq.generator
-        return np.asarray([f.evaluate(gen(n)) for n in range(1, horizon + 1)])
+        return _fill(ns, _chunks(ns), lambda c: [f.evaluate(gen(n)) for n in c.tolist()])
 
     def median(self, seq, ns):
         """Coordinatewise median of the terms at the sample indices ``ns``."""
@@ -119,28 +180,29 @@ class SingleSupport(Structure):
     index_of: Callable
     value_of: Callable
 
-    def sweep(self, seq, candidate, horizon):
-        ns = _upto(horizon)
-        idx = self.index_of(ns)
-        val = self.value_of(ns).astype(float)
-        if candidate is None:
-            return np.abs(val)
+    def sweep(self, seq, candidate, ns):
+        if candidate is None or not candidate.support:
+            return _fill(ns, _chunks(ns), lambda c: np.abs(self.value_of(c).astype(float)))
         cidx, cval = _sparse_support_arrays(candidate)
-        if len(cidx) == 0:
-            return np.abs(val)
         acv = np.abs(cval)
         top = int(np.argmax(acv))
         top_val = acv[top]
         second = np.max(np.delete(acv, top)) if len(acv) > 1 else 0.0
-        off = np.where(idx == cidx[top], second, top_val)
-        pos = np.searchsorted(cidx, idx)
-        pos_ok = (pos < len(cidx)) & (cidx[np.minimum(pos, len(cidx) - 1)] == idx)
-        c_at = np.where(pos_ok, cval[np.minimum(pos, len(cidx) - 1)], 0.0)
-        return np.maximum(np.abs(val - c_at), off)
+        last = len(cidx) - 1
 
-    def functional(self, seq, f, horizon):
-        ns = _upto(horizon)
-        return f.weights(self.index_of(ns)) * self.value_of(ns).astype(float)
+        def distances(c):
+            idx = self.index_of(c)
+            val = self.value_of(c).astype(float)
+            off = np.where(idx == cidx[top], second, top_val)
+            pos = np.minimum(np.searchsorted(cidx, idx), last)
+            c_at = np.where(cidx[pos] == idx, cval[pos], 0.0)
+            return np.maximum(np.abs(val - c_at), off)
+
+        return _fill(ns, _chunks(ns), distances)
+
+    def functional(self, seq, f, ns):
+        return _fill(ns, _chunks(ns),
+                     lambda c: f.weights(self.index_of(c)) * self.value_of(c).astype(float))
 
     def median(self, seq, ns):
         # one row per support index, one column per sample; a sample's
@@ -179,28 +241,63 @@ class PrefixValues(Structure):
 
     value_of: Callable
 
-    def sweep(self, seq, candidate, horizon):
-        vals = self.value_of(_upto(horizon)).astype(float)
-        if candidate is None:
-            return np.maximum.accumulate(np.abs(vals))
-        cidx, cval = _sparse_support_arrays(candidate)
-        j = int(cidx.max()) if len(cidx) else 0
-        cfull = np.zeros(max(horizon, j))
-        if len(cidx):
-            cfull[cidx - 1] = cval
-        diff = np.abs(vals - cfull[:horizon])
-        prefix = np.maximum.accumulate(diff)
-        suffix_part = np.zeros(horizon)
-        if j > 1:
-            tail = np.abs(cfull[:j])
-            rev = np.maximum.accumulate(tail[::-1])[::-1]   # rev[i] = max_{t >= i} |c_{t+1}|
-            upto = min(horizon, j - 1)
-            suffix_part[:upto] = rev[1 : upto + 1]
-        return np.maximum(prefix, suffix_part)
+    @staticmethod
+    def _walk(ns, step):
+        """``step`` over ``1..ns[-1]``, one chunk of consecutive indices at a
+        time and in order (so it may carry state across chunks), kept at ``ns``."""
+        out = np.empty(len(ns))
+        at = 0
+        for lo, hi in _spans(int(ns[-1]) if len(ns) else 0):
+            vals = step(np.arange(lo + 1, hi + 1, dtype=np.int64))
+            end = at + int(np.searchsorted(ns[at:], hi, side="right"))
+            out[at:end] = vals[ns[at:end] - (lo + 1)]
+            at = end
+        return out
 
-    def functional(self, seq, f, horizon):
-        ns = _upto(horizon)
-        return np.cumsum(f.weights(ns) * self.value_of(ns).astype(float))
+    def sweep(self, seq, candidate, ns):
+        # x_n - c is value_of(k) - c_k at k <= n and -c_k past n, so its sup
+        # norm is the running max of the first part against max_{k>n} |c_k|
+        c = np.zeros(0)
+        if candidate is not None:
+            cidx, cval = _sparse_support_arrays(candidate)
+            if len(cidx):
+                c = np.zeros(int(cidx[-1]))
+                c[cidx - 1] = cval
+        j = len(c)
+        later = np.maximum.accumulate(np.abs(c)[::-1])[::-1]   # later[i] = max_{t >= i} |c[t]|
+        carry = 0.0
+
+        def step(ks):
+            nonlocal carry
+            lo, hi = int(ks[0]) - 1, int(ks[-1])
+            diff = self.value_of(ks).astype(float)
+            if lo < j:
+                diff[: min(hi, j) - lo] -= c[lo:hi]
+            run = np.maximum.accumulate(np.abs(diff, out=diff))
+            np.maximum(run, carry, out=run)
+            carry = run[-1]
+            upto = min(hi, j - 1)
+            if upto > lo:
+                np.maximum(run[: upto - lo], later[lo + 1 : upto + 1], out=run[: upto - lo])
+            return run
+
+        return self._walk(ns, step)
+
+    def functional(self, seq, f, ns):
+        # the running sum is carried into the first term of the next chunk,
+        # so the partial sums are those of one cumsum over 1..ns[-1]
+        carry = None
+
+        def step(ks):
+            nonlocal carry
+            terms = f.weights(ks) * self.value_of(ks).astype(float)
+            if carry is not None:
+                terms[0] += carry
+            np.cumsum(terms, out=terms)
+            carry = terms[-1]
+            return terms
+
+        return self._walk(ns, step)
 
     def median(self, seq, ns):
         # prefix supports are nested: coordinate k is nonzero exactly in the
@@ -226,9 +323,13 @@ class PrefixValues(Structure):
 
 @dataclass(frozen=True)
 class FixedBasisCombo(Structure):
-    """``x_n = sum_j coeff_of(n)[., j] * basis[j]`` over a fixed finite basis."""
+    """``x_n = sum_j coeff[n, j] * basis[j]`` over a fixed finite basis.
 
-    coeff_of: Callable      # (N,) int array -> (N, r) float array
+    ``coeffs(ns)`` yields the ``(len(chunk), r)`` coefficient rows of each
+    chunk of ``ns`` in turn.
+    """
+
+    coeffs: Callable
     basis: tuple
 
     def _support_matrix(self, extra=()):
@@ -244,89 +345,108 @@ class FixedBasisCombo(Structure):
             mat[r, np.searchsorted(uidx, idx)] = val
         return uidx, mat
 
-    def sweep(self, seq, candidate, horizon):
+    def sweep(self, seq, candidate, ns):
         uidx, mat = self._support_matrix(() if candidate is None else candidate.support)
         if len(uidx) == 0:
-            return np.zeros(horizon)
+            return np.zeros(len(ns))
         offset = None
         if candidate is not None:
             cidx, cval = _sparse_support_arrays(candidate)
             offset = np.zeros(len(uidx))
             offset[np.searchsorted(uidx, cidx)] = cval
-        return _chunked_abs_rowmax(self.coeff_of(_upto(horizon)), mat, offset)
 
-    def functional(self, seq, f, horizon):
+        def distances(coeff):
+            rows = coeff @ mat
+            if offset is not None:
+                rows -= offset
+            return _abs_rowmax(rows)
+
+        return _fill(ns, self.coeffs(ns), distances)
+
+    def functional(self, seq, f, ns):
         fvec = np.asarray([f.evaluate(b) for b in self.basis])
-        return self.coeff_of(_upto(horizon)) @ fvec
+        return _fill(ns, self.coeffs(ns), lambda coeff: coeff @ fvec)
 
     def median(self, seq, ns):
         # coordinatewise over the support: basis supports may overlap
         uidx, mat = self._support_matrix()
-        med = np.median(self.coeff_of(ns) @ mat, axis=0)
+        med = np.median(_joined(self.coeffs(ns)) @ mat, axis=0)
         return spaces.sparse_element(dict(zip(uidx.tolist(), med.tolist())))
 
     def diagonal_image(self, dfun, apply_to):
-        return FixedBasisCombo(self.coeff_of, tuple(apply_to(b) for b in self.basis))
+        return FixedBasisCombo(self.coeffs, tuple(apply_to(b) for b in self.basis))
 
     def rescaled(self, seq, scale_of):
-        return FixedBasisCombo(
-            lambda ns: self.coeff_of(ns) * scale_of(np.asarray(ns, dtype=np.int64))[:, None],
-            self.basis,
-        )
+        def coeffs(ns):
+            return (coeff * scale_of(c)[:, None] for c, coeff in zip(_chunks(ns), self.coeffs(ns)))
+
+        return FixedBasisCombo(coeffs, self.basis)
 
     def combined(self, other, alpha, beta):
         if type(other) is not FixedBasisCombo:
             return super().combined(other, alpha, beta)
 
-        def coeff_of(ns):
-            return np.concatenate([alpha * self.coeff_of(ns), beta * other.coeff_of(ns)], axis=1)
+        def coeffs(ns):
+            return (np.concatenate([alpha * a, beta * b], axis=1)
+                    for a, b in zip(self.coeffs(ns), other.coeffs(ns)))
 
-        return FixedBasisCombo(coeff_of, self.basis + other.basis)
+        return FixedBasisCombo(coeffs, self.basis + other.basis)
 
 
 @dataclass(frozen=True)
 class DenseBlock(Structure):
-    """Dense rows: ``block_of(ns)`` returns the ``(len(ns), dim)`` coordinate rows."""
+    """Dense rows: ``rows(ns)`` yields the ``(len(chunk), dim)`` coordinate
+    rows of each chunk of ``ns`` in turn."""
 
-    block_of: Callable
+    rows: Callable
 
-    def sweep(self, seq, candidate, horizon):
-        block = self.block_of(_upto(horizon))
-        if candidate is not None:
-            block = block - np.asarray(candidate.coords)[None, :]
-        return _block_norms(block, seq.norm)
+    def block_of(self, ns):
+        """The coordinate rows at ``ns``, all at once."""
+        return _joined(self.rows(_as_index_array(ns)))
 
-    def functional(self, seq, f, horizon):
-        block = self.block_of(_upto(horizon))
-        return block @ f.weights_upto(block.shape[1])
+    def sweep(self, seq, candidate, ns):
+        c = None if candidate is None else np.asarray(candidate.coords)[None, :]
+
+        def norms(block):
+            return _block_norms(block if c is None else block - c, seq.norm)
+
+        return _fill(ns, self.rows(ns), norms)
+
+    def functional(self, seq, f, ns):
+        return _fill(ns, self.rows(ns), lambda block: block @ f.weights_upto(block.shape[1]))
 
     def median(self, seq, ns):
         return spaces.dense_element(np.median(self.block_of(ns), axis=0))
 
     def diagonal_image(self, dfun, apply_to):
-        def block_of(ns):
-            block = self.block_of(ns)
+        def scaled(block):
             return block * dfun(np.arange(1, block.shape[1] + 1, dtype=np.int64))[None, :]
 
-        return DenseBlock(block_of)
+        return DenseBlock(lambda ns: map(scaled, self.rows(ns)))
 
     def matrix_image(self, a):
-        return DenseBlock(lambda ns: self.block_of(ns) @ a.T)
+        return DenseBlock(lambda ns: (block @ a.T for block in self.rows(ns)))
 
     def rescaled(self, seq, scale_of):
-        return DenseBlock(
-            lambda ns: self.block_of(ns) * scale_of(np.asarray(ns, dtype=np.int64))[:, None]
-        )
+        def rows(ns):
+            return (block * scale_of(c)[:, None] for c, block in zip(_chunks(ns), self.rows(ns)))
+
+        return DenseBlock(rows)
 
     def combined(self, other, alpha, beta):
         if type(other) is not DenseBlock:
             return super().combined(other, alpha, beta)
-        return DenseBlock(lambda ns: alpha * self.block_of(ns) + beta * other.block_of(ns))
+        return DenseBlock(lambda ns: (alpha * a + beta * b
+                                      for a, b in zip(self.rows(ns), other.rows(ns))))
 
 
 @dataclass(frozen=True)
 class Reindexed(Structure):
-    """``x_k = parent`` at the k-th member of the index set ``along`` (see :func:`subsequence`)."""
+    """``x_k = parent`` at the k-th member of the index set ``along`` (see :func:`subsequence`).
+
+    Every question about the terms ``ns`` is asked of the parent at their
+    member indices, and only there.
+    """
 
     parent: "SequenceSpec"
     along: object
@@ -346,17 +466,17 @@ class Reindexed(Structure):
                 self._members["members"] = density.members(self.along, count)
         return self._members["members"][:count]
 
-    def sweep(self, seq, candidate, horizon):
-        m = self.members_upto(horizon)
-        return _sweep(self.parent, candidate, int(m[-1]))[m - 1]
+    def _at(self, ns):
+        return self.members_upto(int(ns[-1]))[ns - 1]
 
-    def functional(self, seq, f, horizon):
-        m = self.members_upto(horizon)
-        return functional_sweep(f, self.parent, int(m[-1]))[m - 1]
+    def sweep(self, seq, candidate, ns):
+        return self.parent.structure.sweep(self.parent, candidate, self._at(ns))
+
+    def functional(self, seq, f, ns):
+        return self.parent.structure.functional(self.parent, f, self._at(ns))
 
     def median(self, seq, ns):
-        m = self.members_upto(int(ns.max()))
-        return self.parent.structure.median(self.parent, m[ns - 1])
+        return self.parent.structure.median(self.parent, self._at(ns))
 
     def lifted(self, image_of):
         # T(x_{m_k}) = (T x)_{m_k}: the image is the same subsequence of the parent's image
@@ -370,15 +490,15 @@ class Scaled(Structure):
     parent: "SequenceSpec"
     scale_of: Callable
 
-    def sweep(self, seq, candidate, horizon):
+    def sweep(self, seq, candidate, ns):
         if candidate is not None:
-            return super().sweep(seq, candidate, horizon)
-        base = norm_sweep(self.parent, horizon)
-        return np.abs(self.scale_of(_upto(horizon)).astype(float)) * base
+            return super().sweep(seq, candidate, ns)
+        base = self.parent.structure.sweep(self.parent, None, ns)
+        return _rescale(base, ns, lambda c: np.abs(self.scale_of(c).astype(float)))
 
-    def functional(self, seq, f, horizon):
-        base = functional_sweep(f, self.parent, horizon)
-        return self.scale_of(_upto(horizon)).astype(float) * base
+    def functional(self, seq, f, ns):
+        base = self.parent.structure.functional(self.parent, f, ns)
+        return _rescale(base, ns, lambda c: self.scale_of(c).astype(float))
 
 
 @dataclass(frozen=True)
@@ -414,7 +534,7 @@ def zero_sequence(space, norm=None):
     z = spaces.zero(space)
     if space.kind == "dense":
         dim = space.dim
-        structure = DenseBlock(lambda ns: np.zeros((len(_as_index_array(ns)), dim)))
+        structure = DenseBlock(_pointwise(lambda ns: np.zeros((len(ns), dim))))
     else:
         structure = SingleSupport(
             lambda ns: np.ones(len(_as_index_array(ns)), dtype=np.int64),
@@ -428,11 +548,9 @@ def constant_sequence(value, label=None):
     norm = _default_norm(space)
     if space.kind == "dense":
         row = np.asarray(value.coords)
-        structure = DenseBlock(lambda ns: np.tile(row, (len(_as_index_array(ns)), 1)))
+        structure = DenseBlock(_pointwise(lambda ns: np.tile(row, (len(ns), 1))))
     else:
-        structure = FixedBasisCombo(
-            lambda ns: np.ones((len(_as_index_array(ns)), 1)), (value,)
-        )
+        structure = FixedBasisCombo(_pointwise(lambda ns: np.ones((len(ns), 1))), (value,))
     return SequenceSpec(
         lambda n: value,
         space,
@@ -525,12 +643,12 @@ def decaying_sequence(value, exponent=1.0, label=None):
 
     if space.kind == "dense":
         row = np.asarray(value.coords)
-        structure = DenseBlock(
-            lambda ns: row[None, :] * (_as_index_array(ns).astype(float) ** -exponent)[:, None]
-        )
+        structure = DenseBlock(_pointwise(
+            lambda ns: row[None, :] * (ns.astype(float) ** -exponent)[:, None]
+        ))
     else:
         structure = FixedBasisCombo(
-            lambda ns: (_as_index_array(ns).astype(float) ** -exponent)[:, None], (value,)
+            _pointwise(lambda ns: (ns.astype(float) ** -exponent)[:, None]), (value,)
         )
     return SequenceSpec(
         gen, space, norm, label or f"null({spaces.format_element(value)})",
@@ -589,17 +707,16 @@ def spike_sequence(base, spikes, magnitude=None, label=None):
 
         structure = Structure()
         if isinstance(base.structure, DenseBlock):
-            base_block = base.structure.block_of
+            base_rows = base.structure.rows
 
-            def block_of(ns):
-                ns = _as_index_array(ns)
+            def spiked(ns, block):
                 mask = mask_at(ns)
-                block = base_block(ns).copy()
+                block = block.copy()
                 block[mask] = 0.0
                 block[mask, 0] = mag(ns).astype(float)[mask]
                 return block
 
-            structure = DenseBlock(block_of)
+            structure = DenseBlock(lambda ns: map(spiked, _chunks(ns), base_rows(ns)))
 
     return SequenceSpec(
         gen, space, norm,
@@ -624,7 +741,7 @@ def index_sequence(dim=1):
         return DenseElement(tuple(coords))
 
     return SequenceSpec(gen, space, DEFAULT_DENSE_NORM, "index_e1",
-                        structure=DenseBlock(block_of))
+                        structure=DenseBlock(_pointwise(block_of)))
 
 
 def alternating_sequence(dim=1):
@@ -643,18 +760,32 @@ def alternating_sequence(dim=1):
         return DenseElement(tuple(coords))
 
     return SequenceSpec(gen, space, DEFAULT_DENSE_NORM, "alternating_e1",
-                        structure=DenseBlock(block_of), norm_bound=1.0)
+                        structure=DenseBlock(_pointwise(block_of)), norm_bound=1.0)
 
 
 def _random_table(cache, seed, count, width, norm):
     """Seeded uniform [-1, 1] rows scaled into ``norm``'s unit ball; read-only,
-    grown as needed, prefixes stable."""
+    grown as needed, prefixes stable.
+
+    The rows come from one generator stream kept in ``cache``: a growth draws
+    only the new rows, a chunk at a time, and normalises each chunk as it is
+    drawn, so the table is the one a single draw from the seed would give.
+    """
     have = cache.get("table")
     if have is None or have.shape[0] < count:
-        size = max(count, 2 * (have.shape[0] if have is not None else 0), 1024)
-        table = np.random.default_rng(seed).random((size, width)) * 2.0 - 1.0
-        if norm.kind != "sup":   # uniform rows already lie in the sup ball
-            table /= np.maximum(_block_norms(table, norm), 1.0)[:, None]
+        if have is None:
+            have = np.empty((0, width))
+            cache["rng"] = np.random.default_rng(seed)
+        rng, old = cache["rng"], len(have)
+        table = np.empty((max(count, 2 * old, 1024), width))
+        table[:old] = have
+        for lo, hi in _spans(len(table) - old):
+            rows = table[old + lo : old + hi]
+            rng.random(out=rows)
+            rows *= 2.0
+            rows -= 1.0
+            if norm.kind != "sup":   # uniform rows already lie in the sup ball
+                rows /= np.maximum(_block_norms(rows, norm), 1.0)[:, None]
         table.setflags(write=False)
         cache["table"] = table
     return cache["table"][:count]
@@ -676,7 +807,7 @@ def random_unit_ball(space, seed, norm=None):
         def gen(n):
             return DenseElement(tuple(float(c) for c in block_of([n])[0]))
 
-        structure = DenseBlock(block_of)
+        structure = DenseBlock(_pointwise(block_of))
     else:
         def values_upto(count):
             return _random_table(cache, seed, count, 1, norm)[:, 0]
@@ -742,9 +873,6 @@ def subsequence(seq, along, label=None):
 # sweep engine
 # ---------------------------------------------------------------------------
 
-_CHUNK = 8192
-
-
 def _abs_rowmax(rows):
     """``max_j |rows[:, j]|`` per row, folded in one column at a time.
 
@@ -756,19 +884,6 @@ def _abs_rowmax(rows):
     for j in range(1, rows.shape[1]):
         np.maximum(acc, np.abs(rows[:, j], out=col), out=acc)
     return acc
-
-
-def _chunked_abs_rowmax(coeff, mat, offset):
-    """max_j |coeff @ mat - offset| per row, chunked to keep memory flat."""
-    n = coeff.shape[0]
-    out = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        rows = coeff[lo:hi] @ mat
-        if offset is not None:
-            rows -= offset
-        out[lo:hi] = _abs_rowmax(rows)
-    return out
 
 
 def _sparse_support_arrays(x):
@@ -802,7 +917,7 @@ def _block_norms(block, nrm):
 
 
 def _sweep(seq, candidate, horizon):
-    arr = seq.structure.sweep(seq, candidate, horizon)
+    arr = seq.structure.sweep(seq, candidate, _upto(horizon))
     arr.setflags(write=False)
     return arr
 
@@ -824,7 +939,7 @@ def distance_sweep(seq, candidate, horizon):
 
 def functional_sweep(f, seq, horizon):
     """``f(x_n)`` for ``n = 1..horizon``, as the sequence's structure answers it."""
-    return seq.structure.functional(seq, f, int(horizon))
+    return seq.structure.functional(seq, f, _upto(int(horizon)))
 
 
 # ---------------------------------------------------------------------------

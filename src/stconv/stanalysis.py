@@ -318,24 +318,27 @@ def st_cauchy(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
         raise ValueError("need at least one anchor index")
     if min(anchors) < 1:
         raise ValueError("anchor indices start at 1")
-    sweeps = []
+    # one anchor's sweep at a time, judged by every epsilon still without a
+    # confirmed anchor; each epsilon sees the anchors in order either way
+    per_anchor = [[] for _ in grid]
+    found = [None] * len(grid)
     for a in anchors:
-        x_a = seq.generator(a)
-        sweeps.append((a, distance_sweep(seq, x_a, horizon)))
+        open_eps = [i for i, r in enumerate(found) if r is None]
+        if not open_eps:
+            break
+        dists = distance_sweep(seq, seq.generator(a), horizon)
+        for i in open_eps:
+            verdict = _zero_density_verdict(dists >= grid[i], horizon, tolerance, schedule)
+            per_anchor[i].append((a, verdict))
+            if verdict.decision == "confirmed":
+                found[i] = EpsilonReport(grid[i], verdict, anchor=a)
+        del dists
     reports = []
     witness = None
-    for eps in grid:
-        chosen = None
-        per_anchor = []
-        for a, dists in sweeps:
-            verdict = _zero_density_verdict(dists >= eps, horizon, tolerance, schedule)
-            per_anchor.append((a, verdict))
-            if verdict.decision == "confirmed":
-                chosen = EpsilonReport(eps, verdict, anchor=a)
-                break
+    for eps, chosen, tried in zip(grid, found, per_anchor):
         if chosen is None:
-            a, verdict = min(per_anchor, key=lambda av: av[1].profile.final_ratio)
-            if all(v.decision == "refuted" for _, v in per_anchor):
+            a, verdict = min(tried, key=lambda av: av[1].profile.final_ratio)
+            if all(v.decision == "refuted" for _, v in tried):
                 chosen = EpsilonReport(eps, verdict, anchor=None)
                 if witness is None:
                     witness = {"epsilon": eps, "checkpoint": verdict.witness}

@@ -12,6 +12,9 @@ candidate, and two reports that run on the per-index kind: a finite-rank
 image of a mixed-kind combination, whose structure is per-index, and a
 compactness classification through the prime transform, whose ``Scaled``
 images take their medians and nonzero-candidate distance sweeps per index.
+Three reports at the horizon 10^6 run their sweeps in several chunks, so
+every carry across a chunk boundary is pinned too, and a subsequence whose
+members pass the horizon 13-fold is swept at its members only.
 """
 
 import contextlib
@@ -68,6 +71,16 @@ GOLDEN = [
     (["classify", "--operator", "transform(prime_scale_by_position)",
       "--property", "st_compact", "--horizon", "1000"],
      0, "f312a169648aa618472401208e87f87da6de600eb0d017d41679a61370ad880c"),
+    # sweeps of several chunks: dense rows, a prefix walk, a sparse basis
+    # combination; then a subsequence whose members pass the horizon 13-fold
+    (["cauchy", "--sequence", "random(dim=3, seed=5)", "--horizon", "1000000"],
+     0, "c8a4d7e762ed6f8ceb4377eae78632cfea8e85e20de85b4805fd3510217bf0c5"),
+    (["cauchy", "--sequence", "harmonic", "--horizon", "1000000"],
+     0, "d24699f72123420ff86c4286056b9540b99f13d8c0447204e3bd0a05e6aef41b"),
+    (["cauchy", "--sequence", "null(sparse{1:1.5,2:1,4:1.5})", "--horizon", "1000000"],
+     0, "76d1757d5837dc5c373988f73364508ba4dc0c3b0328878f200407205582c794"),
+    (["converge", "--sequence", "subseq(unit_coords, primes)", "--eps", "0.5,0.1"],
+     0, "3a59b9f8e1f8d8013bbad550bdf4adb0525758d1b37353d0f85095179609127f"),
 ]
 
 

@@ -46,7 +46,9 @@ def test_block_norms_leave_the_block_alone():
 @pytest.mark.parametrize("with_offset", [False, True], ids=["no_offset", "offset"])
 @pytest.mark.parametrize("rank", [1, 3])
 @pytest.mark.parametrize("columns", range(1, 10))
-def test_chunked_abs_rowmax_matches_rowwise_max(columns, rank, with_offset):
+def test_basis_combo_sweep_matches_rowwise_max(columns, rank, with_offset, monkeypatch):
+    # the sweep reduces one chunk of coefficient rows at a time
+    monkeypatch.setattr(sequences, "_CHUNK", 64)
     n = 2 * sequences._CHUNK + 5
     rng = np.random.default_rng(100 * columns + rank)
     coeff = rng.standard_normal((n, rank))
@@ -56,7 +58,13 @@ def test_chunked_abs_rowmax_matches_rowwise_max(columns, rank, with_offset):
     if with_offset:
         rows = rows - offset
     want = np.max(np.abs(rows), axis=1)
-    assert np.array_equal(sequences._chunked_abs_rowmax(coeff, mat, offset), want)
+    basis = tuple(spaces.sparse_element({k + 1: v for k, v in enumerate(row)}) for row in mat)
+    combo = sequences.FixedBasisCombo(lambda ns: (coeff[c - 1] for c in sequences._chunks(ns)),
+                                      basis)
+    candidate = None if offset is None else spaces.sparse_element(
+        {k + 1: v for k, v in enumerate(offset)})
+    ns = np.arange(1, n + 1, dtype=np.int64)
+    assert np.array_equal(combo.sweep(None, candidate, ns), want)
 
 
 def test_geometric_weights_match_powers_of_one_half():

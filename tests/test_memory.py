@@ -1,0 +1,37 @@
+"""Memory guards: the traced peak of single CLI calls.
+
+A sweep holds its ``len(ns)`` results and the temporaries of one chunk, a
+subsequence asks its parent only about its members, and a Cauchy analysis
+holds one anchor's sweep at a time.  Each budget below sits well under the
+peak of whole-horizon evaluation (about 100, 90, 32 and 46 MB for these
+calls), so a return to horizon-by-width blocks fails here.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import pytest
+
+from stconv import cli
+
+MB = float(1 << 20)
+
+BUDGETS = [
+    (["cauchy", "--sequence", "random(dim=3, seed=5)", "--horizon", "1000000"], 60),
+    (["cauchy", "--sequence", "harmonic", "--horizon", "1000000"], 40),
+    (["converge", "--sequence", "subseq(unit_coords, primes)", "--eps", "0.5,0.1"], 10),
+    (["bounded", "--sequence", "null(dense[1,1,1])", "--horizon", "1000000"], 25),
+]
+
+
+@pytest.mark.parametrize("argv,budget_mb", BUDGETS, ids=[" ".join(a) for a, _ in BUDGETS])
+def test_traced_peak_stays_within_budget(argv, budget_mb):
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / MB <= budget_mb

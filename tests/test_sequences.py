@@ -62,6 +62,7 @@ def candidates_for(seq):
             spaces.sparse_element({}),
             spaces.sparse_element({1: 1.0}),
             spaces.sparse_element({2: 0.5, 9: -0.25}),
+            spaces.sparse_element({3: 0.75, 20: -2.0, HORIZON + 5: 1.5}),
             seq.generator(7),
         ]
     ones = spaces.dense_element((1.0,) * seq.space.dim)
@@ -80,8 +81,11 @@ def test_norm_sweep_matches_generator(seq):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [None, 7], ids=["one_chunk", "chunks_of_7"])
 @pytest.mark.parametrize("seq", catalog(), ids=lambda s: s.label)
-def test_distance_sweep_matches_generator(seq):
+def test_distance_sweep_matches_generator(seq, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(sequences, "_CHUNK", chunk)
     for candidate in candidates_for(seq):
         got = sequences.distance_sweep(seq, candidate, HORIZON)
         want = brute_distances(seq, candidate, HORIZON)
@@ -274,6 +278,43 @@ def test_random_ball_rows_match_whole_table_normalisation(norm, dim):
     assert seq.structure.block_of(ns).tobytes() == whole[ns - 1].tobytes()
     for n in (1, 2, 1025, count):
         assert np.asarray(seq.generator(n).coords).tobytes() == whole[n - 1].tobytes()
+
+
+@pytest.mark.parametrize("norm", [spaces.p_norm(2), spaces.sup_norm()], ids=lambda n: n.describe())
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_random_table_grown_in_chunks_matches_one_draw(norm, dim, monkeypatch):
+    # chunks of 7 rows, and growths 1024 -> 2048 -> 5000: the stream carries
+    # on from the rows already drawn, each chunk normalised on its own
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    count, seed = 5000, 17
+    table = np.random.default_rng(seed).random((count, dim)) * 2.0 - 1.0
+    if norm.kind != "sup":
+        table /= np.maximum(np.sum(np.abs(table) ** norm.p, axis=1) ** (1.0 / norm.p), 1.0)[:, None]
+    cache = {}
+    for upto in (10, 1500, count):
+        got = sequences._random_table(cache, seed, upto, dim, norm)
+        assert got.tobytes() == table[:upto].tobytes()
+    assert len(cache["table"]) == count
+
+
+def test_random_table_draws_only_new_rows(monkeypatch):
+    # a chunked sweep to 10^4 grows the table log-many times, never per chunk
+    monkeypatch.setattr(sequences, "_CHUNK", 100)
+    drawn = []
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def random(self, out):
+            drawn.append(len(out))
+            return self.rng.random(out=out)
+
+    monkeypatch.setattr(sequences.np.random, "default_rng", Counting)
+    seq = sequences.random_unit_ball(spaces.dense_space(3), seed=4)
+    sequences.norm_sweep(seq, 10_000)
+    assert sum(drawn) == 16_384
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,68 @@ def test_cauchy_and_convergence_agree_for_convergent_case():
     assert stanalysis.st_converges(seq, spaces.sparse_element({}), horizon=H).decision == "confirmed"
 
 
+def _counted_sweeps(monkeypatch):
+    swept = []
+
+    def counting(seq, candidate, horizon):
+        swept.append(candidate)
+        return sequences.distance_sweep(seq, candidate, horizon)
+
+    monkeypatch.setattr(stanalysis, "distance_sweep", counting)
+    return swept
+
+
+def test_cauchy_sweeps_no_anchor_once_every_epsilon_is_confirmed(monkeypatch):
+    # the first anchor of a constant sequence confirms every epsilon
+    swept = _counted_sweeps(monkeypatch)
+    v = stanalysis.st_cauchy(sequences.parse_sequence("constant(dense[1,1,1])"), horizon=H)
+    assert v.decision == "confirmed"
+    assert len(swept) == 1
+
+
+def test_cauchy_sweeps_each_anchor_once_while_an_epsilon_is_open(monkeypatch):
+    swept = _counted_sweeps(monkeypatch)
+    seq = sequences.parse_sequence("random(dim=3)")
+    v = stanalysis.st_cauchy(seq, horizon=H)
+    assert v.decision != "confirmed"
+    assert swept == [seq.generator(a) for a in stanalysis.default_anchors(H)]
+
+
+def _cauchy_all_sweeps_first(seq, grid, horizon, anchors):
+    """Reference: every anchor's sweep up front, then each epsilon searches them."""
+    sweeps = [(a, sequences.distance_sweep(seq, seq.generator(a), horizon)) for a in anchors]
+    reports, witness = [], None
+    for eps in grid:
+        tried = []
+        for a, dists in sweeps:
+            verdict = stanalysis._zero_density_verdict(dists >= eps, horizon, 0.1,
+                                                       density.DEFAULT_SCHEDULE)
+            tried.append((a, verdict))
+            if verdict.decision == "confirmed":
+                reports.append(stanalysis.EpsilonReport(eps, verdict, anchor=a))
+                break
+        else:
+            _, verdict = min(tried, key=lambda av: av[1].profile.final_ratio)
+            if witness is None and all(v.decision == "refuted" for _, v in tried):
+                witness = {"epsilon": eps, "checkpoint": verdict.witness}
+            reports.append(stanalysis.EpsilonReport(eps, verdict))
+    return [r.to_json_dict() for r in reports], witness
+
+
+@pytest.mark.parametrize("text", ["harmonic", "unit_coords", "random(dim=3)", "alternating(dim=3)",
+                                  "constant(dense[1,1,1])", "null(sparse{1:1.5,2:1,4:1.5})",
+                                  "spike(squares, n)", "subseq(harmonic, multiples(3))"])
+@pytest.mark.parametrize("anchors", [None, (10, 100, 1000), (2, 3)])
+def test_cauchy_reports_match_sweeping_every_anchor_first(text, anchors):
+    seq = sequences.parse_sequence(text)
+    grid = (0.5, 0.1, 0.01)
+    v = stanalysis.st_cauchy(seq, grid, horizon=H, anchors=anchors)
+    reports, witness = _cauchy_all_sweeps_first(
+        seq, grid, H, anchors or stanalysis.default_anchors(H))
+    assert [r.to_json_dict() for r in v.per_epsilon] == reports
+    assert v.witness == witness
+
+
 # ---------------------------------------------------------------------------
 # limit search
 # ---------------------------------------------------------------------------

@@ -171,3 +171,77 @@ def test_prefix_median_matches_per_index(name, seq, horizon):
     got = stanalysis._median_candidate(seq, horizon)
     want = stanalysis._median_candidate(_per_index(seq), horizon)
     assert list(got.support.items()) == list(want.support.items())
+
+
+def _answers(seq, candidate):
+    return ([sequences.norm_sweep(seq, H), sequences.distance_sweep(seq, candidate, H)]
+            + [operators.functional_sweep(f, seq, H) for f in FUNCTIONALS])
+
+
+@pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
+def test_answers_do_not_depend_on_the_chunk_size(name, seq, monkeypatch):
+    # H = 300 is one chunk by default and 43 chunks of 7: every carry across a
+    # chunk boundary must give the bits of the single pass
+    candidate = stanalysis._median_candidate(seq, H)
+    whole = _answers(seq, candidate)
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    assert stanalysis._median_candidate(seq, H) == candidate
+    for got, want in zip(_answers(seq, candidate), whole):
+        assert np.array_equal(got, want)
+
+
+def _tallied(fn, tally):
+    def counted(ns):
+        tally.append(len(ns))
+        return fn(ns)
+
+    return counted
+
+
+def test_subsequence_sweeps_evaluate_the_parent_only_at_members():
+    asked = {"index_of": [], "value_of": []}
+    unit = sequences.unit_coordinate_sequence()
+    parent = dataclasses.replace(unit, structure=sequences.SingleSupport(
+        _tallied(unit.structure.index_of, asked["index_of"]),
+        _tallied(unit.structure.value_of, asked["value_of"])))
+    seq = sequences.subsequence(parent, density.primes())
+    h = 10_000   # the members reach p_10000 = 104729
+    members = density.nth_primes(h)
+    assert np.array_equal(sequences.norm_sweep(seq, h),
+                          sequences.norm_sweep(unit, int(members[-1]))[members - 1])
+    assert (sum(asked["index_of"]), sum(asked["value_of"])) == (0, h)
+    candidate = spaces.sparse_element({2: 1.0, 7: -0.5})
+    assert np.array_equal(sequences.distance_sweep(seq, candidate, h),
+                          sequences.distance_sweep(unit, candidate, int(members[-1]))[members - 1])
+    assert (sum(asked["index_of"]), sum(asked["value_of"])) == (h, 2 * h)
+
+
+_RANK_ONE_IMAGES = {
+    "sparse": operators.rank_one(operators.coordinate_functional(3),
+                                 spaces.sparse_element({1: 1.0, 4: -2.0})),
+    "dense": operators.rank_one(operators.geometric_weights_functional(),
+                                spaces.dense_element([1.0, -1.0, 0.5])),
+    "finite_rank": operators.finite_rank(
+        [(operators.coordinate_functional(1), spaces.dense_element([1.0, 0.0])),
+         (operators.linear_growth_functional(), spaces.dense_element([0.0, 2.0]))]),
+}
+
+
+@pytest.mark.parametrize("op", list(_RANK_ONE_IMAGES.values()), ids=list(_RANK_ONE_IMAGES))
+def test_rank_one_images_walk_a_prefix_parent_once_per_sweep(op, monkeypatch):
+    # 43 chunks of 7 indices, yet each sweep walks harmonic's 300 terms once
+    # per functional of the operator
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    tally = []
+    harmonic = sequences.harmonic_prefix_sequence()
+    parent = dataclasses.replace(
+        harmonic, structure=sequences.PrefixValues(_tallied(harmonic.structure.value_of, tally)))
+    image = operators.image_sequence(op, parent)
+    walk = H * len(op.params if op.kind == "finite_rank" else [op])
+    candidate = stanalysis._median_candidate(image, H)
+    for sweep in (lambda: sequences.norm_sweep(image, H),
+                  lambda: sequences.distance_sweep(image, candidate, H),
+                  lambda: operators.functional_sweep(FUNCTIONALS[0], image, H)):
+        tally.clear()
+        sweep()
+        assert sum(tally) == walk
