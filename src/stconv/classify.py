@@ -66,6 +66,7 @@ from . import density
 
 DEFAULT_CLASSIFY_HORIZON = 100_000
 DEFAULT_CLASSIFY_TOLERANCE = 0.1
+_RATIO_DOUBLINGS = 60
 
 # The paper's five definitions as data.  Each property is an implication:
 # when the input x_n satisfies the hypothesis, the image T x_n must satisfy
@@ -384,12 +385,12 @@ def check_finite_dim_all_bounded(horizon, tolerance):
                    notes="every matrix operator on a finite-dimensional space is st-bounded")
 
 
-def _find_ratio_bound(op, corpus, horizon, tolerance, start, max_doublings=60):
+def _find_ratio_bound(op, corpus, horizon, tolerance, start):
     """Smallest doubling multiple of ``start`` with ||Sx_n|| <= M ||x_n|| a.e."""
     m = max(float(start), 1e-9)
     sweeps = [(norm_sweep(member, horizon), norm_sweep(image_sequence(op, member), horizon))
               for member in corpus.members]
-    for k in range(max_doublings):
+    for k in range(_RATIO_DOUBLINGS):
         ok = True
         for base, img in sweeps:
             mask = img > m * base * (1.0 + 1e-12)
@@ -402,7 +403,7 @@ def _find_ratio_bound(op, corpus, horizon, tolerance, start, max_doublings=60):
         if ok:
             return m, k
         m *= 2.0
-    return None, max_doublings
+    return None, _RATIO_DOUBLINGS
 
 
 def check_ratio_bound(horizon, tolerance):
@@ -425,7 +426,7 @@ def check_ratio_bound(horizon, tolerance):
         m, doublings = _find_ratio_bound(op, corpus, horizon, tolerance, est)
         ok = m is not None
         detail = "no bound found" if not ok else ""
-        if ok and op.kind == "matrix" and op.domain.dim <= 4 and m > 2.0 * est + 1e-12:
+        if ok and isinstance(op, operators.Matrix) and op.domain.dim <= 4 and m > 2.0 * est + 1e-12:
             ok = False
             detail = f"bound {m} exceeds twice the probe estimate {est}"
         outcomes.append((op.describe(), ok, detail))

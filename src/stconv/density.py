@@ -24,6 +24,7 @@ from .parsing import Cursor, ParseError
 
 DEFAULT_HORIZON = 1_000_000
 DEFAULT_TOLERANCE = 0.01
+_MEMBER_CAP = 100_000_000
 
 
 class HorizonExhausted(RuntimeError):
@@ -271,29 +272,31 @@ def count(s, n):
     return int(membership_mask(s, n).sum())
 
 
-def members(s, how_many, cap=100_000_000):
+def members(s, how_many):
     """The first ``how_many`` members of ``s`` in increasing order.
 
     Raises :class:`HorizonExhausted` when the set runs out of members before
-    ``how_many`` are found or the scan would pass ``cap``.
+    ``how_many`` are found or the scan would pass ``_MEMBER_CAP``.
     """
     how_many = int(how_many)
     if how_many < 1:
         return np.zeros(0, dtype=np.int64)
     if s.kind == "multiples":
         m = s.params[0]
-        if m * how_many > cap:
-            raise HorizonExhausted(f"member {how_many} of {s.describe()} is beyond the cap {cap}")
+        if m * how_many > _MEMBER_CAP:
+            raise HorizonExhausted(
+                f"member {how_many} of {s.describe()} is beyond the cap {_MEMBER_CAP}")
         return m * np.arange(1, how_many + 1, dtype=np.int64)
     if s.kind == "squares":
-        if how_many * how_many > cap:
-            raise HorizonExhausted(f"member {how_many} of {s.describe()} is beyond the cap {cap}")
+        if how_many * how_many > _MEMBER_CAP:
+            raise HorizonExhausted(
+                f"member {how_many} of {s.describe()} is beyond the cap {_MEMBER_CAP}")
         base = np.arange(1, how_many + 1, dtype=np.int64)
         return base * base
     if s.kind == "primes":
         found = nth_primes(how_many)
-        if found[-1] > cap:
-            raise HorizonExhausted(f"member {how_many} of primes is beyond the cap {cap}")
+        if found[-1] > _MEMBER_CAP:
+            raise HorizonExhausted(f"member {how_many} of primes is beyond the cap {_MEMBER_CAP}")
         return found
     if s.kind == "finite":
         if how_many > len(s.params):
@@ -307,11 +310,11 @@ def members(s, how_many, cap=100_000_000):
     start = 1
     block = 1 << 16
     while total < how_many:
-        if start > cap:
+        if start > _MEMBER_CAP:
             raise HorizonExhausted(
-                f"scanned past cap {cap} with only {total} members of {s.describe()}"
+                f"scanned past cap {_MEMBER_CAP} with only {total} members of {s.describe()}"
             )
-        stop = min(start + block - 1, cap)
+        stop = min(start + block - 1, _MEMBER_CAP)
         if s.kind == "custom":
             mask = np.fromiter(
                 (bool(s.fn(k)) for k in range(start, stop + 1)), dtype=bool, count=stop - start + 1

@@ -1,12 +1,12 @@
 """Linear operators between the supported spaces, plus position-dependent
 sequence transforms.
 
-Operators are descriptor records (diagonal, rank-one, finite-rank, matrix,
-composition, linear combination) evaluated by :func:`apply`.  When an
-operator is pushed through a sequence with :func:`image_sequence`, the
-image's structure is derived from the sequence's: it stays vectorised
-wherever the sequence's kind can say how, so downstream sweeps stay fast,
-and is the per-index kind otherwise.
+Operators are one frozen class per kind (diagonal, finite-rank, of which
+rank-one is the one-piece case, matrix, composition, linear combination),
+evaluated by :func:`apply`.  When an operator is pushed through a sequence
+with :func:`image_sequence`, the image's structure is derived from the
+sequence's: it stays vectorised wherever the sequence's kind can say how,
+so downstream sweeps stay fast, and is the per-index kind otherwise.
 
 Diagonal coefficient functions and the weight functions of
 ``sparse_weighted`` functionals must accept numpy integer arrays.
@@ -31,6 +31,7 @@ from .sequences import (
 from .spaces import DenseElement, Space, SparseElement, dense_space, sparse_space
 
 LINEARITY_TOL = 1e-10
+_ESTIMATE_SEED = 2024
 
 
 # ---------------------------------------------------------------------------
@@ -127,34 +128,171 @@ _FUNCTIONAL_NAMES = {
 # operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class OperatorSpec:
-    kind: str         # diagonal | rank_one | finite_rank | matrix | compose | linear_combo
-    params: tuple
-    domain: Space
-    codomain: Space
-
-    def describe(self):
-        return _describe_operator(self)
+    """A linear operator from ``domain`` to ``codomain``; each kind is a
+    subclass that answers its value at an element (``evaluate``), its known
+    norm bound or None (``norm_bound``), the structure of its image of a
+    vectorised sequence (``image_structure``) and ``describe``."""
 
     def __repr__(self):
         return f"OperatorSpec({self.describe()})"
 
 
-def diagonal(name, dfun, space=None, bound=None):
-    """Coordinatewise scaling ``(x_k) -> (d(k) x_k)``.
+@dataclass(frozen=True, eq=False, repr=False)
+class Diagonal(OperatorSpec):
+    """Coordinatewise scaling ``(x_k) -> (d(k) x_k)`` of the sparse space.
 
     ``dfun`` maps numpy integer arrays to the scaling coefficients; ``name``
     is used by the descriptor grammar.  ``bound`` is a known sup of ``|d|``
-    when there is one.
+    when there is one.  A diagonal of a dense space is a :class:`Matrix`.
     """
-    space = space or sparse_space()
-    return OperatorSpec("diagonal", (name, dfun, bound), space, space)
+
+    name: str
+    dfun: Callable
+    bound: Optional[float] = None
+    domain = codomain = sparse_space()
+
+    def evaluate(self, x):
+        if not x.support:
+            return x
+        keys = sorted(x.support)
+        d = np.asarray(self.dfun(np.asarray(keys, dtype=np.int64)), dtype=float).tolist()
+        return spaces.sparse_element({k: dk * x.support[k] for k, dk in zip(keys, d)})
+
+    def norm_bound(self):
+        return self.bound
+
+    def image_structure(self, seq):
+        return seq.structure.diagonal_image(self.dfun, self.evaluate)
+
+    def describe(self):
+        return f"diag({self.name})"
 
 
-def rank_one(f, y0, domain=None):
-    domain = domain or sparse_space()
-    return OperatorSpec("rank_one", (f, y0), domain, spaces.space_of(y0))
+@dataclass(frozen=True, eq=False, repr=False)
+class FiniteRank(OperatorSpec):
+    """``x -> sum_j f_j(x) y_j`` over the (functional, element) ``pieces``,
+    whose elements share one space; ``name`` heads the descriptor, ``rank1``
+    for the one piece of :func:`rank_one`."""
+
+    pieces: tuple
+    name: str
+    domain: Space
+    codomain = property(lambda self: spaces.space_of(self.pieces[0][1]))
+
+    def evaluate(self, x):
+        out = spaces.zero(self.codomain)
+        for f, y0 in self.pieces:
+            out = spaces.add(out, spaces.scale(f.evaluate(x), y0))
+        return out
+
+    def norm_bound(self):
+        total = 0.0
+        for f, y0 in self.pieces:
+            fb = f.norm_bound(sequences._default_norm(self.domain))
+            if fb is None:
+                return None
+            total += fb * spaces.norm(y0, sequences._default_norm(self.codomain))
+        return total
+
+    def image_structure(self, seq):
+        def coeffs(ns):
+            # the parent is asked once, at ns, so a prefix parent is walked once
+            cols = [seq.structure.functional(seq, f, ns) for f, _ in self.pieces]
+            return (np.stack([col[lo:hi] for col in cols], axis=1)
+                    for lo, hi in sequences._spans(len(ns)))
+
+        basis = tuple(y0 for _, y0 in self.pieces)
+        if self.codomain.kind == "dense":
+            # a combination of fixed dense elements is just a dense block
+            mat = np.asarray([y0.coords for y0 in basis])
+            return DenseBlock(lambda ns: (coeff @ mat for coeff in coeffs(ns)))
+        return FixedBasisCombo(coeffs, basis)
+
+    def describe(self):
+        body = ";".join(f"{f.describe()},{spaces.format_element(y0)}" for f, y0 in self.pieces)
+        return f"{self.name}({body})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Matrix(OperatorSpec):
+    """``x -> a @ x`` from ``dense:a.shape[1]`` to ``dense:a.shape[0]``; ``a`` is read-only."""
+
+    a: np.ndarray
+    domain = property(lambda self: dense_space(self.a.shape[1]))
+    codomain = property(lambda self: dense_space(self.a.shape[0]))
+
+    def evaluate(self, x):
+        return DenseElement(tuple(float(v) for v in self.a @ np.asarray(x.coords)))
+
+    def norm_bound(self):
+        return float(np.linalg.svd(self.a, compute_uv=False)[0])
+
+    def image_structure(self, seq):
+        return seq.structure.matrix_image(self.a)
+
+    def describe(self):
+        rows = ("[" + ",".join(format_float(v) for v in row) + "]" for row in self.a.tolist())
+        return f"matrix[{','.join(rows)}]"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Compose(OperatorSpec):
+    """``x -> outer(inner(x))``."""
+
+    outer: OperatorSpec
+    inner: OperatorSpec
+    domain = property(lambda self: self.inner.domain)
+    codomain = property(lambda self: self.outer.codomain)
+
+    def evaluate(self, x):
+        return apply(self.outer, apply(self.inner, x))
+
+    def norm_bound(self):
+        a, b = operator_norm_bound(self.outer), operator_norm_bound(self.inner)
+        return None if a is None or b is None else a * b
+
+    def image_structure(self, seq):
+        return image_sequence(self.outer, image_sequence(self.inner, seq)).structure
+
+    def describe(self):
+        return f"compose({self.outer.describe()},{self.inner.describe()})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class LinearCombo(OperatorSpec):
+    """``x -> alpha s(x) + beta t(x)``."""
+
+    alpha: float
+    s: OperatorSpec
+    beta: float
+    t: OperatorSpec
+    domain = property(lambda self: self.s.domain)
+    codomain = property(lambda self: self.s.codomain)
+
+    def evaluate(self, x):
+        return spaces.add(spaces.scale(self.alpha, apply(self.s, x)),
+                          spaces.scale(self.beta, apply(self.t, x)))
+
+    def norm_bound(self):
+        a, b = operator_norm_bound(self.s), operator_norm_bound(self.t)
+        return None if a is None or b is None else abs(self.alpha) * a + abs(self.beta) * b
+
+    def image_structure(self, seq):
+        left = image_sequence(self.s, seq).structure
+        return left.combined(image_sequence(self.t, seq).structure, self.alpha, self.beta)
+
+    def describe(self):
+        return (f"combo({format_float(self.alpha)},{self.s.describe()},"
+                f"{format_float(self.beta)},{self.t.describe()})")
+
+
+diagonal = Diagonal
+
+
+def rank_one(f, y0):
+    """``x -> f(x) y0`` on the sparse space: a one-piece finite-rank operator."""
+    return FiniteRank(((f, y0),), "rank1", sparse_space())
 
 
 def finite_rank(pieces, domain=None):
@@ -162,26 +300,17 @@ def finite_rank(pieces, domain=None):
     pieces = tuple((f, y0) for f, y0 in pieces)
     if not pieces:
         raise ValueError("finite_rank needs at least one rank-one piece")
-    domain = domain or sparse_space()
-    codomain = spaces.space_of(pieces[0][1])
-    for _, y0 in pieces:
-        if spaces.space_of(y0) != codomain:
-            raise ValueError("finite_rank pieces must share a codomain")
-    return OperatorSpec("finite_rank", pieces, domain, codomain)
+    if len({spaces.space_of(y0) for _, y0 in pieces}) > 1:
+        raise ValueError("finite_rank pieces must share a codomain")
+    return FiniteRank(pieces, "finite_rank", domain or sparse_space())
 
 
 def matrix_operator(rows):
-    a = np.asarray(rows, dtype=float)
+    a = np.array(rows, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("matrix operators need a 2-d coefficient array")
-    return OperatorSpec(
-        "matrix", (tuple(tuple(float(v) for v in row) for row in a),),
-        dense_space(a.shape[1]), dense_space(a.shape[0]),
-    )
-
-
-def _matrix_array(op):
-    return np.asarray(op.params[0])
+    a.flags.writeable = False
+    return Matrix(a)
 
 
 def compose(outer, inner):
@@ -190,19 +319,17 @@ def compose(outer, inner):
             f"cannot compose: inner codomain {inner.codomain.describe()} "
             f"!= outer domain {outer.domain.describe()}"
         )
-    return OperatorSpec("compose", (outer, inner), inner.domain, outer.codomain)
+    return Compose(outer, inner)
 
 
 def linear_combo(alpha, s, beta, t):
     if s.domain != t.domain or s.codomain != t.codomain:
         raise ValueError("linear combinations need matching domains and codomains")
-    return OperatorSpec(
-        "linear_combo", (float(alpha), s, float(beta), t), s.domain, s.codomain
-    )
+    return LinearCombo(float(alpha), s, float(beta), t)
 
 
-def identity_operator(space=None):
-    return diagonal("identity", lambda ks: np.ones(len(ks)), space, bound=1.0)
+def identity_operator():
+    return diagonal("identity", lambda ks: np.ones(len(ks)), bound=1.0)
 
 
 def apply(op, x):
@@ -214,71 +341,12 @@ def apply(op, x):
             f"operator domain {op.domain.describe()} does not accept "
             f"{spaces.space_of(x).describe()} elements"
         )
-    if op.kind == "diagonal":
-        dfun = op.params[1]
-        if isinstance(x, SparseElement):
-            if not x.support:
-                return x
-            keys = sorted(x.support)
-            d = np.asarray(dfun(np.asarray(keys, dtype=np.int64)), dtype=float).tolist()
-            out = {k: dk * x.support[k] for k, dk in zip(keys, d)}
-            return spaces.sparse_element(out)
-        dim = len(x.coords)
-        d = dfun(np.arange(1, dim + 1, dtype=np.int64))
-        return DenseElement(tuple(float(a * b) for a, b in zip(d, x.coords)))
-    if op.kind == "rank_one":
-        f, y0 = op.params
-        return spaces.scale(f.evaluate(x), y0)
-    if op.kind == "finite_rank":
-        out = spaces.zero(op.codomain)
-        for f, y0 in op.params:
-            out = spaces.add(out, spaces.scale(f.evaluate(x), y0))
-        return out
-    if op.kind == "matrix":
-        a = _matrix_array(op)
-        return DenseElement(tuple(float(v) for v in a @ np.asarray(x.coords)))
-    if op.kind == "compose":
-        outer, inner = op.params
-        return apply(outer, apply(inner, x))
-    if op.kind == "linear_combo":
-        alpha, s, beta, t = op.params
-        return spaces.add(
-            spaces.scale(alpha, apply(s, x)), spaces.scale(beta, apply(t, x))
-        )
-    raise ValueError(f"unknown operator kind {op.kind!r}")
+    return op.evaluate(x)
 
 
 def operator_norm_bound(op):
     """Known upper bound on the operator norm, or None if unbounded/unknown."""
-    if isinstance(op, SequenceTransform):
-        return None
-    if op.kind == "diagonal":
-        return op.params[2]
-    if op.kind == "rank_one":
-        f, y0 = op.params
-        fb = f.norm_bound(sequences._default_norm(op.domain))
-        if fb is None:
-            return None
-        return fb * spaces.norm(y0, sequences._default_norm(op.codomain))
-    if op.kind == "finite_rank":
-        total = 0.0
-        for f, y0 in op.params:
-            fb = f.norm_bound(sequences._default_norm(op.domain))
-            if fb is None:
-                return None
-            total += fb * spaces.norm(y0, sequences._default_norm(op.codomain))
-        return total
-    if op.kind == "matrix":
-        return float(np.linalg.svd(_matrix_array(op), compute_uv=False)[0])
-    if op.kind == "compose":
-        outer, inner = op.params
-        a, b = operator_norm_bound(outer), operator_norm_bound(inner)
-        return None if a is None or b is None else a * b
-    if op.kind == "linear_combo":
-        alpha, s, beta, t = op.params
-        a, b = operator_norm_bound(s), operator_norm_bound(t)
-        return None if a is None or b is None else abs(alpha) * a + abs(beta) * b
-    return None
+    return None if isinstance(op, SequenceTransform) else op.norm_bound()
 
 
 # ---------------------------------------------------------------------------
@@ -326,49 +394,6 @@ _TRANSFORM_NAMES = {
 # image sequences
 # ---------------------------------------------------------------------------
 
-def _image_structure(op, seq):
-    st = seq.structure
-    if type(st) is Structure:
-        return st   # the image of a per-index sequence runs per index too
-    lifted = st.lifted(lambda parent: image_sequence(op, parent))
-    if lifted is not None:
-        return lifted
-
-    if op.kind == "diagonal":
-        return st.diagonal_image(op.params[1], lambda x: apply(op, x))
-
-    if op.kind in ("rank_one", "finite_rank"):
-        pieces = [op.params] if op.kind == "rank_one" else list(op.params)
-        basis = tuple(y0 for _, y0 in pieces)
-        fs = [f for f, _ in pieces]
-
-        def coeffs(ns):
-            # the parent is asked once, at ns, so a prefix parent is walked once
-            cols = [st.functional(seq, f, ns) for f in fs]
-            return (np.stack([col[lo:hi] for col in cols], axis=1)
-                    for lo, hi in sequences._spans(len(ns)))
-
-        if op.codomain.kind == "dense":
-            # a combination of fixed dense elements is just a dense block
-            mat = np.asarray([y0.coords for y0 in basis])
-            return DenseBlock(lambda ns: (coeff @ mat for coeff in coeffs(ns)))
-        return FixedBasisCombo(coeffs, basis)
-
-    if op.kind == "matrix":
-        return st.matrix_image(_matrix_array(op))
-
-    if op.kind == "compose":
-        outer, inner = op.params
-        return _image_structure(outer, image_sequence(inner, seq))
-
-    if op.kind == "linear_combo":
-        alpha, s, beta, t = op.params
-        left = image_sequence(s, seq).structure
-        return left.combined(image_sequence(t, seq).structure, alpha, beta)
-
-    raise ValueError(f"unknown operator kind {op.kind!r}")
-
-
 def image_sequence(op, seq):
     """The sequence ``n -> op(x_n)`` (or ``rule(n, x_n)`` for transforms)."""
     if isinstance(op, SequenceTransform):
@@ -394,13 +419,14 @@ def image_sequence(op, seq):
         return apply(op, gen(n))
 
     norm = seq.norm if op.codomain == seq.space else sequences._default_norm(op.codomain)
-    bound = None
     ob = operator_norm_bound(op)
-    if ob is not None and seq.norm_bound is not None:
-        bound = ob * seq.norm_bound
+    bound = None if ob is None or seq.norm_bound is None else ob * seq.norm_bound
+    structure = seq.structure
+    if type(structure) is not Structure:   # a per-index sequence's image runs per index too
+        lifted = structure.lifted(lambda parent: image_sequence(op, parent))
+        structure = lifted if lifted is not None else op.image_structure(seq)
     return SequenceSpec(
-        igen, op.codomain, norm, f"image({seq.label})",
-        structure=_image_structure(op, seq), norm_bound=bound,
+        igen, op.codomain, norm, f"image({seq.label})", structure=structure, norm_bound=bound,
     )
 
 
@@ -408,17 +434,17 @@ def image_sequence(op, seq):
 # norm estimation
 # ---------------------------------------------------------------------------
 
-def operator_norm_estimate(op, probes=64, seed=2024):
+def operator_norm_estimate(op, probes=64):
     """Lower bound on the operator norm from coordinate and random unit probes."""
     if isinstance(op, SequenceTransform):
         raise TypeError("sequence transforms have no single operator norm")
     dn, cn = sequences._default_norm(op.domain), sequences._default_norm(op.codomain)
     candidates = []
+    rng = np.random.default_rng(_ESTIMATE_SEED)
     if op.domain.kind == "dense":
         dim = op.domain.dim
         for k in range(1, dim + 1):
             candidates.append(spaces.unit_coordinate(op.domain, k))
-        rng = np.random.default_rng(seed)
         for _ in range(int(probes)):
             row = rng.random(dim) * 2.0 - 1.0
             if not row.any():
@@ -427,7 +453,6 @@ def operator_norm_estimate(op, probes=64, seed=2024):
     else:
         for k in range(1, int(probes) + 1):
             candidates.append(SparseElement({k: 1.0}))
-        rng = np.random.default_rng(seed)
         for _ in range(int(probes)):
             support = rng.integers(1, max(2, int(probes)), size=4)
             vals = rng.random(4) * 2.0 - 1.0
@@ -455,47 +480,23 @@ def _inverse_trunc(m):
     return dfun
 
 
-def named_diagonal(name, arg=None, space=None):
+def named_diagonal(name, arg=None):
     if name == "prime_scale":
-        return diagonal("prime_scale", prime_scale_values, space, bound=None)
+        return diagonal("prime_scale", prime_scale_values)
     if name == "identity":
-        return identity_operator(space)
+        return identity_operator()
     if name == "inverse":
-        return diagonal("inverse", lambda ks: 1.0 / np.asarray(ks, dtype=float), space, bound=1.0)
+        return diagonal("inverse", lambda ks: 1.0 / np.asarray(ks, dtype=float), bound=1.0)
     if name == "one_plus_inverse":
-        return diagonal(
-            "one_plus_inverse", lambda ks: 1.0 + 1.0 / np.asarray(ks, dtype=float),
-            space, bound=2.0,
-        )
+        return diagonal("one_plus_inverse",
+                        lambda ks: 1.0 + 1.0 / np.asarray(ks, dtype=float), bound=2.0)
     if name == "index":
-        return diagonal("index", lambda ks: np.asarray(ks, dtype=float), space, bound=None)
+        return diagonal("index", lambda ks: np.asarray(ks, dtype=float))
     if name == "inverse_trunc":
         if arg is None:
             raise ValueError("inverse_trunc needs a cutoff, e.g. inverse_trunc(5)")
-        return diagonal(f"inverse_trunc({arg})", _inverse_trunc(int(arg)), space, bound=1.0)
+        return diagonal(f"inverse_trunc({arg})", _inverse_trunc(int(arg)), bound=1.0)
     raise ValueError(f"unknown diagonal name {name!r}")
-
-
-def _describe_operator(op):
-    if op.kind == "diagonal":
-        return f"diag({op.params[0]})"
-    if op.kind == "rank_one":
-        f, y0 = op.params
-        return f"rank1({f.describe()},{spaces.format_element(y0)})"
-    if op.kind == "finite_rank":
-        inner = ";".join(f"{f.describe()},{spaces.format_element(y0)}" for f, y0 in op.params)
-        return f"finite_rank({inner})"
-    if op.kind == "matrix":
-        rows = op.params[0]
-        body = ",".join("[" + ",".join(format_float(v) for v in row) + "]" for row in rows)
-        return f"matrix[{body}]"
-    if op.kind == "compose":
-        outer, inner = op.params
-        return f"compose({outer.describe()},{inner.describe()})"
-    if op.kind == "linear_combo":
-        alpha, s, beta, t = op.params
-        return f"combo({format_float(alpha)},{s.describe()},{format_float(beta)},{t.describe()})"
-    return op.kind
 
 
 def _parse_functional(cur):
@@ -607,6 +608,11 @@ __all__ = [
     "LINEARITY_TOL",
     "FunctionalSpec",
     "OperatorSpec",
+    "Diagonal",
+    "FiniteRank",
+    "Matrix",
+    "Compose",
+    "LinearCombo",
     "SequenceTransform",
     "coordinate_functional",
     "dense_weights",

@@ -7,6 +7,7 @@ can point at the offending character.
 
 from __future__ import annotations
 
+import math
 import re
 
 _NUMBER = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?")
@@ -69,8 +70,11 @@ class Cursor:
         m = _NUMBER.match(self.text, self.pos)
         if m is None:
             self.error("expected a number")
+        value = float(m.group(0))
+        if not math.isfinite(value):
+            self.error("expected a finite number")
         self.pos = m.end()
-        return float(m.group(0))
+        return value
 
     def integer(self):
         self.skip_ws()

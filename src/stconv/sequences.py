@@ -418,12 +418,6 @@ class DenseBlock(Structure):
     def median(self, seq, ns):
         return spaces.dense_element(np.median(self.block_of(ns), axis=0))
 
-    def diagonal_image(self, dfun, apply_to):
-        def scaled(block):
-            return block * dfun(np.arange(1, block.shape[1] + 1, dtype=np.int64))[None, :]
-
-        return DenseBlock(lambda ns: map(scaled, self.rows(ns)))
-
     def matrix_image(self, a):
         return DenseBlock(lambda ns: (block @ a.T for block in self.rows(ns)))
 
@@ -529,8 +523,8 @@ def _default_norm(space):
 # constructors
 # ---------------------------------------------------------------------------
 
-def zero_sequence(space, norm=None):
-    norm = norm or _default_norm(space)
+def zero_sequence(space):
+    norm = _default_norm(space)
     z = spaces.zero(space)
     if space.kind == "dense":
         dim = space.dim
@@ -850,7 +844,7 @@ def combine(a, b, alpha, beta, label=None):
     )
 
 
-def subsequence(seq, along, label=None):
+def subsequence(seq, along):
     """``x_k = seq`` at the k-th member of ``along``.
 
     Raises :class:`HorizonExhausted` if the set runs out of members (finite
@@ -863,7 +857,7 @@ def subsequence(seq, along, label=None):
 
     return SequenceSpec(
         gen, seq.space, seq.norm,
-        label or f"subseq({seq.label},{along.describe()})",
+        f"subseq({seq.label},{along.describe()})",
         structure=structure,
         norm_bound=seq.norm_bound,
     )

@@ -36,6 +36,7 @@ DEFAULT_ST_TOLERANCE = 0.1
 _LIMIT_LITERAL_SUPPORT = 32
 WEAK_PROBE_SEED = 4242
 _WEAK_RANDOM_PROBES = 8
+_MEDIAN_SAMPLES = 255
 
 
 @dataclass(frozen=True)
@@ -212,18 +213,14 @@ def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
                     tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
     """Boundedness verdict for a real scalar sequence.
 
-    ``xs`` is either a callable ``n -> float`` (indices from 1) or an
-    array-like already holding ``x_1..x_horizon``.
+    ``xs`` is an array-like holding ``x_1..x_horizon``.
     """
     horizon = int(horizon)
     probes = tuple(float(m) for m in probes)
-    if callable(xs):
-        values = np.asarray([float(xs(n)) for n in range(1, horizon + 1)])
-    else:
-        values = np.asarray(xs, dtype=float)
-        if len(values) < horizon:
-            raise ValueError(f"need {horizon} values, got {len(values)}")
-        values = values[:horizon]
+    values = np.asarray(xs, dtype=float)
+    if len(values) < horizon:
+        raise ValueError(f"need {horizon} values, got {len(values)}")
+    values = values[:horizon]
     decision, bound, reports, witness = _bounded_scan(
         np.abs(values), probes, horizon, tolerance, schedule
     )
@@ -242,9 +239,8 @@ def _weak_probe_functionals(dim):
     return probes
 
 
-def weakly_st_bounded(seq, functionals=None, probes=DEFAULT_PROBES,
-                      horizon=DEFAULT_ANALYSIS_HORIZON, tolerance=DEFAULT_ST_TOLERANCE,
-                      schedule=DEFAULT_SCHEDULE):
+def weakly_st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
+                      tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
     """Statistical boundedness through linear-functional probes.
 
     Confirmed iff the scalar sequence ``f(x_n)`` is st-bounded for every
@@ -256,12 +252,8 @@ def weakly_st_bounded(seq, functionals=None, probes=DEFAULT_PROBES,
         raise ValueError("weak boundedness probes require a dense space")
     horizon = int(horizon)
     probes = tuple(float(m) for m in probes)
-    if functionals is None:
-        functionals = _weak_probe_functionals(seq.space.dim)
-    if not functionals:
-        raise ValueError("need at least one probe functional")
     results = []
-    for f in functionals:
+    for f in _weak_probe_functionals(seq.space.dim):
         values = operators.functional_sweep(f, seq, horizon)
         scan = _bounded_scan(np.abs(values), probes, horizon, tolerance, schedule)
         results.append((f, scan))
@@ -365,43 +357,40 @@ def st_cauchy(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
 # limit-candidate search
 # ---------------------------------------------------------------------------
 
-def _median_candidate(seq, horizon, samples=255):
+def _median_candidate(seq, horizon):
     """Coordinatewise median of a late sample window.
 
     The window [horizon/2, horizon] avoids transients, and the median is
     robust to density-zero spikes inside it.
     """
     lo = max(1, horizon // 2)
-    ns = np.unique(np.linspace(lo, horizon, samples).astype(np.int64))
+    ns = np.unique(np.linspace(lo, horizon, _MEDIAN_SAMPLES).astype(np.int64))
     return seq.structure.median(seq, ns)
 
 
-def find_limit_candidates(seq, horizon=DEFAULT_ANALYSIS_HORIZON, samples=255):
+def find_limit_candidates(seq, horizon=DEFAULT_ANALYSIS_HORIZON):
     """Zero plus the windowed coordinatewise median, deduplicated."""
     horizon = int(horizon)
     zero = spaces.zero(seq.space)
-    median = _median_candidate(seq, horizon, samples)
+    median = _median_candidate(seq, horizon)
     if median == zero:
         return [zero]
     return [zero, median]
 
 
 def st_converges_search(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
-                        tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE,
-                        candidates=None):
+                        tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
     """Statistical convergence with the limit found by candidate search.
 
-    Candidates default to zero and the density-weighted (windowed median)
+    The candidates are zero and the density-weighted (windowed median)
     candidate.  Returns the first confirmed verdict; refutes when every
     candidate refutes, or when the sequence is not even st-bounded (an
     st-convergent sequence is st-bounded, so a refuted boundedness verdict
     refutes convergence outright; the witness records that reason).
     """
     horizon = int(horizon)
-    if candidates is None:
-        candidates = find_limit_candidates(seq, horizon)
     verdicts = []
-    for cand in candidates:
+    for cand in find_limit_candidates(seq, horizon):
         v = st_converges(seq, cand, grid, horizon, tolerance, schedule)
         if v.decision == "confirmed":
             return v

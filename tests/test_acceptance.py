@@ -130,8 +130,8 @@ def test_criterion_4_theorem_suite():
     factor_two = True
     for row in ratio.data["instances"]:
         parsed = operators.parse_operator(row["operator"])
-        if parsed.kind == "matrix" and parsed.domain.dim <= 4:
-            exact = oracles.matrix_two_norm(parsed.params[0])
+        if isinstance(parsed, operators.Matrix) and parsed.domain.dim <= 4:
+            exact = oracles.matrix_two_norm(parsed.a)
             estimate = operators.operator_norm_estimate(parsed)
             factor_two &= row["bound"] <= 2.0 * estimate + 1e-9
             factor_two &= exact <= 2.0 * estimate + 1e-9

@@ -253,6 +253,22 @@ def test_non_finite_flags_rejected(capsys, argv, message, value):
 
 
 @pytest.mark.parametrize("argv", [
+    ["converge", "--sequence", "null(dense[1e400,1,1])"],
+    ["converge", "--sequence", "harmonic", "--candidate", "sparse{1:1e400}"],
+    ["converge", "--sequence", "combine(harmonic,harmonic,1e400,1)"],
+    ["density", "--set", "multiples(1e400)"],
+    ["converge", "--sequence", "random(dim=1e400)"],
+    ["bounded", "--sequence", "index(dim=1)", "--operator", "matrix[[1e400]]"],
+    ["converge", "--sequence", "spike(squares,1e400)"],
+], ids=["element", "candidate", "combine", "index-set", "dimension", "matrix", "magnitude"])
+def test_overflowing_number_literals_rejected(capsys, argv):
+    code, out, err = run_text(capsys, [*argv, "--horizon", "100"])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["classify", "--operator", "diag(inverse)", "--property", "st_bounded"],
     ["converge", "--sequence", "random(sparse)"],
     ["density", "--set", "primes"],

@@ -14,7 +14,9 @@ compactness classification through the prime transform, whose ``Scaled``
 images take their medians and nonzero-candidate distance sweeps per index.
 Three reports at the horizon 10^6 run their sweeps in several chunks, so
 every carry across a chunk boundary is pinned too, and a subsequence whose
-members pass the horizon 13-fold is swept at its members only.
+members pass the horizon 13-fold is swept at its members only.  The last
+two pin the prime transform of dense rows (``DenseBlock.rescaled``) and
+spikes of a constant magnitude.
 """
 
 import contextlib
@@ -81,6 +83,12 @@ GOLDEN = [
      0, "76d1757d5837dc5c373988f73364508ba4dc0c3b0328878f200407205582c794"),
     (["converge", "--sequence", "subseq(unit_coords, primes)", "--eps", "0.5,0.1"],
      0, "3a59b9f8e1f8d8013bbad550bdf4adb0525758d1b37353d0f85095179609127f"),
+    # the prime transform of dense rows, and spikes of a constant magnitude
+    (["converge", "--sequence", "random(dim=3, seed=5)",
+      "--operator", "transform(prime_scale_by_position)", "--horizon", "3000"],
+     0, "7b7932137af3b0db9f6b7f031a72f27ec6a274875ecdcf8602952d3be1e3254c"),
+    (["bounded", "--sequence", "spike(squares, 2)", "--horizon", "3000"],
+     0, "22ac2d711a690a3dd4935e3b69d3ef9a97f65cd426c04f8eab7887cbc5d6522e"),
 ]
 
 

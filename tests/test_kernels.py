@@ -91,7 +91,7 @@ def test_sparse_diagonal_apply_matches_elementwise_products(name, arg):
     keys = rng.permutation(np.arange(1, 400))[:150]
     x = spaces.sparse_element({int(k): float(v) for k, v in zip(keys, rng.standard_normal(150))})
     got = operators.apply(op, x)
-    want = _old_diagonal_apply(op.params[1], x)
+    want = _old_diagonal_apply(op.dfun, x)
     assert list(got.support.items()) == list(want.support.items())
     if name == "inverse_trunc":
         assert set(got.support) == {k for k in x.support if k <= arg}

@@ -182,11 +182,6 @@ def test_st_bounded_real_accepts_arrays():
     assert v.decision == "confirmed"
     # values equal to the probe are not exceedances, so probe 1 already works
     assert v.bound == 1.0
-
-
-def test_st_bounded_real_accepts_callables():
-    v = stanalysis.st_bounded_real(lambda n: np.log1p(float(n)), horizon=H)
-    assert v.decision == "confirmed"
     with pytest.raises(ValueError):
         stanalysis.st_bounded_real([1.0, 2.0], horizon=H)
 

@@ -63,8 +63,9 @@ def _operators():
     return list({**_POOL, **{op.describe(): op for op in extra}}.values())
 
 
-def _domain(op):
-    return spaces.sparse_space() if isinstance(op, operators.SequenceTransform) else op.domain
+def _accepts(op, seq):
+    # the prime transform rescales sequences of every space
+    return isinstance(op, operators.SequenceTransform) or seq.space == op.domain
 
 
 def _cases():
@@ -80,7 +81,7 @@ def _cases():
     cases = [(m.label, m) for m in members]
     for op in _operators():
         for m in members:
-            if m.space == _domain(op):
+            if _accepts(op, m):
                 cases.append((f"{op.describe()}({m.label})", operators.image_sequence(op, m)))
     return [(name, seq) for name, seq in cases if type(seq.structure) is not sequences.Structure]
 
@@ -237,7 +238,7 @@ def test_rank_one_images_walk_a_prefix_parent_once_per_sweep(op, monkeypatch):
     parent = dataclasses.replace(
         harmonic, structure=sequences.PrefixValues(_tallied(harmonic.structure.value_of, tally)))
     image = operators.image_sequence(op, parent)
-    walk = H * len(op.params if op.kind == "finite_rank" else [op])
+    walk = H * len(op.pieces)
     candidate = stanalysis._median_candidate(image, H)
     for sweep in (lambda: sequences.norm_sweep(image, H),
                   lambda: sequences.distance_sweep(image, candidate, H),
