@@ -333,6 +333,9 @@ def _run_suite(args):
     tolerance = _resolve_tolerance(args)
     if args.output == "csv":
         raise ParseError("suite", 0, "suite reports are JSON only")
+    if args.expect is not None:
+        raise ParseError("suite", 0, "the suite has no decision to --expect; its exit status says "
+                                     "whether every check passed")
     results = run_suite(horizon, tolerance)
     payload = {
         "command": "suite",

@@ -9,6 +9,14 @@ target value.
 
 Counting is exact integer arithmetic throughout; ratios only become floating
 point at the reporting boundary.
+
+An index set is a record of the functions its constructor chose: its
+descriptor, a membership mask, a per-index test and its analytic density,
+plus an exact count and its first members for the kinds that know these
+faster than a mask scan.  :func:`membership_mask`, :func:`count`,
+:func:`members` and :func:`density_profile` are each one call to the record,
+scanning its mask where it gives no faster answer.  A checkpoint schedule is
+likewise a record of its label, first checkpoint and step.
 """
 
 from __future__ import annotations
@@ -101,91 +109,120 @@ def is_prime(n):
 # index sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class IndexSet:
-    """A set of positive integers with a membership test.
+    """A set of positive integers, as the functions its constructor chose.
 
-    ``kind`` is one of ``primes``, ``multiples``, ``squares``, ``finite``,
-    ``complement``, ``union``, ``intersection``, ``custom``.  Structured kinds
-    carry their parameters in ``params``; ``custom`` carries its predicate in
-    ``fn``.  ``analytic_density`` records the true density when it is known,
-    as an exact fraction.
+    ``label`` is its descriptor; ``mask(n)`` is the boolean membership of
+    ``1..n``, ``contains(k)`` that of one integer ``k``; ``analytic_density``
+    is the true density as an exact fraction, when it is known.  Kinds that
+    know them faster than a mask scan also give ``count(n)``, the number of
+    members ``<= n`` for ``n >= 1``, and ``first(how_many)``, the first
+    members (see :func:`members`).
     """
 
-    kind: str
-    params: tuple = ()
-    analytic_density: Optional[Fraction] = None
-    fn: Optional[Callable[[int], bool]] = None
-    # membership lookup of a ``finite`` set, derived from ``params``
-    _finite_members: frozenset = field(default=frozenset(), init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind == "finite":
-            object.__setattr__(self, "_finite_members", frozenset(self.params))
-
-    def contains(self, k):
-        if k < 1:
-            return False
-        if self.kind == "primes":
-            return is_prime(k)
-        if self.kind == "multiples":
-            return k % self.params[0] == 0
-        if self.kind == "squares":
-            return math.isqrt(k) ** 2 == k
-        if self.kind == "finite":
-            return k in self._finite_members
-        if self.kind == "complement":
-            return not self.params[0].contains(k)
-        if self.kind == "union":
-            return self.params[0].contains(k) or self.params[1].contains(k)
-        if self.kind == "intersection":
-            return self.params[0].contains(k) and self.params[1].contains(k)
-        return bool(self.fn(k))
+    label: str
+    mask: Callable
+    contains: Callable
+    analytic_density: Optional[Fraction]
+    count: Optional[Callable] = None
+    first: Optional[Callable] = None
 
     def describe(self):
-        if self.kind in ("primes", "squares"):
-            return self.kind
-        if self.kind == "multiples":
-            return f"multiples({self.params[0]})"
-        if self.kind == "finite":
-            return "finite(" + ",".join(str(v) for v in self.params) + ")"
-        if self.kind == "complement":
-            return f"complement({self.params[0].describe()})"
-        if self.kind in ("union", "intersection"):
-            a, b = self.params
-            return f"{self.kind}({a.describe()},{b.describe()})"
-        return "custom"
+        return self.label
 
     def __repr__(self):
-        return f"IndexSet({self.describe()})"
+        return f"IndexSet({self.label})"
+
+
+def _check_cap(label, how_many, least):
+    """Raise when member ``how_many`` of ``label``, which is at least ``least``, passes the cap."""
+    if least > _MEMBER_CAP:
+        raise HorizonExhausted(f"member {how_many} of {label} is beyond the cap {_MEMBER_CAP}")
+
+
+def _first_primes(how_many):
+    if how_many >= 2:
+        # p_n >= n (ln n + ln ln n - 1) for n >= 2 (Dusart), so a request the
+        # cap refuses anyway is refused before the sieve grows for it
+        ln = math.log(how_many)
+        _check_cap("primes", how_many, how_many * (ln + math.log(ln) - 1))
+    found = nth_primes(how_many)
+    _check_cap("primes", how_many, found[-1])
+    return found
+
+
+def _prime_membership(n):
+    return prime_mask(n)[1:].copy() if n >= 1 else np.zeros(0, dtype=bool)
 
 
 def primes():
-    return IndexSet("primes", analytic_density=Fraction(0))
+    return IndexSet("primes", _prime_membership, is_prime, Fraction(0), prime_count, _first_primes)
 
 
 def multiples(m):
     if m < 1:
         raise ValueError("multiples() needs a positive modulus")
-    return IndexSet("multiples", (int(m),), Fraction(1, int(m)))
+    m = int(m)
+    label = f"multiples({m})"
+
+    def mask(n):
+        out = np.zeros(n, dtype=bool)
+        out[m - 1 :: m] = True
+        return out
+
+    def first(how_many):
+        _check_cap(label, how_many, m * how_many)
+        return m * np.arange(1, how_many + 1, dtype=np.int64)
+
+    return IndexSet(label, mask, lambda k: k >= 1 and k % m == 0, Fraction(1, m),
+                    lambda n: n // m, first)
 
 
 def squares():
-    return IndexSet("squares", analytic_density=Fraction(0))
+    def mask(n):
+        out = np.zeros(n, dtype=bool)
+        roots = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
+        out[roots * roots - 1] = True
+        return out
+
+    def first(how_many):
+        _check_cap("squares", how_many, how_many * how_many)
+        base = np.arange(1, how_many + 1, dtype=np.int64)
+        return base * base
+
+    return IndexSet("squares", mask, lambda k: k >= 1 and math.isqrt(k) ** 2 == k, Fraction(0),
+                    math.isqrt, first)
 
 
 def finite(values):
     vals = sorted(set(int(v) for v in values))
     if any(v < 1 for v in vals):
         raise ValueError("index sets contain positive integers only")
-    return IndexSet("finite", tuple(vals), Fraction(0))
+    label = "finite(" + ",".join(str(v) for v in vals) + ")"
+    lookup = frozenset(vals)
+
+    def mask(n):
+        out = np.zeros(n, dtype=bool)
+        out[np.asarray([v for v in vals if v <= n], dtype=np.int64) - 1] = True
+        return out
+
+    def first(how_many):
+        if how_many > len(vals):
+            raise HorizonExhausted(f"{label} has only {len(vals)} members, {how_many} requested")
+        return np.asarray(vals[:how_many], dtype=np.int64)
+
+    return IndexSet(label, mask, lookup.__contains__, Fraction(0),
+                    lambda n: sum(1 for v in vals if v <= n), first)
 
 
 def complement(inner):
     dens = None
     if inner.analytic_density is not None:
         dens = 1 - inner.analytic_density
-    return IndexSet("complement", (inner,), dens)
+    return IndexSet(f"complement({inner.label})", lambda n: ~inner.mask(n),
+                    lambda k: k >= 1 and not inner.contains(k), dens,
+                    None if inner.count is None else lambda n: n - inner.count(n))
 
 
 def union(a, b):
@@ -194,7 +231,8 @@ def union(a, b):
         dens = b.analytic_density
     elif b.analytic_density == 0:
         dens = a.analytic_density
-    return IndexSet("union", (a, b), dens)
+    return IndexSet(f"union({a.label},{b.label})", lambda n: a.mask(n) | b.mask(n),
+                    lambda k: a.contains(k) or b.contains(k), dens)
 
 
 def intersection(a, b):
@@ -205,53 +243,13 @@ def intersection(a, b):
         dens = b.analytic_density
     elif b.analytic_density == 1:
         dens = a.analytic_density
-    return IndexSet("intersection", (a, b), dens)
-
-
-def custom(predicate, density=None):
-    dens = None if density is None else Fraction(density)
-    return IndexSet("custom", (), dens, fn=predicate)
+    return IndexSet(f"intersection({a.label},{b.label})", lambda n: a.mask(n) & b.mask(n),
+                    lambda k: a.contains(k) and b.contains(k), dens)
 
 
 def membership_mask(s, n):
-    """Boolean array of length ``n`` whose entry ``k-1`` says whether ``k`` is in ``s``.
-
-    Structured kinds are vectorised; ``custom`` predicates are evaluated once
-    per index.
-    """
-    n = int(n)
-    if s.kind == "primes":
-        return prime_mask(n)[1:].copy() if n >= 1 else np.zeros(0, dtype=bool)
-    if s.kind == "multiples":
-        m = s.params[0]
-        mask = np.zeros(n, dtype=bool)
-        mask[m - 1 :: m] = True
-        return mask
-    if s.kind == "squares":
-        mask = np.zeros(n, dtype=bool)
-        roots = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
-        mask[roots * roots - 1] = True
-        return mask
-    if s.kind == "finite":
-        mask = np.zeros(n, dtype=bool)
-        idx = [v for v in s.params if v <= n]
-        mask[np.asarray(idx, dtype=np.int64) - 1] = True
-        return mask
-    if s.kind == "complement":
-        return ~membership_mask(s.params[0], n)
-    if s.kind == "union":
-        return membership_mask(s.params[0], n) | membership_mask(s.params[1], n)
-    if s.kind == "intersection":
-        return membership_mask(s.params[0], n) & membership_mask(s.params[1], n)
-    return np.fromiter((bool(s.fn(k)) for k in range(1, n + 1)), dtype=bool, count=n)
-
-
-def _fast_countable(s):
-    if s.kind in ("primes", "multiples", "squares", "finite"):
-        return True
-    if s.kind == "complement":
-        return _fast_countable(s.params[0])
-    return False
+    """Boolean array of length ``n`` whose entry ``k-1`` says whether ``k`` is in ``s``."""
+    return s.mask(int(n))
 
 
 def count(s, n):
@@ -259,17 +257,9 @@ def count(s, n):
     n = int(n)
     if n < 1:
         return 0
-    if s.kind == "primes":
-        return prime_count(n)
-    if s.kind == "multiples":
-        return n // s.params[0]
-    if s.kind == "squares":
-        return math.isqrt(n)
-    if s.kind == "finite":
-        return sum(1 for v in s.params if v <= n)
-    if s.kind == "complement":
-        return n - count(s.params[0], n)
-    return int(membership_mask(s, n).sum())
+    if s.count is not None:
+        return s.count(n)
+    return int(np.count_nonzero(s.mask(n)))
 
 
 def members(s, how_many):
@@ -281,30 +271,9 @@ def members(s, how_many):
     how_many = int(how_many)
     if how_many < 1:
         return np.zeros(0, dtype=np.int64)
-    if s.kind == "multiples":
-        m = s.params[0]
-        if m * how_many > _MEMBER_CAP:
-            raise HorizonExhausted(
-                f"member {how_many} of {s.describe()} is beyond the cap {_MEMBER_CAP}")
-        return m * np.arange(1, how_many + 1, dtype=np.int64)
-    if s.kind == "squares":
-        if how_many * how_many > _MEMBER_CAP:
-            raise HorizonExhausted(
-                f"member {how_many} of {s.describe()} is beyond the cap {_MEMBER_CAP}")
-        base = np.arange(1, how_many + 1, dtype=np.int64)
-        return base * base
-    if s.kind == "primes":
-        found = nth_primes(how_many)
-        if found[-1] > _MEMBER_CAP:
-            raise HorizonExhausted(f"member {how_many} of primes is beyond the cap {_MEMBER_CAP}")
-        return found
-    if s.kind == "finite":
-        if how_many > len(s.params):
-            raise HorizonExhausted(
-                f"{s.describe()} has only {len(s.params)} members, {how_many} requested"
-            )
-        return np.asarray(s.params[:how_many], dtype=np.int64)
-    # generic: scan membership in growing blocks
+    if s.first is not None:
+        return s.first(how_many)
+    # scan membership in growing blocks
     out = []
     total = 0
     start = 1
@@ -312,16 +281,10 @@ def members(s, how_many):
     while total < how_many:
         if start > _MEMBER_CAP:
             raise HorizonExhausted(
-                f"scanned past cap {_MEMBER_CAP} with only {total} members of {s.describe()}"
+                f"scanned past cap {_MEMBER_CAP} with only {total} members of {s.label}"
             )
         stop = min(start + block - 1, _MEMBER_CAP)
-        if s.kind == "custom":
-            mask = np.fromiter(
-                (bool(s.fn(k)) for k in range(start, stop + 1)), dtype=bool, count=stop - start + 1
-            )
-        else:
-            mask = membership_mask(s, stop)[start - 1 :]
-        hits = np.flatnonzero(mask) + start
+        hits = np.flatnonzero(s.mask(stop)[start - 1 :]) + start
         out.append(hits)
         total += len(hits)
         start = stop + 1
@@ -336,50 +299,48 @@ def members(s, how_many):
 _GEOMETRIC_START = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    kind: str          # "geometric" | "linear"
-    value: int         # base, resp. step
+    """Checkpoints ``first, step(first), step(step(first)), ...`` below a
+    horizon, then the horizon itself; ``label`` is the descriptor."""
+
+    label: str
+    first: int
+    step: Callable
 
     def checkpoints(self, horizon):
         horizon = int(horizon)
         if horizon < 2:
             raise ValueError("horizon must be at least 2")
         cps = []
-        if self.kind == "geometric":
-            c = _GEOMETRIC_START
-            while c < horizon:
-                cps.append(c)
-                c *= self.value
-        elif self.kind == "linear":
-            c = self.value
-            while c < horizon:
-                cps.append(c)
-                c += self.value
-        else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        c = self.first
+        while c < horizon:
+            cps.append(c)
+            c = self.step(c)
         cps.append(horizon)
         if len(cps) < 2:
             raise ValueError(
-                f"schedule {self.describe()} yields fewer than 2 checkpoints at horizon {horizon}"
+                f"schedule {self.label} yields fewer than 2 checkpoints at horizon {horizon}"
             )
         return cps
 
     def describe(self):
-        return f"{self.kind}:{self.value}"
+        return self.label
 
 
 def geometric(base=10):
     """Checkpoints ``10, 10 * base, 10 * base^2, ...`` below the horizon, then the horizon."""
     if base < 2:
         raise ValueError("geometric schedule needs base >= 2")
-    return Schedule("geometric", int(base))
+    base = int(base)
+    return Schedule(f"geometric:{base}", _GEOMETRIC_START, lambda c: c * base)
 
 
 def linear(step):
     if step < 1:
         raise ValueError("linear schedule needs a positive step")
-    return Schedule("linear", int(step))
+    step = int(step)
+    return Schedule(f"linear:{step}", step, lambda c: c + step)
 
 
 def parse_schedule(text):
@@ -435,10 +396,9 @@ def density_profile(s, horizon=DEFAULT_HORIZON, schedule=None):
     """Exact counts of ``s`` at scheduled checkpoints up to ``horizon``."""
     schedule = schedule or DEFAULT_SCHEDULE
     cps = schedule.checkpoints(horizon)
-    if not _fast_countable(s):
+    if s.count is None:
         return profile_from_mask(membership_mask(s, cps[-1]), cps[-1], schedule)
-    counts = [count(s, c) for c in cps]
-    return DensityProfile(tuple(cps), tuple(counts))
+    return DensityProfile(tuple(cps), tuple(s.count(c) for c in cps))
 
 
 def profile_from_mask(mask, horizon, schedule=None):
@@ -605,7 +565,6 @@ __all__ = [
     "complement",
     "union",
     "intersection",
-    "custom",
     "membership_mask",
     "count",
     "members",

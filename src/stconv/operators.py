@@ -38,32 +38,26 @@ _ESTIMATE_SEED = 2024
 # functionals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FunctionalSpec:
-    """A linear functional on one of the spaces.
+    """A linear functional on one of the spaces, as the functions its
+    constructor chose.
 
-    kinds: ``coordinate`` (params: index), ``dense_weights`` (params: weight
-    tuple), ``sparse_weighted`` (params: name; ``wfun`` vectorised weight
-    function).
+    ``weights(ks)`` is ``f(e_k)`` at the int64 indices ``ks`` (zero off the
+    support); ``norm_bound(domain_norm)`` is a known bound on
+    ``|f(x)| / ||x||``, or None; ``last`` is the largest index the functional
+    weighs, when a dense space must reach it, else None.
     """
 
-    kind: str
-    params: tuple = ()
-    wfun: Optional[Callable] = None
-
-    def weights(self, ks):
-        """``f(e_k)`` at the int64 indices ``ks`` (zero off the support)."""
-        if self.kind == "coordinate":
-            return (ks == self.params[0]).astype(float)
-        if self.kind == "dense_weights":
-            w = np.asarray(self.params)
-            return np.where(ks <= len(w), w[np.minimum(ks, len(w)) - 1], 0.0)
-        return self.wfun(ks)
+    label: str
+    weights: Callable
+    norm_bound: Callable
+    last: Optional[int]
 
     def weights_upto(self, dim):
         """``f(e_k)`` for ``k = 1..dim``, the weights on ``dense:dim``."""
-        if self.kind == "coordinate" and self.params[0] > dim:
-            raise ValueError(f"coordinate {self.params[0]} outside dense:{dim}")
+        if self.last is not None and self.last > dim:
+            raise ValueError(f"coordinate {self.last} outside dense:{dim}")
         return self.weights(np.arange(1, dim + 1, dtype=np.int64))
 
     def evaluate(self, x):
@@ -72,40 +66,41 @@ class FunctionalSpec:
             return float(np.sum(self.weights(idx) * vals))
         return float(np.sum(self.weights_upto(len(x.coords)) * np.asarray(x.coords)))
 
-    def norm_bound(self, domain_norm):
-        """Known bound on ``|f(x)| / ||x||``, or None."""
-        if self.kind == "coordinate":
-            return 1.0
-        if self.kind == "dense_weights":
-            w = np.asarray(self.params)
-            if domain_norm.kind == "sup":
-                return float(np.sum(np.abs(w)))
-            q = domain_norm.p / (domain_norm.p - 1) if domain_norm.p > 1 else np.inf
-            if q == np.inf:
-                return float(np.max(np.abs(w)))
-            return float(np.sum(np.abs(w) ** q) ** (1.0 / q))
-        return None
-
     def describe(self):
-        if self.kind == "coordinate":
-            return f"coord({self.params[0]})"
-        if self.kind == "dense_weights":
-            return "weights[" + ",".join(format_float(w) for w in self.params) + "]"
-        return self.params[0]
+        return self.label
+
+    def __repr__(self):
+        return f"FunctionalSpec({self.label})"
 
 
 def coordinate_functional(j):
     if j < 1:
         raise ValueError("coordinate functionals are indexed from 1")
-    return FunctionalSpec("coordinate", (int(j),))
+    j = int(j)
+    return FunctionalSpec(f"coord({j})", lambda ks: (ks == j).astype(float), lambda _: 1.0, j)
 
 
 def dense_weights(weights):
-    return FunctionalSpec("dense_weights", tuple(float(w) for w in weights))
+    w = np.array(weights, dtype=float)
+
+    def norm_bound(domain_norm):
+        if domain_norm.kind == "sup":
+            return float(np.sum(np.abs(w)))
+        q = domain_norm.p / (domain_norm.p - 1) if domain_norm.p > 1 else np.inf
+        if q == np.inf:
+            return float(np.max(np.abs(w)))
+        return float(np.sum(np.abs(w) ** q) ** (1.0 / q))
+
+    return FunctionalSpec(
+        "weights[" + ",".join(format_float(v) for v in w.tolist()) + "]",
+        lambda ks: np.where(ks <= len(w), w[np.minimum(ks, len(w)) - 1], 0.0),
+        norm_bound, None,
+    )
 
 
 def sparse_weighted(name, wfun):
-    return FunctionalSpec("sparse_weighted", (name,), wfun=wfun)
+    """The functional with the vectorised weight function ``wfun``, described by ``name``."""
+    return FunctionalSpec(name, wfun, lambda _: None, None)
 
 
 def linear_growth_functional():

@@ -210,6 +210,14 @@ def test_suite_passes_and_exits_zero(capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_suite_rejects_expect(capsys):
+    # the suite has no single decision, so an expectation would go unchecked
+    code, out, err = run_text(capsys, ["suite", "--horizon", "2000", "--expect", "refuted"])
+    assert code == 2
+    assert out == ""
+    assert "--expect" in err
+
+
 # ---------------------------------------------------------------------------
 # expectations and exit codes
 # ---------------------------------------------------------------------------

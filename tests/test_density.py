@@ -59,6 +59,21 @@ def test_nth_primes_independent_of_call_order(empty_sieve, order):
         assert density.prime_count(12 * k) == bisect.bisect_right(oracle, 12 * k)
 
 
+def test_primes_beyond_the_cap_are_refused_before_sieving():
+    # the 10^7-th prime lies past the member cap, and Dusart's bound says so without sieving
+    sieved = len(density._sieve_mask)
+    with pytest.raises(density.HorizonExhausted, match="member 10000000 of primes is beyond the cap"):
+        density.members(density.primes(), 10**7)
+    assert len(density._sieve_mask) == sieved
+
+
+def test_dusart_bound_holds_below_the_sieved_primes():
+    # p_n >= n (ln n + ln ln n - 1) for n >= 2: the early refusal never refuses a prime the cap allows
+    p = density.nth_primes(100_000)
+    n = np.arange(2, len(p) + 1, dtype=float)
+    assert np.all(n * (np.log(n) + np.log(np.log(n)) - 1) <= p[1:])
+
+
 def test_is_prime_agrees_with_sieve():
     primes = set(oracles.sieve_primes(2_000))
     for k in range(1, 2_001):
@@ -96,8 +111,9 @@ def test_finite_sets_do_not_share_members():
     for _ in range(2000):
         assert density.finite([1, 2, 3]).contains(1)
         assert not density.finite([500]).contains(1)
-    assert density.IndexSet("finite", (7, 3)).contains(3)
-    assert density.finite([7, 3]) == density.IndexSet("finite", (3, 7), analytic_density=0)
+    s = density.finite([7, 3])
+    assert s.contains(3) and not s.contains(0)
+    assert s.describe() == "finite(3,7)" and s.analytic_density == 0
 
 
 def test_finite_set_counting_and_members():
@@ -136,6 +152,45 @@ def test_count_monotone_in_horizon(m, n):
     assert density.count(s, n) <= density.count(s, n + 1) <= density.count(s, n) + 1
 
 
+def _set_descriptors(depth):
+    """Index-set descriptors of the grammar, nested at most ``depth`` deep."""
+    leaves = st.one_of(
+        st.sampled_from(["primes", "squares"]),
+        st.integers(min_value=1, max_value=12).map(lambda m: f"multiples({m})"),
+        st.lists(st.integers(min_value=1, max_value=3_500), min_size=1, max_size=5).map(
+            lambda vs: "finite(" + ",".join(map(str, vs)) + ")"),
+    )
+    if depth == 0:
+        return leaves
+    inner = _set_descriptors(depth - 1)
+    composites = {
+        "leaf": leaves,
+        "complement": inner.map(lambda a: f"complement({a})"),
+        "union": st.tuples(inner, inner).map(lambda ab: f"union({ab[0]},{ab[1]})"),
+        "intersection": st.tuples(inner, inner).map(lambda ab: f"intersection({ab[0]},{ab[1]})"),
+    }
+    # pick the kind first, so that each is drawn about equally often
+    return st.sampled_from(sorted(composites)).flatmap(composites.__getitem__)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_set_descriptors(3), st.integers(min_value=2, max_value=2_999))
+def test_index_set_records_agree_with_membership_oracle(text, n):
+    # every fast count and first-members function is checked against the per-index test
+    horizon = 3_000
+    s = density.parse_index_set(text)
+    oracle = np.array([s.contains(k) for k in range(1, horizon + 1)], dtype=bool)
+    assert not s.contains(0)
+    assert np.array_equal(density.membership_mask(s, n), oracle[:n])
+    assert np.array_equal(density.membership_mask(s, horizon), oracle)
+    assert density.count(s, n) == int(oracle[:n].sum())
+    found = np.flatnonzero(oracle) + 1
+    assert density.members(s, len(found)).tolist() == found.tolist()
+    profile = density.density_profile(s, horizon, density.linear(n))
+    assert list(profile.counts) == [int(oracle[:c].sum()) for c in profile.checkpoints]
+    assert density.parse_index_set(s.describe()).describe() == s.describe()
+
+
 def test_analytic_densities():
     assert density.primes().analytic_density == 0
     assert density.squares().analytic_density == 0
@@ -146,12 +201,6 @@ def test_analytic_densities():
     assert density.union(density.primes(), density.multiples(2)).analytic_density == 0.5
     # overlapping positive-density parts are not resolved analytically
     assert density.union(density.multiples(2), density.multiples(3)).analytic_density is None
-
-
-def test_custom_predicate_set():
-    s = density.custom(lambda ks: ks % 10 == 1, density=0.1)
-    assert density.count(s, 100) == 10
-    assert s.analytic_density == 0.1
 
 
 # ---------------------------------------------------------------------------
