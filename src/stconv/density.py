@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .parsing import Cursor, ParseError
+from .parsing import Cursor, ParseError, parse_whole
 
 DEFAULT_HORIZON = 1_000_000
 DEFAULT_TOLERANCE = 0.01
@@ -515,38 +515,20 @@ def parse_index_set_at(cur):
     if name == "squares":
         return squares()
     if name == "multiples":
-        cur.expect("(")
-        m = cur.integer()
-        cur.expect(")")
-        return multiples(m)
+        return multiples(*cur.args(Cursor.integer))
     if name == "finite":
-        cur.expect("(")
-        values = [cur.integer()]
-        while cur.try_eat(","):
-            values.append(cur.integer())
-        cur.expect(")")
-        return finite(values)
+        return finite(cur.items(Cursor.integer, "(", ")", ","))
     if name == "complement":
-        cur.expect("(")
-        inner = parse_index_set_at(cur)
-        cur.expect(")")
-        return complement(inner)
+        return complement(*cur.args(parse_index_set_at))
     if name in ("union", "intersection"):
-        cur.expect("(")
-        a = parse_index_set_at(cur)
-        cur.expect(",")
-        b = parse_index_set_at(cur)
-        cur.expect(")")
+        a, b = cur.args(parse_index_set_at, parse_index_set_at)
         return union(a, b) if name == "union" else intersection(a, b)
     cur.error(f"unknown index set {name!r}")
 
 
 def parse_index_set(text):
     """Parse descriptors like ``primes`` or ``union(multiples(3),squares)``."""
-    cur = Cursor(text)
-    s = parse_index_set_at(cur)
-    cur.finish("index set")
-    return s
+    return parse_whole(text, parse_index_set_at, "index set")
 
 
 __all__ = [

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import density, sequences, spaces
-from .parsing import Cursor, format_float
+from .parsing import Cursor, format_float, parse_whole
 from .sequences import (
     DenseBlock,
     FixedBasisCombo,
@@ -308,7 +308,14 @@ def matrix_operator(rows):
     return Matrix(a)
 
 
+def _refuse_transforms(*ops):
+    if any(isinstance(op, SequenceTransform) for op in ops):
+        raise ValueError("sequence transforms act on whole sequences; "
+                         "they cannot be composed or combined with other operators")
+
+
 def compose(outer, inner):
+    _refuse_transforms(outer, inner)
     if inner.codomain != outer.domain:
         raise ValueError(
             f"cannot compose: inner codomain {inner.codomain.describe()} "
@@ -318,6 +325,7 @@ def compose(outer, inner):
 
 
 def linear_combo(alpha, s, beta, t):
+    _refuse_transforms(s, t)
     if s.domain != t.domain or s.codomain != t.codomain:
         raise ValueError("linear combinations need matching domains and codomains")
     return LinearCombo(float(alpha), s, float(beta), t)
@@ -497,38 +505,19 @@ def named_diagonal(name, arg=None):
 def _parse_functional(cur):
     name = cur.ident()
     if name == "coord":
-        cur.expect("(")
-        j = cur.integer()
-        cur.expect(")")
-        return coordinate_functional(j)
+        return coordinate_functional(*cur.args(Cursor.integer))
     if name == "weights":
-        cur.expect("[")
-        vals = [cur.number()]
-        while cur.try_eat(","):
-            vals.append(cur.number())
-        cur.expect("]")
-        return dense_weights(vals)
+        return dense_weights(cur.items(Cursor.number, "[", "]", ","))
     if name in _FUNCTIONAL_NAMES:
         return _FUNCTIONAL_NAMES[name]()
     cur.error(f"unknown functional {name!r}")
 
 
-def _parse_matrix(cur):
-    cur.expect("[")
-    rows = []
-    while True:
-        cur.expect("[")
-        row = [cur.number()]
-        while cur.try_eat(","):
-            row.append(cur.number())
-        cur.expect("]")
-        rows.append(row)
-        if not cur.try_eat(","):
-            break
-    cur.expect("]")
-    if any(len(r) != len(rows[0]) for r in rows):
-        cur.error("matrix rows must share a length")
-    return matrix_operator(rows)
+def _parse_piece(cur):
+    """``functional , element``: the one piece of ``rank1``, each piece of ``finite_rank``."""
+    f = _parse_functional(cur)
+    cur.expect(",")
+    return f, spaces.parse_element_at(cur)
 
 
 def _parse_operator(cur):
@@ -543,48 +532,21 @@ def _parse_operator(cur):
         cur.expect(")")
         return named_diagonal(dname, arg)
     if name == "rank1":
-        cur.expect("(")
-        f = _parse_functional(cur)
-        cur.expect(",")
-        y0 = spaces.parse_element_at(cur)
-        cur.expect(")")
+        (f, y0), = cur.args(_parse_piece)
         return rank_one(f, y0)
     if name == "finite_rank":
-        cur.expect("(")
-        pieces = []
-        while True:
-            f = _parse_functional(cur)
-            cur.expect(",")
-            y0 = spaces.parse_element_at(cur)
-            pieces.append((f, y0))
-            if not cur.try_eat(";"):
-                break
-        cur.expect(")")
-        return finite_rank(pieces)
+        return finite_rank(cur.items(_parse_piece, "(", ")", ";"))
     if name == "matrix":
-        return _parse_matrix(cur)
+        rows = cur.items(lambda c: c.items(Cursor.number, "[", "]", ","), "[", "]", ",")
+        if any(len(r) != len(rows[0]) for r in rows):
+            cur.error("matrix rows must share a length")
+        return matrix_operator(rows)
     if name == "compose":
-        cur.expect("(")
-        outer = _parse_operator(cur)
-        cur.expect(",")
-        inner = _parse_operator(cur)
-        cur.expect(")")
-        return compose(outer, inner)
+        return compose(*cur.args(_parse_operator, _parse_operator))
     if name == "combo":
-        cur.expect("(")
-        alpha = cur.number()
-        cur.expect(",")
-        s = _parse_operator(cur)
-        cur.expect(",")
-        beta = cur.number()
-        cur.expect(",")
-        t = _parse_operator(cur)
-        cur.expect(")")
-        return linear_combo(alpha, s, beta, t)
+        return linear_combo(*cur.args(Cursor.number, _parse_operator, Cursor.number, _parse_operator))
     if name == "transform":
-        cur.expect("(")
-        tname = cur.ident()
-        cur.expect(")")
+        tname, = cur.args(Cursor.ident)
         if tname not in _TRANSFORM_NAMES:
             cur.error(f"unknown transform {tname!r}")
         return _TRANSFORM_NAMES[tname]()
@@ -593,10 +555,7 @@ def _parse_operator(cur):
 
 def parse_operator(text):
     """Parse operator descriptors like ``diag(prime_scale)`` or ``matrix[[2,0],[0,3]]``."""
-    cur = Cursor(text)
-    op = _parse_operator(cur)
-    cur.finish("operator")
-    return op
+    return parse_whole(text, _parse_operator, "operator")
 
 
 __all__ = [

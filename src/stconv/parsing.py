@@ -2,7 +2,9 @@
 
 Each grammar (index sets, elements, sequences, operators) builds on a
 :class:`Cursor` that tracks a position into the source text so that errors
-can point at the offending character.
+can point at the offending character.  Argument lists and delimited lists
+are read by :meth:`Cursor.args` and :meth:`Cursor.items`, and a whole
+descriptor by :func:`parse_whole`.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class Cursor:
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
 
     def try_eat(self, token):
         self.skip_ws()
@@ -85,9 +83,35 @@ class Cursor:
             self.error("expected an integer")
         return int(value)
 
-    def finish(self, what="expression"):
-        if not self.at_end():
-            self.error(f"unexpected trailing text after {what}")
+    def args(self, *parts):
+        """Read ``( a , b , ... )``, reading argument ``i`` with ``parts[i](self)``."""
+        self.expect("(")
+        values = []
+        for i, part in enumerate(parts):
+            if i:
+                self.expect(",")
+            values.append(part(self))
+        self.expect(")")
+        return values
+
+    def items(self, part, open, close, sep):
+        """Read ``open item {sep item} close``: one or more items read by ``part(self)``."""
+        self.expect(open)
+        values = [part(self)]
+        while self.try_eat(sep):
+            values.append(part(self))
+        self.expect(close)
+        return values
+
+
+def parse_whole(text, part, what):
+    """Read all of ``text`` with ``part(cursor)``; trailing text is an error."""
+    cur = Cursor(text)
+    value = part(cur)
+    cur.skip_ws()
+    if cur.pos < len(text):
+        cur.error(f"unexpected trailing text after {what}")
+    return value
 
 
 def format_float(x):

@@ -26,15 +26,16 @@ evaluation strategy, never a second source of truth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import density, parsing, spaces
+from . import density, spaces
 from .density import HorizonExhausted
-from .parsing import format_float
+from .parsing import Cursor, format_float, parse_whole
 from .spaces import (
     DenseElement,
     Norm,
@@ -977,26 +978,15 @@ def parse_sequence_at(cur, default_seed=7):
             cur.expect(")")
         return zero_sequence(space)
     if name in ("constant", "null"):
-        cur.expect("(")
-        value = spaces.parse_element_at(cur)
-        cur.expect(")")
+        value, = cur.args(spaces.parse_element_at)
         if name == "constant":
             return constant_sequence(value)
         return decaying_sequence(value)
-    if name == "index":
-        cur.expect("(")
-        space = _parse_space_arg(cur, default_dim=1)
-        cur.expect(")")
+    if name in ("index", "alternating"):
+        space, = cur.args(lambda c: _parse_space_arg(c, default_dim=1))
         if space.kind != "dense":
-            cur.error("index sequences are dense")
-        return index_sequence(space.dim)
-    if name == "alternating":
-        cur.expect("(")
-        space = _parse_space_arg(cur, default_dim=1)
-        cur.expect(")")
-        if space.kind != "dense":
-            cur.error("alternating sequences are dense")
-        return alternating_sequence(space.dim)
+            cur.error(f"{name} sequences are dense")
+        return (index_sequence if name == "index" else alternating_sequence)(space.dim)
     if name == "spike":
         cur.expect("(")
         spikes = density.parse_index_set_at(cur)
@@ -1009,45 +999,33 @@ def parse_sequence_at(cur, default_seed=7):
         return spike_sequence(space, spikes, magnitude=mag)
     if name == "random":
         cur.expect("(")
-        space = dense_space(3)
-        seed = default_seed
+        given = {}
         while not cur.try_eat(")"):
+            start = cur.pos
             if cur.try_eat("seed"):
                 cur.expect("=")
-                seed = cur.integer()
+                key, value = "seed", cur.integer()
             else:
-                space = _parse_space_arg(cur)
+                key, value = "space", _parse_space_arg(cur)
+            if key in given:
+                cur.pos = start
+                cur.error(f"repeated {key} argument")
+            given[key] = value
             if not cur.try_eat(","):
                 cur.expect(")")
                 break
-        return random_unit_ball(space, seed)
+        return random_unit_ball(given.get("space", dense_space(3)), given.get("seed", default_seed))
+    seq = functools.partial(parse_sequence_at, default_seed=default_seed)
     if name == "combine":
-        cur.expect("(")
-        a = parse_sequence_at(cur, default_seed)
-        cur.expect(",")
-        b = parse_sequence_at(cur, default_seed)
-        cur.expect(",")
-        alpha = cur.number()
-        cur.expect(",")
-        beta = cur.number()
-        cur.expect(")")
-        return combine(a, b, alpha, beta)
+        return combine(*cur.args(seq, seq, Cursor.number, Cursor.number))
     if name == "subseq":
-        cur.expect("(")
-        seq = parse_sequence_at(cur, default_seed)
-        cur.expect(",")
-        along = density.parse_index_set_at(cur)
-        cur.expect(")")
-        return subsequence(seq, along)
+        return subsequence(*cur.args(seq, density.parse_index_set_at))
     cur.error(f"unknown sequence {name!r}")
 
 
 def parse_sequence(text, default_seed=7):
     """Parse sequence descriptors like ``harmonic`` or ``spike(squares,n)``."""
-    cur = parsing.Cursor(text)
-    seq = parse_sequence_at(cur, default_seed)
-    cur.finish("sequence")
-    return seq
+    return parse_whole(text, functools.partial(parse_sequence_at, default_seed=default_seed), "sequence")
 
 
 __all__ = [

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .parsing import Cursor, format_float
+from .parsing import Cursor, format_float, parse_whole
 
 ALGEBRA_TOL = 1e-12
 
@@ -202,12 +202,7 @@ def format_element(x):
 def parse_element_at(cur):
     name = cur.ident()
     if name == "dense":
-        cur.expect("[")
-        coords = [cur.number()]
-        while cur.try_eat(","):
-            coords.append(cur.number())
-        cur.expect("]")
-        return dense_element(coords)
+        return dense_element(cur.items(Cursor.number, "[", "]", ","))
     if name == "sparse":
         cur.expect("{")
         support = {}
@@ -225,10 +220,7 @@ def parse_element_at(cur):
 
 def parse_element(text):
     """Parse ``dense[1,0.5]`` or ``sparse{1:1,3:0.25}`` literals."""
-    cur = Cursor(text)
-    x = parse_element_at(cur)
-    cur.finish("element")
-    return x
+    return parse_whole(text, parse_element_at, "element")
 
 
 __all__ = [

@@ -314,10 +314,158 @@ def test_expect_match_and_mismatch(capsys):
     assert bad == 1
 
 
-def test_parse_error_exits_two_with_position(capsys):
-    code, _, err = run_text(capsys, ["density", "--set", "multiples(x)"])
+_PARSE_ARGV = {
+    "set": ["density", "--set"],
+    "sequence": ["converge", "--sequence"],
+    "candidate": ["converge", "--sequence", "harmonic", "--candidate"],
+    "operator": ["converge", "--sequence", "harmonic", "--operator"],
+}
+
+# Each grammar production with a missing separator, a missing closer and an
+# empty argument list, among others; the reports are pinned byte for byte.
+_PARSE_ERRORS = [
+    ("set", "multiples(x)", "expected a number at position 10"),
+    ("set", "multiples 3", "expected '(' at position 10"),
+    ("set", "multiples(3", "expected ')' at position 11"),
+    ("set", "multiples()", "expected a number at position 10"),
+    ("set", "multiples(3,4)", "expected ')' at position 11"),
+    ("set", "finite(1 2)", "expected ')' at position 9"),
+    ("set", "finite(1,2", "expected ')' at position 10"),
+    ("set", "finite()", "expected a number at position 7"),
+    ("set", "finite(1,)", "expected a number at position 9"),
+    ("set", "complement(primes", "expected ')' at position 17"),
+    ("set", "complement()", "expected a name at position 11"),
+    ("set", "complement primes", "expected '(' at position 11"),
+    ("set", "complement(primes,squares)", "expected ')' at position 17"),
+    ("set", "union(primes squares)", "expected ',' at position 13"),
+    ("set", "union(primes,squares", "expected ')' at position 20"),
+    ("set", "union()", "expected a name at position 6"),
+    ("set", "union(primes)", "expected ',' at position 12"),
+    ("set", "intersection(primes,)", "expected a name at position 20"),
+    ("set", "intersection(primes squares)", "expected ',' at position 20"),
+    ("set", "primes)", "unexpected trailing text after index set at position 6"),
+    ("set", "bogus", "unknown index set 'bogus' at position 5"),
+    ("set", "", "expected a name at position 0"),
+    ("candidate", "dense[1 2]", "expected ']' at position 8"),
+    ("candidate", "dense[1,2", "expected ']' at position 9"),
+    ("candidate", "dense[]", "expected a number at position 6"),
+    ("candidate", "dense[1,]", "expected a number at position 8"),
+    ("candidate", "dense 1", "expected '[' at position 6"),
+    ("candidate", "sparse{1:1 2:2}", "expected '}' at position 11"),
+    ("candidate", "sparse{1:1", "expected '}' at position 10"),
+    ("candidate", "sparse{1}", "expected ':' at position 8"),
+    ("candidate", "vector[1]", "expected an element literal, got 'vector' at position 6"),
+    ("candidate", "dense[1]]", "unexpected trailing text after element at position 8"),
+    ("operator", "rank1(coord 1, sparse{1:1})", "expected '(' at position 12"),
+    ("operator", "rank1(coord(1, sparse{1:1})", "expected ')' at position 13"),
+    ("operator", "rank1(coord(), sparse{1:1})", "expected a number at position 12"),
+    ("operator", "rank1(weights[1 2], dense[1,0,0])", "expected ']' at position 16"),
+    ("operator", "rank1(weights[1,2, dense[1])", "expected a number at position 19"),
+    ("operator", "rank1(weights[], dense[1])", "expected a number at position 14"),
+    ("operator", "rank1(weights 1, dense[1])", "expected '[' at position 14"),
+    ("operator", "matrix[[1,0][0,1]]", "expected ']' at position 12"),
+    ("operator", "matrix[[1,0],[0,1]", "expected ']' at position 18"),
+    ("operator", "matrix[]", "expected '[' at position 7"),
+    ("operator", "matrix[[]]", "expected a number at position 8"),
+    ("operator", "matrix[[1,0],[0]]", "matrix rows must share a length at position 17"),
+    ("operator", "matrix[[1 0]]", "expected ']' at position 10"),
+    ("operator", "matrix[[1,0],]", "expected '[' at position 13"),
+    ("operator", "matrix 1", "expected '[' at position 7"),
+    ("operator", "rank1(coord(1) sparse{1:1})", "expected ',' at position 15"),
+    ("operator", "rank1(coord(1), sparse{1:1}", "expected ')' at position 27"),
+    ("operator", "rank1()", "expected a name at position 6"),
+    ("operator", "rank1(coord(1))", "expected ',' at position 14"),
+    ("operator", "finite_rank(coord(1), sparse{1:1} coord(2), sparse{2:1})", "expected ')' at position 34"),
+    ("operator", "finite_rank(coord(1), sparse{1:1}", "expected ')' at position 33"),
+    ("operator", "finite_rank()", "expected a name at position 12"),
+    ("operator", "finite_rank(coord(1), sparse{1:1};)", "expected a name at position 34"),
+    ("operator", "finite_rank(coord(1) sparse{1:1})", "expected ',' at position 21"),
+    ("operator", "compose(diag(identity) diag(inverse))", "expected ',' at position 23"),
+    ("operator", "compose(diag(identity), diag(inverse)", "expected ')' at position 37"),
+    ("operator", "compose()", "expected a name at position 8"),
+    ("operator", "compose(diag(identity))", "expected ',' at position 22"),
+    ("operator", "combo(1 diag(identity), 1, diag(inverse))", "expected ',' at position 8"),
+    ("operator", "combo(1, diag(identity), 1, diag(inverse)", "expected ')' at position 41"),
+    ("operator", "combo()", "expected a number at position 6"),
+    ("operator", "combo(1, diag(identity))", "expected ',' at position 23"),
+    ("operator", "combo(x, diag(identity), 1, diag(inverse))", "expected a number at position 6"),
+    ("operator", "transform(prime_scale_by_position", "expected ')' at position 33"),
+    ("operator", "transform()", "expected a name at position 10"),
+    ("operator", "transform(bogus)", "unknown transform 'bogus' at position 16"),
+    ("operator", "transform prime_scale_by_position", "expected '(' at position 10"),
+    ("operator", "transform(prime_scale_by_position, x)", "expected ')' at position 33"),
+    ("operator", "diag(identity", "expected ')' at position 13"),
+    ("operator", "diag()", "expected a name at position 5"),
+    ("operator", "diag(inverse_trunc(3)", "expected ')' at position 21"),
+    ("operator", "diag(identity) x", "unexpected trailing text after operator at position 15"),
+    ("operator", "bogus(1)", "unknown operator 'bogus' at position 5"),
+    ("sequence", "constant(dense[1,2]", "expected ')' at position 19"),
+    ("sequence", "constant()", "expected a name at position 9"),
+    ("sequence", "constant dense[1]", "expected '(' at position 9"),
+    ("sequence", "constant(dense[1], dense[2])", "expected ')' at position 17"),
+    ("sequence", "null(sparse{1:1}", "expected ')' at position 16"),
+    ("sequence", "null()", "expected a name at position 5"),
+    ("sequence", "null(sparse{1:1} sparse{2:1})", "expected ')' at position 17"),
+    ("sequence", "index(dim=2", "expected ')' at position 11"),
+    ("sequence", "index(sparse)", "index sequences are dense at position 13"),
+    ("sequence", "index(dim=)", "expected a number at position 10"),
+    ("sequence", "index(dim 2)", "expected '=' at position 10"),
+    ("sequence", "index dim=2", "expected '(' at position 6"),
+    ("sequence", "alternating(dim=2", "expected ')' at position 17"),
+    ("sequence", "alternating(sparse)", "alternating sequences are dense at position 19"),
+    ("sequence", "alternating(dim=2,3)", "expected ')' at position 17"),
+    ("sequence", "alternating", "expected '(' at position 11"),
+    ("sequence", "combine(harmonic unit_coords, 1, 1)", "expected ',' at position 17"),
+    ("sequence", "combine(harmonic, unit_coords, 1, 1", "expected ')' at position 35"),
+    ("sequence", "combine()", "expected a name at position 8"),
+    ("sequence", "combine(harmonic, unit_coords, 1)", "expected ',' at position 32"),
+    ("sequence", "combine(harmonic, unit_coords, 1 1)", "expected ',' at position 33"),
+    ("sequence", "subseq(unit_coords primes)", "expected ',' at position 19"),
+    ("sequence", "subseq(unit_coords, primes", "expected ')' at position 26"),
+    ("sequence", "subseq()", "expected a name at position 7"),
+    ("sequence", "subseq(unit_coords)", "expected ',' at position 18"),
+    # accepted until repeated arguments were refused: the last one won
+    ("sequence", "random(seed=3, seed=4)", "repeated seed argument at position 15"),
+    ("sequence", "random(dim=3, sparse)", "repeated space argument at position 14"),
+    ("sequence", "random(sparse, dim=2)", "repeated space argument at position 15"),
+    ("sequence", "random(seed 3)", "expected '=' at position 12"),
+    ("sequence", "random(seed=3", "expected ')' at position 13"),
+    ("sequence", "random(seed=x)", "expected a number at position 12"),
+    ("sequence", "random(seed=3 sparse)", "expected ')' at position 14"),
+    ("sequence", "zero(sparse", "expected ')' at position 11"),
+    ("sequence", "zero(dim=2,)", "expected ')' at position 10"),
+    ("sequence", "spike(squares n)", "expected ',' at position 14"),
+    ("sequence", "spike(squares, n", "expected ')' at position 16"),
+    ("sequence", "spike()", "expected a name at position 6"),
+    ("sequence", "spike(squares, n, sparse", "expected ')' at position 24"),
+    ("sequence", "harmonic extra", "unexpected trailing text after sequence at position 9"),
+    ("sequence", "bogus", "unknown sequence 'bogus' at position 5"),
+]
+
+
+@pytest.mark.parametrize("flag,text,message", _PARSE_ERRORS, ids=[f"{f}:{t}" for f, t, _ in _PARSE_ERRORS])
+def test_parse_error_exits_two_with_position(capsys, flag, text, message):
+    code, out, err = run_text(capsys, [*_PARSE_ARGV[flag], text, "--horizon", "100"])
     assert code == 2
-    assert "position" in err
+    assert out == ""
+    assert err == f"error: {message}: {text!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--sequence", "harmonic", "--operator",
+     "compose(transform(prime_scale_by_position), diag(inverse))"],
+    ["converge", "--sequence", "harmonic", "--operator",
+     "compose(diag(inverse), transform(prime_scale_by_position))"],
+    ["converge", "--sequence", "harmonic", "--operator",
+     "combo(1, transform(prime_scale_by_position), 1, diag(identity))"],
+    ["classify", "--property", "st_bounded", "--operator",
+     "compose(transform(prime_scale_by_position), diag(inverse))"],
+], ids=["compose-outer", "compose-inner", "combo", "classify"])
+def test_nested_transform_exits_two(capsys, argv):
+    code, out, err = run_text(capsys, [*argv, "--horizon", "100"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sequence transforms act on whole sequences")
 
 
 def test_env_horizon_override(capsys, monkeypatch):

@@ -144,6 +144,18 @@ def test_apply_rejects_transforms():
         operators.apply(tr, spaces.sparse_element({1: 1.0}))
 
 
+@pytest.mark.parametrize("build", [
+    lambda tr, d: operators.compose(tr, d),
+    lambda tr, d: operators.compose(d, tr),
+    lambda tr, d: operators.linear_combo(1.0, tr, 1.0, d),
+    lambda tr, d: operators.linear_combo(1.0, d, 1.0, tr),
+], ids=["compose-outer", "compose-inner", "combo-first", "combo-second"])
+def test_transforms_are_neither_composed_nor_combined(build):
+    tr = operators.prime_position_transform()
+    with pytest.raises(ValueError, match="sequence transforms act on whole sequences"):
+        build(tr, operators.named_diagonal("inverse"))
+
+
 def test_compose_rejects_space_mismatch():
     m = operators.matrix_operator(((1.0, 0.0),))
     with pytest.raises(ValueError):
