@@ -68,15 +68,30 @@ DEFAULT_CLASSIFY_HORIZON = 100_000
 DEFAULT_CLASSIFY_TOLERANCE = 0.1
 _RATIO_DOUBLINGS = 60
 
+
+def _st_bounded_input(member, horizon, tolerance):
+    return st_bounded(member, horizon=horizon, tolerance=tolerance).decision
+
+
+def _st_null_input(member, horizon, tolerance):
+    return st_converges(member, horizon=horizon, tolerance=tolerance).decision
+
+
+def _norm_bounded_input(member, horizon, tolerance):
+    # analytic bounds only: a finite sweep cannot certify sup ||x_n||
+    return "confirmed" if member.norm_bound is not None else "inconclusive"
+
+
 # The paper's five definitions as data.  Each property is an implication:
 # when the input x_n satisfies the hypothesis, the image T x_n must satisfy
-# the conclusion, which names the ``stanalysis`` verdict that decides it.
+# the conclusion.  The hypothesis decides ``(member, horizon, tolerance)``;
+# the conclusion is the ``stanalysis`` verdict that decides the image.
 _DEFINITIONS = {
-    "st_bounded": ("st_bounded", "st_bounded"),
-    "n_st_bounded": ("norm_bounded", "st_bounded"),
-    "st_continuous": ("st_null", "st_converges"),
-    "n_st_continuous": ("norm_null", "st_converges"),
-    "st_compact": ("st_bounded", "st_converges_search"),
+    "st_bounded": (_st_bounded_input, st_bounded),
+    "n_st_bounded": (_norm_bounded_input, st_bounded),
+    "st_continuous": (_st_null_input, st_converges),
+    "n_st_continuous": (norm_limit_zero, st_converges),
+    "st_compact": (_st_bounded_input, st_converges_search),
 }
 
 PROPERTIES = tuple(_DEFINITIONS)
@@ -208,21 +223,12 @@ class ClassificationReport:
         return f"ClassificationReport({self.operator}, {self.property}: {self.outcome})"
 
 
-def _hypothesis_confirmed(member, kind, horizon, tolerance):
-    """Whether the corpus member satisfies the input hypothesis ``kind``."""
-    key = ("hypothesis", kind, horizon, tolerance)
+def _hypothesis_confirmed(member, hypothesis, horizon, tolerance):
+    """Whether the corpus member satisfies ``hypothesis``, decided once per member."""
+    key = ("hypothesis", hypothesis, horizon, tolerance)
     hit = member.cache.get(key)
     if hit is None:
-        if kind == "st_bounded":
-            hit = st_bounded(member, horizon=horizon, tolerance=tolerance).decision
-        elif kind == "st_null":
-            hit = st_converges(member, horizon=horizon, tolerance=tolerance).decision
-        elif kind == "norm_bounded":
-            # analytic bounds only: a finite sweep cannot certify sup ||x_n||
-            hit = "confirmed" if member.norm_bound is not None else "inconclusive"
-        else:  # norm_null
-            hit = norm_limit_zero(member, horizon=horizon, tolerance=tolerance)
-        member.cache[key] = hit
+        hit = member.cache[key] = hypothesis(member, horizon, tolerance)
     return hit == "confirmed"
 
 
@@ -256,11 +262,10 @@ def _classify(op, props, corpus, horizon, tolerance):
         verdicts = {}
         for prop in held:
             confirmed[prop] += 1
-            conclusion = _DEFINITIONS[prop][1]
-            verdict = verdicts.get(conclusion)
+            conclude = _DEFINITIONS[prop][1]
+            verdict = verdicts.get(conclude)
             if verdict is None:
-                decide = getattr(stanalysis, conclusion)
-                verdict = verdicts[conclusion] = decide(image, horizon=horizon, tolerance=tolerance)
+                verdict = verdicts[conclude] = conclude(image, horizon=horizon, tolerance=tolerance)
             if verdict.decision == "refuted":
                 witnesses[prop].append((member.label, verdict))
     reports = []
@@ -322,18 +327,6 @@ class TheoremCheckResult:
         return f"[{tag}] {self.check}: {self.passes}/{self.instances}"
 
 
-def _result(check, outcomes, notes="", data=None):
-    """Build a result from (instance label, ok, detail) triples."""
-    failures = tuple(
-        {"instance": label, "detail": detail}
-        for label, ok, detail in outcomes if not ok
-    )
-    return TheoremCheckResult(
-        check, len(outcomes), sum(1 for _, ok, _ in outcomes if ok),
-        failures, notes, data or {},
-    )
-
-
 def _e(k, v=1.0):
     return sparse_element({k: v})
 
@@ -364,12 +357,11 @@ def _consistent(op, props, horizon, tolerance):
     return op.describe(), not detail, detail
 
 
-def check_bounded_inclusion(horizon, tolerance):
-    """Operators with a known norm bound classify st-bounded both ways."""
-    outcomes = [_consistent(op, ("st_bounded", "n_st_bounded"), horizon, tolerance)
-                for op in _norm_bounded_operator_pool()]
-    return _result("bounded_inclusion", outcomes,
-                   notes="norm-bounded operators stay statistically bounded")
+def _all_consistent(pool, props, notes=""):
+    """The check that every operator of ``pool()`` classifies consistent under ``props``."""
+    def check(horizon, tolerance):
+        return [_consistent(op, props, horizon, tolerance) for op in pool()], notes, {}
+    return check
 
 
 def check_finite_dim_all_bounded(horizon, tolerance):
@@ -381,8 +373,7 @@ def check_finite_dim_all_bounded(horizon, tolerance):
         a = rng.normal(size=(d, d))
         _, ok, detail = _consistent(matrix_operator(a), ("st_bounded",), horizon, tolerance)
         outcomes.append((f"seeded_matrix_{i}(d={d})", ok, detail))
-    return _result("finite_dim_all_bounded", outcomes,
-                   notes="every matrix operator on a finite-dimensional space is st-bounded")
+    return outcomes, "every matrix operator on a finite-dimensional space is st-bounded", {}
 
 
 def _find_ratio_bound(op, corpus, horizon, tolerance, start):
@@ -436,18 +427,18 @@ def check_ratio_bound(horizon, tolerance):
             "bound": m,
             "doublings": doublings,
         })
-    return _result("ratio_bound", outcomes, data=data,
-                   notes="statistically bounded operators admit a ratio bound M on a density-one set")
+    notes = "statistically bounded operators admit a ratio bound M on a density-one set"
+    return outcomes, notes, data
 
 
-def check_subspace_closure(horizon, tolerance):
-    """Sums and scalar multiples of st-bounded-consistent operators stay consistent."""
+def _linear_combination_pool():
+    """Sums and scalar multiples of st-bounded-consistent operators."""
     inv = named_diagonal("inverse")
     opi = named_diagonal("one_plus_inverse")
     ident = identity_operator()
     r1 = rank_one(coordinate_functional(1), _e(1))
     r2 = rank_one(geometric_weights_functional(), _e(1))
-    combos = [
+    return [
         linear_combo(1.0, inv, 1.0, opi),
         linear_combo(1.0, ident, 1.0, inv),
         linear_combo(2.5, inv, 0.0, inv),
@@ -455,22 +446,17 @@ def check_subspace_closure(horizon, tolerance):
         linear_combo(1.0, matrix_operator([[2.0, 0.0], [0.0, 3.0]]),
                      -0.5, matrix_operator([[1.0, 1.0], [0.0, 1.0]])),
     ]
-    outcomes = [_consistent(op, ("st_bounded",), horizon, tolerance) for op in combos]
-    return _result("subspace_closure", outcomes,
-                   notes="st-bounded operators form a linear subspace")
 
 
-def check_finite_rank_bounded(horizon, tolerance):
-    ops = [
+def _finite_rank_pool():
+    """Finite-rank operators over bounded functionals, sparse and dense."""
+    return [
         finite_rank([(coordinate_functional(1), _e(1)),
                      (coordinate_functional(2), _e(2, 0.5))]),
         finite_rank([(coordinate_functional(1), dense_element([1.0, 0.0, 0.0])),
                      (dense_weights([0.5, 0.5, 0.0]), dense_element([0.0, 1.0, 0.0]))],
                     domain=dense_space(3)),
     ]
-    outcomes = [_consistent(op, ("st_bounded", "n_st_bounded"), horizon, tolerance) for op in ops]
-    return _result("finite_rank_bounded", outcomes,
-                   notes="finite-rank operators with bounded functionals are st-bounded")
 
 
 def _iff_operator_pool():
@@ -500,16 +486,7 @@ def check_bounded_iff_continuous(horizon, tolerance):
         ok = b.outcome == c.outcome
         detail = "" if ok else f"st_bounded {b.outcome} vs st_continuous {c.outcome}"
         outcomes.append((op.describe(), ok, detail))
-    return _result("bounded_iff_continuous", outcomes,
-                   notes="for linear operators the two classifications coincide")
-
-
-def check_continuity_inclusions(horizon, tolerance):
-    """Norm-continuous (known-bound) operators classify st-continuous."""
-    outcomes = [_consistent(op, ("st_continuous", "n_st_continuous"), horizon, tolerance)
-                for op in _norm_bounded_operator_pool()]
-    return _result("continuity_inclusions", outcomes,
-                   notes="norm continuity implies both statistical continuity notions")
+    return outcomes, "for linear operators the two classifications coincide", {}
 
 
 def _compact_consistent_pool():
@@ -523,21 +500,13 @@ def _compact_consistent_pool():
     ]
 
 
-def check_compact_implies_bounded_and_continuous(horizon, tolerance):
-    outcomes = [_consistent(op, ("st_compact", "st_bounded", "st_continuous"), horizon, tolerance)
-                for op in _compact_consistent_pool()]
-    return _result("compact_implies_bounded_and_continuous", outcomes)
-
-
-def check_compact_composition(horizon, tolerance):
-    """Composing with continuous (left) or bounded (right) operators preserves
-    compact-consistency."""
+def _compact_composition_pool():
+    """A compact-consistent operator composed with a continuous one on the left
+    and with a bounded one on the right."""
     t = named_diagonal("inverse")                 # compact-consistent
     s = named_diagonal("one_plus_inverse")        # continuous-consistent
     r = linear_combo(0.5, identity_operator(), 0.0, identity_operator())
-    outcomes = [_consistent(op, ("st_compact",), horizon, tolerance)
-                for op in (operators.compose(s, t), operators.compose(t, r))]
-    return _result("compact_composition", outcomes)
+    return [operators.compose(s, t), operators.compose(t, r)]
 
 
 def check_compact_norm_limit(horizon, tolerance):
@@ -564,8 +533,7 @@ def check_compact_norm_limit(horizon, tolerance):
         outcomes.append((f"truncation m={m}", ok, detail))
         data["probes"].append({"m": m, "probe": probe, "expected": expected})
     outcomes.append(_consistent(s, ("st_compact",), horizon, tolerance))
-    return _result("compact_norm_limit", outcomes, data=data,
-                   notes="operator-norm limits of st-compact operators are st-compact")
+    return outcomes, "operator-norm limits of st-compact operators are st-compact", data
 
 
 def check_unbounded_functional_not_compact(horizon, tolerance):
@@ -573,13 +541,9 @@ def check_unbounded_functional_not_compact(horizon, tolerance):
     report = classify(op, "st_compact", corpus_for(op), horizon, tolerance)
     ok = report.outcome == "refuted" and len(report.witnesses) >= 1
     detail = "" if ok else f"outcome {report.outcome} with {len(report.witnesses)} witnesses"
-    witness_labels = [label for label, _ in report.witnesses]
-    return _result(
-        "unbounded_functional_not_compact",
-        [(op.describe(), ok, detail)],
-        notes="rank-one over an unbounded functional fails st-compactness",
-        data={"witnesses": witness_labels},
-    )
+    return ([(op.describe(), ok, detail)],
+            "rank-one over an unbounded functional fails st-compactness",
+            {"witnesses": [label for label, _ in report.witnesses]})
 
 
 def check_weak_equiv(horizon, tolerance):
@@ -591,7 +555,7 @@ def check_weak_equiv(horizon, tolerance):
         ok = strong.decision == weak.decision
         detail = "" if ok else f"strong {strong.decision} vs weak {weak.decision}"
         outcomes.append((member.label, ok, detail))
-    return _result("weak_equiv", outcomes)
+    return outcomes, "", {}
 
 
 def harmonic_candidate_family():
@@ -638,8 +602,7 @@ def check_cauchy_suite(horizon, tolerance):
             f"harmonic_prefix candidate_{i}", ok,
             "" if ok else f"decision {v.decision}",
         ))
-    return _result("cauchy_suite", outcomes,
-                   notes="convergence implies Cauchy; the sparse prefix sequence separates them")
+    return outcomes, "convergence implies Cauchy; the sparse prefix sequence separates them", {}
 
 
 def check_prime_scaling_readings(horizon, tolerance):
@@ -667,41 +630,55 @@ def check_prime_scaling_readings(horizon, tolerance):
         "diagonal_outcome": rep_d.outcome,
         "diagonal_witnesses": [label for label, _ in rep_d.witnesses],
     }
-    return _result("prime_scaling_readings", outcomes, notes=notes, data=data)
+    return outcomes, notes, data
 
 
-_SUITE = (
-    ("bounded_inclusion", check_bounded_inclusion),
-    ("finite_dim_all_bounded", check_finite_dim_all_bounded),
-    ("ratio_bound", check_ratio_bound),
-    ("subspace_closure", check_subspace_closure),
-    ("finite_rank_bounded", check_finite_rank_bounded),
-    ("bounded_iff_continuous", check_bounded_iff_continuous),
-    ("continuity_inclusions", check_continuity_inclusions),
-    ("compact_implies_bounded_and_continuous", check_compact_implies_bounded_and_continuous),
-    ("compact_composition", check_compact_composition),
-    ("compact_norm_limit", check_compact_norm_limit),
-    ("unbounded_functional_not_compact", check_unbounded_functional_not_compact),
-    ("weak_equiv", check_weak_equiv),
-    ("cauchy_suite", check_cauchy_suite),
-    ("prime_scaling_readings", check_prime_scaling_readings),
-)
+# Each check maps ``(horizon, tolerance)`` to ``(outcomes, notes, data)``,
+# where an outcome is an ``(instance label, ok, detail)`` triple.
+_SUITE = {
+    "bounded_inclusion": _all_consistent(
+        _norm_bounded_operator_pool, ("st_bounded", "n_st_bounded"),
+        "norm-bounded operators stay statistically bounded"),
+    "finite_dim_all_bounded": check_finite_dim_all_bounded,
+    "ratio_bound": check_ratio_bound,
+    "subspace_closure": _all_consistent(
+        _linear_combination_pool, ("st_bounded",),
+        "st-bounded operators form a linear subspace"),
+    "finite_rank_bounded": _all_consistent(
+        _finite_rank_pool, ("st_bounded", "n_st_bounded"),
+        "finite-rank operators with bounded functionals are st-bounded"),
+    "bounded_iff_continuous": check_bounded_iff_continuous,
+    "continuity_inclusions": _all_consistent(
+        _norm_bounded_operator_pool, ("st_continuous", "n_st_continuous"),
+        "norm continuity implies both statistical continuity notions"),
+    "compact_implies_bounded_and_continuous": _all_consistent(
+        _compact_consistent_pool, ("st_compact", "st_bounded", "st_continuous")),
+    "compact_composition": _all_consistent(_compact_composition_pool, ("st_compact",)),
+    "compact_norm_limit": check_compact_norm_limit,
+    "unbounded_functional_not_compact": check_unbounded_functional_not_compact,
+    "weak_equiv": check_weak_equiv,
+    "cauchy_suite": check_cauchy_suite,
+    "prime_scaling_readings": check_prime_scaling_readings,
+}
 
-SUITE_CHECKS = tuple(name for name, _ in _SUITE)
+SUITE_CHECKS = tuple(_SUITE)
 
 
 def check_theorem(check, horizon=DEFAULT_CLASSIFY_HORIZON,
                   tolerance=DEFAULT_CLASSIFY_TOLERANCE):
     """Run one named suite check."""
-    table = dict(_SUITE)
-    if check not in table:
+    if check not in _SUITE:
         raise ValueError(f"unknown check {check!r}; expected one of {SUITE_CHECKS}")
-    return table[check](int(horizon), tolerance)
+    outcomes, notes, data = _SUITE[check](int(horizon), tolerance)
+    failures = tuple({"instance": label, "detail": detail}
+                     for label, ok, detail in outcomes if not ok)
+    return TheoremCheckResult(check, len(outcomes), sum(1 for _, ok, _ in outcomes if ok),
+                              failures, notes, data)
 
 
 def run_suite(horizon=DEFAULT_CLASSIFY_HORIZON, tolerance=DEFAULT_CLASSIFY_TOLERANCE):
     """Run every suite check in fixed order."""
-    return tuple(fn(int(horizon), tolerance) for _, fn in _SUITE)
+    return tuple(check_theorem(name, horizon, tolerance) for name in SUITE_CHECKS)
 
 
 def suite_passed(results):

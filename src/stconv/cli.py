@@ -31,24 +31,6 @@ from .parsing import ParseError
 
 ENV_HORIZON = "STCONV_HORIZON"
 
-_COMMAND_HORIZONS = {
-    "density": density.DEFAULT_HORIZON,
-    "converge": stanalysis.DEFAULT_ANALYSIS_HORIZON,
-    "bounded": stanalysis.DEFAULT_ANALYSIS_HORIZON,
-    "cauchy": stanalysis.DEFAULT_ANALYSIS_HORIZON,
-    "classify": DEFAULT_CLASSIFY_HORIZON,
-    "suite": DEFAULT_CLASSIFY_HORIZON,
-}
-
-_COMMAND_TOLERANCES = {
-    "density": density.DEFAULT_TOLERANCE,
-    "converge": stanalysis.DEFAULT_ST_TOLERANCE,
-    "bounded": stanalysis.DEFAULT_ST_TOLERANCE,
-    "cauchy": stanalysis.DEFAULT_ST_TOLERANCE,
-    "classify": DEFAULT_CLASSIFY_TOLERANCE,
-    "suite": DEFAULT_CLASSIFY_TOLERANCE,
-}
-
 
 def _number_list(text, kind, name):
     try:
@@ -138,12 +120,11 @@ def build_parser():
     return parser
 
 
-def _resolve_horizon(args):
-    horizon = args.horizon
+def _resolve_horizon(horizon, default):
     if horizon is None:
         env = os.environ.get(ENV_HORIZON)
         if not env:
-            return _COMMAND_HORIZONS[args.command]
+            return default
         try:
             horizon = int(env)
         except ValueError:
@@ -151,12 +132,6 @@ def _resolve_horizon(args):
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
     return horizon
-
-
-def _resolve_tolerance(args):
-    if args.tolerance is not None:
-        return float(args.tolerance)
-    return _COMMAND_TOLERANCES[args.command]
 
 
 def _resolve_schedule(args):
@@ -169,16 +144,12 @@ def _emit_json(report):
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_verdict_csv(verdict_dicts):
-    """Flatten per-epsilon profiles to (epsilon, checkpoint, count, ratio) rows."""
+def _emit_csv(rows):
+    """Flatten ``(epsilon, profile)`` pairs to (epsilon, checkpoint, count, ratio) rows."""
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epsilon", "checkpoint", "count", "ratio"])
-    for entry in verdict_dicts:
-        eps = entry.get("epsilon", "")
-        profile = entry["profile"]
-        for cp, cnt, ratio in zip(
-            profile["checkpoints"], profile["counts"], profile["ratios"]
-        ):
+    for eps, profile in rows:
+        for cp, cnt, ratio in zip(profile.checkpoints, profile.counts, profile.ratios):
             writer.writerow([eps, cp, cnt, repr(ratio)])
 
 
@@ -190,16 +161,6 @@ def _sequence_under_analysis(args):
     return seq
 
 
-def _verdict_csv_entries(verdict):
-    entries = []
-    for rep in verdict.per_epsilon:
-        entries.append({
-            "epsilon": rep.epsilon,
-            "profile": rep.verdict.profile.to_json_dict(),
-        })
-    return entries
-
-
 def _check_expect(expect, decision):
     if expect is None:
         return 0
@@ -208,9 +169,7 @@ def _check_expect(expect, decision):
     return 0 if decision == expect else 1
 
 
-def _run_density(args):
-    horizon = _resolve_horizon(args)
-    tolerance = _resolve_tolerance(args)
+def _run_density(args, horizon, tolerance):
     schedule = _resolve_schedule(args)
     index_set = density.parse_index_set(args.index_set)
     profile = density.density_profile(index_set, horizon, schedule)
@@ -236,7 +195,7 @@ def _run_density(args):
         "verdict": verdict.to_json_dict() if verdict is not None else None,
     }
     if args.output == "csv":
-        _emit_verdict_csv([{"epsilon": "", "profile": profile.to_json_dict()}])
+        _emit_csv([("", profile)])
     else:
         _emit_json(report)
     decision = verdict.decision if verdict is not None else "none"
@@ -270,21 +229,12 @@ def _cauchy(args, seq, horizon, tolerance, schedule):
     return verdict, {"epsilon_grid": list(verdict.epsilon_grid), "anchors": list(anchors)}
 
 
-# sequence verdict subcommands: the analysis call, returning the verdict and
-# the config keys the command echoes beyond the shared ones
-_VERDICT_ANALYSES = {
-    "converge": _converge,
-    "bounded": _bounded,
-    "cauchy": _cauchy,
-}
-
-
-def _run_verdict(args):
-    horizon = _resolve_horizon(args)
-    tolerance = _resolve_tolerance(args)
+def _run_verdict(analysis, args, horizon, tolerance):
+    """A sequence verdict subcommand; ``analysis`` returns the verdict and the
+    config keys the command echoes beyond the shared ones."""
     schedule = _resolve_schedule(args)
     seq = _sequence_under_analysis(args)
-    verdict, extra = _VERDICT_ANALYSES[args.command](args, seq, horizon, tolerance, schedule)
+    verdict, extra = analysis(args, seq, horizon, tolerance, schedule)
     report = {
         "command": args.command,
         "config": {
@@ -299,15 +249,13 @@ def _run_verdict(args):
         "verdict": verdict.to_json_dict(),
     }
     if args.output == "csv":
-        _emit_verdict_csv(_verdict_csv_entries(verdict))
+        _emit_csv((r.epsilon, r.verdict.profile) for r in verdict.per_epsilon)
     else:
         _emit_json(report)
     return _check_expect(args.expect, verdict.decision)
 
 
-def _run_classify(args):
-    horizon = _resolve_horizon(args)
-    tolerance = _resolve_tolerance(args)
+def _run_classify(args, horizon, tolerance):
     if args.output == "csv":
         raise ParseError(args.operator, 0, "classify reports are JSON only")
     op = operators.parse_operator(args.operator)
@@ -328,9 +276,7 @@ def _run_classify(args):
     return _check_expect(args.expect, report.outcome)
 
 
-def _run_suite(args):
-    horizon = _resolve_horizon(args)
-    tolerance = _resolve_tolerance(args)
+def _run_suite(args, horizon, tolerance):
     if args.output == "csv":
         raise ParseError("suite", 0, "suite reports are JSON only")
     if args.expect is not None:
@@ -347,13 +293,18 @@ def _run_suite(args):
     return 0 if payload["passed"] else 1
 
 
-_RUNNERS = {
-    "density": _run_density,
-    "converge": _run_verdict,
-    "bounded": _run_verdict,
-    "cauchy": _run_verdict,
-    "classify": _run_classify,
-    "suite": _run_suite,
+# each command's default horizon, default tolerance, and runner of
+# ``(args, horizon, tolerance)``
+_COMMANDS = {
+    "density": (density.DEFAULT_HORIZON, density.DEFAULT_TOLERANCE, _run_density),
+    "converge": (stanalysis.DEFAULT_ANALYSIS_HORIZON, stanalysis.DEFAULT_ST_TOLERANCE,
+                 functools.partial(_run_verdict, _converge)),
+    "bounded": (stanalysis.DEFAULT_ANALYSIS_HORIZON, stanalysis.DEFAULT_ST_TOLERANCE,
+                functools.partial(_run_verdict, _bounded)),
+    "cauchy": (stanalysis.DEFAULT_ANALYSIS_HORIZON, stanalysis.DEFAULT_ST_TOLERANCE,
+               functools.partial(_run_verdict, _cauchy)),
+    "classify": (DEFAULT_CLASSIFY_HORIZON, DEFAULT_CLASSIFY_TOLERANCE, _run_classify),
+    "suite": (DEFAULT_CLASSIFY_HORIZON, DEFAULT_CLASSIFY_TOLERANCE, _run_suite),
 }
 
 
@@ -365,12 +316,13 @@ def _parser():
 
 def run(argv=None):
     args = _parser().parse_args(argv)
+    default_horizon, default_tolerance, runner = _COMMANDS[args.command]
     try:
-        return _RUNNERS[args.command](args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        horizon = _resolve_horizon(args.horizon, default_horizon)
+        tolerance = default_tolerance if args.tolerance is None else float(args.tolerance)
+        return runner(args, horizon, tolerance)
     except (ValueError, density.HorizonExhausted) as exc:
+        # a ParseError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -483,23 +483,25 @@ def _inverse_trunc(m):
     return dfun
 
 
+# the named diagonals without a cutoff; ``inverse_trunc`` is the one with
+_DIAGONAL_NAMES = {
+    "prime_scale": lambda: diagonal("prime_scale", prime_scale_values),
+    "identity": identity_operator,
+    "inverse": lambda: diagonal("inverse", lambda ks: 1.0 / np.asarray(ks, dtype=float), bound=1.0),
+    "one_plus_inverse": lambda: diagonal(
+        "one_plus_inverse", lambda ks: 1.0 + 1.0 / np.asarray(ks, dtype=float), bound=2.0),
+    "index": lambda: diagonal("index", lambda ks: np.asarray(ks, dtype=float)),
+}
+
+
 def named_diagonal(name, arg=None):
-    if name == "prime_scale":
-        return diagonal("prime_scale", prime_scale_values)
-    if name == "identity":
-        return identity_operator()
-    if name == "inverse":
-        return diagonal("inverse", lambda ks: 1.0 / np.asarray(ks, dtype=float), bound=1.0)
-    if name == "one_plus_inverse":
-        return diagonal("one_plus_inverse",
-                        lambda ks: 1.0 + 1.0 / np.asarray(ks, dtype=float), bound=2.0)
-    if name == "index":
-        return diagonal("index", lambda ks: np.asarray(ks, dtype=float))
     if name == "inverse_trunc":
         if arg is None:
             raise ValueError("inverse_trunc needs a cutoff, e.g. inverse_trunc(5)")
         return diagonal(f"inverse_trunc({arg})", _inverse_trunc(int(arg)), bound=1.0)
-    raise ValueError(f"unknown diagonal name {name!r}")
+    if name not in _DIAGONAL_NAMES:
+        raise ValueError(f"unknown diagonal name {name!r}")
+    return _DIAGONAL_NAMES[name]()
 
 
 def _parse_functional(cur):
@@ -525,12 +527,14 @@ def _parse_operator(cur):
     if name == "diag":
         cur.expect("(")
         dname = cur.ident()
-        arg = None
-        if cur.try_eat("("):
-            arg = cur.integer()
-            cur.expect(")")
+        if dname == "inverse_trunc":
+            op = named_diagonal(dname, *cur.args(Cursor.integer))
+        elif dname in _DIAGONAL_NAMES:
+            op = _DIAGONAL_NAMES[dname]()
+        else:
+            cur.error(f"unknown diagonal {dname!r}")
         cur.expect(")")
-        return named_diagonal(dname, arg)
+        return op
     if name == "rank1":
         (f, y0), = cur.args(_parse_piece)
         return rank_one(f, y0)

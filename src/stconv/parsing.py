@@ -51,6 +51,15 @@ class Cursor:
             return True
         return False
 
+    def keyword(self, word):
+        """Eat ``word`` only as a whole name, not as the prefix of a longer one."""
+        self.skip_ws()
+        m = _IDENT.match(self.text, self.pos)
+        if m is None or m.group(0) != word:
+            return False
+        self.pos = m.end()
+        return True
+
     def expect(self, token):
         if not self.try_eat(token):
             self.error(f"expected {token!r}")

@@ -943,9 +943,9 @@ def functional_sweep(f, seq, horizon):
 
 def _parse_space_arg(cur, default_dim=3):
     """Either ``sparse`` or ``dim=K`` (default dense:3)."""
-    if cur.try_eat("sparse"):
+    if cur.keyword("sparse"):
         return sparse_space()
-    if cur.try_eat("dim"):
+    if cur.keyword("dim"):
         cur.expect("=")
         return dense_space(cur.integer())
     return dense_space(default_dim)
@@ -953,7 +953,7 @@ def _parse_space_arg(cur, default_dim=3):
 
 def _parse_magnitude(cur):
     """``n`` for the identity magnitude, or a numeric constant."""
-    if cur.try_eat("n"):
+    if cur.keyword("n"):
         return None
     value = cur.number()
     return lambda ns: np.full(len(_as_index_array(ns)), float(value))
@@ -1002,7 +1002,7 @@ def parse_sequence_at(cur, default_seed=7):
         given = {}
         while not cur.try_eat(")"):
             start = cur.pos
-            if cur.try_eat("seed"):
+            if cur.keyword("seed"):
                 cur.expect("=")
                 key, value = "seed", cur.integer()
             else:

@@ -19,7 +19,7 @@ Conventions, fixed across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -129,6 +129,16 @@ def _zero_density_verdict(mask, horizon, tolerance, schedule):
     return density_verdict(profile, Fraction(0), tolerance)
 
 
+def _overall(decisions):
+    """Confirmed if every decision confirms, refuted if one refutes, else inconclusive."""
+    decisions = list(decisions)
+    if all(d == "confirmed" for d in decisions):
+        return "confirmed"
+    if "refuted" in decisions:
+        return "refuted"
+    return "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------
@@ -159,15 +169,8 @@ def st_converges(seq, candidate=None, grid=DEFAULT_EPS_GRID,
         reports.append(EpsilonReport(eps, verdict))
         if verdict.decision == "refuted" and witness is None:
             witness = {"epsilon": eps, "checkpoint": verdict.witness}
-    decisions = [r.decision for r in reports]
-    if all(d == "confirmed" for d in decisions):
-        decision = "confirmed"
-    elif any(d == "refuted" for d in decisions):
-        decision = "refuted"
-    else:
-        decision = "inconclusive"
     return StVerdict(
-        "convergence", decision, horizon, grid, tuple(reports),
+        "convergence", _overall(r.decision for r in reports), horizon, grid, tuple(reports),
         limit=candidate, witness=witness,
     )
 
@@ -175,29 +178,6 @@ def st_converges(seq, candidate=None, grid=DEFAULT_EPS_GRID,
 # ---------------------------------------------------------------------------
 # boundedness
 # ---------------------------------------------------------------------------
-
-def _bounded_scan(values, probes, horizon, tolerance, schedule):
-    """Probe-ladder scan over nonnegative ``values``; shared by all bounded kinds."""
-    if not probes or list(probes) != sorted(probes):
-        raise ValueError("probes must be a nonempty increasing ladder")
-    if not all(math.isfinite(m) for m in probes):
-        raise ValueError("probes must be finite")
-    reports = []
-    bound = None
-    for m in probes:
-        verdict = _zero_density_verdict(values > m, horizon, tolerance, schedule)
-        reports.append(EpsilonReport(float(m), verdict))
-        if verdict.decision == "confirmed":
-            bound = float(m)
-            break
-    if bound is not None:
-        return "confirmed", bound, reports, None
-    last = reports[-1]
-    if last.decision == "refuted":
-        witness = {"probe": last.epsilon, "checkpoint": last.verdict.witness}
-        return "refuted", None, reports, witness
-    return "inconclusive", None, reports, None
-
 
 def st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
                tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
@@ -211,23 +191,33 @@ def st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
 
 def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
                     tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
-    """Boundedness verdict for a real scalar sequence.
+    """Boundedness verdict for a real scalar sequence; every bounded kind ends here.
 
-    ``xs`` is an array-like holding ``x_1..x_horizon``.
+    ``xs`` is an array-like holding ``x_1..x_horizon``.  The probe ladder is
+    searched for the first M whose exceedance set ``{n : |x_n| > M}`` has
+    confirmed-zero density.
     """
     horizon = int(horizon)
     probes = tuple(float(m) for m in probes)
     values = np.asarray(xs, dtype=float)
     if len(values) < horizon:
         raise ValueError(f"need {horizon} values, got {len(values)}")
-    values = values[:horizon]
-    decision, bound, reports, witness = _bounded_scan(
-        np.abs(values), probes, horizon, tolerance, schedule
-    )
-    return StVerdict(
-        "bounded", decision, horizon, probes, tuple(reports),
-        bound=bound, witness=witness,
-    )
+    if not probes or list(probes) != sorted(probes):
+        raise ValueError("probes must be a nonempty increasing ladder")
+    if not all(math.isfinite(m) for m in probes):
+        raise ValueError("probes must be finite")
+    values = np.abs(values[:horizon])
+    reports = []
+    for m in probes:
+        verdict = _zero_density_verdict(values > m, horizon, tolerance, schedule)
+        reports.append(EpsilonReport(m, verdict))
+        if verdict.decision == "confirmed":
+            return StVerdict("bounded", "confirmed", horizon, probes, tuple(reports), bound=m)
+    last = reports[-1]
+    witness = None
+    if last.decision == "refuted":
+        witness = {"probe": last.epsilon, "checkpoint": last.verdict.witness}
+    return StVerdict("bounded", last.decision, horizon, probes, tuple(reports), witness=witness)
 
 
 def _weak_probe_functionals(dim):
@@ -246,37 +236,25 @@ def weakly_st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZ
     Confirmed iff the scalar sequence ``f(x_n)`` is st-bounded for every
     probe functional; dense spaces only.  The reported per-probe table is
     the one for the deciding functional (the first refuting one, otherwise
-    the one needing the largest confirmed probe).
+    the one needing the largest confirmed probe when all confirm, otherwise
+    the first inconclusive one); the witness names it unless all confirm.
     """
     if seq.space.kind != "dense":
         raise ValueError("weak boundedness probes require a dense space")
-    horizon = int(horizon)
-    probes = tuple(float(m) for m in probes)
     results = []
     for f in _weak_probe_functionals(seq.space.dim):
-        values = operators.functional_sweep(f, seq, horizon)
-        scan = _bounded_scan(np.abs(values), probes, horizon, tolerance, schedule)
-        results.append((f, scan))
-        if scan[0] == "refuted":
+        verdict = st_bounded_real(operators.functional_sweep(f, seq, horizon),
+                                  probes, horizon, tolerance, schedule)
+        results.append((f, verdict))
+        if verdict.decision == "refuted":
             break
-    decisions = [scan[0] for _, scan in results]
-    if any(d == "refuted" for d in decisions):
-        f, scan = next(pair for pair in results if pair[1][0] == "refuted")
-        return StVerdict(
-            "weak_bounded", "refuted", horizon, probes, tuple(scan[2]),
-            witness={"functional": f.describe(), **scan[3]},
-        )
-    if all(d == "confirmed" for d in decisions):
-        f, scan = max(results, key=lambda pair: pair[1][1])
-        return StVerdict(
-            "weak_bounded", "confirmed", horizon, probes, tuple(scan[2]),
-            bound=scan[1],
-        )
-    f, scan = next(pair for pair in results if pair[1][0] == "inconclusive")
-    return StVerdict(
-        "weak_bounded", "inconclusive", horizon, probes, tuple(scan[2]),
-        witness={"functional": f.describe()},
-    )
+    decision = _overall(v.decision for _, v in results)
+    if decision == "confirmed":
+        _, verdict = max(results, key=lambda fv: fv[1].bound)
+        return replace(verdict, kind="weak_bounded")
+    f, verdict = next(fv for fv in results if fv[1].decision == decision)
+    witness = {"functional": f.describe(), **(verdict.witness or {})}
+    return replace(verdict, kind="weak_bounded", witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +307,10 @@ def st_cauchy(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
     witness = None
     for eps, chosen, tried in zip(grid, found, per_anchor):
         if chosen is None:
-            a, verdict = min(tried, key=lambda av: av[1].profile.final_ratio)
-            if all(v.decision == "refuted" for _, v in tried):
-                chosen = EpsilonReport(eps, verdict, anchor=None)
-                if witness is None:
-                    witness = {"epsilon": eps, "checkpoint": verdict.witness}
-            else:
-                chosen = EpsilonReport(eps, verdict, anchor=None)
+            _, verdict = min(tried, key=lambda av: av[1].profile.final_ratio)
+            chosen = EpsilonReport(eps, verdict)
+            if witness is None and all(v.decision == "refuted" for _, v in tried):
+                witness = {"epsilon": eps, "checkpoint": verdict.witness}
         reports.append(chosen)
     confirmed = [r for r in reports if r.anchor is not None]
     if len(confirmed) == len(reports):

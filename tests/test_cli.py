@@ -276,11 +276,20 @@ def test_overflowing_number_literals_rejected(capsys, argv):
     assert "finite" in err
 
 
+# every subcommand; the horizon is resolved first, so its error wins over the
+# refusals of CSV output and of --expect that come later
 @pytest.mark.parametrize("argv", [
     ["classify", "--operator", "diag(inverse)", "--property", "st_bounded"],
     ["converge", "--sequence", "random(sparse)"],
     ["density", "--set", "primes"],
-], ids=["classify", "converge", "density"])
+    ["bounded", "--sequence", "random(sparse)"],
+    ["cauchy", "--sequence", "random(sparse)"],
+    ["suite"],
+    ["suite", "--output", "csv"],
+    ["suite", "--expect", "refuted"],
+    ["classify", "--operator", "diag(inverse)", "--property", "st_bounded", "--output", "csv"],
+], ids=["classify", "converge", "density", "bounded", "cauchy", "suite",
+        "suite-csv", "suite-expect", "classify-csv"])
 @pytest.mark.parametrize("horizon", ["0", "1", "-5"])
 def test_horizon_below_two_rejected(capsys, argv, horizon):
     code, out, err = run_text(capsys, [*argv, f"--horizon={horizon}"])
@@ -398,6 +407,12 @@ _PARSE_ERRORS = [
     ("operator", "diag()", "expected a name at position 5"),
     ("operator", "diag(inverse_trunc(3)", "expected ')' at position 21"),
     ("operator", "diag(identity) x", "unexpected trailing text after operator at position 15"),
+    # names and cutoffs were checked after the parse had moved on: no position,
+    # and a cutoff on any other diagonal was dropped
+    ("operator", "diag(bogus)", "unknown diagonal 'bogus' at position 10"),
+    ("operator", "diag(inverse_trunc)", "expected '(' at position 18"),
+    ("operator", "diag(inverse(7))", "expected ')' at position 12"),
+    ("operator", "diag(identity(2))", "expected ')' at position 13"),
     ("operator", "bogus(1)", "unknown operator 'bogus' at position 5"),
     ("sequence", "constant(dense[1,2]", "expected ')' at position 19"),
     ("sequence", "constant()", "expected a name at position 9"),
@@ -438,6 +453,12 @@ _PARSE_ERRORS = [
     ("sequence", "spike(squares, n", "expected ')' at position 16"),
     ("sequence", "spike()", "expected a name at position 6"),
     ("sequence", "spike(squares, n, sparse", "expected ')' at position 24"),
+    # keywords are whole names, not prefixes of a longer one
+    ("sequence", "spike(squares,n2)", "expected a number at position 14"),
+    ("sequence", "spike(squares, nan)", "expected a number at position 15"),
+    ("sequence", "random(seeds=3)", "expected ')' at position 7"),
+    ("sequence", "index(dims=2)", "expected ')' at position 6"),
+    ("sequence", "zero(sparsely)", "expected ')' at position 5"),
     ("sequence", "harmonic extra", "unexpected trailing text after sequence at position 9"),
     ("sequence", "bogus", "unknown sequence 'bogus' at position 5"),
 ]

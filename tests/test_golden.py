@@ -5,7 +5,7 @@ any digest means a report changed, which a refactor must never do; a change
 that is meant to alter a report updates the digest and says why.
 
 The cases are the six README examples at horizons small enough to keep this
-file fast, one CSV report, a weak-boundedness report, images through
+file fast, one CSV report, a weak-boundedness report in each of its three outcomes, images through
 ``subseq``, ``combo``, ``compose`` and the prime transform, a Cauchy
 report whose anchors are equal terms, so its distance sweeps repeat one
 candidate, and two reports that run on the per-index kind: a finite-rank
@@ -48,8 +48,14 @@ GOLDEN = [
     (["converge", "--sequence", "prime_coords", "--operator", "diag(prime_scale)",
       "--horizon", "5000", "--output", "csv"],
      0, "f272cc3fdd7549293f485a6a80872b73c686eece06a390ff5ae49b5929dff833"),
+    # weak boundedness in each outcome: confirmed, inconclusive, refuted
     (["bounded", "--sequence", "random(dim=3, seed=7)", "--weak", "--horizon", "5000"],
      0, "15bdf339761017ad658c97ba4fdd40949e0650c6809a8676b17ff4ec70941b6b"),
+    (["bounded", "--weak", "--sequence", "spike(multiples(20), n, dim=3)", "--probes", "1,2",
+      "--tolerance", "0.03", "--horizon", "2000"],
+     0, "1e0d4d60a0bdeb41cbc79a55fa364af3a8e37c2319d594da73b5cbe90a8e69e1"),
+    (["bounded", "--weak", "--sequence", "index(dim=2)", "--probes", "1,2,4", "--horizon", "2000"],
+     0, "3e6a902da959524464d45808d1479ff22092c49f364fc6078cfb3b5322363b37"),
     (["cauchy", "--sequence", "subseq(harmonic, multiples(3))",
       "--operator", "combo(1,diag(inverse),-0.5,diag(identity))", "--horizon", "300"],
      0, "13226cf11c91d1fa7606543e53dfc344b72681c691fe17b75a260aab41069668"),
