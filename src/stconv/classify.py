@@ -152,12 +152,12 @@ def dense_corpus(dim):
 
 
 @lru_cache(maxsize=None)
-def cauchy_corpus(dim=3):
-    """Convergence-vs-Cauchy family: limits, spiky corruptions, divergers."""
-    sp = dense_space(dim)
+def cauchy_corpus():
+    """Convergence-vs-Cauchy family in R^3: limits, spiky corruptions, divergers."""
+    sp = dense_space(3)
     squares = density.squares()
     primes = density.primes()
-    ones_el = dense_element([1.0] * dim)
+    ones_el = dense_element([1.0, 1.0, 1.0])
     ones = constant_sequence(ones_el, label="constant_ones")
     null_decay = decaying_sequence(ones_el, label="null_decay")
     spike_sq = spike_sequence(sp, squares, label="spike_squares")
@@ -176,11 +176,11 @@ def cauchy_corpus(dim=3):
         combine(ones, spike_sq, 1.0, 1.0, label="ones_plus_spike"),
         combine(null_decay, spike_sq, 1.0, 1.0, label="null_plus_spike"),
         combine(ones, null_decay, 1.0, 1.0, label="ones_plus_null"),
-        alternating_sequence(dim),
-        index_sequence(dim),
+        alternating_sequence(3),
+        index_sequence(3),
         combine(rb11, null_decay, 1.0, 1.0, label="random_plus_null"),
     )
-    return Corpus(f"cauchy{dim}-{sequences.CORPUS_VERSION}", sp, members)
+    return Corpus(f"cauchy3-{sequences.CORPUS_VERSION}", sp, members)
 
 
 def corpus_for(op):
@@ -526,7 +526,7 @@ def check_compact_norm_limit(horizon, tolerance):
                           for k in range(1, m + 1)])
         for k in range(1, 2 * m + 3):
             delta = spaces.sub(operators.apply(s_m, _e(k)), operators.apply(fr, _e(k)))
-            if spaces.norm(delta, sequences.DEFAULT_SPARSE_NORM) > 1e-12:
+            if spaces.norm(delta, s_m.codomain.norm) > 1e-12:
                 ok = False
                 break
         detail = "" if ok else f"norm probe {probe!r} vs expected {expected!r}"

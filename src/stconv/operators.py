@@ -184,10 +184,10 @@ class FiniteRank(OperatorSpec):
     def norm_bound(self):
         total = 0.0
         for f, y0 in self.pieces:
-            fb = f.norm_bound(sequences._default_norm(self.domain))
+            fb = f.norm_bound(self.domain.norm)
             if fb is None:
                 return None
-            total += fb * spaces.norm(y0, sequences._default_norm(self.codomain))
+            total += fb * spaces.norm(y0, self.codomain.norm)
         return total
 
     def image_structure(self, seq):
@@ -407,7 +407,7 @@ def image_sequence(op, seq):
             return rule(n, gen(n))
 
         return SequenceSpec(
-            tgen, seq.space, seq.norm, f"{op.label}({seq.label})",
+            tgen, seq.space, f"{op.label}({seq.label})",
             structure=seq.structure.rescaled(seq, op.scale_of),
         )
 
@@ -421,7 +421,6 @@ def image_sequence(op, seq):
     def igen(n):
         return apply(op, gen(n))
 
-    norm = seq.norm if op.codomain == seq.space else sequences._default_norm(op.codomain)
     ob = operator_norm_bound(op)
     bound = None if ob is None or seq.norm_bound is None else ob * seq.norm_bound
     structure = seq.structure
@@ -429,7 +428,7 @@ def image_sequence(op, seq):
         lifted = structure.lifted(lambda parent: image_sequence(op, parent))
         structure = lifted if lifted is not None else op.image_structure(seq)
     return SequenceSpec(
-        igen, op.codomain, norm, f"image({seq.label})", structure=structure, norm_bound=bound,
+        igen, op.codomain, f"image({seq.label})", structure=structure, norm_bound=bound,
     )
 
 
@@ -441,7 +440,7 @@ def operator_norm_estimate(op, probes=64):
     """Lower bound on the operator norm from coordinate and random unit probes."""
     if isinstance(op, SequenceTransform):
         raise TypeError("sequence transforms have no single operator norm")
-    dn, cn = sequences._default_norm(op.domain), sequences._default_norm(op.codomain)
+    dn, cn = op.domain.norm, op.codomain.norm
     candidates = []
     rng = np.random.default_rng(_ESTIMATE_SEED)
     if op.domain.kind == "dense":
@@ -495,12 +494,17 @@ _DIAGONAL_NAMES = {
 
 
 def named_diagonal(name, arg=None):
+    """The diagonal ``name``; ``arg`` is the cutoff of ``inverse_trunc``, the
+    one named diagonal that takes one."""
     if name == "inverse_trunc":
         if arg is None:
             raise ValueError("inverse_trunc needs a cutoff, e.g. inverse_trunc(5)")
-        return diagonal(f"inverse_trunc({arg})", _inverse_trunc(int(arg)), bound=1.0)
+        m = int(arg)
+        return diagonal(f"inverse_trunc({m})", _inverse_trunc(m), bound=1.0)
     if name not in _DIAGONAL_NAMES:
         raise ValueError(f"unknown diagonal name {name!r}")
+    if arg is not None:
+        raise ValueError(f"diagonal {name!r} takes no cutoff")
     return _DIAGONAL_NAMES[name]()
 
 

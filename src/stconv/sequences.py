@@ -1,10 +1,11 @@
 """Sequence generators over the dense and sparse spaces.
 
-A :class:`SequenceSpec` couples a per-index generator with the space and
-norm the sequence lives in, and with a *structure* that answers questions
-about the whole sequence: norm and distance sweeps, functional sweeps,
-windowed medians, and its image under a diagonal, a matrix, a positional
-rescale, a linear combination or, for subsequences, any operator.
+A :class:`SequenceSpec` couples a per-index generator with the space the
+sequence lives in, whose norm measures it, and with a *structure* that
+answers questions about the whole sequence: norm and distance sweeps,
+functional sweeps, windowed medians, and its image under a diagonal, a
+matrix, a positional rescale, a linear combination or, for subsequences,
+any operator.
 The base :class:`Structure` is the per-index kind: it evaluates the
 generator term by term, which is fine for cheap generators and small
 horizons but would be hopeless for, say, growing-support prefixes at
@@ -38,19 +39,13 @@ from .density import HorizonExhausted
 from .parsing import Cursor, format_float, parse_whole
 from .spaces import (
     DenseElement,
-    Norm,
     Space,
     SparseElement,
     dense_space,
     norm as element_norm,
-    p_norm,
     sparse_space,
     sub,
-    sup_norm,
 )
-
-DEFAULT_DENSE_NORM = p_norm(2)
-DEFAULT_SPARSE_NORM = sup_norm()
 
 CORPUS_VERSION = "v1"
 
@@ -125,7 +120,7 @@ class Structure:
 
     def sweep(self, seq, candidate, ns):
         """``||x_n - candidate||`` (``||x_n||`` for ``candidate=None``) at ``n`` in ``ns``."""
-        gen, nrm = seq.generator, seq.norm
+        gen, nrm = seq.generator, seq.space.norm
         if candidate is None:
             def term(n):
                 return element_norm(gen(n), nrm)
@@ -407,9 +402,10 @@ class DenseBlock(Structure):
 
     def sweep(self, seq, candidate, ns):
         c = None if candidate is None else np.asarray(candidate.coords)[None, :]
+        nrm = seq.space.norm
 
         def norms(block):
-            return _block_norms(block if c is None else block - c, seq.norm)
+            return _block_norms(block if c is None else block - c, nrm)
 
         return _fill(ns, self.rows(ns), norms)
 
@@ -502,22 +498,17 @@ class SequenceSpec:
 
     generator: Callable
     space: Space
-    norm: Norm
     label: str
     structure: Structure = Structure()
     norm_bound: Optional[float] = None
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __repr__(self):
-        return f"SequenceSpec({self.label!r}, {self.space.describe()}, {self.norm.describe()})"
+        return f"SequenceSpec({self.label!r}, {self.space.describe()})"
 
 
 def _as_index_array(ns):
     return np.asarray(ns, dtype=np.int64)
-
-
-def _default_norm(space):
-    return DEFAULT_DENSE_NORM if space.kind == "dense" else DEFAULT_SPARSE_NORM
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +516,6 @@ def _default_norm(space):
 # ---------------------------------------------------------------------------
 
 def zero_sequence(space):
-    norm = _default_norm(space)
     z = spaces.zero(space)
     if space.kind == "dense":
         dim = space.dim
@@ -535,12 +525,11 @@ def zero_sequence(space):
             lambda ns: np.ones(len(_as_index_array(ns)), dtype=np.int64),
             lambda ns: np.zeros(len(_as_index_array(ns))),
         )
-    return SequenceSpec(lambda n: z, space, norm, "zero", structure=structure, norm_bound=0.0)
+    return SequenceSpec(lambda n: z, space, "zero", structure=structure, norm_bound=0.0)
 
 
 def constant_sequence(value, label=None):
     space = spaces.space_of(value)
-    norm = _default_norm(space)
     if space.kind == "dense":
         row = np.asarray(value.coords)
         structure = DenseBlock(_pointwise(lambda ns: np.tile(row, (len(ns), 1))))
@@ -549,10 +538,9 @@ def constant_sequence(value, label=None):
     return SequenceSpec(
         lambda n: value,
         space,
-        norm,
         label or f"constant({spaces.format_element(value)})",
         structure=structure,
-        norm_bound=element_norm(value, norm),
+        norm_bound=element_norm(value, space.norm),
     )
 
 
@@ -564,7 +552,7 @@ def harmonic_prefix_sequence():
 
     structure = PrefixValues(lambda ks: 1.0 / _as_index_array(ks).astype(float))
     return SequenceSpec(
-        gen, sparse_space(), sup_norm(), "harmonic_prefix",
+        gen, sparse_space(), "harmonic_prefix",
         structure=structure, norm_bound=1.0,
     )
 
@@ -575,8 +563,8 @@ def unit_coordinate_sequence():
         lambda ns: np.ones(len(_as_index_array(ns))),
     )
     return SequenceSpec(
-        lambda n: SparseElement({n: 1.0}), sparse_space(), sup_norm(),
-        "unit_coords", structure=structure, norm_bound=1.0,
+        lambda n: SparseElement({n: 1.0}), sparse_space(), "unit_coords",
+        structure=structure, norm_bound=1.0,
     )
 
 
@@ -591,7 +579,7 @@ def prime_coordinate_sequence():
     structure = SingleSupport(index_of, lambda ns: np.ones(len(_as_index_array(ns))))
     return SequenceSpec(
         lambda n: SparseElement({int(density.nth_primes(n)[-1]): 1.0}),
-        sparse_space(), sup_norm(), "prime_coords",
+        sparse_space(), "prime_coords",
         structure=structure, norm_bound=1.0,
     )
 
@@ -604,7 +592,7 @@ def damped_unit_coordinate_sequence():
     )
     return SequenceSpec(
         lambda n: SparseElement({n: 1.0 / math.sqrt(n)}),
-        sparse_space(), sup_norm(), "damped_unit_coords",
+        sparse_space(), "damped_unit_coords",
         structure=structure, norm_bound=1.0,
     )
 
@@ -622,7 +610,7 @@ def damped_prime_coordinate_sequence():
         return SparseElement({p: 1.0 / math.sqrt(p)})
 
     return SequenceSpec(
-        gen, sparse_space(), sup_norm(), "damped_prime_coords",
+        gen, sparse_space(), "damped_prime_coords",
         structure=SingleSupport(index_of, value_of), norm_bound=1.0,
     )
 
@@ -630,7 +618,6 @@ def damped_prime_coordinate_sequence():
 def decaying_sequence(value, exponent=1.0, label=None):
     """``x_n = n^(-exponent) * value``; the workhorse null sequence."""
     space = spaces.space_of(value)
-    norm = _default_norm(space)
     exponent = float(exponent)
 
     def gen(n):
@@ -646,8 +633,8 @@ def decaying_sequence(value, exponent=1.0, label=None):
             _pointwise(lambda ns: (ns.astype(float) ** -exponent)[:, None]), (value,)
         )
     return SequenceSpec(
-        gen, space, norm, label or f"null({spaces.format_element(value)})",
-        structure=structure, norm_bound=element_norm(value, norm),
+        gen, space, label or f"null({spaces.format_element(value)})",
+        structure=structure, norm_bound=element_norm(value, space.norm),
     )
 
 
@@ -655,69 +642,47 @@ def _identity_magnitude(ns):
     return np.asarray(ns, dtype=float)
 
 
-def spike_sequence(base, spikes, magnitude=None, label=None):
-    """``base`` with the terms on the index set ``spikes`` replaced.
+def spike_sequence(space, spikes, magnitude=None, label=None):
+    """The zero sequence of ``space`` with spikes on the index set ``spikes``.
 
-    On a spike index ``n`` the term becomes ``magnitude(n) * e_n`` (sparse)
-    or ``magnitude(n) * e_1`` (dense; the first coordinate carries dense
-    spikes).  Off the spike set the base term passes through unchanged.
-    ``magnitude`` must accept numpy index arrays; it defaults to ``n -> n``.
+    On a spike index ``n`` the term is ``magnitude(n) * e_n`` (sparse) or
+    ``magnitude(n) * e_1`` (dense; the first coordinate carries dense
+    spikes).  ``magnitude`` must accept numpy index arrays; it defaults to
+    ``n -> n``.
     """
-    if isinstance(base, Space):
-        base = zero_sequence(base)
     mag = magnitude if magnitude is not None else _identity_magnitude
-    space, norm = base.space, base.norm
-    base_gen = base.generator
 
     def mag_at(n):
-        return float(mag(np.asarray([n], dtype=np.int64))[0])
+        return float(mag(np.asarray([n], dtype=np.int64))[0]) if spikes.contains(n) else 0.0
 
-    def mask_at(ns):
+    def spiked(ns):
+        """The term's magnitude at each of ``ns``: zero off the spike set."""
         ns = _as_index_array(ns)
-        full = density.membership_mask(spikes, int(ns.max()))
-        return full[ns - 1]
+        mask = density.membership_mask(spikes, int(ns.max()))[ns - 1]
+        return np.where(mask, mag(ns).astype(float), 0.0)
 
     if space.kind == "sparse":
         def gen(n):
-            if spikes.contains(n):
-                m = mag_at(n)
-                return SparseElement({n: m} if m != 0.0 else {})
-            return base_gen(n)
+            m = mag_at(n)
+            return SparseElement({n: m} if m != 0.0 else {})
 
-        structure = Structure()
-        if base.norm_bound == 0.0:
-            structure = SingleSupport(
-                lambda ns: _as_index_array(ns),
-                lambda ns: np.where(mask_at(ns), mag(_as_index_array(ns)).astype(float), 0.0),
-            )
+        structure = SingleSupport(lambda ns: _as_index_array(ns), spiked)
     else:
         dim = space.dim
 
         def gen(n):
-            if spikes.contains(n):
-                coords = [0.0] * dim
-                coords[0] = mag_at(n)
-                return DenseElement(tuple(coords))
-            return base_gen(n)
+            coords = [0.0] * dim
+            coords[0] = mag_at(n)
+            return DenseElement(tuple(coords))
 
-        structure = Structure()
-        if isinstance(base.structure, DenseBlock):
-            base_rows = base.structure.rows
+        def rows(ns):
+            block = np.zeros((len(ns), dim))
+            block[:, 0] = spiked(ns)
+            return block
 
-            def spiked(ns, block):
-                mask = mask_at(ns)
-                block = block.copy()
-                block[mask] = 0.0
-                block[mask, 0] = mag(ns).astype(float)[mask]
-                return block
+        structure = DenseBlock(_pointwise(rows))
 
-            structure = DenseBlock(lambda ns: map(spiked, _chunks(ns), base_rows(ns)))
-
-    return SequenceSpec(
-        gen, space, norm,
-        label or f"spike({spikes.describe()},n)",
-        structure=structure, norm_bound=None,
-    )
+    return SequenceSpec(gen, space, label or f"spike({spikes.describe()},n)", structure=structure)
 
 
 def index_sequence(dim=1):
@@ -735,7 +700,7 @@ def index_sequence(dim=1):
         coords[0] = float(n)
         return DenseElement(tuple(coords))
 
-    return SequenceSpec(gen, space, DEFAULT_DENSE_NORM, "index_e1",
+    return SequenceSpec(gen, space, "index_e1",
                         structure=DenseBlock(_pointwise(block_of)))
 
 
@@ -754,7 +719,7 @@ def alternating_sequence(dim=1):
         coords[0] = 1.0 if n % 2 == 0 else -1.0
         return DenseElement(tuple(coords))
 
-    return SequenceSpec(gen, space, DEFAULT_DENSE_NORM, "alternating_e1",
+    return SequenceSpec(gen, space, "alternating_e1",
                         structure=DenseBlock(_pointwise(block_of)), norm_bound=1.0)
 
 
@@ -786,9 +751,10 @@ def _random_table(cache, seed, count, width, norm):
     return cache["table"][:count]
 
 
-def random_unit_ball(space, seed, norm=None):
-    """Seeded random elements of norm at most 1; bitwise reproducible per seed."""
-    norm = norm or _default_norm(space)
+def random_unit_ball(space, seed):
+    """Seeded random elements of the unit ball of ``space``'s norm; bitwise
+    reproducible per seed."""
+    norm = space.norm
     seed = int(seed)
     cache = {}
 
@@ -817,7 +783,7 @@ def random_unit_ball(space, seed, norm=None):
         )
 
     return SequenceSpec(
-        gen, space, norm, f"random_ball_{seed}",
+        gen, space, f"random_ball_{seed}",
         structure=structure, norm_bound=1.0,
     )
 
@@ -826,8 +792,6 @@ def combine(a, b, alpha, beta, label=None):
     """Pointwise ``alpha * a_n + beta * b_n``."""
     if a.space != b.space:
         raise ValueError(f"cannot combine {a.space.describe()} with {b.space.describe()}")
-    if a.norm != b.norm:
-        raise ValueError("combined sequences must share a norm")
     alpha, beta = float(alpha), float(beta)
     ga, gb = a.generator, b.generator
 
@@ -839,7 +803,7 @@ def combine(a, b, alpha, beta, label=None):
     if a.norm_bound is not None and b.norm_bound is not None:
         bound = abs(alpha) * a.norm_bound + abs(beta) * b.norm_bound
     return SequenceSpec(
-        gen, a.space, a.norm,
+        gen, a.space,
         label or f"combine({a.label},{b.label},{format_float(alpha)},{format_float(beta)})",
         structure=structure, norm_bound=bound,
     )
@@ -857,7 +821,7 @@ def subsequence(seq, along):
         return seq.generator(int(structure.members_upto(k)[k - 1]))
 
     return SequenceSpec(
-        gen, seq.space, seq.norm,
+        gen, seq.space,
         f"subseq({seq.label},{along.describe()})",
         structure=structure,
         norm_bound=seq.norm_bound,
@@ -941,14 +905,23 @@ def functional_sweep(f, seq, horizon):
 # descriptor grammar
 # ---------------------------------------------------------------------------
 
-def _parse_space_arg(cur, default_dim=3):
-    """Either ``sparse`` or ``dim=K`` (default dense:3)."""
+def _parse_space_arg(cur):
+    """``sparse`` or ``dim=K``; None, reading nothing, where neither is."""
     if cur.keyword("sparse"):
         return sparse_space()
     if cur.keyword("dim"):
         cur.expect("=")
         return dense_space(cur.integer())
-    return dense_space(default_dim)
+    return None
+
+
+def _parse_given_space(cur):
+    """A space argument after ``(`` or ``,``, where an empty one is an error;
+    other text is left unread for the caller's ``)`` to refuse."""
+    cur.skip_ws()
+    if cur.text.startswith((")", ","), cur.pos):
+        cur.error("expected an argument")
+    return _parse_space_arg(cur)
 
 
 def _parse_magnitude(cur):
@@ -974,7 +947,7 @@ def parse_sequence_at(cur, default_seed=7):
     if name == "zero":
         space = sparse_space()
         if cur.try_eat("("):
-            space = _parse_space_arg(cur)
+            space = _parse_given_space(cur)
             cur.expect(")")
         return zero_sequence(space)
     if name in ("constant", "null"):
@@ -983,7 +956,8 @@ def parse_sequence_at(cur, default_seed=7):
             return constant_sequence(value)
         return decaying_sequence(value)
     if name in ("index", "alternating"):
-        space, = cur.args(lambda c: _parse_space_arg(c, default_dim=1))
+        space, = cur.args(_parse_space_arg)
+        space = space or dense_space(1)
         if space.kind != "dense":
             cur.error(f"{name} sequences are dense")
         return (index_sequence if name == "index" else alternating_sequence)(space.dim)
@@ -994,26 +968,28 @@ def parse_sequence_at(cur, default_seed=7):
         mag = _parse_magnitude(cur)
         space = sparse_space()
         if cur.try_eat(","):
-            space = _parse_space_arg(cur)
+            space = _parse_given_space(cur)
         cur.expect(")")
         return spike_sequence(space, spikes, magnitude=mag)
     if name == "random":
         cur.expect("(")
         given = {}
-        while not cur.try_eat(")"):
-            start = cur.pos
-            if cur.keyword("seed"):
-                cur.expect("=")
-                key, value = "seed", cur.integer()
-            else:
-                key, value = "space", _parse_space_arg(cur)
-            if key in given:
-                cur.pos = start
-                cur.error(f"repeated {key} argument")
-            given[key] = value
-            if not cur.try_eat(","):
-                cur.expect(")")
-                break
+        if not cur.try_eat(")"):
+            while True:
+                cur.skip_ws()
+                start = cur.pos
+                if cur.keyword("seed"):
+                    cur.expect("=")
+                    key, value = "seed", cur.integer()
+                else:
+                    key, value = "space", _parse_given_space(cur)
+                if key in given:
+                    cur.pos = start
+                    cur.error(f"repeated {key} argument")
+                given[key] = value
+                if not cur.try_eat(","):
+                    break
+            cur.expect(")")
         return random_unit_ball(given.get("space", dense_space(3)), given.get("seed", default_seed))
     seq = functools.partial(parse_sequence_at, default_seed=default_seed)
     if name == "combine":
@@ -1030,8 +1006,6 @@ def parse_sequence(text, default_seed=7):
 
 __all__ = [
     "CORPUS_VERSION",
-    "DEFAULT_DENSE_NORM",
-    "DEFAULT_SPARSE_NORM",
     "HorizonExhausted",
     "SequenceSpec",
     "Structure",

@@ -3,8 +3,9 @@ supported sparse (real sequences with finitely many nonzero entries, indexed
 from 1).
 
 Sparse elements prune exact zeros so that supports stay honest; dense
-elements are plain coordinate tuples.  Norms are the sup norm (both spaces)
-and p-norms (dense only).
+elements are plain coordinate tuples.  Each space measures in its own norm,
+:attr:`Space.norm`: Euclidean on dense, sup on sparse.  :func:`norm`
+evaluates the sup norm on both kinds of element and p-norms on dense ones.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ class Space:
                 raise ValueError("sparse space has no fixed dimension")
         else:
             raise ValueError(f"unknown space kind {self.kind!r}")
+
+    @property
+    def norm(self):
+        """The norm the space measures in: Euclidean on dense, sup on sparse."""
+        return p_norm(2) if self.kind == "dense" else sup_norm()
 
     def describe(self):
         return f"dense:{self.dim}" if self.kind == "dense" else "sparse"

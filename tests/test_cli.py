@@ -459,6 +459,14 @@ _PARSE_ERRORS = [
     ("sequence", "random(seeds=3)", "expected ')' at position 7"),
     ("sequence", "index(dims=2)", "expected ')' at position 6"),
     ("sequence", "zero(sparsely)", "expected ')' at position 5"),
+    # accepted until empty arguments were refused: an empty space argument
+    # read as dense:3 (so zero() was dense while zero is sparse), and random
+    # ignored a trailing comma
+    ("sequence", "zero()", "expected an argument at position 5"),
+    ("sequence", "spike(squares,n,)", "expected an argument at position 16"),
+    ("sequence", "random(,)", "expected an argument at position 7"),
+    ("sequence", "random(sparse,)", "expected an argument at position 14"),
+    ("sequence", "random(seed=3,)", "expected an argument at position 14"),
     ("sequence", "harmonic extra", "unexpected trailing text after sequence at position 9"),
     ("sequence", "bogus", "unknown sequence 'bogus' at position 5"),
 ]

@@ -211,6 +211,18 @@ def test_named_diagonal_bounds():
     assert operators.operator_norm_bound(operators.named_diagonal("inverse_trunc", 5)) == 1.0
 
 
+@pytest.mark.parametrize("name", ["identity", "inverse", "one_plus_inverse", "index", "prime_scale"])
+def test_named_diagonal_refuses_a_cutoff(name):
+    with pytest.raises(ValueError, match="takes no cutoff"):
+        operators.named_diagonal(name, 5)
+
+
+def test_named_diagonal_cutoff_label_round_trips():
+    op = operators.named_diagonal("inverse_trunc", 5.0)
+    assert op.describe() == "diag(inverse_trunc(5))"
+    assert operators.parse_operator(op.describe()).describe() == op.describe()
+
+
 def test_rank_one_norm_bound():
     r1 = operators.rank_one(
         operators.coordinate_functional(1), spaces.sparse_element({1: 2.0, 2: 1.0})
@@ -260,12 +272,12 @@ def test_image_sequence_matches_pointwise(op):
         sequences.harmonic_prefix_sequence(),
         sequences.unit_coordinate_sequence(),
         sequences.random_unit_ball(spaces.sparse_space(), seed=4),
-        sequences.spike_sequence(sequences.zero_sequence(spaces.sparse_space()), density.squares()),
+        sequences.spike_sequence(spaces.sparse_space(), density.squares()),
     ):
         img = operators.image_sequence(op, seq)
         got = sequences.norm_sweep(img, 150)
         want = np.array(
-            [spaces.norm(operators.apply(op, seq.generator(n)), img.norm) for n in range(1, 151)]
+            [spaces.norm(operators.apply(op, seq.generator(n)), img.space.norm) for n in range(1, 151)]
         )
         assert np.allclose(got, want, rtol=0.0, atol=1e-12), seq.label
 
@@ -277,7 +289,7 @@ def test_image_sequence_dense_matrix():
     assert img.space == spaces.dense_space(2)
     got = sequences.norm_sweep(img, 100)
     want = np.array(
-        [spaces.norm(operators.apply(m, seq.generator(n)), img.norm) for n in range(1, 101)]
+        [spaces.norm(operators.apply(m, seq.generator(n)), img.space.norm) for n in range(1, 101)]
     )
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 

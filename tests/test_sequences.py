@@ -15,12 +15,12 @@ HORIZON = 300
 
 
 def brute_norms(seq, horizon):
-    return np.array([spaces.norm(seq.generator(n), seq.norm) for n in range(1, horizon + 1)])
+    return np.array([spaces.norm(seq.generator(n), seq.space.norm) for n in range(1, horizon + 1)])
 
 
 def brute_distances(seq, candidate, horizon):
     return np.array(
-        [spaces.norm(spaces.sub(seq.generator(n), candidate), seq.norm) for n in range(1, horizon + 1)]
+        [spaces.norm(spaces.sub(seq.generator(n), candidate), seq.space.norm) for n in range(1, horizon + 1)]
     )
 
 
@@ -39,11 +39,8 @@ def catalog():
         sequences.damped_prime_coordinate_sequence(),
         sequences.decaying_sequence(spaces.sparse_element({1: 1.0, 4: -2.0})),
         sequences.decaying_sequence(spaces.dense_element((1.0, 0.0, 3.0)), exponent=0.5),
-        sequences.spike_sequence(sequences.zero_sequence(sparse), density.squares()),
-        sequences.spike_sequence(
-            sequences.decaying_sequence(spaces.dense_element((1.0, 1.0, 1.0))),
-            density.primes(),
-        ),
+        sequences.spike_sequence(sparse, density.squares()),
+        sequences.spike_sequence(dense, density.primes()),
         sequences.index_sequence(),
         sequences.alternating_sequence(),
         sequences.random_unit_ball(sparse, seed=5),
@@ -142,15 +139,14 @@ def test_decaying_sequence_scales_value():
     assert dict(seq.generator(3).support) == {2: 1.0}
 
 
-def test_spike_replaces_base_term():
-    base = sequences.constant_sequence(spaces.dense_element((1.0, 1.0, 1.0)))
-    spiked = sequences.spike_sequence(base, density.squares())
-    # on a spike index the term is magnitude * e_1, elsewhere the base term
+def test_spikes_sit_on_zero():
+    spiked = sequences.spike_sequence(spaces.dense_space(3), density.squares())
+    # on a spike index the term is magnitude * e_1, elsewhere zero
     assert spiked.generator(4).coords == (4.0, 0.0, 0.0)
-    assert spiked.generator(5).coords == (1.0, 1.0, 1.0)
+    assert spiked.generator(5).coords == (0.0, 0.0, 0.0)
 
-    sparse_base = sequences.zero_sequence(spaces.sparse_space())
-    sp = sequences.spike_sequence(sparse_base, density.primes(), magnitude=lambda ns: 0 * ns + 2.0)
+    sp = sequences.spike_sequence(spaces.sparse_space(), density.primes(),
+                                  magnitude=lambda ns: 0 * ns + 2.0)
     assert dict(sp.generator(3).support) == {3: 2.0}
     assert dict(sp.generator(4).support) == {}
 
@@ -260,24 +256,28 @@ def test_random_ball_labels_carry_seed():
     assert sequences.random_unit_ball(spaces.dense_space(3), seed=7).label == "random_ball_7"
 
 
-@pytest.mark.parametrize("norm", [spaces.p_norm(1), spaces.p_norm(2), spaces.p_norm(3),
-                                  spaces.sup_norm()], ids=lambda n: n.describe())
-@pytest.mark.parametrize("dim", [1, 3, 8])
-def test_random_ball_rows_match_whole_table_normalisation(norm, dim):
+@pytest.mark.parametrize("space", [spaces.dense_space(1), spaces.dense_space(3),
+                                   spaces.dense_space(8), spaces.sparse_space()],
+                         ids=lambda sp: sp.describe())
+def test_random_ball_rows_match_whole_table_normalisation(space):
     # reference: draw the raw table straight from the seed, normalise every
-    # row up to the largest index asked for, then pick rows
+    # row up to the largest index asked for into the space's unit ball (a
+    # sparse term is one value, already in the sup ball), then pick rows
     count, seed = 2500, 17
-    table = np.random.default_rng(seed).random((count, dim)) * 2.0 - 1.0
-    if norm.kind == "sup":
-        whole = table
-    else:
-        lens = np.sum(np.abs(table) ** norm.p, axis=1) ** (1.0 / norm.p)
-        whole = table / np.maximum(lens, 1.0)[:, None]
-    seq = sequences.random_unit_ball(spaces.dense_space(dim), seed, norm)
+    width = space.dim or 1
+    whole = np.random.default_rng(seed).random((count, width)) * 2.0 - 1.0
+    if space.kind == "dense":
+        whole /= np.maximum(np.sum(np.abs(whole) ** 2.0, axis=1) ** 0.5, 1.0)[:, None]
+    seq = sequences.random_unit_ball(space, seed)
     ns = np.asarray([count, 1, 7, 7, 1024, 1025, 2, 1999])
-    assert seq.structure.block_of(ns).tobytes() == whole[ns - 1].tobytes()
-    for n in (1, 2, 1025, count):
-        assert np.asarray(seq.generator(n).coords).tobytes() == whole[n - 1].tobytes()
+    if space.kind == "dense":
+        assert seq.structure.block_of(ns).tobytes() == whole[ns - 1].tobytes()
+        terms = {n: np.asarray(seq.generator(n).coords) for n in (1, 2, 1025, count)}
+    else:
+        assert seq.structure.value_of(ns).tobytes() == whole[ns - 1, 0].tobytes()
+        terms = {n: np.asarray([seq.generator(n).support[n]]) for n in (1, 2, 1025, count)}
+    for n, term in terms.items():
+        assert term.tobytes() == whole[n - 1].tobytes()
 
 
 @pytest.mark.parametrize("norm", [spaces.p_norm(2), spaces.sup_norm()], ids=lambda n: n.describe())
@@ -435,7 +435,7 @@ def test_parsed_random_uses_default_seed():
 @settings(max_examples=40, deadline=None)
 def test_harmonic_norm_is_always_one(n):
     h = sequences.harmonic_prefix_sequence()
-    assert spaces.norm(h.generator(n), h.norm) == 1.0
+    assert spaces.norm(h.generator(n), h.space.norm) == 1.0
 
 
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=500))
@@ -443,7 +443,7 @@ def test_harmonic_norm_is_always_one(n):
 def test_harmonic_distance_formula(m, n):
     # distance between prefix sums m < n is 1/(m+1); equal indices give 0
     h = sequences.harmonic_prefix_sequence()
-    d = spaces.norm(spaces.sub(h.generator(m), h.generator(n)), h.norm)
+    d = spaces.norm(spaces.sub(h.generator(m), h.generator(n)), h.space.norm)
     if m == n:
         assert d == 0.0
     else:

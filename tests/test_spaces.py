@@ -40,6 +40,11 @@ def test_space_validation():
         spaces.Space("weird")
 
 
+def test_each_space_measures_in_its_own_norm():
+    assert spaces.dense_space(3).norm == spaces.p_norm(2)
+    assert spaces.sparse_space().norm == spaces.sup_norm()
+
+
 def test_norm_validation():
     assert spaces.p_norm(1.0).p == 1.0
     with pytest.raises(ValueError):

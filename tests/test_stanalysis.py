@@ -49,7 +49,7 @@ def test_decaying_sequence_converges_to_zero():
 
 def test_spiked_null_sequence_still_st_converges():
     # spikes on the squares have density zero, so exceedances thin out
-    seq = sequences.spike_sequence(sequences.zero_sequence(SPARSE), density.squares())
+    seq = sequences.spike_sequence(SPARSE, density.squares())
     v = stanalysis.st_converges(seq, spaces.sparse_element({}), horizon=100_000)
     assert v.decision == "confirmed"
 
@@ -127,7 +127,7 @@ def test_converges_grid_validation():
 # ---------------------------------------------------------------------------
 
 def test_spike_sequence_is_st_bounded_with_small_bound():
-    seq = sequences.spike_sequence(sequences.zero_sequence(SPARSE), density.squares())
+    seq = sequences.spike_sequence(SPARSE, density.squares())
     v = stanalysis.st_bounded(seq, horizon=100_000)
     assert v.decision == "confirmed"
     assert v.bound == 1.0
@@ -364,9 +364,7 @@ def test_search_finds_nonzero_dense_limit():
 
 def test_search_confirms_spiky_corruption_of_constant():
     base = sequences.constant_sequence(spaces.dense_element((1.0, 1.0, 1.0)))
-    spike = sequences.spike_sequence(
-        sequences.zero_sequence(spaces.dense_space(3)), density.squares()
-    )
+    spike = sequences.spike_sequence(spaces.dense_space(3), density.squares())
     seq = sequences.combine(base, spike, 1.0, 1.0)
     v = stanalysis.st_converges_search(seq, horizon=100_000)
     assert v.decision == "confirmed"
@@ -391,7 +389,7 @@ def test_norm_limit_zero_three_ways():
     assert stanalysis.norm_limit_zero(
         sequences.constant_sequence(spaces.sparse_element({1: 1.0})), horizon=H
     ) == "refuted"
-    spiky = sequences.spike_sequence(sequences.zero_sequence(SPARSE), density.squares())
+    spiky = sequences.spike_sequence(SPARSE, density.squares())
     assert stanalysis.norm_limit_zero(spiky, horizon=100_000) == "inconclusive"
 
 

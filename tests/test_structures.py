@@ -99,10 +99,35 @@ def _assert_close(got, want, what):
     assert np.allclose(got, want, rtol=RTOL, atol=RTOL * scale), what
 
 
-def test_every_structure_kind_is_covered():
-    kinds = {type(seq.structure).__name__ for _, seq in CASES}
-    assert kinds == {"SingleSupport", "PrefixValues", "FixedBasisCombo", "DenseBlock",
-                     "Reindexed", "Scaled"}
+_KINDS = (sequences.SingleSupport, sequences.PrefixValues, sequences.FixedBasisCombo,
+          sequences.DenseBlock, sequences.Reindexed, sequences.Scaled)
+_METHODS = ("sweep", "functional", "median", "diagonal_image", "matrix_image", "rescaled",
+            "combined", "lifted")
+
+
+def _noting(method, key, reached):
+    def noted(*args, **kwargs):
+        reached.add(key)
+        return method(*args, **kwargs)
+
+    return noted
+
+
+def test_every_structure_kind_is_covered(monkeypatch):
+    assert {type(seq.structure) for _, seq in CASES} == set(_KINDS)
+    # every override of a protocol method is called while the cases are
+    # built (the image methods) or swept once (the rest)
+    overrides = [(kind, name) for kind in _KINDS for name in _METHODS if name in vars(kind)]
+    reached = set()
+    for kind, name in overrides:
+        monkeypatch.setattr(kind, name, _noting(vars(kind)[name], (kind, name), reached))
+    # build the corpora afresh, so that the calls of their constructors count
+    for corpus in (sparse_corpus, dense_corpus, cauchy_corpus):
+        monkeypatch.setitem(globals(), corpus.__name__, corpus.__wrapped__)
+    for _, seq in _cases():
+        _answers(seq, stanalysis._median_candidate(seq, 20), 20)
+    assert [f"{kind.__name__}.{name}" for kind, name in overrides
+            if (kind, name) not in reached] == []
 
 
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
@@ -124,8 +149,8 @@ def test_structured_median_matches_per_index(name, seq):
     assert answered != isinstance(seq.structure, sequences.Scaled)
     got = stanalysis._median_candidate(seq, H)
     want = stanalysis._median_candidate(_per_index(seq), H)
-    scale = max(1.0, spaces.norm(want, seq.norm))
-    assert spaces.norm(spaces.sub(got, want), seq.norm) <= RTOL * scale
+    scale = max(1.0, spaces.norm(want, seq.space.norm))
+    assert spaces.norm(spaces.sub(got, want), seq.space.norm) <= RTOL * scale
 
 
 def test_subsequence_images_keep_a_structure():
@@ -174,9 +199,9 @@ def test_prefix_median_matches_per_index(name, seq, horizon):
     assert list(got.support.items()) == list(want.support.items())
 
 
-def _answers(seq, candidate):
-    return ([sequences.norm_sweep(seq, H), sequences.distance_sweep(seq, candidate, H)]
-            + [operators.functional_sweep(f, seq, H) for f in FUNCTIONALS])
+def _answers(seq, candidate, horizon):
+    return ([sequences.norm_sweep(seq, horizon), sequences.distance_sweep(seq, candidate, horizon)]
+            + [operators.functional_sweep(f, seq, horizon) for f in FUNCTIONALS])
 
 
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
@@ -184,10 +209,10 @@ def test_answers_do_not_depend_on_the_chunk_size(name, seq, monkeypatch):
     # H = 300 is one chunk by default and 43 chunks of 7: every carry across a
     # chunk boundary must give the bits of the single pass
     candidate = stanalysis._median_candidate(seq, H)
-    whole = _answers(seq, candidate)
+    whole = _answers(seq, candidate, H)
     monkeypatch.setattr(sequences, "_CHUNK", 7)
     assert stanalysis._median_candidate(seq, H) == candidate
-    for got, want in zip(_answers(seq, candidate), whole):
+    for got, want in zip(_answers(seq, candidate, H), whole):
         assert np.array_equal(got, want)
 
 
