@@ -31,17 +31,14 @@ from .density import (
 )
 from .spaces import (
     DenseElement,
-    Norm,
     Space,
     SparseElement,
     dense_element,
     dense_space,
     norm,
-    p_norm,
     parse_element,
     sparse_element,
     sparse_space,
-    sup_norm,
 )
 from .sequences import (
     SequenceSpec,
@@ -110,9 +107,9 @@ __all__ = [
     "profile_from_mask", "density_verdict", "parse_index_set",
     "geometric", "linear",
     # spaces
-    "Space", "Norm", "DenseElement", "SparseElement",
+    "Space", "DenseElement", "SparseElement",
     "dense_space", "sparse_space", "dense_element", "sparse_element",
-    "norm", "sup_norm", "p_norm", "parse_element",
+    "norm", "parse_element",
     # sequences
     "SequenceSpec", "zero_sequence", "constant_sequence",
     "harmonic_prefix_sequence", "unit_coordinate_sequence",

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import operators, sequences, spaces, stanalysis
 from .operators import (
-    OperatorSpec,
     SequenceTransform,
     coordinate_functional,
     dense_weights,
@@ -232,8 +231,9 @@ def _hypothesis_confirmed(member, hypothesis, horizon, tolerance):
     return hit == "confirmed"
 
 
-def _classify(op, props, corpus, horizon, tolerance):
-    """One report per property in ``props``, from one walk over the corpus.
+def _classify(op, props, horizon, tolerance):
+    """One report per property in ``props``, from one walk over the corpus
+    of the operator's domain.
 
     Each member's image is built at most once, and each distinct conclusion
     verdict on it is computed at most once.
@@ -241,15 +241,7 @@ def _classify(op, props, corpus, horizon, tolerance):
     for prop in props:
         if prop not in _DEFINITIONS:
             raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    if corpus is None:
-        corpus = corpus_for(op)
-    if not corpus.members:
-        raise ValueError("classification needs a nonempty corpus")
-    if isinstance(op, OperatorSpec) and corpus.space != op.domain:
-        raise ValueError(
-            f"corpus space {corpus.space.describe()} does not match "
-            f"operator domain {op.domain.describe()}"
-        )
+    corpus = corpus_for(op)
     horizon = int(horizon)
     witnesses = {prop: [] for prop in props}
     confirmed = dict.fromkeys(props, 0)
@@ -283,15 +275,14 @@ def _classify(op, props, corpus, horizon, tolerance):
     return reports
 
 
-def classify(op, prop, corpus=None, horizon=DEFAULT_CLASSIFY_HORIZON,
-             tolerance=DEFAULT_CLASSIFY_TOLERANCE):
-    """Empirically test one operator property against a corpus.
+def classify(op, prop, horizon=DEFAULT_CLASSIFY_HORIZON, tolerance=DEFAULT_CLASSIFY_TOLERANCE):
+    """Empirically test one operator property against the corpus of its domain.
 
     Refuted when some member confirms the hypothesis while its image refutes
     the conclusion; consistent when no member refutes and at least one
     hypothesis was confirmed; inconclusive otherwise.
     """
-    return _classify(op, (prop,), corpus, horizon, tolerance)[0]
+    return _classify(op, (prop,), horizon, tolerance)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +342,7 @@ def _norm_bounded_operator_pool():
 
 def _consistent(op, props, horizon, tolerance):
     """``(label, ok, detail)``: ``op`` classifies consistent under every one of ``props``."""
-    reports = _classify(op, props, corpus_for(op), horizon, tolerance)
+    reports = _classify(op, props, horizon, tolerance)
     detail = "; ".join(f"{r.property} outcome {r.outcome}"
                        for r in reports if r.outcome != "consistent")
     return op.describe(), not detail, detail
@@ -482,7 +473,7 @@ def check_bounded_iff_continuous(horizon, tolerance):
     """st_bounded and st_continuous classification outcomes agree per operator."""
     outcomes = []
     for op in _iff_operator_pool():
-        b, c = _classify(op, ("st_bounded", "st_continuous"), corpus_for(op), horizon, tolerance)
+        b, c = _classify(op, ("st_bounded", "st_continuous"), horizon, tolerance)
         ok = b.outcome == c.outcome
         detail = "" if ok else f"st_bounded {b.outcome} vs st_continuous {c.outcome}"
         outcomes.append((op.describe(), ok, detail))
@@ -526,7 +517,7 @@ def check_compact_norm_limit(horizon, tolerance):
                           for k in range(1, m + 1)])
         for k in range(1, 2 * m + 3):
             delta = spaces.sub(operators.apply(s_m, _e(k)), operators.apply(fr, _e(k)))
-            if spaces.norm(delta, s_m.codomain.norm) > 1e-12:
+            if spaces.norm(delta) > 1e-12:
                 ok = False
                 break
         detail = "" if ok else f"norm probe {probe!r} vs expected {expected!r}"
@@ -538,7 +529,7 @@ def check_compact_norm_limit(horizon, tolerance):
 
 def check_unbounded_functional_not_compact(horizon, tolerance):
     op = rank_one(linear_growth_functional(), _e(1))
-    report = classify(op, "st_compact", corpus_for(op), horizon, tolerance)
+    report = classify(op, "st_compact", horizon, tolerance)
     ok = report.outcome == "refuted" and len(report.witnesses) >= 1
     detail = "" if ok else f"outcome {report.outcome} with {len(report.witnesses)} witnesses"
     return ([(op.describe(), ok, detail)],
@@ -610,8 +601,8 @@ def check_prime_scaling_readings(horizon, tolerance):
     st-boundedness outcomes; both are checked and the discrepancy recorded."""
     transform = prime_position_transform()
     diag = named_diagonal("prime_scale")
-    rep_t = classify(transform, "st_bounded", sparse_corpus(), horizon, tolerance)
-    rep_d = classify(diag, "st_bounded", sparse_corpus(), horizon, tolerance)
+    rep_t = classify(transform, "st_bounded", horizon, tolerance)
+    rep_d = classify(diag, "st_bounded", horizon, tolerance)
     t_ok = rep_t.outcome == "consistent"
     d_ok = rep_d.outcome == "refuted" and any(
         label == "prime_coords" for label, _ in rep_d.witnesses

@@ -44,9 +44,9 @@ class FunctionalSpec:
     constructor chose.
 
     ``weights(ks)`` is ``f(e_k)`` at the int64 indices ``ks`` (zero off the
-    support); ``norm_bound(domain_norm)`` is a known bound on
-    ``|f(x)| / ||x||``, or None; ``last`` is the largest index the functional
-    weighs, when a dense space must reach it, else None.
+    support); ``norm_bound(domain)`` is a known bound on ``|f(x)| / ||x||``
+    for ``x`` in the space ``domain``, or None; ``last`` is the largest index
+    the functional weighs, when a dense space must reach it, else None.
     """
 
     label: str
@@ -83,13 +83,11 @@ def coordinate_functional(j):
 def dense_weights(weights):
     w = np.array(weights, dtype=float)
 
-    def norm_bound(domain_norm):
-        if domain_norm.kind == "sup":
+    def norm_bound(domain):
+        # the dual norm of the domain's: l1 against sup, Euclidean against Euclidean
+        if domain.kind == "sparse":
             return float(np.sum(np.abs(w)))
-        q = domain_norm.p / (domain_norm.p - 1) if domain_norm.p > 1 else np.inf
-        if q == np.inf:
-            return float(np.max(np.abs(w)))
-        return float(np.sum(np.abs(w) ** q) ** (1.0 / q))
+        return float(np.sum(np.abs(w) ** 2.0) ** 0.5)
 
     return FunctionalSpec(
         "weights[" + ",".join(format_float(v) for v in w.tolist()) + "]",
@@ -184,10 +182,10 @@ class FiniteRank(OperatorSpec):
     def norm_bound(self):
         total = 0.0
         for f, y0 in self.pieces:
-            fb = f.norm_bound(self.domain.norm)
+            fb = f.norm_bound(self.domain)
             if fb is None:
                 return None
-            total += fb * spaces.norm(y0, self.codomain.norm)
+            total += fb * spaces.norm(y0)
         return total
 
     def image_structure(self, seq):
@@ -440,7 +438,6 @@ def operator_norm_estimate(op, probes=64):
     """Lower bound on the operator norm from coordinate and random unit probes."""
     if isinstance(op, SequenceTransform):
         raise TypeError("sequence transforms have no single operator norm")
-    dn, cn = op.domain.norm, op.codomain.norm
     candidates = []
     rng = np.random.default_rng(_ESTIMATE_SEED)
     if op.domain.kind == "dense":
@@ -463,10 +460,10 @@ def operator_norm_estimate(op, probes=64):
                 candidates.append(x)
     best = 0.0
     for x in candidates:
-        nx = spaces.norm(x, dn)
+        nx = spaces.norm(x)
         if nx == 0.0:
             continue
-        best = max(best, spaces.norm(apply(op, x), cn) / nx)
+        best = max(best, spaces.norm(apply(op, x)) / nx)
     return best
 
 
@@ -499,6 +496,8 @@ def named_diagonal(name, arg=None):
     if name == "inverse_trunc":
         if arg is None:
             raise ValueError("inverse_trunc needs a cutoff, e.g. inverse_trunc(5)")
+        if arg != int(arg) or arg < 1:
+            raise ValueError(f"inverse_trunc needs a whole cutoff of at least 1, got {arg!r}")
         m = int(arg)
         return diagonal(f"inverse_trunc({m})", _inverse_trunc(m), bound=1.0)
     if name not in _DIAGONAL_NAMES:

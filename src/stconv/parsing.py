@@ -83,13 +83,17 @@ class Cursor:
         self.pos = m.end()
         return value
 
-    def integer(self):
+    def integer(self, least=1):
+        """An integer literal no smaller than ``least``; errors point at it."""
         self.skip_ws()
         start = self.pos
         value = self.number()
         if value != int(value):
             self.pos = start
             self.error("expected an integer")
+        if value < least:
+            self.pos = start
+            self.error(f"expected an integer >= {least}")
         return int(value)
 
     def args(self, *parts):

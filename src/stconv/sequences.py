@@ -120,13 +120,13 @@ class Structure:
 
     def sweep(self, seq, candidate, ns):
         """``||x_n - candidate||`` (``||x_n||`` for ``candidate=None``) at ``n`` in ``ns``."""
-        gen, nrm = seq.generator, seq.space.norm
+        gen = seq.generator
         if candidate is None:
             def term(n):
-                return element_norm(gen(n), nrm)
+                return element_norm(gen(n))
         else:
             def term(n):
-                return element_norm(sub(gen(n), candidate), nrm)
+                return element_norm(sub(gen(n), candidate))
         return _fill(ns, _chunks(ns), lambda c: [term(n) for n in c.tolist()])
 
     def functional(self, seq, f, ns):
@@ -402,10 +402,9 @@ class DenseBlock(Structure):
 
     def sweep(self, seq, candidate, ns):
         c = None if candidate is None else np.asarray(candidate.coords)[None, :]
-        nrm = seq.space.norm
 
         def norms(block):
-            return _block_norms(block if c is None else block - c, nrm)
+            return _block_norms(block if c is None else block - c)
 
         return _fill(ns, self.rows(ns), norms)
 
@@ -540,7 +539,7 @@ def constant_sequence(value, label=None):
         space,
         label or f"constant({spaces.format_element(value)})",
         structure=structure,
-        norm_bound=element_norm(value, space.norm),
+        norm_bound=element_norm(value),
     )
 
 
@@ -634,7 +633,7 @@ def decaying_sequence(value, exponent=1.0, label=None):
         )
     return SequenceSpec(
         gen, space, label or f"null({spaces.format_element(value)})",
-        structure=structure, norm_bound=element_norm(value, space.norm),
+        structure=structure, norm_bound=element_norm(value),
     )
 
 
@@ -723,9 +722,12 @@ def alternating_sequence(dim=1):
                         structure=DenseBlock(_pointwise(block_of)), norm_bound=1.0)
 
 
-def _random_table(cache, seed, count, width, norm):
-    """Seeded uniform [-1, 1] rows scaled into ``norm``'s unit ball; read-only,
-    grown as needed, prefixes stable.
+def _random_table(cache, seed, count, width):
+    """Seeded uniform [-1, 1] rows scaled into the Euclidean unit ball;
+    read-only, grown as needed, prefixes stable.
+
+    A one-wide row in [-1, 1] has Euclidean norm at most 1 and is divided by
+    exactly 1.0, so the sparse space's values are the raw draws, bit for bit.
 
     The rows come from one generator stream kept in ``cache``: a growth draws
     only the new rows, a chunk at a time, and normalises each chunk as it is
@@ -744,8 +746,7 @@ def _random_table(cache, seed, count, width, norm):
             rng.random(out=rows)
             rows *= 2.0
             rows -= 1.0
-            if norm.kind != "sup":   # uniform rows already lie in the sup ball
-                rows /= np.maximum(_block_norms(rows, norm), 1.0)[:, None]
+            rows /= np.maximum(_block_norms(rows), 1.0)[:, None]
         table.setflags(write=False)
         cache["table"] = table
     return cache["table"][:count]
@@ -754,7 +755,6 @@ def _random_table(cache, seed, count, width, norm):
 def random_unit_ball(space, seed):
     """Seeded random elements of the unit ball of ``space``'s norm; bitwise
     reproducible per seed."""
-    norm = space.norm
     seed = int(seed)
     cache = {}
 
@@ -763,7 +763,7 @@ def random_unit_ball(space, seed):
 
         def block_of(ns):
             ns = _as_index_array(ns)
-            return np.take(_random_table(cache, seed, int(ns.max()), dim, norm), ns - 1, axis=0)
+            return np.take(_random_table(cache, seed, int(ns.max()), dim), ns - 1, axis=0)
 
         def gen(n):
             return DenseElement(tuple(float(c) for c in block_of([n])[0]))
@@ -771,7 +771,7 @@ def random_unit_ball(space, seed):
         structure = DenseBlock(_pointwise(block_of))
     else:
         def values_upto(count):
-            return _random_table(cache, seed, count, 1, norm)[:, 0]
+            return _random_table(cache, seed, count, 1)[:, 0]
 
         def gen(n):
             v = float(values_upto(n)[n - 1])
@@ -854,25 +854,23 @@ def _sparse_support_arrays(x):
     return idx[order], val[order]
 
 
-def _block_norms(block, nrm):
-    if nrm.kind == "sup":
-        return _abs_rowmax(block)
-    p = nrm.p
+def _block_norms(block):
+    """The Euclidean norm of each row of ``block``."""
     if block.shape[1] >= 8:
         # numpy sums a row of 8 or more by pairwise blocks, an order that
         # only its own row-wise reduction repeats bit for bit
         mags = np.abs(block)
-        mags **= p
-        return np.sum(mags, axis=1) ** (1.0 / p)
+        mags **= 2.0
+        return np.sum(mags, axis=1) ** 0.5
     # narrower rows numpy sums left to right, as this column-wise fold does
     acc = np.abs(block[:, 0])
-    acc **= p
+    acc **= 2.0
     col = np.empty_like(acc)
     for j in range(1, block.shape[1]):
         np.abs(block[:, j], out=col)
-        col **= p
+        col **= 2.0
         acc += col
-    return acc ** (1.0 / p)
+    return acc ** 0.5
 
 
 def _sweep(seq, candidate, horizon):
@@ -980,7 +978,7 @@ def parse_sequence_at(cur, default_seed=7):
                 start = cur.pos
                 if cur.keyword("seed"):
                     cur.expect("=")
-                    key, value = "seed", cur.integer()
+                    key, value = "seed", cur.integer(0)
                 else:
                     key, value = "space", _parse_given_space(cur)
                 if key in given:

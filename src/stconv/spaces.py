@@ -4,8 +4,8 @@ from 1).
 
 Sparse elements prune exact zeros so that supports stay honest; dense
 elements are plain coordinate tuples.  Each space measures in its own norm,
-:attr:`Space.norm`: Euclidean on dense, sup on sparse.  :func:`norm`
-evaluates the sup norm on both kinds of element and p-norms on dense ones.
+and :func:`norm` is where that is decided: an element is measured in the
+norm of its space, Euclidean on dense and sup on sparse.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ class Space:
         else:
             raise ValueError(f"unknown space kind {self.kind!r}")
 
-    @property
-    def norm(self):
-        """The norm the space measures in: Euclidean on dense, sup on sparse."""
-        return p_norm(2) if self.kind == "dense" else sup_norm()
-
     def describe(self):
         return f"dense:{self.dim}" if self.kind == "dense" else "sparse"
 
@@ -50,30 +45,6 @@ def dense_space(dim):
 
 def sparse_space():
     return Space("sparse")
-
-
-@dataclass(frozen=True)
-class Norm:
-    kind: str                # "sup" | "p"
-    p: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "p":
-            if self.p is None or self.p < 1:
-                raise ValueError("p-norms need p >= 1")
-        elif self.kind != "sup":
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-
-    def describe(self):
-        return "sup" if self.kind == "sup" else f"p:{format_float(self.p)}"
-
-
-def sup_norm():
-    return Norm("sup")
-
-
-def p_norm(p):
-    return Norm("p", float(p))
 
 
 @dataclass(frozen=True)
@@ -144,21 +115,18 @@ def unit_coordinate(space, k):
     return SparseElement({k: 1.0})
 
 
-def norm(x, nrm):
+def norm(x):
+    """``||x||`` in the norm of ``x``'s space: sup on sparse, Euclidean on dense."""
     if isinstance(x, SparseElement):
-        if nrm.kind != "sup":
-            raise ValueError("p-norms are only defined on dense elements here")
         if not x.support:
             return 0.0
         return max(abs(v) for v in x.support.values())
     arr = np.abs(np.asarray(x.coords))
-    if nrm.kind == "sup":
-        return float(arr.max())
     peak = float(arr.max())
     if peak == 0.0:
         return 0.0
     # scale by the peak so extreme coordinates cannot underflow or overflow
-    return float(peak * np.sum((arr / peak) ** nrm.p) ** (1.0 / nrm.p))
+    return float(peak * np.sum((arr / peak) ** 2.0) ** 0.5)
 
 
 def _check_same_space(x, y):
@@ -232,13 +200,10 @@ def parse_element(text):
 __all__ = [
     "ALGEBRA_TOL",
     "Space",
-    "Norm",
     "DenseElement",
     "SparseElement",
     "dense_space",
     "sparse_space",
-    "sup_norm",
-    "p_norm",
     "dense_element",
     "sparse_element",
     "space_of",

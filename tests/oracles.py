@@ -112,7 +112,3 @@ def sparse_sup_norm(support):
 
 def dense_p_norm(coords, p):
     return float(sum(abs(c) ** p for c in coords) ** (1.0 / p))
-
-
-def dense_sup_norm(coords):
-    return max((abs(c) for c in coords), default=0.0)

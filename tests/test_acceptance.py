@@ -176,21 +176,21 @@ def test_criterion_5_cauchy_convergence_agreement():
 def test_criterion_6_invariant_suites(capsys):
     rng = np.random.default_rng(2026)
 
-    # norm axioms at 1e-12 on sampled elements
+    # norm axioms at 1e-12 on sampled dense and sparse elements, each in its space's norm
+    def sample(kind):
+        values = rng.normal(scale=5.0, size=3)
+        if kind == "dense":
+            return spaces.dense_element(tuple(values))
+        return spaces.sparse_element(dict(zip(rng.integers(1, 8, size=3).tolist(), values.tolist())))
+
     axioms_ok = True
     for _ in range(200):
-        coords = tuple(rng.normal(scale=5.0, size=3))
-        x = spaces.dense_element(coords)
-        y = spaces.dense_element(tuple(rng.normal(scale=5.0, size=3)))
-        alpha = float(rng.normal(scale=3.0))
-        for nrm in (spaces.p_norm(2.0), spaces.p_norm(1.0), spaces.sup_norm()):
-            homog = abs(
-                spaces.norm(spaces.scale(alpha, x), nrm) - abs(alpha) * spaces.norm(x, nrm)
-            )
-            triangle = spaces.norm(spaces.add(x, y), nrm) - (
-                spaces.norm(x, nrm) + spaces.norm(y, nrm)
-            )
-            axioms_ok &= homog <= 1e-12 * max(1.0, abs(alpha) * spaces.norm(x, nrm))
+        for kind in ("dense", "sparse"):
+            x, y = sample(kind), sample(kind)
+            alpha = float(rng.normal(scale=3.0))
+            homog = abs(spaces.norm(spaces.scale(alpha, x)) - abs(alpha) * spaces.norm(x))
+            triangle = spaces.norm(spaces.add(x, y)) - (spaces.norm(x) + spaces.norm(y))
+            axioms_ok &= homog <= 1e-12 * max(1.0, abs(alpha) * spaces.norm(x))
             axioms_ok &= triangle <= 1e-12
 
     # operator linearity at 1e-10
@@ -209,8 +209,8 @@ def test_criterion_6_invariant_suites(capsys):
             rhs = spaces.add(
                 spaces.scale(a, operators.apply(op, x)), spaces.scale(b, operators.apply(op, y))
             )
-            gap = spaces.norm(spaces.sub(lhs, rhs), spaces.sup_norm())
-            linear_ok &= gap <= 1e-10 * max(1.0, spaces.norm(lhs, spaces.sup_norm()))
+            gap = spaces.norm(spaces.sub(lhs, rhs))
+            linear_ok &= gap <= 1e-10 * max(1.0, spaces.norm(lhs))
 
     # exceedance-count epsilon-monotonicity, exact integers
     seq = sequences.random_unit_ball(spaces.sparse_space(), seed=99)

@@ -467,6 +467,20 @@ _PARSE_ERRORS = [
     ("sequence", "random(,)", "expected an argument at position 7"),
     ("sequence", "random(sparse,)", "expected an argument at position 14"),
     ("sequence", "random(seed=3,)", "expected an argument at position 14"),
+    # accepted until integer literals were range-checked where they are read:
+    # a cutoff below 1 gave the zero operator, and the rest failed later
+    # without a position
+    ("set", "multiples(0)", "expected an integer >= 1 at position 10"),
+    ("set", "finite(0)", "expected an integer >= 1 at position 7"),
+    ("set", "finite(3,-2)", "expected an integer >= 1 at position 9"),
+    ("candidate", "sparse{0:1}", "expected an integer >= 1 at position 7"),
+    ("operator", "diag(inverse_trunc(0))", "expected an integer >= 1 at position 19"),
+    ("operator", "diag(inverse_trunc(-3))", "expected an integer >= 1 at position 19"),
+    ("operator", "rank1(coord(0), sparse{1:1})", "expected an integer >= 1 at position 12"),
+    ("sequence", "null(sparse{0:1})", "expected an integer >= 1 at position 12"),
+    ("sequence", "index(dim=0)", "expected an integer >= 1 at position 10"),
+    ("sequence", "random(dim=0)", "expected an integer >= 1 at position 11"),
+    ("sequence", "random(seed=-1)", "expected an integer >= 0 at position 12"),
     ("sequence", "harmonic extra", "unexpected trailing text after sequence at position 9"),
     ("sequence", "bogus", "unknown sequence 'bogus' at position 5"),
 ]

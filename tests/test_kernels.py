@@ -10,9 +10,6 @@ import pytest
 
 from stconv import operators, sequences, spaces
 
-NORMS = [spaces.p_norm(1), spaces.p_norm(1.5), spaces.p_norm(2), spaces.p_norm(3),
-         spaces.sup_norm()]
-
 
 def _block(rows, width, seed):
     # magnitudes spread over sixteen decades, with exact and negative zeros,
@@ -24,22 +21,18 @@ def _block(rows, width, seed):
     return block
 
 
-@pytest.mark.parametrize("nrm", NORMS, ids=lambda n: n.describe())
 @pytest.mark.parametrize("width", range(1, 13))
-def test_block_norms_match_rowwise_reduction(nrm, width):
+def test_block_norms_match_rowwise_reduction(width):
     block = _block(5000, width, seed=width)
-    if nrm.kind == "sup":
-        want = np.max(np.abs(block), axis=1)
-    else:
-        want = np.sum(np.abs(block) ** nrm.p, axis=1) ** (1 / nrm.p)
-    got = sequences._block_norms(block, nrm)
+    want = np.sum(np.abs(block) ** 2.0, axis=1) ** 0.5
+    got = sequences._block_norms(block)
     assert np.array_equal(got, want)
 
 
 def test_block_norms_leave_the_block_alone():
     block = _block(100, 3, seed=0)
     before = block.copy()
-    sequences._block_norms(block, spaces.p_norm(2))
+    sequences._block_norms(block)
     assert block.tobytes() == before.tobytes()
 
 

@@ -42,7 +42,7 @@ def test_coordinate_functional():
     f = operators.coordinate_functional(3)
     assert f.evaluate(spaces.sparse_element({3: 2.5, 4: 1.0})) == 2.5
     assert f.evaluate(spaces.sparse_element({4: 1.0})) == 0.0
-    assert f.norm_bound(spaces.sup_norm()) == 1.0
+    assert f.norm_bound(spaces.sparse_space()) == 1.0
     with pytest.raises(ValueError):
         operators.coordinate_functional(0)
 
@@ -51,15 +51,15 @@ def test_dense_weights_functional():
     f = operators.dense_weights((1.0, -2.0, 0.5))
     x = spaces.dense_element((2.0, 1.0, 4.0))
     assert f.evaluate(x) == pytest.approx(2.0 - 2.0 + 2.0)
-    # dual bound: sum of |w| against the sup norm
-    assert f.norm_bound(spaces.sup_norm()) == pytest.approx(3.5)
-    # and the q-dual norm against the 2-norm
-    assert f.norm_bound(spaces.p_norm(2.0)) == pytest.approx(np.sqrt(1 + 4 + 0.25))
+    # dual bound: sum of |w| against the sparse space's sup norm
+    assert f.norm_bound(spaces.sparse_space()) == pytest.approx(3.5)
+    # and the Euclidean norm of w against the dense space's
+    assert f.norm_bound(spaces.dense_space(3)) == pytest.approx(np.sqrt(1 + 4 + 0.25))
 
 
 def test_index_weights_functional_is_unbounded():
     f = operators.linear_growth_functional()
-    assert f.norm_bound(spaces.sup_norm()) is None
+    assert f.norm_bound(spaces.sparse_space()) is None
     assert f.evaluate(spaces.sparse_element({5: 1.0})) == 5.0
 
 
@@ -174,10 +174,10 @@ def test_linearity(op, x, y, alpha, beta):
     diff = spaces.sub(lhs, rhs)
     scale = max(
         1.0,
-        spaces.norm(lhs, spaces.sup_norm()),
-        spaces.norm(rhs, spaces.sup_norm()),
+        spaces.norm(lhs),
+        spaces.norm(rhs),
     )
-    assert spaces.norm(diff, spaces.sup_norm()) <= operators.LINEARITY_TOL * scale
+    assert spaces.norm(diff) <= operators.LINEARITY_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +215,12 @@ def test_named_diagonal_bounds():
 def test_named_diagonal_refuses_a_cutoff(name):
     with pytest.raises(ValueError, match="takes no cutoff"):
         operators.named_diagonal(name, 5)
+
+
+@pytest.mark.parametrize("cutoff", [5.5, 0.5, 0, -3])
+def test_named_diagonal_refuses_a_bad_cutoff(cutoff):
+    with pytest.raises(ValueError, match="whole cutoff of at least 1"):
+        operators.named_diagonal("inverse_trunc", cutoff)
 
 
 def test_named_diagonal_cutoff_label_round_trips():
@@ -277,7 +283,7 @@ def test_image_sequence_matches_pointwise(op):
         img = operators.image_sequence(op, seq)
         got = sequences.norm_sweep(img, 150)
         want = np.array(
-            [spaces.norm(operators.apply(op, seq.generator(n)), img.space.norm) for n in range(1, 151)]
+            [spaces.norm(operators.apply(op, seq.generator(n))) for n in range(1, 151)]
         )
         assert np.allclose(got, want, rtol=0.0, atol=1e-12), seq.label
 
@@ -289,7 +295,7 @@ def test_image_sequence_dense_matrix():
     assert img.space == spaces.dense_space(2)
     got = sequences.norm_sweep(img, 100)
     want = np.array(
-        [spaces.norm(operators.apply(m, seq.generator(n)), img.space.norm) for n in range(1, 101)]
+        [spaces.norm(operators.apply(m, seq.generator(n))) for n in range(1, 101)]
     )
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 

@@ -15,12 +15,12 @@ HORIZON = 300
 
 
 def brute_norms(seq, horizon):
-    return np.array([spaces.norm(seq.generator(n), seq.space.norm) for n in range(1, horizon + 1)])
+    return np.array([spaces.norm(seq.generator(n)) for n in range(1, horizon + 1)])
 
 
 def brute_distances(seq, candidate, horizon):
     return np.array(
-        [spaces.norm(spaces.sub(seq.generator(n), candidate), seq.space.norm) for n in range(1, horizon + 1)]
+        [spaces.norm(spaces.sub(seq.generator(n), candidate)) for n in range(1, horizon + 1)]
     )
 
 
@@ -280,21 +280,27 @@ def test_random_ball_rows_match_whole_table_normalisation(space):
         assert term.tobytes() == whole[n - 1].tobytes()
 
 
-@pytest.mark.parametrize("norm", [spaces.p_norm(2), spaces.sup_norm()], ids=lambda n: n.describe())
 @pytest.mark.parametrize("dim", [1, 3, 8])
-def test_random_table_grown_in_chunks_matches_one_draw(norm, dim, monkeypatch):
+def test_random_table_grown_in_chunks_matches_one_draw(dim, monkeypatch):
     # chunks of 7 rows, and growths 1024 -> 2048 -> 5000: the stream carries
     # on from the rows already drawn, each chunk normalised on its own
     monkeypatch.setattr(sequences, "_CHUNK", 7)
     count, seed = 5000, 17
     table = np.random.default_rng(seed).random((count, dim)) * 2.0 - 1.0
-    if norm.kind != "sup":
-        table /= np.maximum(np.sum(np.abs(table) ** norm.p, axis=1) ** (1.0 / norm.p), 1.0)[:, None]
+    table /= np.maximum(np.sum(np.abs(table) ** 2.0, axis=1) ** 0.5, 1.0)[:, None]
     cache = {}
     for upto in (10, 1500, count):
-        got = sequences._random_table(cache, seed, upto, dim, norm)
+        got = sequences._random_table(cache, seed, upto, dim)
         assert got.tobytes() == table[:upto].tobytes()
     assert len(cache["table"]) == count
+
+
+def test_one_wide_random_table_is_the_raw_draw():
+    # a one-wide row u in [-1, 1] has Euclidean norm at most 1, so it is divided by exactly 1.0
+    count, seed = 5000, 17
+    want = np.random.default_rng(seed).random(count) * 2.0 - 1.0
+    got = sequences._random_table({}, seed, count, 1)[:, 0]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_random_table_draws_only_new_rows(monkeypatch):
@@ -353,7 +359,7 @@ def test_distance_sweeps_are_not_cached():
     [
         lambda: density.nth_primes(50),
         lambda: density.prime_mask(100),
-        lambda: sequences._random_table({}, 17, 100, 3, spaces.p_norm(2)),
+        lambda: sequences._random_table({}, 17, 100, 3),
         lambda: sequences.norm_sweep(sequences.harmonic_prefix_sequence(), 100),
         lambda: sequences.distance_sweep(
             sequences.unit_coordinate_sequence(), spaces.sparse_element({2: 1.0}), 100
@@ -435,7 +441,7 @@ def test_parsed_random_uses_default_seed():
 @settings(max_examples=40, deadline=None)
 def test_harmonic_norm_is_always_one(n):
     h = sequences.harmonic_prefix_sequence()
-    assert spaces.norm(h.generator(n), h.space.norm) == 1.0
+    assert spaces.norm(h.generator(n)) == 1.0
 
 
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=500))
@@ -443,7 +449,7 @@ def test_harmonic_norm_is_always_one(n):
 def test_harmonic_distance_formula(m, n):
     # distance between prefix sums m < n is 1/(m+1); equal indices give 0
     h = sequences.harmonic_prefix_sequence()
-    d = spaces.norm(spaces.sub(h.generator(m), h.generator(n)), h.space.norm)
+    d = spaces.norm(spaces.sub(h.generator(m), h.generator(n)))
     if m == n:
         assert d == 0.0
     else:

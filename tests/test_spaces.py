@@ -19,12 +19,6 @@ sparse_elements = st.dictionaries(
 ).map(spaces.sparse_element)
 
 
-def any_norm_for(x):
-    if isinstance(x, spaces.SparseElement):
-        return spaces.sup_norm()
-    return spaces.p_norm(2.0)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -41,16 +35,8 @@ def test_space_validation():
 
 
 def test_each_space_measures_in_its_own_norm():
-    assert spaces.dense_space(3).norm == spaces.p_norm(2)
-    assert spaces.sparse_space().norm == spaces.sup_norm()
-
-
-def test_norm_validation():
-    assert spaces.p_norm(1.0).p == 1.0
-    with pytest.raises(ValueError):
-        spaces.p_norm(0.5)
-    with pytest.raises(ValueError):
-        spaces.Norm("other")
+    assert spaces.norm(spaces.dense_element((3.0, -4.0, 0.0))) == 5.0
+    assert spaces.norm(spaces.sparse_element({1: 3.0, 2: -4.0})) == 4.0
 
 
 def test_sparse_element_prunes_zeros():
@@ -67,7 +53,7 @@ def test_sparse_element_rejects_bad_indices():
 def test_unit_coordinate():
     e5 = spaces.unit_coordinate(spaces.sparse_space(), 5)
     assert dict(e5.support) == {5: 1.0}
-    assert spaces.norm(e5, spaces.sup_norm()) == 1.0
+    assert spaces.norm(e5) == 1.0
     e2 = spaces.unit_coordinate(spaces.dense_space(3), 2)
     assert e2.coords == (0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -80,18 +66,13 @@ def test_unit_coordinate():
 
 def test_sup_norm_sparse_matches_oracle():
     x = spaces.sparse_element({3: -2.5, 10: 1.0, 11: 2.5})
-    assert spaces.norm(x, spaces.sup_norm()) == oracles.sparse_sup_norm({3: -2.5, 10: 1.0, 11: 2.5})
-    assert spaces.norm(spaces.sparse_element({}), spaces.sup_norm()) == 0.0
+    assert spaces.norm(x) == oracles.sparse_sup_norm({3: -2.5, 10: 1.0, 11: 2.5})
+    assert spaces.norm(spaces.sparse_element({})) == 0.0
 
 
 def test_dense_norms_match_oracle():
     x = spaces.dense_element((3.0, -4.0, 0.0))
-    assert spaces.norm(x, spaces.p_norm(2.0)) == pytest.approx(5.0, abs=ATOL)
-    assert spaces.norm(x, spaces.p_norm(1.0)) == pytest.approx(7.0, abs=ATOL)
-    assert spaces.norm(x, spaces.sup_norm()) == 4.0
-    assert spaces.norm(x, spaces.p_norm(3.0)) == pytest.approx(
-        oracles.dense_p_norm((3.0, -4.0, 0.0), 3.0), abs=ATOL
-    )
+    assert spaces.norm(x) == pytest.approx(oracles.dense_p_norm((3.0, -4.0, 0.0), 2.0), abs=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +81,7 @@ def test_dense_norms_match_oracle():
 
 @given(st.one_of(dense3, sparse_elements))
 def test_norm_nonnegative_and_zero_only_at_zero(x):
-    nrm = any_norm_for(x)
-    value = spaces.norm(x, nrm)
+    value = spaces.norm(x)
     assert value >= 0.0
     is_zero = (
         not x.support if isinstance(x, spaces.SparseElement) else all(c == 0.0 for c in x.coords)
@@ -111,25 +91,22 @@ def test_norm_nonnegative_and_zero_only_at_zero(x):
 
 @given(st.one_of(dense3, sparse_elements), st.floats(min_value=-100, max_value=100, allow_nan=False))
 def test_norm_absolute_homogeneity(x, alpha):
-    nrm = any_norm_for(x)
-    lhs = spaces.norm(spaces.scale(alpha, x), nrm)
-    rhs = abs(alpha) * spaces.norm(x, nrm)
+    lhs = spaces.norm(spaces.scale(alpha, x))
+    rhs = abs(alpha) * spaces.norm(x)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=ATOL)
 
 
 @given(dense3, dense3)
 def test_norm_triangle_inequality_dense(x, y):
-    for nrm in (spaces.p_norm(1.0), spaces.p_norm(2.0), spaces.sup_norm()):
-        lhs = spaces.norm(spaces.add(x, y), nrm)
-        rhs = spaces.norm(x, nrm) + spaces.norm(y, nrm)
-        assert lhs <= rhs + ATOL * max(1.0, rhs)
+    lhs = spaces.norm(spaces.add(x, y))
+    rhs = spaces.norm(x) + spaces.norm(y)
+    assert lhs <= rhs + ATOL * max(1.0, rhs)
 
 
 @given(sparse_elements, sparse_elements)
 def test_norm_triangle_inequality_sparse(x, y):
-    nrm = spaces.sup_norm()
-    lhs = spaces.norm(spaces.add(x, y), nrm)
-    rhs = spaces.norm(x, nrm) + spaces.norm(y, nrm)
+    lhs = spaces.norm(spaces.add(x, y))
+    rhs = spaces.norm(x) + spaces.norm(y)
     assert lhs <= rhs + ATOL * max(1.0, rhs)
 
 

@@ -149,8 +149,8 @@ def test_structured_median_matches_per_index(name, seq):
     assert answered != isinstance(seq.structure, sequences.Scaled)
     got = stanalysis._median_candidate(seq, H)
     want = stanalysis._median_candidate(_per_index(seq), H)
-    scale = max(1.0, spaces.norm(want, seq.space.norm))
-    assert spaces.norm(spaces.sub(got, want), seq.space.norm) <= RTOL * scale
+    scale = max(1.0, spaces.norm(want))
+    assert spaces.norm(spaces.sub(got, want)) <= RTOL * scale
 
 
 def test_subsequence_images_keep_a_structure():
