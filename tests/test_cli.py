@@ -481,6 +481,12 @@ _PARSE_ERRORS = [
     ("sequence", "index(dim=0)", "expected an integer >= 1 at position 10"),
     ("sequence", "random(dim=0)", "expected an integer >= 1 at position 11"),
     ("sequence", "random(seed=-1)", "expected an integer >= 0 at position 12"),
+    ("set", "multiples(-1)", "expected an integer >= 1 at position 10"),
+    ("set", "finite(-1)", "expected an integer >= 1 at position 7"),
+    ("candidate", "sparse{1:1,0:2}", "expected an integer >= 1 at position 11"),
+    ("operator", "rank1(coord(-2), sparse{1:1})", "expected an integer >= 1 at position 12"),
+    ("sequence", "index(dim=-1)", "expected an integer >= 1 at position 10"),
+    ("sequence", "random(dim=-4)", "expected an integer >= 1 at position 11"),
     ("sequence", "harmonic extra", "unexpected trailing text after sequence at position 9"),
     ("sequence", "bogus", "unknown sequence 'bogus' at position 5"),
 ]
@@ -492,6 +498,29 @@ def test_parse_error_exits_two_with_position(capsys, flag, text, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}: {text!r}\n"
+
+
+# the least value of each range-checked integer literal still parses
+_SMALLEST_INTEGERS = [
+    ("set", "multiples(1)"),
+    ("set", "finite(1)"),
+    ("set", "finite(3,1)"),
+    ("candidate", "sparse{1:1}"),
+    ("operator", "diag(inverse_trunc(1))"),
+    ("operator", "rank1(coord(1), sparse{1:1})"),
+    ("sequence", "null(sparse{1:1})"),
+    ("sequence", "index(dim=1)"),
+    ("sequence", "random(dim=1)"),
+    ("sequence", "random(seed=0)"),
+]
+
+
+@pytest.mark.parametrize("flag,text", _SMALLEST_INTEGERS, ids=[f"{f}:{t}" for f, t in _SMALLEST_INTEGERS])
+def test_smallest_integer_literal_is_accepted(capsys, flag, text):
+    code, out, err = run_text(capsys, [*_PARSE_ARGV[flag], text, "--horizon", "100"])
+    assert code == 0
+    assert err == ""
+    assert out
 
 
 @pytest.mark.parametrize("argv", [

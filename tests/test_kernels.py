@@ -29,6 +29,16 @@ def test_block_norms_match_rowwise_reduction(width):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("width", range(1, 13))
+def test_block_norms_match_the_pointwise_norm(width):
+    # the sweep kernel and spaces.norm measure a dense row alike; spaces.norm
+    # scales by the row's peak first, so they agree to rounding, not bits
+    block = _block(500, width, seed=100 + width)
+    got = sequences._block_norms(block)
+    want = np.array([spaces.norm(spaces.dense_element(row)) for row in block])
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_block_norms_leave_the_block_alone():
     block = _block(100, 3, seed=0)
     before = block.copy()

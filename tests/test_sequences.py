@@ -252,6 +252,16 @@ def test_random_ball_stays_in_ball():
         assert norms.max() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("space", [*(spaces.dense_space(d) for d in range(1, 13)), spaces.sparse_space()],
+                         ids=lambda sp: sp.describe())
+def test_random_ball_terms_lie_in_their_space_unit_ball(space):
+    # widths 1-12 cover both row-norm orders of the Euclidean kernel
+    seq = sequences.random_unit_ball(space, seed=29)
+    norms = sequences.norm_sweep(seq, 2000)
+    assert norms.max() <= 1.0 + 1e-12
+    assert np.allclose(norms[:60], brute_norms(seq, 60), rtol=1e-14, atol=0.0)
+
+
 def test_random_ball_labels_carry_seed():
     assert sequences.random_unit_ball(spaces.dense_space(3), seed=7).label == "random_ball_7"
 
