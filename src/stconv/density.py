@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .parsing import Cursor, ParseError, parse_whole
+from .parsing import Cursor, ParseError, parse_whole, whole_number
 
 DEFAULT_HORIZON = 1_000_000
 DEFAULT_TOLERANCE = 0.01
@@ -163,7 +163,7 @@ def primes():
 def multiples(m):
     if m < 1:
         raise ValueError("multiples() needs a positive modulus")
-    m = int(m)
+    m = whole_number(m, "a modulus")
     label = f"multiples({m})"
 
     def mask(n):
@@ -196,7 +196,7 @@ def squares():
 
 
 def finite(values):
-    vals = sorted(set(int(v) for v in values))
+    vals = sorted(set(whole_number(v, "an index") for v in values))
     if any(v < 1 for v in vals):
         raise ValueError("index sets contain positive integers only")
     label = "finite(" + ",".join(str(v) for v in vals) + ")"

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import density, sequences, spaces
-from .parsing import Cursor, format_float, parse_whole
+from .parsing import Cursor, format_float, parse_whole, whole_number
 from .sequences import (
     DenseBlock,
     FixedBasisCombo,
@@ -76,7 +76,7 @@ class FunctionalSpec:
 def coordinate_functional(j):
     if j < 1:
         raise ValueError("coordinate functionals are indexed from 1")
-    j = int(j)
+    j = whole_number(j, "a coordinate index")
     return FunctionalSpec(f"coord({j})", lambda ks: (ks == j).astype(float), lambda _: 1.0, j)
 
 

@@ -127,6 +127,14 @@ def parse_whole(text, part, what):
     return value
 
 
+def whole_number(value, what):
+    """``value`` as an ``int``; one with a fractional part is refused, not
+    truncated (``5.0`` is 5, ``2.5`` a ``ValueError``)."""
+    if value != int(value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def format_float(x):
     """Render a float so that it round-trips and stays readable (``1`` not ``1.0``)."""
     if x == int(x) and abs(x) < 1e15:

@@ -21,6 +21,10 @@ whatever the dimension or support width.  A prefix kind walks
 ``1..ns[-1]`` once, chunk by chunk, carrying its running state; a
 subsequence asks its parent only about its members.
 
+A seeded random member keeps no rows either: row ``k`` of a ``w``-wide
+member is outputs ``(k-1)*w .. k*w - 1`` of ``PCG64(seed)``, and each chunk
+or term draws the rows it asks for from there (see :func:`_random_rows`).
+
 Structures are consistency-tested against the generators; they are an
 evaluation strategy, never a second source of truth.
 """
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import density, spaces
 from .density import HorizonExhausted
-from .parsing import Cursor, format_float, parse_whole
+from .parsing import Cursor, format_float, parse_whole, whole_number
 from .spaces import (
     DenseElement,
     Space,
@@ -54,8 +58,9 @@ CORPUS_VERSION = "v1"
 # chunks: every sweep evaluates its indices this many at a time
 # ---------------------------------------------------------------------------
 
-# large enough that a sweep to the default horizon 10^5 is one chunk
-_CHUNK = 1 << 17
+# small enough that a chunk of 8-wide rows (1 MB) stays in cache, which
+# measured faster than fewer, larger chunks; a sweep to 10^5 is 7 chunks
+_CHUNK = 1 << 14
 
 
 def _upto(horizon):
@@ -415,7 +420,10 @@ class DenseBlock(Structure):
         return spaces.dense_element(np.median(self.block_of(ns), axis=0))
 
     def matrix_image(self, a):
-        return DenseBlock(lambda ns: (block @ a.T for block in self.rows(ns)))
+        # a C-ordered copy of a.T: the same bits as ``block @ a.T``, and
+        # several times faster on narrow blocks
+        at = np.ascontiguousarray(a.T)
+        return DenseBlock(lambda ns: (block @ at for block in self.rows(ns)))
 
     def rescaled(self, seq, scale_of):
         def rows(ns):
@@ -623,10 +631,17 @@ def decaying_sequence(value, exponent=1.0, label=None):
         return spaces.scale(n ** (-exponent), value)
 
     if space.kind == "dense":
-        row = np.asarray(value.coords)
-        structure = DenseBlock(_pointwise(
-            lambda ns: row[None, :] * (ns.astype(float) ** -exponent)[:, None]
-        ))
+        row = value.coords
+
+        def rows(ns):
+            # column by column: numpy broadcasts onto a few-wide inner axis slowly
+            s = ns.astype(float) ** -exponent
+            block = np.empty((len(ns), len(row)))
+            for j, r in enumerate(row):
+                np.multiply(s, r, out=block[:, j])
+            return block
+
+        structure = DenseBlock(_pointwise(rows))
     else:
         structure = FixedBasisCombo(
             _pointwise(lambda ns: (ns.astype(float) ** -exponent)[:, None]), (value,)
@@ -722,65 +737,77 @@ def alternating_sequence(dim=1):
                         structure=DenseBlock(_pointwise(block_of)), norm_bound=1.0)
 
 
-def _random_table(cache, seed, count, width):
-    """Seeded uniform [-1, 1] rows scaled into the Euclidean unit ball;
-    read-only, grown as needed, prefixes stable.
+def _random_rows(seed, width, ns):
+    """Rows ``ns`` (in any order, repeats allowed) of the seeded random
+    table: uniform [-1, 1] rows of ``width`` scaled into the Euclidean unit
+    ball, drawn afresh on every call.
 
-    A one-wide row in [-1, 1] has Euclidean norm at most 1 and is divided by
-    exactly 1.0, so the sparse space's values are the raw draws, bit for bit.
+    ``rng.random`` spends one ``PCG64`` output per double, so row ``k`` is
+    outputs ``(k-1)*width .. k*width - 1`` of ``PCG64(seed)``, the stream of
+    ``default_rng(seed)``: the rows are those of one
+    ``default_rng(seed).random((count, width))`` draw, whatever is asked.
+    A run of consecutive indices is drawn straight into the result; other
+    index sets are read in windows of at most ``_CHUNK`` rows that hold a
+    wanted row, and the stream is advanced across the rest.
 
-    The rows come from one generator stream kept in ``cache``: a growth draws
-    only the new rows, a chunk at a time, and normalises each chunk as it is
-    drawn, so the table is the one a single draw from the seed would give.
+    A one-wide row in [-1, 1] has Euclidean norm at most 1 and would be
+    divided by exactly 1.0, so it is left as drawn.
     """
-    have = cache.get("table")
-    if have is None or have.shape[0] < count:
-        if have is None:
-            have = np.empty((0, width))
-            cache["rng"] = np.random.default_rng(seed)
-        rng, old = cache["rng"], len(have)
-        table = np.empty((max(count, 2 * old, 1024), width))
-        table[:old] = have
-        for lo, hi in _spans(len(table) - old):
-            rows = table[old + lo : old + hi]
-            rng.random(out=rows)
-            rows *= 2.0
-            rows -= 1.0
-            rows /= np.maximum(_block_norms(rows), 1.0)[:, None]
-        table.setflags(write=False)
-        cache["table"] = table
-    return cache["table"][:count]
+    ns = _as_index_array(ns)
+    bitgen = np.random.PCG64(seed)
+    rng = np.random.Generator(bitgen)
+    if len(ns) and ns[-1] - ns[0] == len(ns) - 1 and (np.diff(ns) == 1).all():
+        bitgen.advance((int(ns[0]) - 1) * width)
+        out = rng.random((len(ns), width))
+    else:
+        want, where = np.unique(ns, return_inverse=True)
+        out = np.empty((len(want), width))
+        at, i = 1, 0                      # the stream stands at row ``at``
+        while i < len(want):
+            first = int(want[i])
+            j = int(np.searchsorted(want, first + _CHUNK))
+            last = int(want[j - 1])
+            bitgen.advance((first - at) * width)
+            window = rng.random((last - first + 1, width))
+            out[i:j] = window[want[i:j] - first]
+            at, i = last + 1, j
+        out = out[where]
+    out *= 2.0
+    out -= 1.0
+    if width > 1:
+        scale = np.maximum(_block_norms(out), 1.0)
+        for j in range(width):
+            np.divide(out[:, j], scale, out=out[:, j])
+    return out
 
 
 def random_unit_ball(space, seed):
     """Seeded random elements of the unit ball of ``space``'s norm; bitwise
-    reproducible per seed."""
-    seed = int(seed)
-    cache = {}
+    reproducible per seed.
+
+    Term ``n`` is row ``n`` of :func:`_random_rows`, outputs
+    ``(n-1)*width .. n*width - 1`` of ``PCG64(seed)`` (``width`` is the
+    dimension, 1 for the sparse space, whose term ``n`` sits at ``e_n``).
+    Every sweep chunk and every term draws its own rows; nothing is kept.
+    """
+    seed = whole_number(seed, "a random seed")
 
     if space.kind == "dense":
         dim = space.dim
 
-        def block_of(ns):
-            ns = _as_index_array(ns)
-            return np.take(_random_table(cache, seed, int(ns.max()), dim), ns - 1, axis=0)
-
         def gen(n):
-            return DenseElement(tuple(float(c) for c in block_of([n])[0]))
+            return DenseElement(tuple(_random_rows(seed, dim, [n])[0].tolist()))
 
-        structure = DenseBlock(_pointwise(block_of))
+        structure = DenseBlock(_pointwise(lambda ns: _random_rows(seed, dim, ns)))
     else:
-        def values_upto(count):
-            return _random_table(cache, seed, count, 1)[:, 0]
+        def value_of(ns):
+            return _random_rows(seed, 1, ns)[:, 0]
 
         def gen(n):
-            v = float(values_upto(n)[n - 1])
+            v = float(value_of([n])[0])
             return SparseElement({n: v} if v != 0.0 else {})
 
-        structure = SingleSupport(
-            lambda ns: _as_index_array(ns),
-            lambda ns: values_upto(int(_as_index_array(ns).max()))[_as_index_array(ns) - 1],
-        )
+        structure = SingleSupport(lambda ns: _as_index_array(ns), value_of)
 
     return SequenceSpec(
         gen, space, f"random_ball_{seed}",
@@ -856,21 +883,19 @@ def _sparse_support_arrays(x):
 
 def _block_norms(block):
     """The Euclidean norm of each row of ``block``."""
+    # x * x has the bits of |x| ** 2.0, and np.sqrt is what ** 0.5 runs
     if block.shape[1] >= 8:
         # numpy sums a row of 8 or more by pairwise blocks, an order that
         # only its own row-wise reduction repeats bit for bit
-        mags = np.abs(block)
-        mags **= 2.0
-        return np.sum(mags, axis=1) ** 0.5
+        return np.sqrt(np.sum(np.multiply(block, block), axis=1))
     # narrower rows numpy sums left to right, as this column-wise fold does
-    acc = np.abs(block[:, 0])
-    acc **= 2.0
+    first = block[:, 0]
+    acc = np.multiply(first, first)
     col = np.empty_like(acc)
     for j in range(1, block.shape[1]):
-        np.abs(block[:, j], out=col)
-        col **= 2.0
-        acc += col
-    return acc ** 0.5
+        c = block[:, j]
+        acc += np.multiply(c, c, out=col)
+    return np.sqrt(acc, out=acc)
 
 
 def _sweep(seq, candidate, horizon):

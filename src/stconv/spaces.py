@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .parsing import Cursor, format_float, parse_whole
+from .parsing import Cursor, format_float, parse_whole, whole_number
 
 ALGEBRA_TOL = 1e-12
 
@@ -40,7 +40,7 @@ class Space:
 
 
 def dense_space(dim):
-    return Space("dense", int(dim))
+    return Space("dense", whole_number(dim, "a dimension"))
 
 
 def sparse_space():

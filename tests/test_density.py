@@ -125,6 +125,18 @@ def test_finite_set_counting_and_members():
         density.members(s, 4)
 
 
+def test_multiples_refuses_a_fractional_modulus():
+    with pytest.raises(ValueError, match="whole number"):
+        density.multiples(2.5)
+    assert density.multiples(5.0).describe() == "multiples(5)"
+
+
+def test_finite_refuses_a_fractional_member():
+    with pytest.raises(ValueError, match="whole number"):
+        density.finite([1.5, 2])
+    assert density.finite([5.0, 2]).describe() == "finite(2,5)"
+
+
 def test_members_against_mask():
     s = density.union(density.primes(), density.squares())
     got = list(density.members(s, 25))

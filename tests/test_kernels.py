@@ -46,6 +46,28 @@ def test_block_norms_leave_the_block_alone():
     assert block.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("exponent", [1.0, 0.5, 2.5])
+@pytest.mark.parametrize("width", range(1, 13))
+def test_decaying_rows_match_broadcast_product(width, exponent):
+    row = _block(1, width, seed=200 + width)[0]
+    seq = sequences.decaying_sequence(spaces.dense_element(row), exponent=exponent)
+    ns = np.arange(1, 5001, dtype=np.int64)
+    want = row[None, :] * (ns.astype(float) ** -exponent)[:, None]
+    assert np.array_equal(seq.structure.block_of(ns), want)
+
+
+@pytest.mark.parametrize("rows_out", [1, 3, 8])
+@pytest.mark.parametrize("width", range(1, 13))
+def test_matrix_image_rows_match_matmul(width, rows_out, monkeypatch):
+    # the image multiplies each chunk by a C-ordered copy of a.T
+    monkeypatch.setattr(sequences, "_CHUNK", 700)
+    block = _block(2000, width, seed=300 + width)
+    a = _block(rows_out, width, seed=400 + width)
+    image = sequences.DenseBlock(lambda ns: (block[c - 1] for c in sequences._chunks(ns))).matrix_image(a)
+    got = image.block_of(np.arange(1, len(block) + 1))
+    assert np.array_equal(got, block @ a.T)
+
+
 @pytest.mark.parametrize("with_offset", [False, True], ids=["no_offset", "offset"])
 @pytest.mark.parametrize("rank", [1, 3])
 @pytest.mark.parametrize("columns", range(1, 10))

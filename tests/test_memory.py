@@ -1,10 +1,12 @@
 """Memory guards: the traced peak of single CLI calls.
 
 A sweep holds its ``len(ns)`` results and the temporaries of one chunk, a
-subsequence asks its parent only about its members, and a Cauchy analysis
-holds one anchor's sweep at a time.  Each budget below sits well under the
-peak of whole-horizon evaluation (about 100, 90, 32 and 46 MB for these
-calls), so a return to horizon-by-width blocks fails here.
+subsequence asks its parent only about its members, random rows are drawn
+where they are asked for and not kept, and a Cauchy analysis holds one
+anchor's sweep at a time.  Each budget below sits well under the peak of
+whole-horizon evaluation (about 100, 90, 32, 46 and 156 MB for these
+calls), so a return to horizon-by-width blocks or to a kept row table
+fails here.
 """
 
 import contextlib
@@ -13,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from stconv import cli
+from stconv import cli, sequences, spaces
 
 MB = float(1 << 20)
 
@@ -22,6 +24,7 @@ BUDGETS = [
     (["cauchy", "--sequence", "harmonic", "--horizon", "1000000"], 40),
     (["converge", "--sequence", "subseq(unit_coords, primes)", "--eps", "0.5,0.1"], 10),
     (["bounded", "--sequence", "null(dense[1,1,1])", "--horizon", "1000000"], 25),
+    (["converge", "--sequence", "subseq(random(dim=2), multiples(10000))", "--horizon", "1000"], 8),
 ]
 
 
@@ -35,3 +38,18 @@ def test_traced_peak_stays_within_budget(argv, budget_mb):
     finally:
         tracemalloc.stop()
     assert peak / MB <= budget_mb
+
+
+def test_random_member_keeps_nothing_after_a_sweep():
+    # a 10^5 sweep of a 3-wide member draws 2.4 MB of rows; once the sweep
+    # is dropped, the member itself holds none of them
+    seq = sequences.random_unit_ball(spaces.dense_space(3), seed=5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep = sequences.norm_sweep(seq, 100_000)
+        del sweep
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (after - before) / MB <= 1.0

@@ -47,6 +47,12 @@ def test_coordinate_functional():
         operators.coordinate_functional(0)
 
 
+def test_coordinate_functional_refuses_a_fractional_index():
+    with pytest.raises(ValueError, match="whole number"):
+        operators.coordinate_functional(1.5)
+    assert operators.coordinate_functional(5.0).describe() == "coord(5)"
+
+
 def test_dense_weights_functional():
     f = operators.dense_weights((1.0, -2.0, 0.5))
     x = spaces.dense_element((2.0, 1.0, 4.0))

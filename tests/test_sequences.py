@@ -266,18 +266,33 @@ def test_random_ball_labels_carry_seed():
     assert sequences.random_unit_ball(spaces.dense_space(3), seed=7).label == "random_ball_7"
 
 
+def test_random_ball_refuses_a_fractional_seed():
+    with pytest.raises(ValueError, match="whole number"):
+        sequences.random_unit_ball(spaces.dense_space(3), 7.5)
+    assert sequences.random_unit_ball(spaces.dense_space(3), 7.0).label == "random_ball_7"
+
+
+def test_index_sequence_refuses_a_fractional_dimension():
+    with pytest.raises(ValueError, match="whole number"):
+        sequences.index_sequence(2.5)
+    assert sequences.index_sequence(5.0).space == spaces.dense_space(5)
+
+
+def _one_draw(seed, count, width):
+    # reference: the whole table from one draw, every row normalised
+    table = np.random.default_rng(seed).random((count, width)) * 2.0 - 1.0
+    table /= np.maximum(np.sum(np.abs(table) ** 2.0, axis=1) ** 0.5, 1.0)[:, None]
+    return table
+
+
 @pytest.mark.parametrize("space", [spaces.dense_space(1), spaces.dense_space(3),
                                    spaces.dense_space(8), spaces.sparse_space()],
                          ids=lambda sp: sp.describe())
 def test_random_ball_rows_match_whole_table_normalisation(space):
-    # reference: draw the raw table straight from the seed, normalise every
-    # row up to the largest index asked for into the space's unit ball (a
-    # sparse term is one value, already in the sup ball), then pick rows
+    # the whole table up to the largest index asked for, then picked rows (a
+    # sparse term is one value in [-1, 1], which normalising leaves alone)
     count, seed = 2500, 17
-    width = space.dim or 1
-    whole = np.random.default_rng(seed).random((count, width)) * 2.0 - 1.0
-    if space.kind == "dense":
-        whole /= np.maximum(np.sum(np.abs(whole) ** 2.0, axis=1) ** 0.5, 1.0)[:, None]
+    whole = _one_draw(seed, count, space.dim or 1)
     seq = sequences.random_unit_ball(space, seed)
     ns = np.asarray([count, 1, 7, 7, 1024, 1025, 2, 1999])
     if space.kind == "dense":
@@ -291,46 +306,53 @@ def test_random_ball_rows_match_whole_table_normalisation(space):
 
 
 @pytest.mark.parametrize("dim", [1, 3, 8])
-def test_random_table_grown_in_chunks_matches_one_draw(dim, monkeypatch):
-    # chunks of 7 rows, and growths 1024 -> 2048 -> 5000: the stream carries
-    # on from the rows already drawn, each chunk normalised on its own
+def test_random_rows_drawn_in_chunks_match_one_draw(dim, monkeypatch):
+    # sweeps in chunks of 7 rows, and index sets whose gaps are longer than
+    # a chunk, so the stream is advanced across rows nobody asked for
     monkeypatch.setattr(sequences, "_CHUNK", 7)
     count, seed = 5000, 17
-    table = np.random.default_rng(seed).random((count, dim)) * 2.0 - 1.0
-    table /= np.maximum(np.sum(np.abs(table) ** 2.0, axis=1) ** 0.5, 1.0)[:, None]
-    cache = {}
-    for upto in (10, 1500, count):
-        got = sequences._random_table(cache, seed, upto, dim)
-        assert got.tobytes() == table[:upto].tobytes()
-    assert len(cache["table"]) == count
+    table = _one_draw(seed, count, dim)
+    seq = sequences.random_unit_ball(spaces.dense_space(dim), seed)
+    ns = np.arange(1, count + 1)
+    assert seq.structure.block_of(ns).tobytes() == table.tobytes()
+    assert sequences.norm_sweep(seq, count).tobytes() == sequences._block_norms(table).tobytes()
+    for picked in ([3, 4, 20, 21, 22, 100, 1000, count], np.arange(50, 90, 3),
+                   [count, 9, 9, 1, 30]):
+        picked = np.asarray(picked)
+        assert seq.structure.block_of(picked).tobytes() == table[picked - 1].tobytes()
+    sub = sequences.subsequence(seq, density.multiples(10))
+    want = sequences._block_norms(table[9::10])
+    assert sequences.norm_sweep(sub, count // 10).tobytes() == want.tobytes()
 
 
-def test_one_wide_random_table_is_the_raw_draw():
+def test_one_wide_random_rows_are_the_raw_draw():
     # a one-wide row u in [-1, 1] has Euclidean norm at most 1, so it is divided by exactly 1.0
     count, seed = 5000, 17
     want = np.random.default_rng(seed).random(count) * 2.0 - 1.0
-    got = sequences._random_table({}, seed, count, 1)[:, 0]
+    got = sequences._random_rows(seed, 1, np.arange(1, count + 1))[:, 0]
     assert got.tobytes() == want.tobytes()
+    seq = sequences.random_unit_ball(spaces.sparse_space(), seed)
+    assert seq.structure.value_of(np.arange(1, count + 1)).tobytes() == want.tobytes()
 
 
-def test_random_table_draws_only_new_rows(monkeypatch):
-    # a chunked sweep to 10^4 grows the table log-many times, never per chunk
+def test_random_sweep_draws_only_its_rows(monkeypatch):
+    # each chunk of a sweep to 10^4 draws its own rows and no others
     monkeypatch.setattr(sequences, "_CHUNK", 100)
     drawn = []
-    real = np.random.default_rng
+    real = np.random.Generator
 
     class Counting:
-        def __init__(self, seed):
-            self.rng = real(seed)
+        def __init__(self, bitgen):
+            self.rng = real(bitgen)
 
-        def random(self, out):
-            drawn.append(len(out))
-            return self.rng.random(out=out)
+        def random(self, size):
+            drawn.append(size[0])
+            return self.rng.random(size)
 
-    monkeypatch.setattr(sequences.np.random, "default_rng", Counting)
+    monkeypatch.setattr(sequences.np.random, "Generator", Counting)
     seq = sequences.random_unit_ball(spaces.dense_space(3), seed=4)
     sequences.norm_sweep(seq, 10_000)
-    assert sum(drawn) == 16_384
+    assert sum(drawn) == 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +391,12 @@ def test_distance_sweeps_are_not_cached():
     [
         lambda: density.nth_primes(50),
         lambda: density.prime_mask(100),
-        lambda: sequences._random_table({}, 17, 100, 3),
         lambda: sequences.norm_sweep(sequences.harmonic_prefix_sequence(), 100),
         lambda: sequences.distance_sweep(
             sequences.unit_coordinate_sequence(), spaces.sparse_element({2: 1.0}), 100
         ),
     ],
-    ids=["nth_primes", "prime_mask", "random_table", "norm_sweep", "distance_sweep"],
+    ids=["nth_primes", "prime_mask", "norm_sweep", "distance_sweep"],
 )
 def test_shared_cached_arrays_are_read_only(result):
     with pytest.raises(ValueError):

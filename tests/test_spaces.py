@@ -34,6 +34,12 @@ def test_space_validation():
         spaces.Space("weird")
 
 
+def test_dense_space_refuses_a_fractional_dimension():
+    with pytest.raises(ValueError, match="whole number"):
+        spaces.dense_space(2.7)
+    assert spaces.dense_space(5.0) == spaces.dense_space(5)
+
+
 def test_each_space_measures_in_its_own_norm():
     assert spaces.norm(spaces.dense_element((3.0, -4.0, 0.0))) == 5.0
     assert spaces.norm(spaces.sparse_element({1: 3.0, 2: -4.0})) == 4.0
