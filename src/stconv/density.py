@@ -12,8 +12,8 @@ point at the reporting boundary.
 
 An index set is a record of the functions its constructor chose: its
 descriptor, a membership mask, a per-index test and its analytic density,
-plus an exact count and its first members for the kinds that know these
-faster than a mask scan.  :func:`membership_mask`, :func:`count`,
+plus an exact count and its members by position for the kinds that know
+these faster than a mask scan.  :func:`membership_mask`, :func:`count`,
 :func:`members` and :func:`density_profile` are each one call to the record,
 scanning its mask where it gives no faster answer.  A checkpoint schedule is
 likewise a record of its label, first checkpoint and step.
@@ -117,8 +117,8 @@ class IndexSet:
     ``1..n``, ``contains(k)`` that of one integer ``k``; ``analytic_density``
     is the true density as an exact fraction, when it is known.  Kinds that
     know them faster than a mask scan also give ``count(n)``, the number of
-    members ``<= n`` for ``n >= 1``, and ``first(how_many)``, the first
-    members (see :func:`members`).
+    members ``<= n`` for ``n >= 1``, and ``nth(ks)``, the members at the
+    increasing positions ``ks >= 1`` (see :func:`members`).
     """
 
     label: str
@@ -126,7 +126,7 @@ class IndexSet:
     contains: Callable
     analytic_density: Optional[Fraction]
     count: Optional[Callable] = None
-    first: Optional[Callable] = None
+    nth: Optional[Callable] = None
 
     def describe(self):
         return self.label
@@ -141,7 +141,8 @@ def _check_cap(label, how_many, least):
         raise HorizonExhausted(f"member {how_many} of {label} is beyond the cap {_MEMBER_CAP}")
 
 
-def _first_primes(how_many):
+def _nth_primes(ks):
+    how_many = int(ks[-1])
     if how_many >= 2:
         # p_n >= n (ln n + ln ln n - 1) for n >= 2 (Dusart), so a request the
         # cap refuses anyway is refused before the sieve grows for it
@@ -149,7 +150,7 @@ def _first_primes(how_many):
         _check_cap("primes", how_many, how_many * (ln + math.log(ln) - 1))
     found = nth_primes(how_many)
     _check_cap("primes", how_many, found[-1])
-    return found
+    return found[ks - 1]
 
 
 def _prime_membership(n):
@@ -157,7 +158,7 @@ def _prime_membership(n):
 
 
 def primes():
-    return IndexSet("primes", _prime_membership, is_prime, Fraction(0), prime_count, _first_primes)
+    return IndexSet("primes", _prime_membership, is_prime, Fraction(0), prime_count, _nth_primes)
 
 
 def multiples(m):
@@ -171,12 +172,12 @@ def multiples(m):
         out[m - 1 :: m] = True
         return out
 
-    def first(how_many):
-        _check_cap(label, how_many, m * how_many)
-        return m * np.arange(1, how_many + 1, dtype=np.int64)
+    def nth(ks):
+        _check_cap(label, int(ks[-1]), m * int(ks[-1]))
+        return m * ks
 
     return IndexSet(label, mask, lambda k: k >= 1 and k % m == 0, Fraction(1, m),
-                    lambda n: n // m, first)
+                    lambda n: n // m, nth)
 
 
 def squares():
@@ -186,13 +187,12 @@ def squares():
         out[roots * roots - 1] = True
         return out
 
-    def first(how_many):
-        _check_cap("squares", how_many, how_many * how_many)
-        base = np.arange(1, how_many + 1, dtype=np.int64)
-        return base * base
+    def nth(ks):
+        _check_cap("squares", int(ks[-1]), int(ks[-1]) ** 2)
+        return ks * ks
 
     return IndexSet("squares", mask, lambda k: k >= 1 and math.isqrt(k) ** 2 == k, Fraction(0),
-                    math.isqrt, first)
+                    math.isqrt, nth)
 
 
 def finite(values):
@@ -207,13 +207,13 @@ def finite(values):
         out[np.asarray([v for v in vals if v <= n], dtype=np.int64) - 1] = True
         return out
 
-    def first(how_many):
-        if how_many > len(vals):
-            raise HorizonExhausted(f"{label} has only {len(vals)} members, {how_many} requested")
-        return np.asarray(vals[:how_many], dtype=np.int64)
+    def nth(ks):
+        if ks[-1] > len(vals):
+            raise HorizonExhausted(f"{label} has only {len(vals)} members, {ks[-1]} requested")
+        return np.asarray(vals, dtype=np.int64)[ks - 1]
 
     return IndexSet(label, mask, lookup.__contains__, Fraction(0),
-                    lambda n: sum(1 for v in vals if v <= n), first)
+                    lambda n: sum(1 for v in vals if v <= n), nth)
 
 
 def complement(inner):
@@ -271,8 +271,8 @@ def members(s, how_many):
     how_many = int(how_many)
     if how_many < 1:
         return np.zeros(0, dtype=np.int64)
-    if s.first is not None:
-        return s.first(how_many)
+    if s.nth is not None:
+        return s.nth(np.arange(1, how_many + 1, dtype=np.int64))
     # scan membership in growing blocks
     out = []
     total = 0
@@ -332,26 +332,28 @@ def geometric(base=10):
     """Checkpoints ``10, 10 * base, 10 * base^2, ...`` below the horizon, then the horizon."""
     if base < 2:
         raise ValueError("geometric schedule needs base >= 2")
-    base = int(base)
+    base = whole_number(base, "a geometric base")
     return Schedule(f"geometric:{base}", _GEOMETRIC_START, lambda c: c * base)
 
 
 def linear(step):
     if step < 1:
         raise ValueError("linear schedule needs a positive step")
-    step = int(step)
+    step = whole_number(step, "a linear step")
     return Schedule(f"linear:{step}", step, lambda c: c + step)
 
 
 def parse_schedule(text):
     kind, _, value = text.partition(":")
-    if kind == "geometric":
-        return geometric(int(value) if value else 10)
-    if kind == "linear":
-        if not value:
-            raise ValueError("linear schedule needs a step, e.g. linear:100")
-        return linear(int(value))
-    raise ValueError(f"unknown schedule {text!r} (expected geometric:BASE or linear:STEP)")
+    make = {"geometric": geometric, "linear": linear}.get(kind)
+    if make is None:
+        raise ValueError(f"unknown schedule {text!r} (expected geometric:BASE or linear:STEP)")
+    if kind == "linear" and not value:
+        raise ValueError("linear schedule needs a step, e.g. linear:100")
+    try:
+        return make(parse_whole(value or "10", Cursor.number, "the schedule value"))
+    except ValueError as exc:
+        raise ValueError(f"schedule {text!r}: {exc}") from None
 
 
 DEFAULT_SCHEDULE = geometric(10)

@@ -18,8 +18,10 @@ indices it is asked about and evaluates only those, one chunk of at most
 ``_CHUNK`` indices at a time: a sweep holds its ``len(ns)`` results and no
 temporary wider than one chunk, so its memory is ``O(len(ns))`` words
 whatever the dimension or support width.  A prefix kind walks
-``1..ns[-1]`` once, chunk by chunk, carrying its running state; a
-subsequence asks its parent only about its members.
+``1..ns[-1]`` once, chunk by chunk, carrying its running state.  A
+subsequence asks its parent only about its members: a *pointwise* kind (term
+``n`` depends on ``n`` alone) read at them is the same kind, and only prefix
+and per-index parents give :class:`Reindexed`.
 
 A seeded random member keeps no rows either: row ``k`` of a ``w``-wide
 member is outputs ``(k-1)*w .. k*w - 1`` of ``PCG64(seed)``, and each chunk
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -173,6 +175,10 @@ class Structure:
         depends on ``T``; ``image_of(s)`` is the sequence ``n -> T s_n``."""
         return None
 
+    def reindexed(self, seq, at):
+        """Structure of ``k -> x_{m_k}``; ``seq`` is ``x``, ``at(ks)`` the indices ``m_k``."""
+        return Reindexed(seq, at)
+
 
 @dataclass(frozen=True)
 class SingleSupport(Structure):
@@ -234,6 +240,9 @@ class SingleSupport(Structure):
         return SingleSupport(
             self.index_of, lambda ns: alpha * self.value_of(ns) + beta * other.value_of(ns)
         )
+
+    def reindexed(self, seq, at):
+        return SingleSupport(lambda ks: self.index_of(at(ks)), lambda ks: self.value_of(at(ks)))
 
 
 @dataclass(frozen=True)
@@ -393,6 +402,9 @@ class FixedBasisCombo(Structure):
 
         return FixedBasisCombo(coeffs, self.basis + other.basis)
 
+    def reindexed(self, seq, at):
+        return FixedBasisCombo(lambda ks: self.coeffs(at(ks)), self.basis)
+
 
 @dataclass(frozen=True)
 class DenseBlock(Structure):
@@ -437,48 +449,35 @@ class DenseBlock(Structure):
         return DenseBlock(lambda ns: (alpha * a + beta * b
                                       for a, b in zip(self.rows(ns), other.rows(ns))))
 
+    def reindexed(self, seq, at):
+        return DenseBlock(lambda ks: self.rows(at(ks)))
+
 
 @dataclass(frozen=True)
 class Reindexed(Structure):
-    """``x_k = parent`` at the k-th member of the index set ``along`` (see :func:`subsequence`).
+    """``x_k = parent_{m_k}``, ``at(ks)`` the members ``m_k`` (see :func:`subsequence`),
+    for a parent that is not pointwise: a prefix, per-index or scaled one.
 
     Every question about the terms ``ns`` is asked of the parent at their
     member indices, and only there.
     """
 
     parent: "SequenceSpec"
-    along: object
-    _members: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def members_upto(self, count):
-        """The first ``count`` members of ``along``, as an index array."""
-        have = self._members.get("members")
-        if have is None or len(have) < count:
-            # grow geometrically, so term-by-term callers rescan only log-many times
-            grow = 64 if have is None else 2 * len(have)
-            try:
-                self._members["members"] = density.members(self.along, max(count, grow))
-            except density.HorizonExhausted:
-                # the set may simply be smaller than the chunk; only a
-                # request it genuinely cannot satisfy should raise
-                self._members["members"] = density.members(self.along, count)
-        return self._members["members"][:count]
-
-    def _at(self, ns):
-        return self.members_upto(int(ns[-1]))[ns - 1]
+    at: Callable
 
     def sweep(self, seq, candidate, ns):
-        return self.parent.structure.sweep(self.parent, candidate, self._at(ns))
+        return self.parent.structure.sweep(self.parent, candidate, self.at(ns))
 
     def functional(self, seq, f, ns):
-        return self.parent.structure.functional(self.parent, f, self._at(ns))
+        return self.parent.structure.functional(self.parent, f, self.at(ns))
 
     def median(self, seq, ns):
-        return self.parent.structure.median(self.parent, self._at(ns))
+        return self.parent.structure.median(self.parent, self.at(ns))
 
     def lifted(self, image_of):
         # T(x_{m_k}) = (T x)_{m_k}: the image is the same subsequence of the parent's image
-        return Reindexed(image_of(self.parent), self.along)
+        image = image_of(self.parent)
+        return image.structure.reindexed(image, self.at)
 
 
 @dataclass(frozen=True)
@@ -576,19 +575,8 @@ def unit_coordinate_sequence():
 
 
 def prime_coordinate_sequence():
-    """``x_n`` is the coordinate vector at the n-th prime."""
-
-    def index_of(ns):
-        ns = _as_index_array(ns)
-        table = density.nth_primes(int(ns.max()))
-        return table[ns - 1]
-
-    structure = SingleSupport(index_of, lambda ns: np.ones(len(_as_index_array(ns))))
-    return SequenceSpec(
-        lambda n: SparseElement({int(density.nth_primes(n)[-1]): 1.0}),
-        sparse_space(), "prime_coords",
-        structure=structure, norm_bound=1.0,
-    )
+    """``x_n`` is the coordinate vector at the n-th prime: ``subseq(unit_coords, primes)``."""
+    return replace(subsequence(unit_coordinate_sequence(), density.primes()), label="prime_coords")
 
 
 def damped_unit_coordinate_sequence():
@@ -605,21 +593,8 @@ def damped_unit_coordinate_sequence():
 
 
 def damped_prime_coordinate_sequence():
-    def index_of(ns):
-        ns = _as_index_array(ns)
-        return density.nth_primes(int(ns.max()))[ns - 1]
-
-    def value_of(ns):
-        return 1.0 / np.sqrt(index_of(ns).astype(float))
-
-    def gen(n):
-        p = int(density.nth_primes(n)[-1])
-        return SparseElement({p: 1.0 / math.sqrt(p)})
-
-    return SequenceSpec(
-        gen, sparse_space(), "damped_prime_coords",
-        structure=SingleSupport(index_of, value_of), norm_bound=1.0,
-    )
+    return replace(subsequence(damped_unit_coordinate_sequence(), density.primes()),
+                   label="damped_prime_coords")
 
 
 def decaying_sequence(value, exponent=1.0, label=None):
@@ -836,21 +811,43 @@ def combine(a, b, alpha, beta, label=None):
     )
 
 
+def _members_at(along):
+    """``at(ks)``, the members of ``along`` at the increasing positions ``ks``: the
+    set's own ``nth`` where it has one (a sweep to ``H`` asks no further), else one
+    table of first members, grown geometrically so term-by-term callers rescan rarely."""
+    if along.nth is not None:
+        return along.nth
+    table = np.zeros(0, dtype=np.int64)
+
+    def at(ks):
+        nonlocal table
+        count = int(ks[-1])
+        if len(table) < count:
+            try:
+                table = density.members(along, max(count, 2 * len(table), 64))
+            except HorizonExhausted:
+                # a finite set may hold fewer than the grown request; only ``count`` must exist
+                table = density.members(along, count)
+        return table[ks - 1]
+
+    return at
+
+
 def subsequence(seq, along):
-    """``x_k = seq`` at the k-th member of ``along``.
+    """``x_k = seq`` at the k-th member of ``along``, read by the generator and structure alike.
 
     Raises :class:`HorizonExhausted` if the set runs out of members (finite
     sets) or enumeration would pass the member cap of :func:`density.members`.
     """
-    structure = Reindexed(seq, along)
+    at = _members_at(along)
 
     def gen(k):
-        return seq.generator(int(structure.members_upto(k)[k - 1]))
+        return seq.generator(int(at(_as_index_array([k]))[0]))
 
     return SequenceSpec(
         gen, seq.space,
         f"subseq({seq.label},{along.describe()})",
-        structure=structure,
+        structure=seq.structure.reindexed(seq, at),
         norm_bound=seq.norm_bound,
     )
 

@@ -233,6 +233,22 @@ def test_schedule_rejected_where_not_honoured(capsys, argv):
     assert "--schedule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule,message", [
+    ("linear:2.5", "a linear step must be a whole number, got 2.5"),
+    ("geometric:2.5", "a geometric base must be a whole number, got 2.5"),
+    ("geometric:x", "expected a number at position 0: 'x'"),
+    ("linear:0", "linear schedule needs a positive step"),
+], ids=["linear-fraction", "geometric-fraction", "geometric-name", "linear-zero"])
+@pytest.mark.parametrize("argv", [
+    ["density", "--set", "primes"],
+    ["cauchy", "--sequence", "harmonic"],
+], ids=["density", "cauchy"])
+def test_malformed_schedule_exits_two_naming_it(capsys, argv, schedule, message):
+    code, out, err = run_text(capsys, [*argv, "--horizon", "1000", "--schedule", schedule])
+    assert (code, out) == (2, "")
+    assert err == f"error: schedule {schedule!r}: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["converge", "--sequence", "harmonic", "--eps", ","],
     ["bounded", "--sequence", "harmonic", "--probes", ","],

@@ -188,7 +188,7 @@ def _set_descriptors(depth):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_set_descriptors(3), st.integers(min_value=2, max_value=2_999))
 def test_index_set_records_agree_with_membership_oracle(text, n):
-    # every fast count and first-members function is checked against the per-index test
+    # every fast count and members-by-position function is checked against the per-index test
     horizon = 3_000
     s = density.parse_index_set(text)
     oracle = np.array([s.contains(k) for k in range(1, horizon + 1)], dtype=bool)
@@ -198,6 +198,9 @@ def test_index_set_records_agree_with_membership_oracle(text, n):
     assert density.count(s, n) == int(oracle[:n].sum())
     found = np.flatnonzero(oracle) + 1
     assert density.members(s, len(found)).tolist() == found.tolist()
+    if s.nth is not None and len(found):
+        ks = np.unique(np.linspace(1, len(found), 5).astype(np.int64))
+        assert s.nth(ks).tolist() == found[ks - 1].tolist()
     profile = density.density_profile(s, horizon, density.linear(n))
     assert list(profile.counts) == [int(oracle[:c].sum()) for c in profile.checkpoints]
     assert density.parse_index_set(s.describe()).describe() == s.describe()
@@ -228,6 +231,16 @@ def test_geometric_schedule_checkpoints():
 def test_linear_schedule_checkpoints():
     assert density.linear(250).checkpoints(1_000) == [250, 500, 750, 1_000]
     assert density.linear(300).checkpoints(1_000)[-1] == 1_000
+
+
+@pytest.mark.parametrize("make,what", [(density.linear, "a linear step"),
+                                       (density.geometric, "a geometric base")],
+                         ids=["linear", "geometric"])
+def test_schedules_refuse_a_fractional_value(make, what):
+    # 2.5 was truncated to 2 before
+    with pytest.raises(ValueError, match=f"{what} must be a whole number, got 2.5"):
+        make(2.5)
+    assert make(5.0).describe() == f"{make.__name__}:5"
 
 
 def test_schedule_parse_round_trip():

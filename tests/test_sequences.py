@@ -205,11 +205,16 @@ def test_subsequence_terms_regrow_members_geometrically(monkeypatch):
     ks = np.arange(1, 20_000)
     nonsquares = ks[np.sqrt(ks).astype(np.int64) ** 2 != ks][:5000]
     assert [dict(x.support) for x in terms] == [{int(m): 1.0} for m in nonsquares]
-    # a finite set smaller than the grown request still yields all its members
+    # a scanned finite set smaller than the grown request (128 after 64) still
+    # yields its members, and one that knows its members by position runs
+    # out only past its last
+    scanned = sequences.subsequence(
+        sequences.unit_coordinate_sequence(),
+        density.intersection(density.finite(range(1, 101)), density.multiples(1)))
+    assert [dict(scanned.generator(k).support) for k in (1, 65)] == [{1: 1.0}, {65: 1.0}]
     hundred = sequences.subsequence(sequences.unit_coordinate_sequence(),
                                     density.finite(range(1, 101)))
-    assert [dict(hundred.generator(k).support) for k in (64, 65, 100)] == [
-        {64: 1.0}, {65: 1.0}, {100: 1.0}]
+    assert dict(hundred.generator(100).support) == {100: 1.0}
     with pytest.raises(sequences.HorizonExhausted):
         hundred.generator(101)
 

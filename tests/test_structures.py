@@ -77,6 +77,7 @@ def _cases():
         sequences.subsequence(sequences.unit_coordinate_sequence(), density.primes()),
         sequences.subsequence(
             sequences.random_unit_ball(spaces.dense_space(3), seed=5), density.multiples(2)),
+        sequences.parse_sequence("subseq(null(sparse{1:1}), squares)"),
     ]
     cases = [(m.label, m) for m in members]
     for op in _operators():
@@ -102,7 +103,7 @@ def _assert_close(got, want, what):
 _KINDS = (sequences.SingleSupport, sequences.PrefixValues, sequences.FixedBasisCombo,
           sequences.DenseBlock, sequences.Reindexed, sequences.Scaled)
 _METHODS = ("sweep", "functional", "median", "diagonal_image", "matrix_image", "rescaled",
-            "combined", "lifted")
+            "combined", "lifted", "reindexed")
 
 
 def _noting(method, key, reached):
@@ -271,3 +272,73 @@ def test_rank_one_images_walk_a_prefix_parent_once_per_sweep(op, monkeypatch):
         tally.clear()
         sweep()
         assert sum(tally) == walk
+
+
+_PRIME_PAIRS = [("prime_coords", "subseq(unit_coords, primes)"),
+                ("damped_prime_coords", "subseq(damped_unit_coords, primes)")]
+_PRIME_OPERATORS = {"plain": None, "transform": operators.prime_position_transform(),
+                    "diag": operators.named_diagonal("prime_scale")}
+
+
+@pytest.mark.parametrize("chunk", [sequences._CHUNK, 7])
+@pytest.mark.parametrize("op", list(_PRIME_OPERATORS.values()), ids=list(_PRIME_OPERATORS))
+@pytest.mark.parametrize("named,spelled", _PRIME_PAIRS, ids=[named for named, _ in _PRIME_PAIRS])
+def test_prime_coordinates_are_the_subsequence_along_the_primes(named, spelled, op, chunk,
+                                                                monkeypatch):
+    monkeypatch.setattr(sequences, "_CHUNK", chunk)
+    pair = [sequences.parse_sequence(text) for text in (named, spelled)]
+    if op is not None:
+        pair = [operators.image_sequence(op, seq) for seq in pair]
+    seq, sub = pair
+    median = stanalysis._median_candidate(seq, H)
+    assert stanalysis._median_candidate(sub, H) == median
+    for candidate in (median, spaces.sparse_element({2: 1.0, 7: -0.5, 13: 0.25})):
+        for got, want in zip(_answers(sub, candidate, H), _answers(seq, candidate, H)):
+            assert np.array_equal(got, want)
+
+
+_POINTWISE_SUBSEQUENCES = ["prime_coords", "damped_prime_coords",
+                           "subseq(unit_coords, primes)", "subseq(damped_unit_coords, primes)",
+                           "subseq(random(sparse,seed=3), multiples(3))",
+                           "subseq(null(sparse{1:1}), squares)",
+                           "subseq(random(dim=3,seed=5), multiples(2))"]
+
+
+@pytest.mark.parametrize("text", _POINTWISE_SUBSEQUENCES)
+def test_transformed_subsequences_of_pointwise_parents_stay_structured(text, monkeypatch):
+    per_index = set()
+    for name in ("sweep", "median"):
+        method = vars(sequences.Structure)[name]
+        monkeypatch.setattr(sequences.Structure, name, _noting(method, name, per_index))
+    seq = operators.image_sequence(operators.prime_position_transform(),
+                                   sequences.parse_sequence(text))
+    assert type(seq.structure) is not sequences.Scaled
+    candidate = stanalysis._median_candidate(seq, H)
+    _answers(seq, candidate, H)
+    _answers(seq, seq.generator(H), H)
+    assert per_index == set()
+
+
+@pytest.mark.parametrize("along", [density.primes(), density.multiples(3), density.squares()],
+                         ids=lambda s: s.describe())
+def test_subsequence_sweeps_ask_a_known_set_only_for_their_positions(along, monkeypatch):
+    # with chunks of 7 a sweep asks the set for each position at most twice
+    # (for the support index and for the value), and the prime table is
+    # asked for no more primes than the sweep reaches
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    positions, primes_asked = [], []
+    nth_primes = density.nth_primes
+    monkeypatch.setattr(density, "nth_primes", lambda count: primes_asked.append(count)
+                        or nth_primes(count))
+    monkeypatch.setattr(density, "members", None)   # no member table is built
+    seq = sequences.subsequence(sequences.unit_coordinate_sequence(),
+                                dataclasses.replace(along, nth=_tallied(along.nth, positions)))
+    candidate = spaces.sparse_element({4: 1.0})
+    for sweep in (lambda: sequences.norm_sweep(seq, H),
+                  lambda: sequences.distance_sweep(seq, candidate, H),
+                  lambda: operators.functional_sweep(FUNCTIONALS[2], seq, H)):
+        positions.clear()
+        sweep()
+        assert H <= sum(positions) <= 2 * H
+    assert bool(primes_asked) == (along.describe() == "primes")
+    assert max(primes_asked, default=0) <= H
