@@ -10,13 +10,16 @@ target value.
 Counting is exact integer arithmetic throughout; ratios only become floating
 point at the reporting boundary.
 
-An index set is a record of the functions its constructor chose: its
-descriptor, a membership mask, a per-index test and its analytic density,
-plus an exact count and its members by position for the kinds that know
-these faster than a mask scan.  :func:`membership_mask`, :func:`count`,
-:func:`members` and :func:`density_profile` are each one call to the record,
-scanning its mask where it gives no faster answer.  A checkpoint schedule is
-likewise a record of its label, first checkpoint and step.
+An index set is a record of the functions its constructor chose, and it
+answers two questions: ``mask(lo, hi)``, the membership of the segment
+``lo..hi``, and ``nth(ks)``, its members at the increasing positions ``ks``.
+Each kind builds only the segment it is asked for; primes read it off the
+shared sieve.  A complement, union or intersection combines its operands'
+segments and finds its members by scanning them forward into one member
+table that it keeps.  A set without an exact ``count`` is counted segment by
+segment, ``_SEGMENT`` indices at a time, so no question asks for a
+horizon-length mask.  A checkpoint schedule is likewise a record of its
+label, first checkpoint and step.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .parsing import Cursor, ParseError, parse_whole, whole_number
 DEFAULT_HORIZON = 1_000_000
 DEFAULT_TOLERANCE = 0.01
 _MEMBER_CAP = 100_000_000
+# the longest segment a count or a member scan asks a set for at once
+_SEGMENT = 1 << 16
 
 
 class HorizonExhausted(RuntimeError):
@@ -71,12 +76,6 @@ def _ensure_sieve(limit):
     _prime_table = _frozen(np.flatnonzero(mask).astype(np.int64, copy=False))
 
 
-def prime_mask(limit):
-    """Read-only boolean view ``m`` of length ``limit + 1``, ``m[i]`` true iff ``i`` is prime."""
-    _ensure_sieve(limit)
-    return _sieve_mask[: limit + 1]
-
-
 def prime_count(n):
     """Number of primes ``<= n``."""
     _ensure_sieve(n)
@@ -113,20 +112,21 @@ def is_prime(n):
 class IndexSet:
     """A set of positive integers, as the functions its constructor chose.
 
-    ``label`` is its descriptor; ``mask(n)`` is the boolean membership of
-    ``1..n``, ``contains(k)`` that of one integer ``k``; ``analytic_density``
-    is the true density as an exact fraction, when it is known.  Kinds that
-    know them faster than a mask scan also give ``count(n)``, the number of
-    members ``<= n`` for ``n >= 1``, and ``nth(ks)``, the members at the
-    increasing positions ``ks >= 1`` (see :func:`members`).
+    ``label`` is its descriptor.  ``mask(lo, hi)`` is the boolean membership
+    of ``lo..hi`` (``1 <= lo <= hi + 1``), and ``nth(ks)`` the members at the
+    increasing positions ``ks >= 1``; ``contains(k)`` is the membership of
+    one integer ``k``, and ``analytic_density`` the true density as an exact
+    fraction, when it is known.  Kinds that know it faster than a segment
+    scan also give ``count(n)``, the number of members ``<= n`` for
+    ``n >= 1``.
     """
 
     label: str
     mask: Callable
+    nth: Callable
     contains: Callable
     analytic_density: Optional[Fraction]
     count: Optional[Callable] = None
-    nth: Optional[Callable] = None
 
     def describe(self):
         return self.label
@@ -153,12 +153,13 @@ def _nth_primes(ks):
     return found[ks - 1]
 
 
-def _prime_membership(n):
-    return prime_mask(n)[1:].copy() if n >= 1 else np.zeros(0, dtype=bool)
+def _prime_segment(lo, hi):
+    _ensure_sieve(hi)
+    return _sieve_mask[lo : hi + 1]
 
 
 def primes():
-    return IndexSet("primes", _prime_membership, is_prime, Fraction(0), prime_count, _nth_primes)
+    return IndexSet("primes", _prime_segment, _nth_primes, is_prime, Fraction(0), prime_count)
 
 
 def multiples(m):
@@ -167,32 +168,32 @@ def multiples(m):
     m = whole_number(m, "a modulus")
     label = f"multiples({m})"
 
-    def mask(n):
-        out = np.zeros(n, dtype=bool)
-        out[m - 1 :: m] = True
+    def mask(lo, hi):
+        out = np.zeros(hi - lo + 1, dtype=bool)
+        out[-lo % m :: m] = True
         return out
 
     def nth(ks):
         _check_cap(label, int(ks[-1]), m * int(ks[-1]))
         return m * ks
 
-    return IndexSet(label, mask, lambda k: k >= 1 and k % m == 0, Fraction(1, m),
-                    lambda n: n // m, nth)
+    return IndexSet(label, mask, nth, lambda k: k >= 1 and k % m == 0, Fraction(1, m),
+                    lambda n: n // m)
 
 
 def squares():
-    def mask(n):
-        out = np.zeros(n, dtype=bool)
-        roots = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
-        out[roots * roots - 1] = True
+    def mask(lo, hi):
+        out = np.zeros(hi - lo + 1, dtype=bool)
+        roots = np.arange(math.isqrt(lo - 1) + 1, math.isqrt(hi) + 1, dtype=np.int64)
+        out[roots * roots - lo] = True
         return out
 
     def nth(ks):
         _check_cap("squares", int(ks[-1]), int(ks[-1]) ** 2)
         return ks * ks
 
-    return IndexSet("squares", mask, lambda k: k >= 1 and math.isqrt(k) ** 2 == k, Fraction(0),
-                    math.isqrt, nth)
+    return IndexSet("squares", mask, nth, lambda k: k >= 1 and math.isqrt(k) ** 2 == k,
+                    Fraction(0), math.isqrt)
 
 
 def finite(values):
@@ -200,27 +201,54 @@ def finite(values):
     if any(v < 1 for v in vals):
         raise ValueError("index sets contain positive integers only")
     label = "finite(" + ",".join(str(v) for v in vals) + ")"
-    lookup = frozenset(vals)
+    table = np.asarray(vals, dtype=np.int64)
 
-    def mask(n):
-        out = np.zeros(n, dtype=bool)
-        out[np.asarray([v for v in vals if v <= n], dtype=np.int64) - 1] = True
+    def mask(lo, hi):
+        out = np.zeros(hi - lo + 1, dtype=bool)
+        out[table[(table >= lo) & (table <= hi)] - lo] = True
         return out
 
     def nth(ks):
         if ks[-1] > len(vals):
             raise HorizonExhausted(f"{label} has only {len(vals)} members, {ks[-1]} requested")
-        return np.asarray(vals, dtype=np.int64)[ks - 1]
+        return table[ks - 1]
 
-    return IndexSet(label, mask, lookup.__contains__, Fraction(0),
-                    lambda n: sum(1 for v in vals if v <= n), nth)
+    return IndexSet(label, mask, nth, frozenset(vals).__contains__, Fraction(0),
+                    lambda n: int(np.searchsorted(table, n, side="right")))
+
+
+def _scanned(label, mask, contains, dens, count=None):
+    """The record of a set known by its segments, whose ``nth`` scans them forward
+    from the last index scanned into one member table, which doubles as it fills;
+    past ``_MEMBER_CAP`` every request beyond the table is refused unscanned."""
+    table = np.zeros(0, dtype=np.int64)
+    found = scanned = 0   # table[:found] are the members <= scanned
+
+    def nth(ks):
+        nonlocal table, found, scanned
+        while found < ks[-1]:
+            if scanned >= _MEMBER_CAP:
+                raise HorizonExhausted(
+                    f"scanned past cap {_MEMBER_CAP} with only {found} members of {label}")
+            hi = min(scanned + _SEGMENT, _MEMBER_CAP)
+            hits = np.flatnonzero(mask(scanned + 1, hi)) + (scanned + 1)
+            if found + len(hits) > len(table):
+                grown = np.empty(max(2 * len(table), found + len(hits)), dtype=np.int64)
+                grown[:found] = table[:found]
+                table = grown
+            table[found : found + len(hits)] = hits
+            found += len(hits)
+            scanned = hi
+        return table[ks - 1]
+
+    return IndexSet(label, mask, nth, contains, dens, count)
 
 
 def complement(inner):
     dens = None
     if inner.analytic_density is not None:
         dens = 1 - inner.analytic_density
-    return IndexSet(f"complement({inner.label})", lambda n: ~inner.mask(n),
+    return _scanned(f"complement({inner.label})", lambda lo, hi: ~inner.mask(lo, hi),
                     lambda k: k >= 1 and not inner.contains(k), dens,
                     None if inner.count is None else lambda n: n - inner.count(n))
 
@@ -231,7 +259,7 @@ def union(a, b):
         dens = b.analytic_density
     elif b.analytic_density == 0:
         dens = a.analytic_density
-    return IndexSet(f"union({a.label},{b.label})", lambda n: a.mask(n) | b.mask(n),
+    return _scanned(f"union({a.label},{b.label})", lambda lo, hi: a.mask(lo, hi) | b.mask(lo, hi),
                     lambda k: a.contains(k) or b.contains(k), dens)
 
 
@@ -243,53 +271,48 @@ def intersection(a, b):
         dens = b.analytic_density
     elif b.analytic_density == 1:
         dens = a.analytic_density
-    return IndexSet(f"intersection({a.label},{b.label})", lambda n: a.mask(n) & b.mask(n),
+    return _scanned(f"intersection({a.label},{b.label})",
+                    lambda lo, hi: a.mask(lo, hi) & b.mask(lo, hi),
                     lambda k: a.contains(k) and b.contains(k), dens)
 
 
 def membership_mask(s, n):
-    """Boolean array of length ``n`` whose entry ``k-1`` says whether ``k`` is in ``s``."""
-    return s.mask(int(n))
+    """Boolean array of length ``n`` whose entry ``k-1`` says whether ``k`` is in ``s``
+    (for primes, a read-only view of the shared sieve)."""
+    return s.mask(1, int(n))
+
+
+def _counts(s, cps):
+    """Exact counts of ``s`` at the increasing checkpoints ``cps``: its own
+    ``count`` where it has one, else its segments counted one at a time."""
+    if s.count is not None:
+        return [s.count(c) for c in cps]
+    s.mask(cps[-1], cps[-1])   # the last index first, so a shared sieve grows once
+    counts = []
+    total = 0
+    lo = 1
+    for c in cps:
+        for a in range(lo, c + 1, _SEGMENT):
+            total += int(np.count_nonzero(s.mask(a, min(a + _SEGMENT - 1, c))))
+        counts.append(total)
+        lo = c + 1
+    return counts
 
 
 def count(s, n):
     """Exact ``|{k <= n : k in s}|``."""
     n = int(n)
-    if n < 1:
-        return 0
-    if s.count is not None:
-        return s.count(n)
-    return int(np.count_nonzero(s.mask(n)))
+    return _counts(s, [n])[0] if n >= 1 else 0
 
 
 def members(s, how_many):
     """The first ``how_many`` members of ``s`` in increasing order.
 
     Raises :class:`HorizonExhausted` when the set runs out of members before
-    ``how_many`` are found or the scan would pass ``_MEMBER_CAP``.
+    ``how_many`` are found or they would pass ``_MEMBER_CAP``.
     """
-    how_many = int(how_many)
-    if how_many < 1:
-        return np.zeros(0, dtype=np.int64)
-    if s.nth is not None:
-        return s.nth(np.arange(1, how_many + 1, dtype=np.int64))
-    # scan membership in growing blocks
-    out = []
-    total = 0
-    start = 1
-    block = 1 << 16
-    while total < how_many:
-        if start > _MEMBER_CAP:
-            raise HorizonExhausted(
-                f"scanned past cap {_MEMBER_CAP} with only {total} members of {s.label}"
-            )
-        stop = min(start + block - 1, _MEMBER_CAP)
-        hits = np.flatnonzero(s.mask(stop)[start - 1 :]) + start
-        out.append(hits)
-        total += len(hits)
-        start = stop + 1
-        block = min(block * 2, 1 << 22)
-    return np.concatenate(out)[:how_many].astype(np.int64)
+    ks = np.arange(1, int(how_many) + 1, dtype=np.int64)
+    return s.nth(ks) if len(ks) else ks
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +421,7 @@ def density_profile(s, horizon=DEFAULT_HORIZON, schedule=None):
     """Exact counts of ``s`` at scheduled checkpoints up to ``horizon``."""
     schedule = schedule or DEFAULT_SCHEDULE
     cps = schedule.checkpoints(horizon)
-    if s.count is None:
-        return profile_from_mask(membership_mask(s, cps[-1]), cps[-1], schedule)
-    return DensityProfile(tuple(cps), tuple(s.count(c) for c in cps))
+    return DensityProfile(tuple(cps), tuple(_counts(s, cps)))
 
 
 def profile_from_mask(mask, horizon, schedule=None):
@@ -560,7 +581,6 @@ __all__ = [
     "density_verdict",
     "parse_index_set",
     "parse_index_set_at",
-    "prime_mask",
     "prime_count",
     "nth_primes",
     "is_prime",

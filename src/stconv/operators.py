@@ -356,13 +356,9 @@ def operator_norm_bound(op):
 
 @dataclass(frozen=True, eq=False)
 class SequenceTransform:
-    """Maps a whole sequence by the positional rescaling ``y_n = rule(n, x_n)``.
+    """Maps a whole sequence by the positional rescaling ``y_n = scale_of(n) * x_n``,
+    ``scale_of`` a function of index arrays."""
 
-    ``scale_of`` is the same rescaling vectorised: ``rule(n, x)`` must equal
-    ``scale_of(n) * x``, so that image sequences keep a structure.
-    """
-
-    rule: Callable
     label: str
     scale_of: Callable
 
@@ -373,17 +369,14 @@ class SequenceTransform:
 def prime_scale_values(ks):
     """``k`` on primes, ``1`` elsewhere (vectorised)."""
     ks = np.asarray(ks, dtype=np.int64)
-    mask = density.prime_mask(int(ks.max()))[ks]
+    lo = int(ks.min())
+    mask = density.primes().mask(lo, int(ks.max()))[ks - lo]
     return np.where(mask, ks.astype(float), 1.0)
 
 
 def prime_position_transform():
     """Rescales the n-th term by n when n is prime and leaves it alone otherwise."""
-
-    def rule(n, x):
-        return spaces.scale(float(n), x) if density.is_prime(n) else x
-
-    return SequenceTransform(rule, "prime_scale_by_position", scale_of=prime_scale_values)
+    return SequenceTransform("prime_scale_by_position", prime_scale_values)
 
 
 _TRANSFORM_NAMES = {
@@ -396,13 +389,13 @@ _TRANSFORM_NAMES = {
 # ---------------------------------------------------------------------------
 
 def image_sequence(op, seq):
-    """The sequence ``n -> op(x_n)`` (or ``rule(n, x_n)`` for transforms)."""
+    """The sequence ``n -> op(x_n)`` (or ``scale_of(n) * x_n`` for transforms)."""
     if isinstance(op, SequenceTransform):
-        rule = op.rule
+        scale_of = op.scale_of
         gen = seq.generator
 
         def tgen(n):
-            return rule(n, gen(n))
+            return spaces.scale(scale_of(np.asarray([n], dtype=np.int64))[0], gen(n))
 
         return SequenceSpec(
             tgen, seq.space, f"{op.label}({seq.label})",

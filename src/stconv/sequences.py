@@ -647,7 +647,8 @@ def spike_sequence(space, spikes, magnitude=None, label=None):
     def spiked(ns):
         """The term's magnitude at each of ``ns``: zero off the spike set."""
         ns = _as_index_array(ns)
-        mask = density.membership_mask(spikes, int(ns.max()))[ns - 1]
+        lo = int(ns.min())
+        mask = spikes.mask(lo, int(ns.max()))[ns - lo]
         return np.where(mask, mag(ns).astype(float), 0.0)
 
     if space.kind == "sparse":
@@ -811,43 +812,19 @@ def combine(a, b, alpha, beta, label=None):
     )
 
 
-def _members_at(along):
-    """``at(ks)``, the members of ``along`` at the increasing positions ``ks``: the
-    set's own ``nth`` where it has one (a sweep to ``H`` asks no further), else one
-    table of first members, grown geometrically so term-by-term callers rescan rarely."""
-    if along.nth is not None:
-        return along.nth
-    table = np.zeros(0, dtype=np.int64)
-
-    def at(ks):
-        nonlocal table
-        count = int(ks[-1])
-        if len(table) < count:
-            try:
-                table = density.members(along, max(count, 2 * len(table), 64))
-            except HorizonExhausted:
-                # a finite set may hold fewer than the grown request; only ``count`` must exist
-                table = density.members(along, count)
-        return table[ks - 1]
-
-    return at
-
-
 def subsequence(seq, along):
     """``x_k = seq`` at the k-th member of ``along``, read by the generator and structure alike.
 
     Raises :class:`HorizonExhausted` if the set runs out of members (finite
-    sets) or enumeration would pass the member cap of :func:`density.members`.
+    sets) or they would pass the member cap of :mod:`density`.
     """
-    at = _members_at(along)
-
     def gen(k):
-        return seq.generator(int(at(_as_index_array([k]))[0]))
+        return seq.generator(int(along.nth(_as_index_array([k]))[0]))
 
     return SequenceSpec(
         gen, seq.space,
         f"subseq({seq.label},{along.describe()})",
-        structure=seq.structure.reindexed(seq, at),
+        structure=seq.structure.reindexed(seq, along.nth),
         norm_bound=seq.norm_bound,
     )
 

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,24 +187,43 @@ def _set_descriptors(depth):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_set_descriptors(3), st.integers(min_value=2, max_value=2_999))
-def test_index_set_records_agree_with_membership_oracle(text, n):
-    # every fast count and members-by-position function is checked against the per-index test
-    horizon = 3_000
-    s = density.parse_index_set(text)
-    oracle = np.array([s.contains(k) for k in range(1, horizon + 1)], dtype=bool)
-    assert not s.contains(0)
-    assert np.array_equal(density.membership_mask(s, n), oracle[:n])
-    assert np.array_equal(density.membership_mask(s, horizon), oracle)
-    assert density.count(s, n) == int(oracle[:n].sum())
-    found = np.flatnonzero(oracle) + 1
-    assert density.members(s, len(found)).tolist() == found.tolist()
-    if s.nth is not None and len(found):
-        ks = np.unique(np.linspace(1, len(found), 5).astype(np.int64))
-        assert s.nth(ks).tolist() == found[ks - 1].tolist()
-    profile = density.density_profile(s, horizon, density.linear(n))
-    assert list(profile.counts) == [int(oracle[:c].sum()) for c in profile.checkpoints]
-    assert density.parse_index_set(s.describe()).describe() == s.describe()
+@given(_set_descriptors(3), st.integers(min_value=2, max_value=2_999),
+       st.integers(min_value=1, max_value=3_000), st.integers(min_value=0, max_value=400),
+       st.sampled_from([7, density._SEGMENT]))
+def test_index_set_records_agree_with_membership_oracle(text, n, lo, width, segment):
+    # every segment mask, fast count and members-by-position function is
+    # checked against the per-index test, with scan segments of 7 and of the
+    # default length; the cap sits at the horizon, which no finite member
+    # drawn passes, so that asking for one member past those below it is
+    # refused by every kind
+    horizon = 3_500
+    with mock.patch.object(density, "_SEGMENT", segment), \
+            mock.patch.object(density, "_MEMBER_CAP", horizon):
+        s = density.parse_index_set(text)
+        oracle = np.array([s.contains(k) for k in range(1, horizon + 1)], dtype=bool)
+        assert not s.contains(0)
+        hi = min(lo + width, horizon)
+        for a, b in ((lo, hi), (lo, lo), (lo, lo - 1), (1, 0), (5, 13), (1, n), (1, horizon)):
+            got = s.mask(a, b)
+            assert got.dtype == bool and np.array_equal(got, oracle[a - 1 : b]), (a, b)
+        assert np.array_equal(density.membership_mask(s, n), oracle[:n])
+        assert density.count(s, n) == int(oracle[:n].sum())
+        found = np.flatnonzero(oracle) + 1
+        # positions first, on a fresh record, then every member from 1
+        if len(found):
+            ks = np.unique(np.linspace(1, len(found), 5).astype(np.int64))
+            assert s.nth(ks).tolist() == found[ks - 1].tolist()
+        assert density.members(s, len(found)).tolist() == found.tolist()
+        with pytest.raises(density.HorizonExhausted):
+            s.nth(np.array([len(found) + 1]))
+        profile = density.density_profile(s, horizon, density.linear(n))
+        assert list(profile.counts) == [int(oracle[:c].sum()) for c in profile.checkpoints]
+        assert density.parse_index_set(s.describe()).describe() == s.describe()
+
+
+def test_primes_mask_is_a_view_of_the_sieve():
+    seg = density.primes().mask(10, 20)
+    assert not seg.flags.writeable and not seg.flags.owndata
 
 
 def test_analytic_densities():

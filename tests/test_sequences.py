@@ -5,6 +5,8 @@ closed-form sweep must agree, index by index, with brute-force norms of the
 elements the generator actually produces.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,24 +192,33 @@ def test_subsequence_of_finite_set_exhausts():
         sub.generator(3)
 
 
+def _segments_read(s, seen):
+    """``s`` with every segment its mask is asked for noted in ``seen``."""
+    def mask(lo, hi):
+        seen.append((lo, hi))
+        return s.mask(lo, hi)
+
+    return dataclasses.replace(s, mask=mask)
+
+
 def test_subsequence_terms_regrow_members_geometrically(monkeypatch):
-    requests = []
-    enumerate_members = density.members
-
-    def counted(s, how_many, *args, **kwargs):
-        requests.append(how_many)
-        return enumerate_members(s, how_many, *args, **kwargs)
-
-    monkeypatch.setattr(density, "members", counted)
-    sub = sequences.parse_sequence("subseq(unit_coords, complement(squares))")
-    terms = [sub.generator(k) for k in range(1, 5001)]
-    assert len(requests) <= 2 * np.log2(5000)
+    # term-by-term reading scans each segment once, from the last one read
+    # on, and no further than the segment holding the last member asked for:
+    # with the default segment that is within the O(log n) bound
     ks = np.arange(1, 20_000)
     nonsquares = ks[np.sqrt(ks).astype(np.int64) ** 2 != ks][:5000]
-    assert [dict(x.support) for x in terms] == [{int(m): 1.0} for m in nonsquares]
-    # a scanned finite set smaller than the grown request (128 after 64) still
-    # yields its members, and one that knows its members by position runs
-    # out only past its last
+    for segment in (density._SEGMENT, 7):
+        monkeypatch.setattr(density, "_SEGMENT", segment)
+        seen = []
+        along = density.complement(_segments_read(density.squares(), seen))
+        sub = sequences.subsequence(sequences.unit_coordinate_sequence(), along)
+        terms = [sub.generator(k) for k in range(1, 5001)]
+        assert [dict(x.support) for x in terms] == [{int(m): 1.0} for m in nonsquares]
+        assert [lo for lo, _ in seen] == list(range(1, int(nonsquares[-1]) + 1, segment))
+        assert seen[-1][1] - segment < nonsquares[-1] <= seen[-1][1]
+        assert segment == 7 or len(seen) <= 2 * np.log2(5000)
+    # a scanned finite set yields its members, and one that knows its
+    # members by position runs out only past its last
     scanned = sequences.subsequence(
         sequences.unit_coordinate_sequence(),
         density.intersection(density.finite(range(1, 101)), density.multiples(1)))
@@ -217,6 +228,25 @@ def test_subsequence_terms_regrow_members_geometrically(monkeypatch):
     assert dict(hundred.generator(100).support) == {100: 1.0}
     with pytest.raises(sequences.HorizonExhausted):
         hundred.generator(101)
+
+
+def test_scanned_finite_set_reaches_the_cap_once(monkeypatch):
+    # the first term reads only the segment holding the third (last) member;
+    # asking past it scans on to the cap once, and again refuses unscanned
+    monkeypatch.setattr(density, "_SEGMENT", 7)
+    monkeypatch.setattr(density, "_MEMBER_CAP", 700)
+    seen = []
+    along = density.union(_segments_read(density.finite([1, 2]), seen), density.finite([3]))
+    assert along.describe() == "union(finite(1,2),finite(3))"
+    sub = sequences.subsequence(sequences.unit_coordinate_sequence(), along)
+    assert dict(sub.generator(1).support) == {1: 1.0}
+    assert [dict(sub.generator(k).support) for k in (2, 3)] == [{2: 1.0}, {3: 1.0}]
+    assert seen == [(1, 7)]
+    for _ in range(2):
+        with pytest.raises(sequences.HorizonExhausted, match="scanned past cap 700 with only 3"):
+            sub.generator(4)
+        assert seen == [(lo, min(lo + 6, 700)) for lo in range(1, 701, 7)]
+    assert dict(sub.generator(3).support) == {3: 1.0}
 
 
 def test_zero_sequence_norm_bound():
@@ -395,7 +425,7 @@ def test_distance_sweeps_are_not_cached():
     "result",
     [
         lambda: density.nth_primes(50),
-        lambda: density.prime_mask(100),
+        lambda: density.primes().mask(1, 100),
         lambda: sequences.norm_sweep(sequences.harmonic_prefix_sequence(), 100),
         lambda: sequences.distance_sweep(
             sequences.unit_coordinate_sequence(), spaces.sparse_element({2: 1.0}), 100
