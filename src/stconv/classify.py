@@ -45,10 +45,10 @@ from .sequences import (
     decaying_sequence,
     harmonic_prefix_sequence,
     index_sequence,
-    norm_sweep,
     prime_coordinate_sequence,
     random_unit_ball,
     spike_sequence,
+    sweep_chunks,
     unit_coordinate_sequence,
     zero_sequence,
 )
@@ -370,21 +370,28 @@ def check_finite_dim_all_bounded(horizon, tolerance):
 def _find_ratio_bound(op, corpus, horizon, tolerance, start):
     """Smallest doubling multiple of ``start`` with ||Sx_n|| <= M ||x_n|| a.e."""
     m = max(float(start), 1e-9)
-    sweeps = [(norm_sweep(member, horizon), norm_sweep(image_sequence(op, member), horizon))
-              for member in corpus.members]
-    for k in range(_RATIO_DOUBLINGS):
-        ok = True
-        for base, img in sweeps:
+    bounds = [m * 2.0 ** k for k in range(_RATIO_DOUBLINGS)]
+    cps = density.DEFAULT_SCHEDULE.checkpoints(horizon)
+
+    def exceedances(base, img):
+        # norms are >= 0, so the bound m * base grows with m: once a chunk has
+        # no exceedance of one bound it has none of a larger one
+        masks = [None] * len(bounds)
+        for k, m in enumerate(bounds):
             mask = img > m * base * (1.0 + 1e-12)
-            verdict = stanalysis._zero_density_verdict(
-                mask, horizon, tolerance, density.DEFAULT_SCHEDULE
-            )
-            if verdict.decision != "confirmed":
-                ok = False
+            if not mask.any():
                 break
-        if ok:
+            masks[k] = mask
+        return len(base), masks
+
+    # one walk per member, its sweep and its image's in step, counting every doubling
+    tables = [density.count_table(map(exceedances, sweep_chunks(member, None, horizon),
+                                      sweep_chunks(image_sequence(op, member), None, horizon)), cps)
+              for member in corpus.members]
+    for k, m in enumerate(bounds):
+        if all(stanalysis._zero_density_verdict(cps, table[k], tolerance).decision == "confirmed"
+               for table in tables):
             return m, k
-        m *= 2.0
     return None, _RATIO_DOUBLINGS
 
 

@@ -18,8 +18,10 @@ shared sieve.  A complement, union or intersection combines its operands'
 segments and finds its members by scanning them forward into one member
 table that it keeps.  A set without an exact ``count`` is counted segment by
 segment, ``_SEGMENT`` indices at a time, so no question asks for a
-horizon-length mask.  A checkpoint schedule is likewise a record of its
-label, first checkpoint and step.
+horizon-length mask.  Every count, of a set's segments or of the exceedance
+masks of a verdict, goes through :func:`count_table`, which folds a stream
+of chunks into exact counts at the checkpoints.  A checkpoint schedule is
+likewise a record of its label, first checkpoint and step.
 """
 
 from __future__ import annotations
@@ -287,16 +289,10 @@ def _counts(s, cps):
     ``count`` where it has one, else its segments counted one at a time."""
     if s.count is not None:
         return [s.count(c) for c in cps]
-    s.mask(cps[-1], cps[-1])   # the last index first, so a shared sieve grows once
-    counts = []
-    total = 0
-    lo = 1
-    for c in cps:
-        for a in range(lo, c + 1, _SEGMENT):
-            total += int(np.count_nonzero(s.mask(a, min(a + _SEGMENT - 1, c))))
-        counts.append(total)
-        lo = c + 1
-    return counts
+    last = cps[-1]
+    s.mask(last, last)   # the last index first, so a shared sieve grows once
+    segments = (s.mask(lo, min(lo + _SEGMENT - 1, last)) for lo in range(1, last + 1, _SEGMENT))
+    return count_table(((len(m), [m]) for m in segments), cps)[0]
 
 
 def count(s, n):
@@ -424,23 +420,50 @@ def density_profile(s, horizon=DEFAULT_HORIZON, schedule=None):
     return DensityProfile(tuple(cps), tuple(_counts(s, cps)))
 
 
-def profile_from_mask(mask, horizon, schedule=None):
-    """Profile of a precomputed membership mask (entry ``k-1`` is index ``k``).
+def count_table(blocks, cps):
+    """Exact counts of a streamed table of masks at the increasing checkpoints ``cps``.
 
-    Counts are summed segment by segment between checkpoints into Python
-    integers, so no horizon-length running-count array is built.
+    ``blocks`` yields ``(size, masks)`` for consecutive chunks of the indices
+    ``1, 2, ...``: ``masks`` holds, for each row of the table, a boolean
+    array of ``size`` entries, or None where the row holds nowhere in the
+    chunk (it is then counted without a scan).  Row ``r`` of the result is
+    ``|{k <= c : row r holds at k}|`` at each checkpoint ``c``, summed chunk
+    by chunk into Python integers; the stream is read up to ``cps[-1]``.
     """
+    table = totals = None
+    lo = j = 0   # the next chunk starts at index lo + 1; cps[j] is the next checkpoint
+    for size, masks in blocks:
+        if table is None:
+            table = [[0] * len(cps) for _ in masks]
+            totals = [0] * len(masks)
+        first = j
+        while j < len(cps) and cps[j] <= lo + size:
+            j += 1
+        for r, mask in enumerate(masks):
+            start = 0
+            for i in range(first, j):
+                end = cps[i] - lo
+                if mask is not None:
+                    totals[r] += int(np.count_nonzero(mask[start:end]))
+                table[r][i] = totals[r]
+                start = end
+            if mask is not None and start < size:
+                totals[r] += int(np.count_nonzero(mask[start:size]))
+        lo += size
+        if j == len(cps):
+            return table
+    raise ValueError(f"the stream ends at {lo}, before the checkpoint {cps[-1]}")
+
+
+def profile_from_mask(mask, horizon, schedule=None):
+    """Profile of a precomputed membership mask (entry ``k-1`` is index ``k``):
+    :func:`count_table` of the one-row table the mask makes."""
     schedule = schedule or DEFAULT_SCHEDULE
     horizon = int(horizon)
     if len(mask) < horizon:
         raise ValueError("mask shorter than horizon")
     cps = schedule.checkpoints(horizon)
-    counts = []
-    total = prev = 0
-    for c in cps:
-        total += int(np.count_nonzero(mask[prev:c]))
-        counts.append(total)
-        prev = c
+    counts, = count_table([(horizon, [mask[:horizon]])], cps)
     return DensityProfile(tuple(cps), tuple(counts))
 
 

@@ -190,10 +190,9 @@ class FiniteRank(OperatorSpec):
 
     def image_structure(self, seq):
         def coeffs(ns):
-            # the parent is asked once, at ns, so a prefix parent is walked once
+            # each functional walks a prefix parent once, all of them in step
             cols = [seq.structure.functional(seq, f, ns) for f, _ in self.pieces]
-            return (np.stack([col[lo:hi] for col in cols], axis=1)
-                    for lo, hi in sequences._spans(len(ns)))
+            return (np.stack(chunk, axis=1) for chunk in zip(*cols))
 
         basis = tuple(y0 for _, y0 in self.pieces)
         if self.codomain.kind == "dense":

@@ -13,15 +13,19 @@ horizons but would be hopeless for, say, growing-support prefixes at
 instead, which answers in a few numpy passes and leaves to the per-index
 kind only what it cannot answer.
 
-Every structure method takes an increasing int64 array ``ns`` of the
-indices it is asked about and evaluates only those, one chunk of at most
-``_CHUNK`` indices at a time: a sweep holds its ``len(ns)`` results and no
-temporary wider than one chunk, so its memory is ``O(len(ns))`` words
-whatever the dimension or support width.  A prefix kind walks
-``1..ns[-1]`` once, chunk by chunk, carrying its running state.  A
-subsequence asks its parent only about its members: a *pointwise* kind (term
-``n`` depends on ``n`` alone) read at them is the same kind, and only prefix
-and per-index parents give :class:`Reindexed`.
+A sweep takes a :class:`Stream` of the indices it is asked about and yields
+one array per chunk of at most ``_CHUNK`` indices: it evaluates only those
+indices and holds no temporary wider than one chunk, whatever the dimension
+or support width, so a consumer that folds the chunks as they come (every
+verdict in ``stanalysis``) needs memory independent of the horizon.
+``norm_sweep``, ``distance_sweep`` and ``functional_sweep`` join the chunks
+into one array.  A prefix kind walks ``1, 2, ..`` once, span by span,
+carrying its running maximum or running sum.  A subsequence passes its
+parent the stream of its members: a *pointwise* kind (term ``n`` depends on
+``n`` alone) read along them is the same kind, and only prefix and
+per-index parents give :class:`Reindexed`.  Such a stream asks the index set
+for its last member first, so a subsequence past the member cap is refused
+before any chunk runs.
 
 A seeded random member keeps no rows either: row ``k`` of a ``w``-wide
 member is outputs ``(k-1)*w .. k*w - 1`` of ``PCG64(seed)``, and each chunk
@@ -65,51 +69,54 @@ CORPUS_VERSION = "v1"
 _CHUNK = 1 << 14
 
 
-def _upto(horizon):
-    return np.arange(1, horizon + 1, dtype=np.int64)
+@dataclass(frozen=True)
+class Stream:
+    """The indices ``at(1), .., at(count)``, read ``_CHUNK`` positions at a time.
 
+    ``at`` maps an increasing int64 array of positions to their indices,
+    which increase too (None reads each position as its own index).
+    Iterating yields one int64 index array per chunk, in order, and may be
+    repeated.  A stream that maps its positions asks ``at`` for the last one
+    first, so an index set refuses a stream past its member cap before any
+    chunk runs.
+    """
 
-def _spans(count):
-    """``(lo, hi)`` bounds of the consecutive chunks of ``count`` positions."""
-    return [(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
+    count: int
+    at: Optional[Callable] = None
 
+    @classmethod
+    def of(cls, ns):
+        """The indices ``ns`` as they are given (any order, repeats allowed)."""
+        ns = _as_index_array(ns)
+        return cls(len(ns), lambda ks: ns[ks - 1])
 
-def _chunks(ns):
-    return (ns[lo:hi] for lo, hi in _spans(len(ns)))
+    def along(self, at):
+        """The stream of ``at`` of this stream's indices."""
+        return Stream(self.count, at if self.at is None else lambda ks: at(self.at(ks)))
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        if self.at is not None and self.count:
+            self.at(np.array([self.count], dtype=np.int64))
+        for lo in range(0, self.count, _CHUNK):
+            ks = np.arange(lo + 1, min(lo + _CHUNK, self.count) + 1, dtype=np.int64)
+            yield ks if self.at is None else self.at(ks)
 
 
 def _pointwise(fn):
     """The chunk stream of ``fn``, a function of index arrays whose value at
     an index does not depend on the other indices."""
-    return lambda ns: map(fn, _chunks(ns))
+    return lambda ns: map(fn, ns)
 
 
 def _joined(blocks):
+    """The blocks of a chunk stream as one array."""
     blocks = list(blocks)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-def _fill(ns, blocks, fn):
-    """``fn`` of each block of the chunk stream ``blocks`` over ``ns``, written
-    into one array of ``len(ns)`` values.
-
-    ``fn`` must return a new array (or a list): a lone chunk's result is
-    returned as it is, and callers write into what they get.
-    """
-    spans = _spans(len(ns))
-    if len(spans) == 1:
-        return np.asarray(fn(next(iter(blocks))), dtype=float)
-    out = np.empty(len(ns))
-    for (lo, hi), block in zip(spans, blocks):
-        out[lo:hi] = fn(block)
-    return out
-
-
-def _rescale(vals, ns, factor_of):
-    """``vals * factor_of(ns)`` in place, one chunk at a time."""
-    for lo, hi in _spans(len(ns)):
-        vals[lo:hi] *= factor_of(ns[lo:hi])
-    return vals
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +128,8 @@ class Structure:
 
     This base kind answers every question by evaluating the generator term
     by term.  Each vectorised kind below overrides what it can answer and
-    leaves the rest to this one.  ``ns`` is always an increasing int64
-    index array.
+    leaves the rest to this one.  Sweeps take a :class:`Stream` ``ns`` and
+    yield one array per chunk of it; a median takes an int64 index array.
     """
 
     def sweep(self, seq, candidate, ns):
@@ -134,12 +141,12 @@ class Structure:
         else:
             def term(n):
                 return element_norm(sub(gen(n), candidate))
-        return _fill(ns, _chunks(ns), lambda c: [term(n) for n in c.tolist()])
+        return (np.asarray([term(n) for n in c.tolist()], dtype=float) for c in ns)
 
     def functional(self, seq, f, ns):
         """``f(x_n)`` at ``n`` in ``ns``; ``f`` is an ``operators.FunctionalSpec``."""
         gen = seq.generator
-        return _fill(ns, _chunks(ns), lambda c: [f.evaluate(gen(n)) for n in c.tolist()])
+        return (np.asarray([f.evaluate(gen(n)) for n in c.tolist()], dtype=float) for c in ns)
 
     def median(self, seq, ns):
         """Coordinatewise median of the terms at the sample indices ``ns``."""
@@ -182,14 +189,15 @@ class Structure:
 
 @dataclass(frozen=True)
 class SingleSupport(Structure):
-    """Sparse ``x_n = value_of(n) * e_{index_of(n)}``."""
+    """Sparse ``x_n = value_of(n) * e_{index_of(n)}``; ``index_of(ns)`` and
+    ``value_of(ns)`` yield their arrays for each chunk of the stream ``ns``."""
 
     index_of: Callable
     value_of: Callable
 
     def sweep(self, seq, candidate, ns):
         if candidate is None or not candidate.support:
-            return _fill(ns, _chunks(ns), lambda c: np.abs(self.value_of(c).astype(float)))
+            return (np.abs(v.astype(float)) for v in self.value_of(ns))
         cidx, cval = _sparse_support_arrays(candidate)
         acv = np.abs(cval)
         top = int(np.argmax(acv))
@@ -197,39 +205,39 @@ class SingleSupport(Structure):
         second = np.max(np.delete(acv, top)) if len(acv) > 1 else 0.0
         last = len(cidx) - 1
 
-        def distances(c):
-            idx = self.index_of(c)
-            val = self.value_of(c).astype(float)
+        def distances(idx, val):
+            val = val.astype(float)
             off = np.where(idx == cidx[top], second, top_val)
             pos = np.minimum(np.searchsorted(cidx, idx), last)
             c_at = np.where(cidx[pos] == idx, cval[pos], 0.0)
             return np.maximum(np.abs(val - c_at), off)
 
-        return _fill(ns, _chunks(ns), distances)
+        return map(distances, self.index_of(ns), self.value_of(ns))
 
     def functional(self, seq, f, ns):
-        return _fill(ns, _chunks(ns),
-                     lambda c: f.weights(self.index_of(c)) * self.value_of(c).astype(float))
+        return (f.weights(idx) * val.astype(float)
+                for idx, val in zip(self.index_of(ns), self.value_of(ns)))
 
     def median(self, seq, ns):
         # one row per support index, one column per sample; a sample's
         # entry is zero off its support index, as in the sparse element
-        keys, rows = np.unique(self.index_of(ns), return_inverse=True)
+        samples = Stream.of(ns)
+        keys, rows = np.unique(_joined(self.index_of(samples)), return_inverse=True)
         table = np.zeros((len(keys), len(ns)))
-        table[rows, np.arange(len(ns))] = self.value_of(ns)
+        table[rows, np.arange(len(ns))] = _joined(self.value_of(samples))
         med = np.median(table, axis=1)
         return spaces.sparse_element(dict(zip(keys.tolist(), med.tolist())))
 
     def diagonal_image(self, dfun, apply_to):
         return SingleSupport(
             self.index_of,
-            lambda ns: dfun(self.index_of(ns)).astype(float) * self.value_of(ns),
+            lambda ns: (dfun(idx).astype(float) * val
+                        for idx, val in zip(self.index_of(ns), self.value_of(ns))),
         )
 
     def rescaled(self, seq, scale_of):
         return SingleSupport(
-            self.index_of,
-            lambda ns: scale_of(np.asarray(ns, dtype=np.int64)) * self.value_of(ns),
+            self.index_of, lambda ns: (scale_of(c) * val for c, val in zip(ns, self.value_of(ns))),
         )
 
     def combined(self, other, alpha, beta):
@@ -238,11 +246,13 @@ class SingleSupport(Structure):
         if type(other) is not SingleSupport or other.index_of is not self.index_of:
             return super().combined(other, alpha, beta)
         return SingleSupport(
-            self.index_of, lambda ns: alpha * self.value_of(ns) + beta * other.value_of(ns)
+            self.index_of,
+            lambda ns: (alpha * a + beta * b for a, b in zip(self.value_of(ns), other.value_of(ns))),
         )
 
     def reindexed(self, seq, at):
-        return SingleSupport(lambda ks: self.index_of(at(ks)), lambda ks: self.value_of(at(ks)))
+        return SingleSupport(lambda ns: self.index_of(ns.along(at)),
+                             lambda ns: self.value_of(ns.along(at)))
 
 
 @dataclass(frozen=True)
@@ -253,16 +263,21 @@ class PrefixValues(Structure):
 
     @staticmethod
     def _walk(ns, step):
-        """``step`` over ``1..ns[-1]``, one chunk of consecutive indices at a
-        time and in order (so it may carry state across chunks), kept at ``ns``."""
-        out = np.empty(len(ns))
-        at = 0
-        for lo, hi in _spans(int(ns[-1]) if len(ns) else 0):
-            vals = step(np.arange(lo + 1, hi + 1, dtype=np.int64))
-            end = at + int(np.searchsorted(ns[at:], hi, side="right"))
-            out[at:end] = vals[ns[at:end] - (lo + 1)]
-            at = end
-        return out
+        """``step`` over ``1, 2, ..``, one span of at most ``_CHUNK`` consecutive
+        indices at a time and in order (so it may carry state across spans),
+        read at each chunk of ``ns`` and walked no further than its last index."""
+        vals, top = np.empty(0), 0        # vals holds step's values at top - len(vals) + 1 .. top
+        for c in ns:
+            out = np.empty(len(c))
+            at = 0
+            while at < len(c):
+                if c[at] > top:
+                    lo, top = top, min(top + _CHUNK, int(c[-1]))
+                    vals = step(np.arange(lo + 1, top + 1, dtype=np.int64))
+                end = at + int(np.searchsorted(c[at:], top, side="right"))
+                out[at:end] = vals[c[at:end] - (top - len(vals) + 1)]
+                at = end
+            yield out
 
     def sweep(self, seq, candidate, ns):
         # x_n - c is value_of(k) - c_k at k <= n and -c_k past n, so its sup
@@ -294,7 +309,7 @@ class PrefixValues(Structure):
         return self._walk(ns, step)
 
     def functional(self, seq, f, ns):
-        # the running sum is carried into the first term of the next chunk,
+        # the running sum is carried into the first term of the next span,
         # so the partial sums are those of one cumsum over 1..ns[-1]
         carry = None
 
@@ -316,7 +331,7 @@ class PrefixValues(Structure):
         # between them half of the samples hold value_of(k), the median half
         ns = np.sort(ns)
         mid = len(ns) // 2
-        ks = _upto(int(ns[mid]))
+        ks = np.arange(1, int(ns[mid]) + 1, dtype=np.int64)
         vals = self.value_of(ks).astype(float)
         if len(ns) % 2 == 0:
             vals[int(ns[mid - 1]):] /= 2
@@ -336,7 +351,7 @@ class FixedBasisCombo(Structure):
     """``x_n = sum_j coeff[n, j] * basis[j]`` over a fixed finite basis.
 
     ``coeffs(ns)`` yields the ``(len(chunk), r)`` coefficient rows of each
-    chunk of ``ns`` in turn.
+    chunk of the stream ``ns`` in turn.
     """
 
     coeffs: Callable
@@ -358,7 +373,7 @@ class FixedBasisCombo(Structure):
     def sweep(self, seq, candidate, ns):
         uidx, mat = self._support_matrix(() if candidate is None else candidate.support)
         if len(uidx) == 0:
-            return np.zeros(len(ns))
+            return (np.zeros(len(c)) for c in ns)
         offset = None
         if candidate is not None:
             cidx, cval = _sparse_support_arrays(candidate)
@@ -371,16 +386,16 @@ class FixedBasisCombo(Structure):
                 rows -= offset
             return _abs_rowmax(rows)
 
-        return _fill(ns, self.coeffs(ns), distances)
+        return map(distances, self.coeffs(ns))
 
     def functional(self, seq, f, ns):
         fvec = np.asarray([f.evaluate(b) for b in self.basis])
-        return _fill(ns, self.coeffs(ns), lambda coeff: coeff @ fvec)
+        return (coeff @ fvec for coeff in self.coeffs(ns))
 
     def median(self, seq, ns):
         # coordinatewise over the support: basis supports may overlap
         uidx, mat = self._support_matrix()
-        med = np.median(_joined(self.coeffs(ns)) @ mat, axis=0)
+        med = np.median(_joined(self.coeffs(Stream.of(ns))) @ mat, axis=0)
         return spaces.sparse_element(dict(zip(uidx.tolist(), med.tolist())))
 
     def diagonal_image(self, dfun, apply_to):
@@ -388,7 +403,7 @@ class FixedBasisCombo(Structure):
 
     def rescaled(self, seq, scale_of):
         def coeffs(ns):
-            return (coeff * scale_of(c)[:, None] for c, coeff in zip(_chunks(ns), self.coeffs(ns)))
+            return (coeff * scale_of(c)[:, None] for c, coeff in zip(ns, self.coeffs(ns)))
 
         return FixedBasisCombo(coeffs, self.basis)
 
@@ -403,30 +418,26 @@ class FixedBasisCombo(Structure):
         return FixedBasisCombo(coeffs, self.basis + other.basis)
 
     def reindexed(self, seq, at):
-        return FixedBasisCombo(lambda ks: self.coeffs(at(ks)), self.basis)
+        return FixedBasisCombo(lambda ns: self.coeffs(ns.along(at)), self.basis)
 
 
 @dataclass(frozen=True)
 class DenseBlock(Structure):
     """Dense rows: ``rows(ns)`` yields the ``(len(chunk), dim)`` coordinate
-    rows of each chunk of ``ns`` in turn."""
+    rows of each chunk of the stream ``ns`` in turn."""
 
     rows: Callable
 
     def block_of(self, ns):
-        """The coordinate rows at ``ns``, all at once."""
-        return _joined(self.rows(_as_index_array(ns)))
+        """The coordinate rows at the indices ``ns``, all at once."""
+        return _joined(self.rows(Stream.of(ns)))
 
     def sweep(self, seq, candidate, ns):
-        c = None if candidate is None else np.asarray(candidate.coords)[None, :]
-
-        def norms(block):
-            return _block_norms(block if c is None else block - c)
-
-        return _fill(ns, self.rows(ns), norms)
+        c = None if candidate is None else np.asarray(candidate.coords)
+        return (_block_norms(block, c) for block in self.rows(ns))
 
     def functional(self, seq, f, ns):
-        return _fill(ns, self.rows(ns), lambda block: block @ f.weights_upto(block.shape[1]))
+        return (block @ f.weights_upto(block.shape[1]) for block in self.rows(ns))
 
     def median(self, seq, ns):
         return spaces.dense_element(np.median(self.block_of(ns), axis=0))
@@ -439,7 +450,7 @@ class DenseBlock(Structure):
 
     def rescaled(self, seq, scale_of):
         def rows(ns):
-            return (block * scale_of(c)[:, None] for c, block in zip(_chunks(ns), self.rows(ns)))
+            return (block * scale_of(c)[:, None] for c, block in zip(ns, self.rows(ns)))
 
         return DenseBlock(rows)
 
@@ -450,7 +461,7 @@ class DenseBlock(Structure):
                                       for a, b in zip(self.rows(ns), other.rows(ns))))
 
     def reindexed(self, seq, at):
-        return DenseBlock(lambda ks: self.rows(at(ks)))
+        return DenseBlock(lambda ns: self.rows(ns.along(at)))
 
 
 @dataclass(frozen=True)
@@ -466,10 +477,10 @@ class Reindexed(Structure):
     at: Callable
 
     def sweep(self, seq, candidate, ns):
-        return self.parent.structure.sweep(self.parent, candidate, self.at(ns))
+        return self.parent.structure.sweep(self.parent, candidate, ns.along(self.at))
 
     def functional(self, seq, f, ns):
-        return self.parent.structure.functional(self.parent, f, self.at(ns))
+        return self.parent.structure.functional(self.parent, f, ns.along(self.at))
 
     def median(self, seq, ns):
         return self.parent.structure.median(self.parent, self.at(ns))
@@ -491,11 +502,11 @@ class Scaled(Structure):
         if candidate is not None:
             return super().sweep(seq, candidate, ns)
         base = self.parent.structure.sweep(self.parent, None, ns)
-        return _rescale(base, ns, lambda c: np.abs(self.scale_of(c).astype(float)))
+        return (b * np.abs(self.scale_of(c).astype(float)) for c, b in zip(ns, base))
 
     def functional(self, seq, f, ns):
         base = self.parent.structure.functional(self.parent, f, ns)
-        return _rescale(base, ns, lambda c: self.scale_of(c).astype(float))
+        return (b * self.scale_of(c).astype(float) for c, b in zip(ns, base))
 
 
 @dataclass(frozen=True)
@@ -527,10 +538,8 @@ def zero_sequence(space):
         dim = space.dim
         structure = DenseBlock(_pointwise(lambda ns: np.zeros((len(ns), dim))))
     else:
-        structure = SingleSupport(
-            lambda ns: np.ones(len(_as_index_array(ns)), dtype=np.int64),
-            lambda ns: np.zeros(len(_as_index_array(ns))),
-        )
+        structure = SingleSupport(_pointwise(lambda ns: np.ones(len(ns), dtype=np.int64)),
+                                  _pointwise(lambda ns: np.zeros(len(ns))))
     return SequenceSpec(lambda n: z, space, "zero", structure=structure, norm_bound=0.0)
 
 
@@ -564,10 +573,7 @@ def harmonic_prefix_sequence():
 
 
 def unit_coordinate_sequence():
-    structure = SingleSupport(
-        lambda ns: _as_index_array(ns),
-        lambda ns: np.ones(len(_as_index_array(ns))),
-    )
+    structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(lambda ns: np.ones(len(ns))))
     return SequenceSpec(
         lambda n: SparseElement({n: 1.0}), sparse_space(), "unit_coords",
         structure=structure, norm_bound=1.0,
@@ -581,10 +587,8 @@ def prime_coordinate_sequence():
 
 def damped_unit_coordinate_sequence():
     """Coordinate vectors shrunk to norm ``1/sqrt(n)``: norm-null but spread out."""
-    structure = SingleSupport(
-        lambda ns: _as_index_array(ns),
-        lambda ns: 1.0 / np.sqrt(_as_index_array(ns).astype(float)),
-    )
+    structure = SingleSupport(_pointwise(lambda ns: ns),
+                              _pointwise(lambda ns: 1.0 / np.sqrt(ns.astype(float))))
     return SequenceSpec(
         lambda n: SparseElement({n: 1.0 / math.sqrt(n)}),
         sparse_space(), "damped_unit_coords",
@@ -656,7 +660,7 @@ def spike_sequence(space, spikes, magnitude=None, label=None):
             m = mag_at(n)
             return SparseElement({n: m} if m != 0.0 else {})
 
-        structure = SingleSupport(lambda ns: _as_index_array(ns), spiked)
+        structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(spiked))
     else:
         dim = space.dim
 
@@ -751,7 +755,8 @@ def _random_rows(seed, width, ns):
     out *= 2.0
     out -= 1.0
     if width > 1:
-        scale = np.maximum(_block_norms(out), 1.0)
+        scale = _block_norms(out)
+        np.maximum(scale, 1.0, out=scale)
         for j in range(width):
             np.divide(out[:, j], scale, out=out[:, j])
     return out
@@ -783,7 +788,7 @@ def random_unit_ball(space, seed):
             v = float(value_of([n])[0])
             return SparseElement({n: v} if v != 0.0 else {})
 
-        structure = SingleSupport(lambda ns: _as_index_array(ns), value_of)
+        structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(value_of))
 
     return SequenceSpec(
         gen, space, f"random_ball_{seed}",
@@ -855,47 +860,66 @@ def _sparse_support_arrays(x):
     return idx[order], val[order]
 
 
-def _block_norms(block):
-    """The Euclidean norm of each row of ``block``."""
+def _block_norms(block, offset=None):
+    """The Euclidean norm of each row of ``block``, or of ``block - offset``
+    for a row ``offset``, which is then subtracted column by column."""
     # x * x has the bits of |x| ** 2.0, and np.sqrt is what ** 0.5 runs
     if block.shape[1] >= 8:
         # numpy sums a row of 8 or more by pairwise blocks, an order that
         # only its own row-wise reduction repeats bit for bit
-        return np.sqrt(np.sum(np.multiply(block, block), axis=1))
+        squares = np.multiply(block, block) if offset is None else block - offset
+        if offset is not None:
+            np.multiply(squares, squares, out=squares)
+        return np.sqrt(np.sum(squares, axis=1))
     # narrower rows numpy sums left to right, as this column-wise fold does
-    first = block[:, 0]
-    acc = np.multiply(first, first)
+    acc = np.empty(len(block))
     col = np.empty_like(acc)
-    for j in range(1, block.shape[1]):
-        c = block[:, j]
-        acc += np.multiply(c, c, out=col)
+    for j in range(block.shape[1]):
+        x = block[:, j]
+        if offset is not None:
+            x = np.subtract(x, offset[j], out=col)
+        if j == 0:
+            np.multiply(x, x, out=acc)
+        else:
+            acc += np.multiply(x, x, out=col)
     return np.sqrt(acc, out=acc)
 
 
-def _sweep(seq, candidate, horizon):
-    arr = seq.structure.sweep(seq, candidate, _upto(horizon))
+def sweep_chunks(seq, candidate, horizon):
+    """``||x_n - candidate||`` for ``n = 1..horizon`` (``||x_n||`` for
+    ``candidate=None``), one array per chunk, computed afresh."""
+    if candidate is not None:
+        if spaces.space_of(candidate) != seq.space:
+            raise ValueError("candidate lives in a different space than the sequence")
+        if candidate == spaces.zero(seq.space):
+            candidate = None
+    return seq.structure.sweep(seq, candidate, Stream(int(horizon)))
+
+
+def functional_chunks(f, seq, horizon):
+    """``f(x_n)`` for ``n = 1..horizon``, one array per chunk, as the sequence's structure answers it."""
+    return seq.structure.functional(seq, f, Stream(int(horizon)))
+
+
+def _read_only(blocks):
+    arr = _joined(blocks)
     arr.setflags(write=False)
     return arr
 
 
 def norm_sweep(seq, horizon):
     """``||x_n||`` for ``n = 1..horizon`` as one read-only array, computed afresh."""
-    return _sweep(seq, None, int(horizon))
+    return _read_only(sweep_chunks(seq, None, horizon))
 
 
 def distance_sweep(seq, candidate, horizon):
     """``||x_n - candidate||`` for ``n = 1..horizon`` as one read-only array."""
-    horizon = int(horizon)
-    if spaces.space_of(candidate) != seq.space:
-        raise ValueError("candidate lives in a different space than the sequence")
-    if candidate == spaces.zero(seq.space):
-        return norm_sweep(seq, horizon)
-    return _sweep(seq, candidate, horizon)
+    return _read_only(sweep_chunks(seq, candidate, horizon))
 
 
 def functional_sweep(f, seq, horizon):
-    """``f(x_n)`` for ``n = 1..horizon``, as the sequence's structure answers it."""
-    return seq.structure.functional(seq, f, _upto(int(horizon)))
+    """``f(x_n)`` for ``n = 1..horizon`` as one array."""
+    return _joined(functional_chunks(f, seq, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1029,7 @@ __all__ = [
     "CORPUS_VERSION",
     "HorizonExhausted",
     "SequenceSpec",
+    "Stream",
     "Structure",
     "SingleSupport",
     "PrefixValues",
@@ -1028,6 +1053,8 @@ __all__ = [
     "subsequence",
     "parse_sequence",
     "parse_sequence_at",
+    "sweep_chunks",
+    "functional_chunks",
     "norm_sweep",
     "distance_sweep",
     "functional_sweep",

@@ -2,8 +2,12 @@
 
 Every asymptotic notion (statistical convergence, statistical boundedness,
 statistical Cauchy) is replaced by a three-valued desk verdict: the relevant
-exceedance index set is materialized up to a horizon, its density profile is
-computed, and the profile is judged confirmed / refuted / inconclusive.
+exceedance index set is counted exactly at the checkpoints of a schedule up
+to a horizon, and the resulting density profile is judged confirmed /
+refuted / inconclusive.  The counts are folded chunk by chunk from the
+sequence's sweep (``density.count_table``), every threshold of a grid or
+probe ladder in the same pass, so no verdict holds a horizon-length sweep or
+mask.
 Inconclusive is a first-class outcome; a finite horizon cannot decide a
 limit, so tests only pin down confirmed or refuted where the exceedance
 counts are analytically understood.
@@ -26,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import operators, spaces
-from .density import DEFAULT_SCHEDULE, DensityVerdict, density_verdict, profile_from_mask
-from .sequences import distance_sweep, norm_sweep
+from .density import DEFAULT_SCHEDULE, DensityProfile, DensityVerdict, count_table, density_verdict
+from .sequences import functional_chunks, sweep_chunks
 
 DEFAULT_ANALYSIS_HORIZON = 100_000
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
@@ -124,9 +128,22 @@ def _normalized_grid(grid):
     return tuple(sorted(grid, reverse=True))
 
 
-def _zero_density_verdict(mask, horizon, tolerance, schedule):
-    profile = profile_from_mask(mask, horizon, schedule)
-    return density_verdict(profile, Fraction(0), tolerance)
+def _exceedances(chunks, thresholds, strict, cps):
+    """Counts at the checkpoints ``cps`` of ``{n : v_n > t}`` (``>=`` unless
+    ``strict``) for each ``t`` of ``thresholds``, one row per threshold, over
+    the value chunks of ``v``.  A threshold that the chunk's largest value
+    does not reach counts zero there without a compare."""
+    def masks(v):
+        top = v.max()
+        if strict:
+            return len(v), [None if t >= top else v > t for t in thresholds]
+        return len(v), [None if t > top else v >= t for t in thresholds]
+
+    return count_table(map(masks, chunks), cps)
+
+
+def _zero_density_verdict(cps, counts, tolerance):
+    return density_verdict(DensityProfile(tuple(cps), tuple(counts)), Fraction(0), tolerance)
 
 
 def _overall(decisions):
@@ -161,11 +178,12 @@ def st_converges(seq, candidate=None, grid=DEFAULT_EPS_GRID,
             f"candidate lives in {spaces.space_of(candidate).describe()}, "
             f"sequence in {seq.space.describe()}"
         )
-    dists = distance_sweep(seq, candidate, horizon)
+    dists = sweep_chunks(seq, candidate, horizon)
+    cps = schedule.checkpoints(horizon)
     reports = []
     witness = None
-    for eps in grid:
-        verdict = _zero_density_verdict(dists >= eps, horizon, tolerance, schedule)
+    for eps, counts in zip(grid, _exceedances(dists, grid, False, cps)):
+        verdict = _zero_density_verdict(cps, counts, tolerance)
         reports.append(EpsilonReport(eps, verdict))
         if verdict.decision == "refuted" and witness is None:
             witness = {"epsilon": eps, "checkpoint": verdict.witness}
@@ -186,30 +204,38 @@ def st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
 
     Refuted only when the largest probe still yields a refuted-zero verdict.
     """
-    return st_bounded_real(norm_sweep(seq, horizon), probes, horizon, tolerance, schedule)
+    return _bounded(sweep_chunks(seq, None, horizon), probes, horizon, tolerance, schedule)
 
 
 def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
                     tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
-    """Boundedness verdict for a real scalar sequence; every bounded kind ends here.
+    """Boundedness verdict for a real scalar sequence.
 
     ``xs`` is an array-like holding ``x_1..x_horizon``.  The probe ladder is
     searched for the first M whose exceedance set ``{n : |x_n| > M}`` has
     confirmed-zero density.
     """
     horizon = int(horizon)
-    probes = tuple(float(m) for m in probes)
     values = np.asarray(xs, dtype=float)
     if len(values) < horizon:
         raise ValueError(f"need {horizon} values, got {len(values)}")
+    return _bounded([values[:horizon]], probes, horizon, tolerance, schedule)
+
+
+def _bounded(chunks, probes, horizon, tolerance, schedule):
+    """The boundedness verdict over the value chunks of ``x_1..x_horizon``;
+    every bounded kind ends here."""
+    horizon = int(horizon)
+    probes = tuple(float(m) for m in probes)
     if not probes or list(probes) != sorted(probes):
         raise ValueError("probes must be a nonempty increasing ladder")
     if not all(math.isfinite(m) for m in probes):
         raise ValueError("probes must be finite")
-    values = np.abs(values[:horizon])
+    cps = schedule.checkpoints(horizon)
+    table = _exceedances((np.abs(v) for v in chunks), probes, True, cps)
     reports = []
-    for m in probes:
-        verdict = _zero_density_verdict(values > m, horizon, tolerance, schedule)
+    for m, counts in zip(probes, table):
+        verdict = _zero_density_verdict(cps, counts, tolerance)
         reports.append(EpsilonReport(m, verdict))
         if verdict.decision == "confirmed":
             return StVerdict("bounded", "confirmed", horizon, probes, tuple(reports), bound=m)
@@ -243,8 +269,7 @@ def weakly_st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZ
         raise ValueError("weak boundedness probes require a dense space")
     results = []
     for f in _weak_probe_functionals(seq.space.dim):
-        verdict = st_bounded_real(operators.functional_sweep(f, seq, horizon),
-                                  probes, horizon, tolerance, schedule)
+        verdict = _bounded(functional_chunks(f, seq, horizon), probes, horizon, tolerance, schedule)
         results.append((f, verdict))
         if verdict.decision == "refuted":
             break
@@ -288,21 +313,22 @@ def st_cauchy(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
         raise ValueError("need at least one anchor index")
     if min(anchors) < 1:
         raise ValueError("anchor indices start at 1")
-    # one anchor's sweep at a time, judged by every epsilon still without a
-    # confirmed anchor; each epsilon sees the anchors in order either way
+    # one walk per anchor, counting every epsilon still without a confirmed
+    # anchor; each epsilon sees the anchors in order either way
+    cps = schedule.checkpoints(horizon)
     per_anchor = [[] for _ in grid]
     found = [None] * len(grid)
     for a in anchors:
         open_eps = [i for i, r in enumerate(found) if r is None]
         if not open_eps:
             break
-        dists = distance_sweep(seq, seq.generator(a), horizon)
-        for i in open_eps:
-            verdict = _zero_density_verdict(dists >= grid[i], horizon, tolerance, schedule)
+        dists = sweep_chunks(seq, seq.generator(a), horizon)
+        table = _exceedances(dists, [grid[i] for i in open_eps], False, cps)
+        for i, counts in zip(open_eps, table):
+            verdict = _zero_density_verdict(cps, counts, tolerance)
             per_anchor[i].append((a, verdict))
             if verdict.decision == "confirmed":
                 found[i] = EpsilonReport(grid[i], verdict, anchor=a)
-        del dists
     reports = []
     witness = None
     for eps, chosen, tried in zip(grid, found, per_anchor):
@@ -395,11 +421,18 @@ def norm_limit_zero(seq, horizon=DEFAULT_ANALYSIS_HORIZON, tolerance=DEFAULT_ST_
     land here).
     """
     horizon = int(horizon)
-    norms = norm_sweep(seq, horizon)
-    tail = norms[horizon // 10:]
-    if float(np.max(tail)) <= tolerance:
+    start = horizon // 10     # the tail starts at this 0-based offset
+    top, bottom = -math.inf, math.inf
+    lo = 0
+    for norms in sweep_chunks(seq, None, horizon):
+        tail = norms[max(start - lo, 0):]
+        if len(tail):
+            # np.maximum and np.minimum carry a NaN, as a max or min over the whole tail does
+            top, bottom = np.maximum(top, tail.max()), np.minimum(bottom, tail.min())
+        lo += len(norms)
+    if float(top) <= tolerance:
         return "confirmed"
-    if float(np.min(tail)) >= 2 * tolerance:
+    if float(bottom) >= 2 * tolerance:
         return "refuted"
     return "inconclusive"
 

@@ -63,7 +63,7 @@ def test_matrix_image_rows_match_matmul(width, rows_out, monkeypatch):
     monkeypatch.setattr(sequences, "_CHUNK", 700)
     block = _block(2000, width, seed=300 + width)
     a = _block(rows_out, width, seed=400 + width)
-    image = sequences.DenseBlock(lambda ns: (block[c - 1] for c in sequences._chunks(ns))).matrix_image(a)
+    image = sequences.DenseBlock(lambda ns: (block[c - 1] for c in ns)).matrix_image(a)
     got = image.block_of(np.arange(1, len(block) + 1))
     assert np.array_equal(got, block @ a.T)
 
@@ -84,12 +84,11 @@ def test_basis_combo_sweep_matches_rowwise_max(columns, rank, with_offset, monke
         rows = rows - offset
     want = np.max(np.abs(rows), axis=1)
     basis = tuple(spaces.sparse_element({k + 1: v for k, v in enumerate(row)}) for row in mat)
-    combo = sequences.FixedBasisCombo(lambda ns: (coeff[c - 1] for c in sequences._chunks(ns)),
-                                      basis)
+    combo = sequences.FixedBasisCombo(lambda ns: (coeff[c - 1] for c in ns), basis)
     candidate = None if offset is None else spaces.sparse_element(
         {k + 1: v for k, v in enumerate(offset)})
-    ns = np.arange(1, n + 1, dtype=np.int64)
-    assert np.array_equal(combo.sweep(None, candidate, ns), want)
+    got = sequences._joined(combo.sweep(None, candidate, sequences.Stream(n)))
+    assert np.array_equal(got, want)
 
 
 def test_geometric_weights_match_powers_of_one_half():

@@ -1,13 +1,15 @@
 """Memory guards: the traced peak of single CLI calls.
 
-A sweep holds its ``len(ns)`` results and the temporaries of one chunk, a
+A verdict folds its exceedance counts chunk by chunk and holds no sweep, a
 subsequence asks its parent only about its members, random rows are drawn
-where they are asked for and not kept, a Cauchy analysis holds one
-anchor's sweep at a time, and an index set answers on the segment it is
-asked about.  Each budget below sits well under the peak of whole-horizon
-evaluation (about 100, 90, 32, 46, 156 and 58 MB for these calls), so a
-return to horizon-by-width blocks, to a kept row table or to prefix
-membership masks fails here.
+where they are asked for and not kept, and an index set answers on the
+segment it is asked about.  Each budget below sits well under the peak of
+whole-horizon evaluation (about 100, 90, 32, 46, 156 and 58 MB for these
+calls), and the three 10^6 calls that are not subsequences under a single
+horizon-length sweep (8 MB), so a return to held sweeps or masks, to
+horizon-by-width blocks, to a kept row table or to prefix membership masks
+fails here.  The subsequence along ``complement(squares)`` keeps its
+scanned member table (about 16 MB at 10^6).
 """
 
 import contextlib
@@ -18,17 +20,18 @@ import tracemalloc
 import pytest
 
 from stconv import cli, density, sequences, spaces
+from stconv.classify import check_theorem
 
 MB = float(1 << 20)
 
 BUDGETS = [
-    (["cauchy", "--sequence", "random(dim=3, seed=5)", "--horizon", "1000000"], 60),
-    (["cauchy", "--sequence", "harmonic", "--horizon", "1000000"], 40),
+    (["cauchy", "--sequence", "random(dim=3, seed=5)", "--horizon", "1000000"], 4),
+    (["cauchy", "--sequence", "harmonic", "--horizon", "1000000"], 4),
     (["converge", "--sequence", "subseq(unit_coords, primes)", "--eps", "0.5,0.1"], 10),
-    (["bounded", "--sequence", "null(dense[1,1,1])", "--horizon", "1000000"], 25),
+    (["bounded", "--sequence", "null(dense[1,1,1])", "--horizon", "1000000"], 4),
     (["converge", "--sequence", "subseq(random(dim=2), multiples(10000))", "--horizon", "1000"], 8),
     (["converge", "--sequence", "subseq(unit_coords, complement(squares))",
-      "--horizon", "1000000"], 48),
+      "--horizon", "1000000"], 30),
 ]
 
 
@@ -42,6 +45,32 @@ def test_traced_peak_stays_within_budget(argv, budget_mb):
     finally:
         tracemalloc.stop()
     assert peak / MB <= budget_mb
+
+
+def test_ratio_bound_holds_one_chunk_of_each_sweep():
+    # the second run finds the cached corpora and the grown shared sieve, so
+    # the budget is the check's own working set; holding every member's and
+    # image's norm sweep at 10^5 takes about 18 MB
+    check_theorem("ratio_bound", 10**5)
+    tracemalloc.start()
+    try:
+        check_theorem("ratio_bound", 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / MB <= 4
+
+
+def test_a_subsequence_past_the_cap_is_refused_before_any_chunk_runs():
+    # the member at the horizon is asked for first, so the prime sieve does
+    # not grow chunk by chunk toward the cap before the refusal
+    sieve = len(density._sieve_mask)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["converge", "--sequence", "prime_coords", "--horizon", "10000000"])
+    assert code == 2
+    assert "member 10000000 of primes is beyond the cap" in err.getvalue()
+    assert len(density._sieve_mask) == sieve
 
 
 def test_random_member_keeps_nothing_after_a_sweep():

@@ -334,7 +334,8 @@ def test_random_ball_rows_match_whole_table_normalisation(space):
         assert seq.structure.block_of(ns).tobytes() == whole[ns - 1].tobytes()
         terms = {n: np.asarray(seq.generator(n).coords) for n in (1, 2, 1025, count)}
     else:
-        assert seq.structure.value_of(ns).tobytes() == whole[ns - 1, 0].tobytes()
+        values = sequences._joined(seq.structure.value_of(sequences.Stream.of(ns)))
+        assert values.tobytes() == whole[ns - 1, 0].tobytes()
         terms = {n: np.asarray([seq.generator(n).support[n]]) for n in (1, 2, 1025, count)}
     for n, term in terms.items():
         assert term.tobytes() == whole[n - 1].tobytes()
@@ -367,7 +368,8 @@ def test_one_wide_random_rows_are_the_raw_draw():
     got = sequences._random_rows(seed, 1, np.arange(1, count + 1))[:, 0]
     assert got.tobytes() == want.tobytes()
     seq = sequences.random_unit_ball(spaces.sparse_space(), seed)
-    assert seq.structure.value_of(np.arange(1, count + 1)).tobytes() == want.tobytes()
+    values = sequences._joined(seq.structure.value_of(sequences.Stream(count)))
+    assert values.tobytes() == want.tobytes()
 
 
 def test_random_sweep_draws_only_its_rows(monkeypatch):

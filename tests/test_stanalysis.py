@@ -264,9 +264,9 @@ def _counted_sweeps(monkeypatch):
 
     def counting(seq, candidate, horizon):
         swept.append(candidate)
-        return sequences.distance_sweep(seq, candidate, horizon)
+        return sequences.sweep_chunks(seq, candidate, horizon)
 
-    monkeypatch.setattr(stanalysis, "distance_sweep", counting)
+    monkeypatch.setattr(stanalysis, "sweep_chunks", counting)
     return swept
 
 
@@ -293,8 +293,8 @@ def _cauchy_all_sweeps_first(seq, grid, horizon, anchors):
     for eps in grid:
         tried = []
         for a, dists in sweeps:
-            verdict = stanalysis._zero_density_verdict(dists >= eps, horizon, 0.1,
-                                                       density.DEFAULT_SCHEDULE)
+            verdict = density.density_verdict(
+                density.profile_from_mask(dists >= eps, horizon, density.DEFAULT_SCHEDULE), 0, 0.1)
             tried.append((a, verdict))
             if verdict.decision == "confirmed":
                 reports.append(stanalysis.EpsilonReport(eps, verdict, anchor=a))

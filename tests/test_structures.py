@@ -323,8 +323,9 @@ def test_transformed_subsequences_of_pointwise_parents_stay_structured(text, mon
                          ids=lambda s: s.describe())
 def test_subsequence_sweeps_ask_a_known_set_only_for_their_positions(along, monkeypatch):
     # with chunks of 7 a sweep asks the set for each position at most twice
-    # (for the support index and for the value), and the prime table is
-    # asked for no more primes than the sweep reaches
+    # (for the support index and for the value), each pass asking for the
+    # last position first, and the prime table is asked for no more primes
+    # than the sweep reaches
     monkeypatch.setattr(sequences, "_CHUNK", 7)
     positions, primes_asked = [], []
     nth_primes = density.nth_primes
@@ -339,6 +340,7 @@ def test_subsequence_sweeps_ask_a_known_set_only_for_their_positions(along, monk
                   lambda: operators.functional_sweep(FUNCTIONALS[2], seq, H)):
         positions.clear()
         sweep()
-        assert H <= sum(positions) <= 2 * H
+        assert H < sum(positions) <= 2 * (H + 1)
+        assert positions[0] == 1
     assert bool(primes_asked) == (along.describe() == "primes")
     assert max(primes_asked, default=0) <= H
