@@ -20,12 +20,9 @@ from .density import (
     geometric,
     intersection,
     linear,
-    members,
-    membership_mask,
     multiples,
     parse_index_set,
     primes,
-    profile_from_mask,
     squares,
     union,
 )
@@ -45,9 +42,7 @@ from .sequences import (
     combine,
     constant_sequence,
     decaying_sequence,
-    distance_sweep,
     harmonic_prefix_sequence,
-    norm_sweep,
     parse_sequence,
     prime_coordinate_sequence,
     random_unit_ball,
@@ -103,8 +98,7 @@ __all__ = [
     # density
     "IndexSet", "Schedule", "DensityProfile", "DensityVerdict",
     "primes", "multiples", "squares", "finite", "complement", "union",
-    "intersection", "count", "members", "membership_mask", "density_profile",
-    "profile_from_mask", "density_verdict", "parse_index_set",
+    "intersection", "count", "density_profile", "density_verdict", "parse_index_set",
     "geometric", "linear",
     # spaces
     "Space", "DenseElement", "SparseElement",
@@ -115,7 +109,6 @@ __all__ = [
     "harmonic_prefix_sequence", "unit_coordinate_sequence",
     "prime_coordinate_sequence", "decaying_sequence", "spike_sequence",
     "random_unit_ball", "combine", "subsequence", "parse_sequence",
-    "norm_sweep", "distance_sweep",
     # operators
     "OperatorSpec", "FunctionalSpec", "SequenceTransform",
     "diagonal", "named_diagonal", "rank_one", "finite_rank",

@@ -278,12 +278,6 @@ def intersection(a, b):
                     lambda k: a.contains(k) and b.contains(k), dens)
 
 
-def membership_mask(s, n):
-    """Boolean array of length ``n`` whose entry ``k-1`` says whether ``k`` is in ``s``
-    (for primes, a read-only view of the shared sieve)."""
-    return s.mask(1, int(n))
-
-
 def _counts(s, cps):
     """Exact counts of ``s`` at the increasing checkpoints ``cps``: its own
     ``count`` where it has one, else its segments counted one at a time."""
@@ -299,16 +293,6 @@ def count(s, n):
     """Exact ``|{k <= n : k in s}|``."""
     n = int(n)
     return _counts(s, [n])[0] if n >= 1 else 0
-
-
-def members(s, how_many):
-    """The first ``how_many`` members of ``s`` in increasing order.
-
-    Raises :class:`HorizonExhausted` when the set runs out of members before
-    ``how_many`` are found or they would pass ``_MEMBER_CAP``.
-    """
-    ks = np.arange(1, int(how_many) + 1, dtype=np.int64)
-    return s.nth(ks) if len(ks) else ks
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +439,6 @@ def count_table(blocks, cps):
     raise ValueError(f"the stream ends at {lo}, before the checkpoint {cps[-1]}")
 
 
-def profile_from_mask(mask, horizon, schedule=None):
-    """Profile of a precomputed membership mask (entry ``k-1`` is index ``k``):
-    :func:`count_table` of the one-row table the mask makes."""
-    schedule = schedule or DEFAULT_SCHEDULE
-    horizon = int(horizon)
-    if len(mask) < horizon:
-        raise ValueError("mask shorter than horizon")
-    cps = schedule.checkpoints(horizon)
-    counts, = count_table([(horizon, [mask[:horizon]])], cps)
-    return DensityProfile(tuple(cps), tuple(counts))
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -593,14 +565,11 @@ __all__ = [
     "complement",
     "union",
     "intersection",
-    "membership_mask",
     "count",
-    "members",
     "geometric",
     "linear",
     "parse_schedule",
     "density_profile",
-    "profile_from_mask",
     "density_verdict",
     "parse_index_set",
     "parse_index_set_at",

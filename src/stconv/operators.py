@@ -19,14 +19,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import density, sequences, spaces
+from . import density, spaces
 from .parsing import Cursor, format_float, parse_whole, whole_number
 from .sequences import (
     DenseBlock,
     FixedBasisCombo,
     SequenceSpec,
     Structure,
-    functional_sweep,
 )
 from .spaces import DenseElement, Space, SparseElement, dense_space, sparse_space
 
@@ -62,8 +61,7 @@ class FunctionalSpec:
 
     def evaluate(self, x):
         if isinstance(x, SparseElement):
-            idx, vals = sequences._sparse_support_arrays(x)
-            return float(np.sum(self.weights(idx) * vals))
+            return float(np.sum(self.weights(x.indices) * x.values))
         return float(np.sum(self.weights_upto(len(x.coords)) * np.asarray(x.coords)))
 
     def describe(self):
@@ -146,11 +144,10 @@ class Diagonal(OperatorSpec):
     domain = codomain = sparse_space()
 
     def evaluate(self, x):
-        if not x.support:
+        if not len(x.indices):
             return x
-        keys = sorted(x.support)
-        d = np.asarray(self.dfun(np.asarray(keys, dtype=np.int64)), dtype=float).tolist()
-        return spaces.sparse_element({k: dk * x.support[k] for k, dk in zip(keys, d)})
+        d = np.asarray(self.dfun(x.indices), dtype=float)
+        return spaces.sparse_from_arrays(x.indices, d * x.values)
 
     def norm_bound(self):
         return self.bound
@@ -443,12 +440,14 @@ def operator_norm_estimate(op, probes=64):
             candidates.append(DenseElement(tuple(row)))
     else:
         for k in range(1, int(probes) + 1):
-            candidates.append(SparseElement({k: 1.0}))
+            candidates.append(spaces.unit_coordinate(op.domain, k))
         for _ in range(int(probes)):
             support = rng.integers(1, max(2, int(probes)), size=4)
             vals = rng.random(4) * 2.0 - 1.0
-            x = spaces.sparse_element({int(k): float(v) for k, v in zip(support, vals)})
-            if x.support:
+            # a repeated index keeps its last draw
+            idx, last = np.unique(support[::-1], return_index=True)
+            x = spaces.sparse_from_arrays(idx, vals[::-1][last])
+            if len(x.indices):
                 candidates.append(x)
     best = 0.0
     for x in candidates:
@@ -572,7 +571,6 @@ __all__ = [
     "sparse_weighted",
     "linear_growth_functional",
     "geometric_weights_functional",
-    "functional_sweep",
     "diagonal",
     "named_diagonal",
     "rank_one",

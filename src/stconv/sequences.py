@@ -17,15 +17,18 @@ A sweep takes a :class:`Stream` of the indices it is asked about and yields
 one array per chunk of at most ``_CHUNK`` indices: it evaluates only those
 indices and holds no temporary wider than one chunk, whatever the dimension
 or support width, so a consumer that folds the chunks as they come (every
-verdict in ``stanalysis``) needs memory independent of the horizon.
-``norm_sweep``, ``distance_sweep`` and ``functional_sweep`` join the chunks
-into one array.  A prefix kind walks ``1, 2, ..`` once, span by span,
-carrying its running maximum or running sum.  A subsequence passes its
-parent the stream of its members: a *pointwise* kind (term ``n`` depends on
-``n`` alone) read along them is the same kind, and only prefix and
-per-index parents give :class:`Reindexed`.  Such a stream asks the index set
-for its last member first, so a subsequence past the member cap is refused
-before any chunk runs.
+verdict in ``stanalysis``) needs memory independent of the horizon.  A
+prefix kind walks ``1, 2, ..`` once, span by span, carrying its running
+maximum or running sum.  A subsequence passes its parent the stream of its
+members: a *pointwise* kind (term ``n`` depends on ``n`` alone) read along
+them is the same kind, and only prefix and per-index parents give
+:class:`Reindexed`.  Such a stream asks the index set for its last member
+first, so a subsequence past the member cap is refused before any chunk
+runs.
+
+Sparse terms, candidates and medians are read and built as the two arrays
+of a :class:`~stconv.spaces.SparseElement`, indices and values: a median is
+made from the arrays the structure computes, never through a mapping.
 
 A seeded random member keeps no rows either: row ``k`` of a ``w``-wide
 member is outputs ``(k-1)*w .. k*w - 1`` of ``PCG64(seed)``, and each chunk
@@ -50,7 +53,6 @@ from .parsing import Cursor, format_float, parse_whole, whole_number
 from .spaces import (
     DenseElement,
     Space,
-    SparseElement,
     dense_space,
     norm as element_norm,
     sparse_space,
@@ -154,12 +156,10 @@ class Structure:
         elements = [gen(int(n)) for n in ns]
         if seq.space.kind == "dense":
             return spaces.dense_element(np.median([x.coords for x in elements], axis=0))
-        support = sorted({k for x in elements for k in x.support})
-        out = {}
-        for k in support:
-            vals = np.asarray([x.support.get(k, 0.0) for x in elements])
-            out[k] = float(np.median(vals))
-        return spaces.sparse_element(out)
+        sizes = [len(x.indices) for x in elements]
+        return _sparse_median(np.concatenate([x.indices for x in elements]),
+                              np.concatenate([x.values for x in elements]),
+                              np.repeat(np.arange(len(elements)), sizes), len(elements))
 
     def diagonal_image(self, dfun, apply_to):
         """Structure of ``n -> D x_n``, ``D`` the diagonal ``dfun``; ``apply_to(x)`` is ``D x``."""
@@ -196,9 +196,9 @@ class SingleSupport(Structure):
     value_of: Callable
 
     def sweep(self, seq, candidate, ns):
-        if candidate is None or not candidate.support:
+        if candidate is None or not len(candidate.indices):
             return (np.abs(v.astype(float)) for v in self.value_of(ns))
-        cidx, cval = _sparse_support_arrays(candidate)
+        cidx, cval = candidate.indices, candidate.values
         acv = np.abs(cval)
         top = int(np.argmax(acv))
         top_val = acv[top]
@@ -219,14 +219,9 @@ class SingleSupport(Structure):
                 for idx, val in zip(self.index_of(ns), self.value_of(ns)))
 
     def median(self, seq, ns):
-        # one row per support index, one column per sample; a sample's
-        # entry is zero off its support index, as in the sparse element
         samples = Stream.of(ns)
-        keys, rows = np.unique(_joined(self.index_of(samples)), return_inverse=True)
-        table = np.zeros((len(keys), len(ns)))
-        table[rows, np.arange(len(ns))] = _joined(self.value_of(samples))
-        med = np.median(table, axis=1)
-        return spaces.sparse_element(dict(zip(keys.tolist(), med.tolist())))
+        return _sparse_median(_joined(self.index_of(samples)), _joined(self.value_of(samples)),
+                              np.arange(len(ns)), len(ns))
 
     def diagonal_image(self, dfun, apply_to):
         return SingleSupport(
@@ -283,13 +278,15 @@ class PrefixValues(Structure):
         # x_n - c is value_of(k) - c_k at k <= n and -c_k past n, so its sup
         # norm is the running max of the first part against max_{k>n} |c_k|
         c = np.zeros(0)
-        if candidate is not None:
-            cidx, cval = _sparse_support_arrays(candidate)
-            if len(cidx):
-                c = np.zeros(int(cidx[-1]))
-                c[cidx - 1] = cval
+        if candidate is not None and len(candidate.indices):
+            idx, c = candidate.indices, candidate.values
+            if idx[-1] > len(idx):             # a gap in 1..idx[-1]: spread c out
+                c = np.zeros(int(idx[-1]))
+                c[idx - 1] = candidate.values
         j = len(c)
-        later = np.maximum.accumulate(np.abs(c)[::-1])[::-1]   # later[i] = max_{t >= i} |c[t]|
+        later = np.abs(c)[::-1]
+        np.maximum.accumulate(later, out=later)
+        later = later[::-1]                  # later[i] = max_{t >= i} |c[t]|
         carry = 0.0
 
         def step(ks):
@@ -332,10 +329,12 @@ class PrefixValues(Structure):
         ns = np.sort(ns)
         mid = len(ns) // 2
         ks = np.arange(1, int(ns[mid]) + 1, dtype=np.int64)
-        vals = self.value_of(ks).astype(float)
+        vals = np.empty(len(ks))
+        for lo in range(0, len(ks), _CHUNK):   # value_of's temporaries stay chunk-sized
+            vals[lo:lo + _CHUNK] = self.value_of(ks[lo:lo + _CHUNK])
         if len(ns) % 2 == 0:
             vals[int(ns[mid - 1]):] /= 2
-        return spaces.sparse_element(dict(zip(ks.tolist(), vals.tolist())))
+        return spaces.sparse_from_arrays(ks, vals)
 
     def diagonal_image(self, dfun, apply_to):
         return PrefixValues(lambda ks: dfun(np.asarray(ks, dtype=np.int64)) * self.value_of(ks))
@@ -357,28 +356,24 @@ class FixedBasisCombo(Structure):
     coeffs: Callable
     basis: tuple
 
-    def _support_matrix(self, extra=()):
-        """The basis support joined with the indices ``extra``, increasing, and
-        the basis rows over it, one row per basis element."""
-        support = set(extra)
-        for b in self.basis:
-            support.update(b.support.keys())
-        uidx = np.asarray(sorted(support), dtype=np.int64)
+    def _support_matrix(self, candidate=None):
+        """The indices of the basis and ``candidate`` supports, increasing, and
+        the basis rows over them, one row per basis element."""
+        elements = self.basis if candidate is None else self.basis + (candidate,)
+        uidx = spaces.index_union(*(x.indices for x in elements))
         mat = np.zeros((len(self.basis), len(uidx)))
         for r, b in enumerate(self.basis):
-            idx, val = _sparse_support_arrays(b)
-            mat[r, np.searchsorted(uidx, idx)] = val
+            mat[r, np.searchsorted(uidx, b.indices)] = b.values
         return uidx, mat
 
     def sweep(self, seq, candidate, ns):
-        uidx, mat = self._support_matrix(() if candidate is None else candidate.support)
+        uidx, mat = self._support_matrix(candidate)
         if len(uidx) == 0:
             return (np.zeros(len(c)) for c in ns)
         offset = None
         if candidate is not None:
-            cidx, cval = _sparse_support_arrays(candidate)
             offset = np.zeros(len(uidx))
-            offset[np.searchsorted(uidx, cidx)] = cval
+            offset[np.searchsorted(uidx, candidate.indices)] = candidate.values
 
         def distances(coeff):
             rows = coeff @ mat
@@ -396,7 +391,7 @@ class FixedBasisCombo(Structure):
         # coordinatewise over the support: basis supports may overlap
         uidx, mat = self._support_matrix()
         med = np.median(_joined(self.coeffs(Stream.of(ns))) @ mat, axis=0)
-        return spaces.sparse_element(dict(zip(uidx.tolist(), med.tolist())))
+        return spaces.sparse_from_arrays(uidx, med)
 
     def diagonal_image(self, dfun, apply_to):
         return FixedBasisCombo(self.coeffs, tuple(apply_to(b) for b in self.basis))
@@ -563,7 +558,8 @@ def harmonic_prefix_sequence():
     """Growing prefixes of the reciprocals: ``x_n`` holds ``1/k`` at ``k <= n``."""
 
     def gen(n):
-        return SparseElement({k: 1.0 / k for k in range(1, n + 1)})
+        ks = np.arange(1, n + 1, dtype=np.int64)
+        return spaces.sparse_from_arrays(ks, 1.0 / ks)
 
     structure = PrefixValues(lambda ks: 1.0 / _as_index_array(ks).astype(float))
     return SequenceSpec(
@@ -575,7 +571,7 @@ def harmonic_prefix_sequence():
 def unit_coordinate_sequence():
     structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(lambda ns: np.ones(len(ns))))
     return SequenceSpec(
-        lambda n: SparseElement({n: 1.0}), sparse_space(), "unit_coords",
+        lambda n: spaces.sparse_from_arrays([n], [1.0]), sparse_space(), "unit_coords",
         structure=structure, norm_bound=1.0,
     )
 
@@ -590,7 +586,7 @@ def damped_unit_coordinate_sequence():
     structure = SingleSupport(_pointwise(lambda ns: ns),
                               _pointwise(lambda ns: 1.0 / np.sqrt(ns.astype(float))))
     return SequenceSpec(
-        lambda n: SparseElement({n: 1.0 / math.sqrt(n)}),
+        lambda n: spaces.sparse_from_arrays([n], [1.0 / math.sqrt(n)]),
         sparse_space(), "damped_unit_coords",
         structure=structure, norm_bound=1.0,
     )
@@ -657,8 +653,7 @@ def spike_sequence(space, spikes, magnitude=None, label=None):
 
     if space.kind == "sparse":
         def gen(n):
-            m = mag_at(n)
-            return SparseElement({n: m} if m != 0.0 else {})
+            return spaces.sparse_from_arrays([n], [mag_at(n)])
 
         structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(spiked))
     else:
@@ -785,8 +780,7 @@ def random_unit_ball(space, seed):
             return _random_rows(seed, 1, ns)[:, 0]
 
         def gen(n):
-            v = float(value_of([n])[0])
-            return SparseElement({n: v} if v != 0.0 else {})
+            return spaces.sparse_from_arrays([n], value_of([n]))
 
         structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(value_of))
 
@@ -851,13 +845,17 @@ def _abs_rowmax(rows):
     return acc
 
 
-def _sparse_support_arrays(x):
-    """Support indices in increasing order and their values, as arrays."""
-    size = len(x.support)
-    idx = np.fromiter(x.support.keys(), dtype=np.int64, count=size)
-    val = np.fromiter(x.support.values(), dtype=float, count=size)
-    order = np.argsort(idx)
-    return idx[order], val[order]
+def _sparse_median(idx, val, col, count):
+    """The coordinatewise median of ``count`` sparse terms, entry ``j`` of
+    which is ``val[j]`` at index ``idx[j]`` of term ``col[j]``.
+
+    The table has one row per index and one column per term; a term's entry
+    is zero off its support, as in the sparse element.
+    """
+    keys, rows = np.unique(idx, return_inverse=True)
+    table = np.zeros((len(keys), count))
+    table[rows, col] = val
+    return spaces.sparse_from_arrays(keys, np.median(table, axis=1))
 
 
 def _block_norms(block, offset=None):
@@ -899,27 +897,6 @@ def sweep_chunks(seq, candidate, horizon):
 def functional_chunks(f, seq, horizon):
     """``f(x_n)`` for ``n = 1..horizon``, one array per chunk, as the sequence's structure answers it."""
     return seq.structure.functional(seq, f, Stream(int(horizon)))
-
-
-def _read_only(blocks):
-    arr = _joined(blocks)
-    arr.setflags(write=False)
-    return arr
-
-
-def norm_sweep(seq, horizon):
-    """``||x_n||`` for ``n = 1..horizon`` as one read-only array, computed afresh."""
-    return _read_only(sweep_chunks(seq, None, horizon))
-
-
-def distance_sweep(seq, candidate, horizon):
-    """``||x_n - candidate||`` for ``n = 1..horizon`` as one read-only array."""
-    return _read_only(sweep_chunks(seq, candidate, horizon))
-
-
-def functional_sweep(f, seq, horizon):
-    """``f(x_n)`` for ``n = 1..horizon`` as one array."""
-    return _joined(functional_chunks(f, seq, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +1032,4 @@ __all__ = [
     "parse_sequence_at",
     "sweep_chunks",
     "functional_chunks",
-    "norm_sweep",
-    "distance_sweep",
-    "functional_sweep",
 ]

@@ -2,22 +2,30 @@
 supported sparse (real sequences with finitely many nonzero entries, indexed
 from 1).
 
-Sparse elements prune exact zeros so that supports stay honest; dense
-elements are plain coordinate tuples.  Each space measures in its own norm,
-and :func:`norm` is where that is decided: an element is measured in the
-norm of its space, Euclidean on dense and sup on sparse.
+A dense element is a plain coordinate tuple.  A sparse element is two
+read-only arrays of one length, its increasing int64 indices (all at least
+1) and their float64 values, with exact zeros dropped so that supports stay
+honest.  This module is the one place that builds a sparse element:
+:func:`sparse_element` from a mapping (a literal) and
+:func:`sparse_from_arrays` from the two arrays (the sequence engine), and
+``add``, ``scale``, ``sub``, ``norm``, ``==`` and :func:`format_element`
+read the arrays.  Each space measures in its own norm, and :func:`norm` is
+where that is decided: an element is measured in the norm of its space,
+Euclidean on dense and sup on sparse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from types import MappingProxyType
+from typing import Optional
 
 import numpy as np
 
 from .parsing import Cursor, format_float, parse_whole, whole_number
 
 ALGEBRA_TOL = 1e-12
+_LARGEST_INDEX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -59,9 +67,23 @@ class DenseElement:
         return format_element(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseElement:
-    support: Mapping  # index (>= 1) -> nonzero float
+    """``values[j]`` at ``indices[j]``: read-only arrays, see :func:`sparse_from_arrays`."""
+
+    indices: np.ndarray   # int64, increasing, >= 1
+    values: np.ndarray    # float64, nonzero
+
+    @property
+    def support(self):
+        """The entries as a read-only mapping index -> value, built afresh on each read."""
+        return MappingProxyType(dict(zip(self.indices.tolist(), self.values.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseElement):
+            return NotImplemented
+        return (np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self):
         return format_element(self)
@@ -74,17 +96,38 @@ def dense_element(coords):
     return DenseElement(coords)
 
 
+def sparse_from_arrays(indices, values):
+    """The sparse element with ``values[j]`` at ``indices[j]``, ``indices``
+    increasing from 1; exact zeros are dropped.
+
+    The arrays become the element's and are made read-only, so the caller
+    hands them over and writes them no more.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    val = np.asarray(values, dtype=float)
+    if idx.ndim != 1 or idx.shape != val.shape:
+        raise ValueError("sparse indices and values must be two arrays of one length")
+    if len(idx) and idx[0] < 1:
+        raise ValueError("sparse indices start at 1")
+    if not (idx[1:] > idx[:-1]).all():
+        raise ValueError("sparse indices must increase")
+    nonzero = val != 0.0
+    if not nonzero.all():
+        idx, val = idx[nonzero], val[nonzero]
+    idx.setflags(write=False)
+    val.setflags(write=False)
+    return SparseElement(idx, val)
+
+
+_SPARSE_ZERO = sparse_from_arrays([], [])
+
+
 def sparse_element(support):
-    """Build a sparse element, dropping exact zeros and checking indices."""
-    pruned = {}
-    for k, v in support.items():
-        k = int(k)
-        v = float(v)
-        if k < 1:
-            raise ValueError("sparse indices start at 1")
-        if v != 0.0:
-            pruned[k] = v
-    return SparseElement(pruned)
+    """The sparse element of the mapping index -> value, dropping exact zeros."""
+    items = sorted((int(k), float(v)) for k, v in support.items())
+    if items and items[-1][0] > _LARGEST_INDEX:
+        raise ValueError(f"sparse indices stop at {_LARGEST_INDEX}")
+    return sparse_from_arrays([k for k, _ in items], [v for _, v in items])
 
 
 def space_of(x):
@@ -98,7 +141,7 @@ def space_of(x):
 def zero(space):
     if space.kind == "dense":
         return DenseElement((0.0,) * space.dim)
-    return SparseElement({})
+    return _SPARSE_ZERO
 
 
 def unit_coordinate(space, k):
@@ -112,15 +155,13 @@ def unit_coordinate(space, k):
         return DenseElement(tuple(coords))
     if k < 1:
         raise ValueError("sparse coordinates start at 1")
-    return SparseElement({k: 1.0})
+    return sparse_from_arrays([k], [1.0])
 
 
 def norm(x):
     """``||x||`` in the norm of ``x``'s space: sup on sparse, Euclidean on dense."""
     if isinstance(x, SparseElement):
-        if not x.support:
-            return 0.0
-        return max(abs(v) for v in x.support.values())
+        return float(np.abs(x.values).max()) if len(x.values) else 0.0
     arr = np.abs(np.asarray(x.coords))
     peak = float(arr.max())
     if peak == 0.0:
@@ -135,18 +176,25 @@ def _check_same_space(x, y):
         raise ValueError(f"space mismatch: {sx.describe()} vs {sy.describe()}")
 
 
+def index_union(*arrays):
+    """The increasing union of increasing int64 index arrays."""
+    # a stable sort merges the sorted runs; numpy's unique hashes, far slower here
+    both = np.sort(np.concatenate(arrays), kind="stable")
+    keep = np.empty(len(both), dtype=bool)
+    keep[:1] = True
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
+    return both[keep]
+
+
 def add(x, y):
     _check_same_space(x, y)
     if isinstance(x, DenseElement):
         return DenseElement(tuple(a + b for a, b in zip(x.coords, y.coords)))
-    out = dict(x.support)
-    for k, v in y.support.items():
-        s = out.get(k, 0.0) + v
-        if s == 0.0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return SparseElement(out)
+    idx = index_union(x.indices, y.indices)
+    val = np.zeros(len(idx))
+    val[np.searchsorted(idx, x.indices)] = x.values
+    val[np.searchsorted(idx, y.indices)] += y.values
+    return sparse_from_arrays(idx, val)
 
 
 def scale(alpha, x):
@@ -154,8 +202,9 @@ def scale(alpha, x):
     if isinstance(x, DenseElement):
         return DenseElement(tuple(alpha * c for c in x.coords))
     if alpha == 0.0:
-        return SparseElement({})
-    return SparseElement({k: alpha * v for k, v in x.support.items()})
+        return _SPARSE_ZERO
+    # a product may underflow to zero, which the constructor drops
+    return sparse_from_arrays(x.indices, alpha * x.values)
 
 
 def sub(x, y):
@@ -169,7 +218,7 @@ def sub(x, y):
 def format_element(x):
     if isinstance(x, DenseElement):
         return "dense[" + ",".join(format_float(c) for c in x.coords) + "]"
-    items = sorted(x.support.items())
+    items = zip(x.indices.tolist(), x.values.tolist())
     return "sparse{" + ",".join(f"{k}:{format_float(v)}" for k, v in items) + "}"
 
 
@@ -206,6 +255,8 @@ __all__ = [
     "sparse_space",
     "dense_element",
     "sparse_element",
+    "sparse_from_arrays",
+    "index_union",
     "space_of",
     "zero",
     "unit_coordinate",

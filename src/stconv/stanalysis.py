@@ -78,11 +78,11 @@ class EpsilonReport:
 def _limit_json(limit):
     if limit is None:
         return None
-    if isinstance(limit, spaces.SparseElement) and len(limit.support) > _LIMIT_LITERAL_SUPPORT:
+    if isinstance(limit, spaces.SparseElement) and len(limit.indices) > _LIMIT_LITERAL_SUPPORT:
         return {
-            "support_size": len(limit.support),
-            "max_index": max(limit.support),
-            "sup_norm": max(abs(v) for v in limit.support.values()),
+            "support_size": len(limit.indices),
+            "max_index": int(limit.indices[-1]),
+            "sup_norm": spaces.norm(limit),
         }
     return spaces.format_element(limit)
 

@@ -3,7 +3,10 @@
 Everything here is deliberately written the slow, obvious way and avoids the
 code paths under test: counting is per-index enumeration, the prime sieve is
 a plain bytearray sieve, and matrix operator norms come from the eigenvalues
-of ``A^T A`` rather than the SVD routine the package itself calls.
+of ``A^T A`` rather than the SVD routine the package itself calls.  The
+sparse algebra works on plain dicts.  The last few helpers are not oracles
+but thin joins over the package's own answers, for tests that want a whole
+sweep or a whole set prefix as one array.
 """
 
 import math
@@ -110,5 +113,55 @@ def sparse_sup_norm(support):
     return max((abs(v) for v in support.values()), default=0.0)
 
 
+# Sparse algebra on plain dicts index -> value, exact zeros dropped.
+
+def sparse_pruned(support):
+    return {k: v for k, v in support.items() if v != 0.0}
+
+
+def sparse_add(a, b):
+    out = sparse_pruned(a)
+    for k, v in sparse_pruned(b).items():
+        s = out.get(k, 0.0) + v
+        if s == 0.0:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def sparse_scale(alpha, a):
+    if alpha == 0.0:
+        return {}
+    return sparse_pruned({k: alpha * v for k, v in a.items()})
+
+
+def sparse_sub(a, b):
+    return sparse_add(a, sparse_scale(-1.0, b))
+
+
 def dense_p_norm(coords, p):
     return float(sum(abs(c) ** p for c in coords) ** (1.0 / p))
+
+
+def cumsum_counts(mask, cps):
+    """``|{k <= c : mask[k-1]}|`` at each checkpoint ``c`` of ``cps``, by one cumsum."""
+    cum = np.cumsum(mask, dtype=np.int64)
+    return tuple(int(cum[c - 1]) for c in cps)
+
+
+def joined(chunks):
+    """The chunks of a sweep (``sweep_chunks``, ``functional_chunks``) as one array."""
+    blocks = list(chunks)
+    return np.concatenate(blocks) if blocks else np.zeros(0)
+
+
+def membership_mask(s, n):
+    """Entry ``k-1`` says whether ``k`` is in the index set ``s``, for ``k = 1..n``."""
+    return s.mask(1, int(n))
+
+
+def members(s, how_many):
+    """The first ``how_many`` members of the index set ``s``, increasing."""
+    ks = np.arange(1, int(how_many) + 1, dtype=np.int64)
+    return s.nth(ks) if len(ks) else ks

@@ -66,9 +66,9 @@ def test_criterion_2_prime_transform_example():
     unit = sequences.unit_coordinate_sequence()
     image = operators.image_sequence(transform, unit)
     bounded = stanalysis.st_bounded(image, horizon=horizon)
-    norms = sequences.norm_sweep(image, horizon)
+    norms = oracles.joined(sequences.sweep_chunks(image, None, horizon))
     exceedances = np.flatnonzero(norms > 1.0) + 1
-    prime_mask = density.membership_mask(density.primes(), horizon)
+    prime_mask = oracles.membership_mask(density.primes(), horizon)
     subset_of_primes = bool(np.all(prime_mask[exceedances - 1]))
 
     diagonal_report = classify(
@@ -223,7 +223,7 @@ def test_criterion_6_invariant_suites(capsys):
     )
 
     # complement-count identity, exact integers
-    dists = sequences.distance_sweep(seq, zero, 10_000)
+    dists = oracles.joined(sequences.sweep_chunks(seq, zero, 10_000))
     complement_ok = True
     for entry in verdict.per_epsilon:
         prof = entry.verdict.profile

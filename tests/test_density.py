@@ -64,7 +64,7 @@ def test_primes_beyond_the_cap_are_refused_before_sieving():
     # the 10^7-th prime lies past the member cap, and Dusart's bound says so without sieving
     sieved = len(density._sieve_mask)
     with pytest.raises(density.HorizonExhausted, match="member 10000000 of primes is beyond the cap"):
-        density.members(density.primes(), 10**7)
+        oracles.members(density.primes(), 10**7)
     assert len(density._sieve_mask) == sieved
 
 
@@ -121,9 +121,9 @@ def test_finite_set_counting_and_members():
     s = density.finite([4, 1, 9, 9])
     assert density.count(s, 3) == 1
     assert density.count(s, 100) == 3
-    assert list(density.members(s, 3)) == [1, 4, 9]
+    assert list(oracles.members(s, 3)) == [1, 4, 9]
     with pytest.raises(density.HorizonExhausted):
-        density.members(s, 4)
+        oracles.members(s, 4)
 
 
 def test_multiples_refuses_a_fractional_modulus():
@@ -140,15 +140,15 @@ def test_finite_refuses_a_fractional_member():
 
 def test_members_against_mask():
     s = density.union(density.primes(), density.squares())
-    got = list(density.members(s, 25))
-    mask = density.membership_mask(s, int(got[-1]))
+    got = list(oracles.members(s, 25))
+    mask = oracles.membership_mask(s, int(got[-1]))
     want = list(np.flatnonzero(mask) + 1)
     assert got == want
 
 
 def test_membership_mask_matches_count():
     s = density.complement(density.multiples(3))
-    mask = density.membership_mask(s, 1_000)
+    mask = oracles.membership_mask(s, 1_000)
     assert mask.dtype == bool and len(mask) == 1_000
     assert int(mask.sum()) == density.count(s, 1_000)
 
@@ -206,14 +206,14 @@ def test_index_set_records_agree_with_membership_oracle(text, n, lo, width, segm
         for a, b in ((lo, hi), (lo, lo), (lo, lo - 1), (1, 0), (5, 13), (1, n), (1, horizon)):
             got = s.mask(a, b)
             assert got.dtype == bool and np.array_equal(got, oracle[a - 1 : b]), (a, b)
-        assert np.array_equal(density.membership_mask(s, n), oracle[:n])
+        assert np.array_equal(oracles.membership_mask(s, n), oracle[:n])
         assert density.count(s, n) == int(oracle[:n].sum())
         found = np.flatnonzero(oracle) + 1
         # positions first, on a fresh record, then every member from 1
         if len(found):
             ks = np.unique(np.linspace(1, len(found), 5).astype(np.int64))
             assert s.nth(ks).tolist() == found[ks - 1].tolist()
-        assert density.members(s, len(found)).tolist() == found.tolist()
+        assert oracles.members(s, len(found)).tolist() == found.tolist()
         with pytest.raises(density.HorizonExhausted):
             s.nth(np.array([len(found) + 1]))
         profile = density.density_profile(s, horizon, density.linear(n))
@@ -278,17 +278,16 @@ def test_profile_ratios_are_exact():
         assert got == cp_ratio
 
 
-def test_profile_from_mask_matches_density_profile():
+def test_density_profile_matches_the_cumsum_of_its_mask():
     s = density.multiples(3)
-    mask = density.membership_mask(s, 1_000)
-    a = density.profile_from_mask(mask, 1_000)
+    mask = oracles.membership_mask(s, 1_000)
     b = density.density_profile(s, horizon=1_000)
-    assert a == b
+    assert b.counts == oracles.cumsum_counts(mask, b.checkpoints)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_profile_from_mask_matches_cumsum_oracle(data):
+def test_count_table_matches_cumsum_oracle(data):
     mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=20, max_size=300)))
     horizon = data.draw(st.integers(min_value=20, max_value=len(mask)))
     if data.draw(st.booleans()):
@@ -296,18 +295,20 @@ def test_profile_from_mask_matches_cumsum_oracle(data):
     else:
         schedule = density.linear(data.draw(st.integers(min_value=1, max_value=horizon - 1)))
     cum = np.cumsum(mask[:horizon], dtype=np.int64)
-    prof = density.profile_from_mask(mask, horizon, schedule)
-    assert prof.counts == tuple(int(cum[c - 1]) for c in prof.checkpoints)
+    cps = schedule.checkpoints(horizon)
+    counts, = density.count_table([(horizon, [mask[:horizon]])], cps)
+    assert tuple(counts) == tuple(int(cum[c - 1]) for c in cps)
 
 
 @pytest.mark.parametrize("schedule", [density.linear(25), density.geometric(10)],
                          ids=lambda s: s.describe())
-def test_profile_from_mask_counts_the_last_index(schedule):
+def test_count_table_counts_the_last_index(schedule):
     mask = np.zeros(100, dtype=bool)
     mask[-1] = True
-    prof = density.profile_from_mask(mask, 100, schedule)
-    assert prof.checkpoints[-1] == 100
-    assert prof.counts == (0,) * (len(prof.counts) - 1) + (1,)
+    cps = schedule.checkpoints(100)
+    counts, = density.count_table([(100, [mask])], cps)
+    assert cps[-1] == 100
+    assert tuple(counts) == (0,) * (len(counts) - 1) + (1,)
 
 
 def test_profile_rejects_bad_horizon():

@@ -9,7 +9,8 @@ calls), and the three 10^6 calls that are not subsequences under a single
 horizon-length sweep (8 MB), so a return to held sweeps or masks, to
 horizon-by-width blocks, to a kept row table or to prefix membership masks
 fails here.  The subsequence along ``complement(squares)`` keeps its
-scanned member table (about 16 MB at 10^6).
+scanned member table (about 16 MB at 10^6).  A limit candidate is built as
+the two arrays of a sparse element, never through a mapping.
 """
 
 import contextlib
@@ -19,7 +20,8 @@ import tracemalloc
 
 import pytest
 
-from stconv import cli, density, sequences, spaces
+import oracles
+from stconv import cli, density, operators, sequences, spaces, stanalysis
 from stconv.classify import check_theorem
 
 MB = float(1 << 20)
@@ -73,6 +75,22 @@ def test_a_subsequence_past_the_cap_is_refused_before_any_chunk_runs():
     assert len(density._sieve_mask) == sieve
 
 
+def test_a_prefix_median_is_built_as_two_arrays():
+    # the median of the diagonal image of the harmonic prefix at 10^6 has
+    # 750,000 entries, two 6 MB arrays; built through a mapping of Python
+    # floats and turned back into arrays, its traced peak was 151.5 MB
+    seq = operators.image_sequence(operators.parse_operator("diag(inverse)"),
+                                   sequences.harmonic_prefix_sequence())
+    tracemalloc.start()
+    try:
+        zero, median = stanalysis.find_limit_candidates(seq, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(median.indices) == 750_000
+    assert peak / MB <= 32
+
+
 def test_random_member_keeps_nothing_after_a_sweep():
     # a 10^5 sweep of a 3-wide member draws 2.4 MB of rows; once the sweep
     # is dropped, the member itself holds none of them
@@ -80,7 +98,7 @@ def test_random_member_keeps_nothing_after_a_sweep():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sweep = sequences.norm_sweep(seq, 100_000)
+        sweep = oracles.joined(sequences.sweep_chunks(seq, None, 100_000))
         del sweep
         after = tracemalloc.get_traced_memory()[0]
     finally:
@@ -100,6 +118,7 @@ def test_spike_sweep_reads_each_index_once():
         return squares.mask(*bounds)
 
     spikes = dataclasses.replace(squares, mask=mask)
-    sweep = sequences.norm_sweep(sequences.spike_sequence(spaces.sparse_space(), spikes), horizon)
+    seq = sequences.spike_sequence(spaces.sparse_space(), spikes)
+    sweep = oracles.joined(sequences.sweep_chunks(seq, None, horizon))
     assert sweep[99] == 100.0 and sweep[98] == 0.0
     assert sum(lengths) <= horizon + sequences._CHUNK

@@ -90,7 +90,7 @@ def test_functional_sweep_matches_pointwise():
     ]
     for seq in seqs:
         for f in fns:
-            got = operators.functional_sweep(f, seq, 120)
+            got = oracles.joined(sequences.functional_chunks(f, seq, 120))
             want = np.array([f.evaluate(seq.generator(n)) for n in range(1, 121)])
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), (seq.label, f.describe())
 
@@ -98,7 +98,7 @@ def test_functional_sweep_matches_pointwise():
 def test_functional_sweep_dense():
     seq = sequences.random_unit_ball(spaces.dense_space(3), seed=12)
     f = operators.dense_weights((0.5, -1.0, 2.0))
-    got = operators.functional_sweep(f, seq, 100)
+    got = oracles.joined(sequences.functional_chunks(f, seq, 100))
     want = np.array([f.evaluate(seq.generator(n)) for n in range(1, 101)])
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -287,7 +287,7 @@ def test_image_sequence_matches_pointwise(op):
         sequences.spike_sequence(spaces.sparse_space(), density.squares()),
     ):
         img = operators.image_sequence(op, seq)
-        got = sequences.norm_sweep(img, 150)
+        got = oracles.joined(sequences.sweep_chunks(img, None, 150))
         want = np.array(
             [spaces.norm(operators.apply(op, seq.generator(n))) for n in range(1, 151)]
         )
@@ -299,7 +299,7 @@ def test_image_sequence_dense_matrix():
     seq = sequences.random_unit_ball(spaces.dense_space(3), seed=21)
     img = operators.image_sequence(m, seq)
     assert img.space == spaces.dense_space(2)
-    got = sequences.norm_sweep(img, 100)
+    got = oracles.joined(sequences.sweep_chunks(img, None, 100))
     want = np.array(
         [spaces.norm(operators.apply(m, seq.generator(n))) for n in range(1, 101)]
     )
@@ -310,7 +310,7 @@ def test_image_sequence_transform():
     tr = operators.prime_position_transform()
     u = sequences.unit_coordinate_sequence()
     img = operators.image_sequence(tr, u)
-    got = sequences.norm_sweep(img, 60)
+    got = oracles.joined(sequences.sweep_chunks(img, None, 60))
     want = np.array([float(n) if density.is_prime(n) else 1.0 for n in range(1, 61)])
     assert np.array_equal(got, want)
     # pointwise too, not just in norm

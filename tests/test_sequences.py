@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from stconv import density, sequences, spaces
 
 HORIZON = 300
@@ -74,7 +75,7 @@ def candidates_for(seq):
 
 @pytest.mark.parametrize("seq", catalog(), ids=lambda s: s.label)
 def test_norm_sweep_matches_generator(seq):
-    got = sequences.norm_sweep(seq, HORIZON)
+    got = oracles.joined(sequences.sweep_chunks(seq, None, HORIZON))
     want = brute_norms(seq, HORIZON)
     assert got.shape == (HORIZON,)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -86,14 +87,14 @@ def test_distance_sweep_matches_generator(seq, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(sequences, "_CHUNK", chunk)
     for candidate in candidates_for(seq):
-        got = sequences.distance_sweep(seq, candidate, HORIZON)
+        got = oracles.joined(sequences.sweep_chunks(seq, candidate, HORIZON))
         want = brute_distances(seq, candidate, HORIZON)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12), seq.label
 
 
 def test_distance_to_own_term_is_zero():
     h = sequences.harmonic_prefix_sequence()
-    d = sequences.distance_sweep(h, h.generator(10), 50)
+    d = oracles.joined(sequences.sweep_chunks(h, h.generator(10), 50))
     assert d[9] == 0.0
     assert d[8] == pytest.approx(0.1, abs=1e-15)
     assert d[10] == pytest.approx(1.0 / 11.0, abs=1e-15)
@@ -252,7 +253,7 @@ def test_scanned_finite_set_reaches_the_cap_once(monkeypatch):
 def test_zero_sequence_norm_bound():
     z = sequences.zero_sequence(spaces.sparse_space())
     assert z.norm_bound == 0.0
-    assert sequences.norm_sweep(z, 10).tolist() == [0.0] * 10
+    assert oracles.joined(sequences.sweep_chunks(z, None, 10)).tolist() == [0.0] * 10
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +273,18 @@ def test_random_ball_prefix_stable():
     # asking for a long sweep first must not change early terms
     a = sequences.random_unit_ball(spaces.dense_space(2), seed=11)
     early = [a.generator(n) for n in (1, 2, 3)]
-    sequences.norm_sweep(a, 2_000)
+    oracles.joined(sequences.sweep_chunks(a, None, 2_000))
     assert [a.generator(n) for n in (1, 2, 3)] == early
 
     b = sequences.random_unit_ball(spaces.dense_space(2), seed=11)
-    sequences.norm_sweep(b, 50)
+    oracles.joined(sequences.sweep_chunks(b, None, 50))
     assert [b.generator(n) for n in (1, 2, 3)] == early
 
 
 def test_random_ball_stays_in_ball():
     for space in (spaces.dense_space(4), spaces.sparse_space()):
         seq = sequences.random_unit_ball(space, seed=3)
-        norms = sequences.norm_sweep(seq, 500)
+        norms = oracles.joined(sequences.sweep_chunks(seq, None, 500))
         assert norms.max() <= 1.0 + 1e-12
 
 
@@ -292,7 +293,7 @@ def test_random_ball_stays_in_ball():
 def test_random_ball_terms_lie_in_their_space_unit_ball(space):
     # widths 1-12 cover both row-norm orders of the Euclidean kernel
     seq = sequences.random_unit_ball(space, seed=29)
-    norms = sequences.norm_sweep(seq, 2000)
+    norms = oracles.joined(sequences.sweep_chunks(seq, None, 2000))
     assert norms.max() <= 1.0 + 1e-12
     assert np.allclose(norms[:60], brute_norms(seq, 60), rtol=1e-14, atol=0.0)
 
@@ -351,14 +352,16 @@ def test_random_rows_drawn_in_chunks_match_one_draw(dim, monkeypatch):
     seq = sequences.random_unit_ball(spaces.dense_space(dim), seed)
     ns = np.arange(1, count + 1)
     assert seq.structure.block_of(ns).tobytes() == table.tobytes()
-    assert sequences.norm_sweep(seq, count).tobytes() == sequences._block_norms(table).tobytes()
+    norms = oracles.joined(sequences.sweep_chunks(seq, None, count))
+    assert norms.tobytes() == sequences._block_norms(table).tobytes()
     for picked in ([3, 4, 20, 21, 22, 100, 1000, count], np.arange(50, 90, 3),
                    [count, 9, 9, 1, 30]):
         picked = np.asarray(picked)
         assert seq.structure.block_of(picked).tobytes() == table[picked - 1].tobytes()
     sub = sequences.subsequence(seq, density.multiples(10))
     want = sequences._block_norms(table[9::10])
-    assert sequences.norm_sweep(sub, count // 10).tobytes() == want.tobytes()
+    norms = oracles.joined(sequences.sweep_chunks(sub, None, count // 10))
+    assert norms.tobytes() == want.tobytes()
 
 
 def test_one_wide_random_rows_are_the_raw_draw():
@@ -388,7 +391,7 @@ def test_random_sweep_draws_only_its_rows(monkeypatch):
 
     monkeypatch.setattr(sequences.np.random, "Generator", Counting)
     seq = sequences.random_unit_ball(spaces.dense_space(3), seed=4)
-    sequences.norm_sweep(seq, 10_000)
+    oracles.joined(sequences.sweep_chunks(seq, None, 10_000))
     assert sum(drawn) == 10_000
 
 
@@ -398,28 +401,28 @@ def test_random_sweep_draws_only_its_rows(monkeypatch):
 
 def test_norm_sweep_uncached_and_extended():
     seq = sequences.harmonic_prefix_sequence()
-    first = sequences.norm_sweep(seq, 100)
-    second = sequences.norm_sweep(seq, 100)
+    first = oracles.joined(sequences.sweep_chunks(seq, None, 100))
+    second = oracles.joined(sequences.sweep_chunks(seq, None, 100))
     assert np.array_equal(first, second)
-    longer = sequences.norm_sweep(seq, 200)
+    longer = oracles.joined(sequences.sweep_chunks(seq, None, 200))
     assert np.array_equal(longer[:100], first)
     assert list(seq.cache) == []
 
 
 def test_distance_cache_keyed_by_candidate():
     seq = sequences.harmonic_prefix_sequence()
-    d0 = sequences.distance_sweep(seq, spaces.sparse_element({}), 100)
-    d1 = sequences.distance_sweep(seq, spaces.sparse_element({1: 1.0}), 100)
+    d0 = oracles.joined(sequences.sweep_chunks(seq, spaces.sparse_element({}), 100))
+    d1 = oracles.joined(sequences.sweep_chunks(seq, spaces.sparse_element({1: 1.0}), 100))
     assert not np.array_equal(d0, d1)
-    again = sequences.distance_sweep(seq, spaces.sparse_element({}), 100)
+    again = oracles.joined(sequences.sweep_chunks(seq, spaces.sparse_element({}), 100))
     assert np.array_equal(again, d0)
 
 
 def test_distance_sweeps_are_not_cached():
     seq = sequences.unit_coordinate_sequence()
-    sequences.distance_sweep(seq, spaces.sparse_element({2: 1.0}), 100)
+    oracles.joined(sequences.sweep_chunks(seq, spaces.sparse_element({2: 1.0}), 100))
     assert list(seq.cache) == []
-    sequences.distance_sweep(seq, spaces.sparse_element({}), 100)
+    oracles.joined(sequences.sweep_chunks(seq, spaces.sparse_element({}), 100))
     assert list(seq.cache) == []
 
 
@@ -428,12 +431,10 @@ def test_distance_sweeps_are_not_cached():
     [
         lambda: density.nth_primes(50),
         lambda: density.primes().mask(1, 100),
-        lambda: sequences.norm_sweep(sequences.harmonic_prefix_sequence(), 100),
-        lambda: sequences.distance_sweep(
-            sequences.unit_coordinate_sequence(), spaces.sparse_element({2: 1.0}), 100
-        ),
+        lambda: sequences.harmonic_prefix_sequence().generator(100).indices,
+        lambda: sequences.harmonic_prefix_sequence().generator(100).values,
     ],
-    ids=["nth_primes", "prime_mask", "norm_sweep", "distance_sweep"],
+    ids=["nth_primes", "prime_mask", "sparse_indices", "sparse_values"],
 )
 def test_shared_cached_arrays_are_read_only(result):
     with pytest.raises(ValueError):

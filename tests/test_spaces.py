@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,6 +170,62 @@ def test_element_format_parse_round_trip():
 @given(sparse_elements)
 def test_sparse_literal_round_trip(x):
     assert spaces.parse_element(spaces.format_element(x)) == x
+
+
+def test_scale_drops_an_underflowed_product():
+    x = spaces.parse_element("sparse{1:1e-300,2:1}")
+    y = spaces.scale(1e-300, x)
+    assert spaces.format_element(y) == "sparse{2:1e-300}"
+    assert y == spaces.parse_element("sparse{2:1e-300}")
+
+
+def test_literals_sort_their_indices_and_keep_the_last_repeat():
+    assert spaces.format_element(spaces.parse_element("sparse{3:1,1:2}")) == "sparse{1:2,3:1}"
+    assert spaces.parse_element("sparse{1:1,1:2}") == spaces.parse_element("sparse{1:2}")
+    assert spaces.parse_element("sparse{2:1,2:0}") == spaces.sparse_element({})
+    with pytest.raises(ValueError, match="stop at"):
+        spaces.parse_element("sparse{1e300:1}")
+
+
+def test_sparse_arrays_are_read_only():
+    x = spaces.sparse_element({1: 1.0, 4: -2.0})
+    assert x.indices.dtype == np.int64 and x.values.dtype == np.float64
+    with pytest.raises(ValueError):
+        x.indices[0] = 2
+    with pytest.raises(ValueError):
+        x.values[0] = 2.0
+    with pytest.raises(ValueError, match="increase"):
+        spaces.sparse_from_arrays([2, 1], [1.0, 1.0])
+
+
+def _entries(x):
+    """The element's entries in index order, as plain pairs."""
+    assert x.indices.dtype == np.int64 and x.values.dtype == np.float64
+    assert not x.indices.flags.writeable and not x.values.flags.writeable
+    return list(zip(x.indices.tolist(), x.values.tolist()))
+
+
+# values that cancel, underflow under a tiny scale, or are exactly zero
+_EDGE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 2.5e-200])
+sparse_dicts = st.dictionaries(st.integers(min_value=1, max_value=12), _EDGE | finite_floats,
+                               max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_dicts, sparse_dicts, st.sampled_from([0.0, -1.0, 1e-300, 3.0]) | finite_floats)
+def test_sparse_algebra_matches_a_dict_oracle(a, b, alpha):
+    x, y = spaces.sparse_element(a), spaces.sparse_element(b)
+    assert _entries(x) == sorted(oracles.sparse_pruned(a).items())
+    assert _entries(spaces.add(x, y)) == sorted(oracles.sparse_add(a, b).items())
+    assert _entries(spaces.sub(x, y)) == sorted(oracles.sparse_sub(a, b).items())
+    assert _entries(spaces.scale(alpha, x)) == sorted(oracles.sparse_scale(alpha, a).items())
+    assert spaces.norm(x) == oracles.sparse_sup_norm(oracles.sparse_pruned(a))
+    assert (x == y) == (oracles.sparse_pruned(a) == oracles.sparse_pruned(b))
+    assert spaces.parse_element(spaces.format_element(x)) == x
+    # a literal written in any order, with a key repeated, reads as the mapping
+    items = list(a.items())[::-1] + list(a.items())
+    literal = "sparse{" + ",".join(f"{k}:{v!r}" for k, v in items) + "}"
+    assert spaces.parse_element(literal) == x
 
 
 def test_parse_element_errors():

@@ -22,7 +22,7 @@ H = 10_000
 
 
 def exceedance_count(seq, candidate, eps, n):
-    dists = sequences.distance_sweep(seq, candidate, n)
+    dists = oracles.joined(sequences.sweep_chunks(seq, candidate, n))
     return int(np.count_nonzero(dists >= eps))
 
 
@@ -86,7 +86,7 @@ def test_converges_complement_identity():
     candidate = spaces.sparse_element({})
     v = stanalysis.st_converges(seq, candidate, horizon=H)
     for report in v.per_epsilon:
-        dists = sequences.distance_sweep(seq, candidate, H)
+        dists = oracles.joined(sequences.sweep_chunks(seq, candidate, H))
         prof = report.verdict.profile
         for cp, count in zip(prof.checkpoints, prof.counts):
             within = int(np.count_nonzero(dists[:cp] < report.epsilon))
@@ -132,7 +132,7 @@ def test_spike_sequence_is_st_bounded_with_small_bound():
     assert v.decision == "confirmed"
     assert v.bound == 1.0
     # while the raw norms blow past every probe on the spikes
-    norms = sequences.norm_sweep(seq, 10_000)
+    norms = oracles.joined(sequences.sweep_chunks(seq, None, 10_000))
     assert norms.max() >= max(stanalysis.DEFAULT_PROBES)
 
 
@@ -286,15 +286,22 @@ def test_cauchy_sweeps_each_anchor_once_while_an_epsilon_is_open(monkeypatch):
     assert swept == [seq.generator(a) for a in stanalysis.default_anchors(H)]
 
 
+def _cumsum_profile(mask, schedule):
+    """The profile of ``mask`` (entry ``k-1`` is index ``k``) by one cumsum."""
+    cps = tuple(schedule.checkpoints(len(mask)))
+    return density.DensityProfile(cps, oracles.cumsum_counts(mask, cps))
+
+
 def _cauchy_all_sweeps_first(seq, grid, horizon, anchors):
     """Reference: every anchor's sweep up front, then each epsilon searches them."""
-    sweeps = [(a, sequences.distance_sweep(seq, seq.generator(a), horizon)) for a in anchors]
+    sweeps = [(a, oracles.joined(sequences.sweep_chunks(seq, seq.generator(a), horizon)))
+              for a in anchors]
     reports, witness = [], None
     for eps in grid:
         tried = []
         for a, dists in sweeps:
             verdict = density.density_verdict(
-                density.profile_from_mask(dists >= eps, horizon, density.DEFAULT_SCHEDULE), 0, 0.1)
+                _cumsum_profile(dists >= eps, density.DEFAULT_SCHEDULE), 0, 0.1)
             tried.append((a, verdict))
             if verdict.decision == "confirmed":
                 reports.append(stanalysis.EpsilonReport(eps, verdict, anchor=a))
@@ -475,7 +482,7 @@ def test_counts_obey_strong_cesaro_bounds(name, seq):
     for candidate in (spaces.zero(seq.space), stanalysis._median_candidate(seq, CESARO_H)):
         verdict = stanalysis.st_converges(seq, candidate, horizon=CESARO_H)
         assert verdict.epsilon_grid == stanalysis.DEFAULT_EPS_GRID
-        d = sequences.distance_sweep(seq, candidate, CESARO_H)
+        d = oracles.joined(sequences.sweep_chunks(seq, candidate, CESARO_H))
         for report in verdict.per_epsilon:
             profile = report.verdict.profile
             assert profile.checkpoints == tuple(density.DEFAULT_SCHEDULE.checkpoints(CESARO_H))
@@ -493,5 +500,5 @@ def test_counts_obey_strong_cesaro_bounds(name, seq):
 def test_random_counts_obey_strong_cesaro_bounds(values, eps, p, data):
     d = np.asarray(values)
     step = data.draw(st.integers(min_value=1, max_value=len(d) - 1))
-    profile = density.profile_from_mask(d >= eps, len(d), density.linear(step))
+    profile = _cumsum_profile(d >= eps, density.linear(step))
     _assert_cesaro_bounds(d, profile.checkpoints, profile.counts, eps, p)

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from stconv import density, operators, sequences, spaces, stanalysis
 from stconv.classify import (
     _compact_consistent_pool,
@@ -134,13 +135,14 @@ def test_every_structure_kind_is_covered(monkeypatch):
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
 def test_structured_sweeps_match_per_index(name, seq):
     twin = _per_index(seq)
-    _assert_close(sequences.norm_sweep(seq, H), sequences.norm_sweep(twin, H), "norms")
+    _assert_close(oracles.joined(sequences.sweep_chunks(seq, None, H)),
+                  oracles.joined(sequences.sweep_chunks(twin, None, H)), "norms")
     candidate = stanalysis._median_candidate(seq, H)
-    _assert_close(sequences.distance_sweep(seq, candidate, H),
-                  sequences.distance_sweep(twin, candidate, H), "distances")
+    _assert_close(oracles.joined(sequences.sweep_chunks(seq, candidate, H)),
+                  oracles.joined(sequences.sweep_chunks(twin, candidate, H)), "distances")
     for f in FUNCTIONALS:
-        _assert_close(operators.functional_sweep(f, seq, H),
-                      operators.functional_sweep(f, twin, H), f.describe())
+        _assert_close(oracles.joined(sequences.functional_chunks(f, seq, H)),
+                      oracles.joined(sequences.functional_chunks(f, twin, H)), f.describe())
 
 
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
@@ -175,7 +177,7 @@ def test_dense_coordinate_outside_the_space_raises_on_both_paths():
     messages = []
     for s in (seq, _per_index(seq)):
         with pytest.raises(ValueError) as exc:
-            operators.functional_sweep(f, s, 10)
+            oracles.joined(sequences.functional_chunks(f, s, 10))
         messages.append(str(exc.value))
     assert messages == ["coordinate 4 outside dense:3"] * 2
 
@@ -201,8 +203,8 @@ def test_prefix_median_matches_per_index(name, seq, horizon):
 
 
 def _answers(seq, candidate, horizon):
-    return ([sequences.norm_sweep(seq, horizon), sequences.distance_sweep(seq, candidate, horizon)]
-            + [operators.functional_sweep(f, seq, horizon) for f in FUNCTIONALS])
+    return ([oracles.joined(sequences.sweep_chunks(seq, c, horizon)) for c in (None, candidate)]
+            + [oracles.joined(sequences.functional_chunks(f, seq, horizon)) for f in FUNCTIONALS])
 
 
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
@@ -234,12 +236,12 @@ def test_subsequence_sweeps_evaluate_the_parent_only_at_members():
     seq = sequences.subsequence(parent, density.primes())
     h = 10_000   # the members reach p_10000 = 104729
     members = density.nth_primes(h)
-    assert np.array_equal(sequences.norm_sweep(seq, h),
-                          sequences.norm_sweep(unit, int(members[-1]))[members - 1])
+    along = oracles.joined(sequences.sweep_chunks(unit, None, int(members[-1])))
+    assert np.array_equal(oracles.joined(sequences.sweep_chunks(seq, None, h)), along[members - 1])
     assert (sum(asked["index_of"]), sum(asked["value_of"])) == (0, h)
     candidate = spaces.sparse_element({2: 1.0, 7: -0.5})
-    assert np.array_equal(sequences.distance_sweep(seq, candidate, h),
-                          sequences.distance_sweep(unit, candidate, int(members[-1]))[members - 1])
+    along = oracles.joined(sequences.sweep_chunks(unit, candidate, int(members[-1])))
+    assert np.array_equal(oracles.joined(sequences.sweep_chunks(seq, candidate, h)), along[members - 1])
     assert (sum(asked["index_of"]), sum(asked["value_of"])) == (h, 2 * h)
 
 
@@ -266,9 +268,9 @@ def test_rank_one_images_walk_a_prefix_parent_once_per_sweep(op, monkeypatch):
     image = operators.image_sequence(op, parent)
     walk = H * len(op.pieces)
     candidate = stanalysis._median_candidate(image, H)
-    for sweep in (lambda: sequences.norm_sweep(image, H),
-                  lambda: sequences.distance_sweep(image, candidate, H),
-                  lambda: operators.functional_sweep(FUNCTIONALS[0], image, H)):
+    for sweep in (lambda: oracles.joined(sequences.sweep_chunks(image, None, H)),
+                  lambda: oracles.joined(sequences.sweep_chunks(image, candidate, H)),
+                  lambda: oracles.joined(sequences.functional_chunks(FUNCTIONALS[0], image, H))):
         tally.clear()
         sweep()
         assert sum(tally) == walk
@@ -331,13 +333,12 @@ def test_subsequence_sweeps_ask_a_known_set_only_for_their_positions(along, monk
     nth_primes = density.nth_primes
     monkeypatch.setattr(density, "nth_primes", lambda count: primes_asked.append(count)
                         or nth_primes(count))
-    monkeypatch.setattr(density, "members", None)   # no member table is built
     seq = sequences.subsequence(sequences.unit_coordinate_sequence(),
                                 dataclasses.replace(along, nth=_tallied(along.nth, positions)))
     candidate = spaces.sparse_element({4: 1.0})
-    for sweep in (lambda: sequences.norm_sweep(seq, H),
-                  lambda: sequences.distance_sweep(seq, candidate, H),
-                  lambda: operators.functional_sweep(FUNCTIONALS[2], seq, H)):
+    for sweep in (lambda: oracles.joined(sequences.sweep_chunks(seq, None, H)),
+                  lambda: oracles.joined(sequences.sweep_chunks(seq, candidate, H)),
+                  lambda: oracles.joined(sequences.functional_chunks(FUNCTIONALS[2], seq, H))):
         positions.clear()
         sweep()
         assert H < sum(positions) <= 2 * (H + 1)
