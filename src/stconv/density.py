@@ -13,15 +13,17 @@ point at the reporting boundary.
 An index set is a record of the functions its constructor chose, and it
 answers two questions: ``mask(lo, hi)``, the membership of the segment
 ``lo..hi``, and ``nth(ks)``, its members at the increasing positions ``ks``.
-Each kind builds only the segment it is asked for; primes read it off the
-shared sieve.  A complement, union or intersection combines its operands'
-segments and finds its members by scanning them forward into one member
-table that it keeps.  A set without an exact ``count`` is counted segment by
-segment, ``_SEGMENT`` indices at a time, so no question asks for a
-horizon-length mask.  Every count, of a set's segments or of the exceedance
-masks of a verdict, goes through :func:`count_table`, which folds a stream
-of chunks into exact counts at the checkpoints.  A checkpoint schedule is
-likewise a record of its label, first checkpoint and step.
+Each kind builds only the segment it is asked for: primes and finite sets
+scatter it from a sorted member table (for primes the shared table of sieved
+primes), which they also count and test by binary search.  A complement,
+union or intersection combines its operands' segments and finds its members
+by scanning them forward into one member table that it keeps.  A set without
+an exact ``count`` is counted segment by segment, ``_SEGMENT`` indices at a
+time, so no question asks for a horizon-length mask.  Every count, of a
+set's segments or of the exceedance masks of a verdict, goes through
+:func:`count_table`, which folds a stream of chunks into exact counts at the
+checkpoints.  A checkpoint schedule is likewise a record of its label, first
+checkpoint and step.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .parsing import Cursor, ParseError, parse_whole, whole_number
 DEFAULT_HORIZON = 1_000_000
 DEFAULT_TOLERANCE = 0.01
 _MEMBER_CAP = 100_000_000
+_LARGEST_MEMBER = np.iinfo(np.int64).max
 # the longest segment a count or a member scan asks a set for at once
 _SEGMENT = 1 << 16
 
@@ -47,41 +50,32 @@ class HorizonExhausted(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# prime sieve (shared, grow-on-demand)
+# prime table (shared, grow-on-demand)
 #
-# The sieve mask and the table of primes it holds are rebuilt together
-# whenever a request passes the current size, and are read-only: callers
-# receive views of them.  A larger sieve only extends the arrays, so no
-# answer depends on the order of the calls that grew it.
+# The primes up to the limit last sieved to, as one read-only increasing
+# int64 array; callers receive views of it.  A growth sieves into a
+# temporary mask and keeps only its members, and a larger sieve only extends
+# the table, so no answer depends on the order of the calls that grew it.
 # ---------------------------------------------------------------------------
 
-def _frozen(arr):
-    arr.setflags(write=False)
-    return arr
+_prime_table = np.zeros(0, dtype=np.int64)   # the primes <= _sieved, read-only once grown
+_sieved = 1
 
 
-_sieve_mask = _frozen(np.zeros(2, dtype=bool))   # _sieve_mask[i] == (i is prime)
-_prime_table = _frozen(np.zeros(0, dtype=np.int64))   # the primes < len(_sieve_mask)
-
-
-def _ensure_sieve(limit):
-    global _sieve_mask, _prime_table
-    if limit < len(_sieve_mask):
-        return
-    size = max(limit + 1, 2 * len(_sieve_mask), 1024)
-    mask = np.ones(size, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(size - 1) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    _sieve_mask = _frozen(mask)
-    _prime_table = _frozen(np.flatnonzero(mask).astype(np.int64, copy=False))
-
-
-def prime_count(n):
-    """Number of primes ``<= n``."""
-    _ensure_sieve(n)
-    return int(np.searchsorted(_prime_table, n, side="right"))
+def _primes_through(n):
+    """The shared prime table, grown first if it may miss a prime ``<= n``."""
+    global _prime_table, _sieved
+    if n > _sieved:
+        size = max(n + 1, 2 * (_sieved + 1), 1024)
+        mask = np.ones(size, dtype=bool)
+        mask[:2] = False
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        _prime_table = np.flatnonzero(mask).astype(np.int64, copy=False)
+        _prime_table.setflags(write=False)
+        _sieved = size - 1
+    return _prime_table
 
 
 def nth_primes(count):
@@ -94,16 +88,8 @@ def nth_primes(count):
     if count < 6:
         bound = 16
     else:
-        bound = int(count * (math.log(count) + math.log(math.log(count))) * 1.2) + 16
-    _ensure_sieve(bound)
-    return _prime_table[:count]
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    _ensure_sieve(n)
-    return bool(_sieve_mask[n])
+        bound = int(count * (math.log(count) + math.log(math.log(count)))) + 1
+    return _primes_through(bound)[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +141,8 @@ def _nth_primes(ks):
     return found[ks - 1]
 
 
-def _prime_segment(lo, hi):
-    _ensure_sieve(hi)
-    return _sieve_mask[lo : hi + 1]
-
-
 def primes():
-    return IndexSet("primes", _prime_segment, _nth_primes, is_prime, Fraction(0), prime_count)
+    return _tabled("primes", _primes_through, _nth_primes)
 
 
 def multiples(m):
@@ -202,21 +183,38 @@ def finite(values):
     vals = sorted(set(whole_number(v, "an index") for v in values))
     if any(v < 1 for v in vals):
         raise ValueError("index sets contain positive integers only")
+    if vals and vals[-1] > _LARGEST_MEMBER:
+        raise ValueError(f"finite index sets stop at {_LARGEST_MEMBER}")
     label = "finite(" + ",".join(str(v) for v in vals) + ")"
     table = np.asarray(vals, dtype=np.int64)
-
-    def mask(lo, hi):
-        out = np.zeros(hi - lo + 1, dtype=bool)
-        out[table[(table >= lo) & (table <= hi)] - lo] = True
-        return out
 
     def nth(ks):
         if ks[-1] > len(vals):
             raise HorizonExhausted(f"{label} has only {len(vals)} members, {ks[-1]} requested")
         return table[ks - 1]
 
-    return IndexSet(label, mask, nth, frozenset(vals).__contains__, Fraction(0),
-                    lambda n: int(np.searchsorted(table, n, side="right")))
+    return _tabled(label, lambda n: table, nth)
+
+
+def _tabled(label, through, nth):
+    """The record of a density-zero set read off a sorted member table:
+    ``through(n)`` is an increasing int64 array that holds every member
+    ``<= n``, so a segment scatters its members into a fresh mask and a
+    count or a membership test is a binary search."""
+
+    def mask(lo, hi):
+        table = through(hi)
+        out = np.zeros(hi - lo + 1, dtype=bool)
+        out[table[np.searchsorted(table, lo) : np.searchsorted(table, hi, side="right")] - lo] = True
+        return out
+
+    def contains(k):
+        table = through(k)
+        i = int(np.searchsorted(table, k))
+        return bool(i < len(table) and table[i] == k)
+
+    return IndexSet(label, mask, nth, contains, Fraction(0),
+                    lambda n: int(np.searchsorted(through(n), n, side="right")))
 
 
 def _scanned(label, mask, contains, dens, count=None):
@@ -573,8 +571,6 @@ __all__ = [
     "density_verdict",
     "parse_index_set",
     "parse_index_set_at",
-    "prime_count",
     "nth_primes",
-    "is_prime",
     "ParseError",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 _NUMBER = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -87,8 +88,9 @@ class Cursor:
         """An integer literal no smaller than ``least``; errors point at it."""
         self.skip_ws()
         start = self.pos
-        value = self.number()
-        if value != int(value):
+        self.number()
+        value = Fraction(self.text[start : self.pos])   # exact, where a float rounds past 2^53
+        if value.denominator != 1:
             self.pos = start
             self.error("expected an integer")
         if value < least:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from stconv import cli
+from stconv import cli, sequences, spaces
 
 
 def run_json(capsys, argv):
@@ -537,6 +537,30 @@ def test_smallest_integer_literal_is_accepted(capsys, flag, text):
     assert code == 0
     assert err == ""
     assert out
+
+
+def test_integer_literals_are_read_exactly(capsys):
+    # read through a float, each of these literals rounded past 2^53 to a neighbour
+    odd, even = (sequences.parse_sequence(f"random(seed={seed})") for seed in (2**53 + 1, 2**53))
+    assert odd.label == "random_ball_9007199254740993"
+    assert spaces.format_element(odd.generator(1)) != spaces.format_element(even.generator(1))
+    largest = "sparse{9223372036854775807:1}"
+    assert spaces.format_element(spaces.parse_element(largest)) == largest
+    code, out, err = run_text(capsys, ["converge", "--sequence",
+                                       "subseq(unit_coords, multiples(99999999999999999999))",
+                                       "--horizon", "100"])
+    assert (code, out) == (2, "")
+    assert err == "error: member 100 of multiples(99999999999999999999) is beyond the cap 100000000\n"
+
+
+def test_finite_member_past_int64_is_refused(capsys):
+    code, out, err = run_text(capsys, ["density", "--set", "finite(9223372036854775808)",
+                                       "--horizon", "100"])
+    assert (code, out) == (2, "")
+    assert err == "error: finite index sets stop at 9223372036854775807\n"
+    code, report = run_json(capsys, ["density", "--set", "finite(9223372036854775807)",
+                                     "--horizon", "100"])
+    assert code == 0 and report["profile"]["counts"] == [0, 0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from stconv import density
@@ -21,8 +21,8 @@ def test_prime_counts_match_frozen_table():
         assert density.count(density.primes(), n) == expected
 
 
-def test_prime_count_function_matches_sieve_oracle():
-    assert density.prime_count(100_000) == oracles.sieve_prime_count(100_000)
+def test_prime_count_matches_sieve_oracle():
+    assert density.count(density.primes(), 100_000) == oracles.sieve_prime_count(100_000)
 
 
 def test_prime_counts_match_enumeration():
@@ -38,34 +38,35 @@ def test_nth_primes_prefix():
 
 @pytest.fixture
 def empty_sieve(monkeypatch):
-    """Start the shared sieve from scratch; the grown one is restored afterwards."""
-    monkeypatch.setattr(density, "_sieve_mask", np.zeros(2, dtype=bool))
+    """Start the shared prime table from scratch; the grown one is restored afterwards."""
     monkeypatch.setattr(density, "_prime_table", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(density, "_sieved", 1)
 
 
 @pytest.mark.parametrize("order", [(10, 5_000, 100), (5_000, 10, 100)],
                          ids=["small_then_large", "large_then_small"])
 def test_nth_primes_independent_of_call_order(empty_sieve, order):
     oracle = oracles.sieve_primes(60_000)
+    primes = density.primes()
     served = []
     for k in order:
         # the count grows the sieve first, then the prime table may grow it again
-        assert density.prime_count(12 * k) == bisect.bisect_right(oracle, 12 * k)
+        assert density.count(primes, 12 * k) == bisect.bisect_right(oracle, 12 * k)
         served.append(density.nth_primes(k))
         assert served[-1].tolist() == oracle[:k]
-        assert density.prime_count(oracle[k - 1]) == k
+        assert density.count(primes, oracle[k - 1]) == k
     # views handed out before the sieve grew keep their primes
     for k, got in zip(order, served):
         assert got.tolist() == oracle[:k]
-        assert density.prime_count(12 * k) == bisect.bisect_right(oracle, 12 * k)
+        assert density.count(primes, 12 * k) == bisect.bisect_right(oracle, 12 * k)
 
 
 def test_primes_beyond_the_cap_are_refused_before_sieving():
     # the 10^7-th prime lies past the member cap, and Dusart's bound says so without sieving
-    sieved = len(density._sieve_mask)
+    sieved = density._sieved
     with pytest.raises(density.HorizonExhausted, match="member 10000000 of primes is beyond the cap"):
         oracles.members(density.primes(), 10**7)
-    assert len(density._sieve_mask) == sieved
+    assert density._sieved == sieved
 
 
 def test_dusart_bound_holds_below_the_sieved_primes():
@@ -75,10 +76,53 @@ def test_dusart_bound_holds_below_the_sieved_primes():
     assert np.all(n * (np.log(n) + np.log(np.log(n)) - 1) <= p[1:])
 
 
-def test_is_prime_agrees_with_sieve():
-    primes = set(oracles.sieve_primes(2_000))
-    for k in range(1, 2_001):
-        assert density.is_prime(k) == (k in primes)
+def test_rosser_bound_holds_below_the_sieved_primes():
+    # p_n < n (ln n + ln ln n) for n >= 6: the table nth_primes sieves to holds the n-th prime
+    p = density.nth_primes(100_000)
+    assert len(p) == 100_000
+    n = np.arange(6, len(p) + 1, dtype=float)
+    assert np.all(p[5:] < n * (np.log(n) + np.log(np.log(n))))
+
+
+_ORACLE_LIMIT = 20_000
+_ORACLE_PRIMES = oracles.sieve_primes(_ORACLE_LIMIT)
+
+
+def _check_prime_segment(lo, hi):
+    """Every answer of the prime record on lo..hi against the plain sieve."""
+    s, oracle = density.primes(), _ORACLE_PRIMES
+    first, last = bisect.bisect_left(oracle, lo), bisect.bisect_right(oracle, hi)
+    seg = s.mask(lo, hi)
+    assert np.flatnonzero(seg).tolist() == [p - lo for p in oracle[first:last]]
+    assert density.count(s, hi) == last
+    assert [k for k in range(lo, hi + 1) if s.contains(k)] == oracle[first:last]
+    if last > first:
+        assert s.nth(np.arange(first + 1, last + 1)).tolist() == oracle[first:last]
+    # a segment belongs to its caller: writing it changes no later answer
+    seg[:] = True
+    assert np.flatnonzero(s.mask(lo, hi)).tolist() == [p - lo for p in oracle[first:last]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=_ORACLE_LIMIT), st.integers(min_value=0, max_value=2_000))
+@example(lo=7_919, width=0)   # lo == hi on a prime
+@example(lo=1, width=0)
+def test_prime_record_matches_sieve_oracle(lo, width):
+    _check_prime_segment(lo, min(lo + width, _ORACLE_LIMIT))
+
+
+@pytest.mark.parametrize("order", [((10, 50), (5_000, 5_100)), ((5_000, 5_100), (10, 50))],
+                         ids=["below_then_past_the_sieve", "past_then_below_the_sieve"])
+def test_prime_segments_agree_across_a_sieve_growth(empty_sieve, order):
+    # one segment lies in the first 1024-entry sieve and one past it, so asked
+    # in the first order the sieve grows between them, in the second before both
+    sieved = []
+    for lo, hi in order:
+        _check_prime_segment(lo, hi)
+        sieved.append(density._sieved)
+    assert (sieved[0] < sieved[1]) == (order[0] < order[1])
+    for lo, hi in order:
+        _check_prime_segment(lo, hi)
 
 
 def test_multiples_count_identity():
@@ -130,6 +174,14 @@ def test_multiples_refuses_a_fractional_modulus():
     with pytest.raises(ValueError, match="whole number"):
         density.multiples(2.5)
     assert density.multiples(5.0).describe() == "multiples(5)"
+
+
+def test_finite_refuses_a_member_past_int64():
+    with pytest.raises(ValueError, match="finite index sets stop at 9223372036854775807"):
+        density.finite([1, 2**63])
+    s = density.finite([2**63 - 1, 5])
+    assert density.count(s, 100) == 1 and s.contains(2**63 - 1) and not s.contains(2**63 - 2)
+    assert s.nth(np.array([2])).tolist() == [2**63 - 1]
 
 
 def test_finite_refuses_a_fractional_member():
@@ -219,11 +271,6 @@ def test_index_set_records_agree_with_membership_oracle(text, n, lo, width, segm
         profile = density.density_profile(s, horizon, density.linear(n))
         assert list(profile.counts) == [int(oracle[:c].sum()) for c in profile.checkpoints]
         assert density.parse_index_set(s.describe()).describe() == s.describe()
-
-
-def test_primes_mask_is_a_view_of_the_sieve():
-    seg = density.primes().mask(10, 20)
-    assert not seg.flags.writeable and not seg.flags.owndata
 
 
 def test_analytic_densities():

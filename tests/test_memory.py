@@ -10,7 +10,8 @@ horizon-length sweep (8 MB), so a return to held sweeps or masks, to
 horizon-by-width blocks, to a kept row table or to prefix membership masks
 fails here.  The subsequence along ``complement(squares)`` keeps its
 scanned member table (about 16 MB at 10^6).  A limit candidate is built as
-the two arrays of a sparse element, never through a mapping.
+the two arrays of a sparse element, never through a mapping, and the primes
+are held once, as their table, with no sieve mask beside it.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import dataclasses
 import io
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -66,13 +68,24 @@ def test_ratio_bound_holds_one_chunk_of_each_sweep():
 def test_a_subsequence_past_the_cap_is_refused_before_any_chunk_runs():
     # the member at the horizon is asked for first, so the prime sieve does
     # not grow chunk by chunk toward the cap before the refusal
-    sieve = len(density._sieve_mask)
+    sieve = density._sieved
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.run(["converge", "--sequence", "prime_coords", "--horizon", "10000000"])
     assert code == 2
     assert "member 10000000 of primes is beyond the cap" in err.getvalue()
-    assert len(density._sieve_mask) == sieve
+    assert density._sieved == sieve
+
+
+def test_the_primes_are_held_once(monkeypatch):
+    # from an empty sieve, the first 10^6 primes take one 8.1 MiB table of
+    # the primes below Rosser's bound; with a sieve mask kept beside the
+    # table (and a 1.2-fold slack on the bound) they took 28.4 MiB
+    monkeypatch.setattr(density, "_prime_table", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(density, "_sieved", 1)
+    density.nth_primes(10**6)
+    held = sum(v.nbytes for v in vars(density).values() if isinstance(v, np.ndarray))
+    assert held / MB <= 9
 
 
 def test_a_prefix_median_is_built_as_two_arrays():

@@ -311,7 +311,7 @@ def test_image_sequence_transform():
     u = sequences.unit_coordinate_sequence()
     img = operators.image_sequence(tr, u)
     got = oracles.joined(sequences.sweep_chunks(img, None, 60))
-    want = np.array([float(n) if density.is_prime(n) else 1.0 for n in range(1, 61)])
+    want = np.array([float(n) if density.primes().contains(n) else 1.0 for n in range(1, 61)])
     assert np.array_equal(got, want)
     # pointwise too, not just in norm
     assert dict(img.generator(5).support) == {5: 5.0}

@@ -133,7 +133,7 @@ def test_damped_sequences_decay():
     assert dict(d.generator(100).support) == {100: pytest.approx(0.1)}
     p = sequences.damped_prime_coordinate_sequence()
     (idx, val), = p.generator(4).support.items()
-    assert density.is_prime(idx) and 0.0 < val < 1.0
+    assert density.primes().contains(idx) and 0.0 < val < 1.0
 
 
 def test_decaying_sequence_scales_value():
@@ -430,11 +430,11 @@ def test_distance_sweeps_are_not_cached():
     "result",
     [
         lambda: density.nth_primes(50),
-        lambda: density.primes().mask(1, 100),
+        lambda: density._primes_through(100),
         lambda: sequences.harmonic_prefix_sequence().generator(100).indices,
         lambda: sequences.harmonic_prefix_sequence().generator(100).values,
     ],
-    ids=["nth_primes", "prime_mask", "sparse_indices", "sparse_values"],
+    ids=["nth_primes", "prime_table", "sparse_indices", "sparse_values"],
 )
 def test_shared_cached_arrays_are_read_only(result):
     with pytest.raises(ValueError):
