@@ -13,7 +13,7 @@ package encodes, at desk scale, and reports one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -54,11 +54,12 @@ from .sequences import (
 )
 from .spaces import dense_element, dense_space, sparse_element, sparse_space
 from .stanalysis import (
-    norm_limit_zero,
-    st_bounded,
+    bounded_verdict,
+    convergence_verdict,
+    converges_search,
+    norm_limit_decision,
     st_cauchy,
     st_converges,
-    st_converges_search,
     weakly_st_bounded,
 )
 from . import density
@@ -68,29 +69,49 @@ DEFAULT_CLASSIFY_TOLERANCE = 0.1
 _RATIO_DOUBLINGS = 60
 
 
-def _st_bounded_input(member, horizon, tolerance):
-    return st_bounded(member, horizon=horizon, tolerance=tolerance).decision
+def _st_bounded_input(member, norms, horizon, tolerance):
+    return bounded_verdict(norms(), tolerance).decision
 
 
-def _st_null_input(member, horizon, tolerance):
-    return st_converges(member, horizon=horizon, tolerance=tolerance).decision
+def _st_null_input(member, norms, horizon, tolerance):
+    return _null(member, norms, horizon, tolerance).decision
 
 
-def _norm_bounded_input(member, horizon, tolerance):
+def _norm_null_input(member, norms, horizon, tolerance):
+    return norm_limit_decision(norms(), tolerance)
+
+
+def _norm_bounded_input(member, norms, horizon, tolerance):
     # analytic bounds only: a finite sweep cannot certify sup ||x_n||
     return "confirmed" if member.norm_bound is not None else "inconclusive"
 
 
+def _bounded(image, norms, horizon, tolerance):
+    return bounded_verdict(norms(), tolerance)
+
+
+def _null(image, norms, horizon, tolerance):
+    return convergence_verdict(norms(), spaces.zero(image.space), tolerance)
+
+
+def _compact(image, norms, horizon, tolerance):
+    return converges_search(image, norms, horizon=horizon, tolerance=tolerance)
+
+
 # The paper's five definitions as data.  Each property is an implication:
 # when the input x_n satisfies the hypothesis, the image T x_n must satisfy
-# the conclusion.  The hypothesis decides ``(member, horizon, tolerance)``;
-# the conclusion is the ``stanalysis`` verdict that decides the image.
+# the conclusion.  The hypothesis decides ``(member, norms, horizon,
+# tolerance)`` and the conclusion is the verdict of ``(image, norms, horizon,
+# tolerance)``; ``norms()`` is the ``stanalysis.NormCounts`` of the member or
+# the image, walked at most once in a run (see :class:`_Walks`), which
+# answers ``st_bounded``, ``st_converges`` to zero, ``norm_limit_zero`` and
+# the zero candidate of ``st_converges_search`` at their defaults.
 _DEFINITIONS = {
-    "st_bounded": (_st_bounded_input, st_bounded),
-    "n_st_bounded": (_norm_bounded_input, st_bounded),
-    "st_continuous": (_st_null_input, st_converges),
-    "n_st_continuous": (norm_limit_zero, st_converges),
-    "st_compact": (_st_bounded_input, st_converges_search),
+    "st_bounded": (_st_bounded_input, _bounded),
+    "n_st_bounded": (_norm_bounded_input, _bounded),
+    "st_continuous": (_st_null_input, _null),
+    "n_st_continuous": (_norm_null_input, _null),
+    "st_compact": (_st_bounded_input, _compact),
 }
 
 PROPERTIES = tuple(_DEFINITIONS)
@@ -222,18 +243,57 @@ class ClassificationReport:
         return f"ClassificationReport({self.operator}, {self.property}: {self.outcome})"
 
 
-def _hypothesis_confirmed(member, hypothesis, horizon, tolerance):
+class _Walks:
+    """The norm counts of one run (a ``classify``, ``check_theorem`` or
+    ``run_suite`` call) at its horizon, so that the run walks each corpus
+    member and each operator image at most once, whichever check asks first.
+
+    A member is keyed ``(corpus version, label)`` and its image under an
+    operator ``(descriptor, corpus version, label)``: operators with one
+    descriptor act alike on one corpus.  The memo holds
+    ``stanalysis.NormCounts`` only, never an element, a sweep or a
+    candidate, and goes when the run returns.
+    """
+
+    def __init__(self, horizon):
+        self.horizon = horizon
+        self.counts = {}
+        self.tuples = {}
+
+    def norms(self, seq, key):
+        """The counts of ``seq`` under ``key`` as a thunk, walked on its first call."""
+        def norms():
+            hit = self.counts.get(key)
+            if hit is None:
+                hit = self.keep(key, stanalysis.norm_counts(seq, self.horizon))
+            return hit
+
+        return norms
+
+    def keep(self, key, counts):
+        """Hold ``counts`` under ``key``, and each distinct tuple of counts
+        once: a suite at 10^5 keeps 6636 count rows of 699 distinct values."""
+        def held(t):
+            return self.tuples.setdefault(t, t)
+
+        counts = replace(counts, cps=held(counts.cps), above=held(tuple(map(held, counts.above))),
+                         reach=held(tuple(map(held, counts.reach))))
+        self.counts[key] = counts
+        return counts
+
+
+def _hypothesis_confirmed(member, hypothesis, norms, horizon, tolerance):
     """Whether the corpus member satisfies ``hypothesis``, decided once per member."""
     key = ("hypothesis", hypothesis, horizon, tolerance)
     hit = member.cache.get(key)
     if hit is None:
-        hit = member.cache[key] = hypothesis(member, horizon, tolerance)
+        hit = member.cache[key] = hypothesis(member, norms, horizon, tolerance)
     return hit == "confirmed"
 
 
-def _classify(op, props, horizon, tolerance):
-    """One report per property in ``props``, from one walk over the corpus
-    of the operator's domain.
+def _classify(op, props, horizon, tolerance, walks):
+    """One report per property in ``props``, from one pass over the corpus
+    of the operator's domain; ``walks`` is the run's :class:`_Walks`.
 
     Each member's image is built at most once, and each distinct conclusion
     verdict on it is computed at most once.
@@ -243,21 +303,25 @@ def _classify(op, props, horizon, tolerance):
             raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     corpus = corpus_for(op)
     horizon = int(horizon)
+    name = op.describe()
     witnesses = {prop: [] for prop in props}
     confirmed = dict.fromkeys(props, 0)
     for member in corpus.members:
+        key = (corpus.version, member.label)
+        norms = walks.norms(member, key)
         held = [prop for prop in props
-                if _hypothesis_confirmed(member, _DEFINITIONS[prop][0], horizon, tolerance)]
+                if _hypothesis_confirmed(member, _DEFINITIONS[prop][0], norms, horizon, tolerance)]
         if not held:
             continue
         image = image_sequence(op, member)
+        norms = walks.norms(image, (name, *key))
         verdicts = {}
         for prop in held:
             confirmed[prop] += 1
             conclude = _DEFINITIONS[prop][1]
             verdict = verdicts.get(conclude)
             if verdict is None:
-                verdict = verdicts[conclude] = conclude(image, horizon=horizon, tolerance=tolerance)
+                verdict = verdicts[conclude] = conclude(image, norms, horizon, tolerance)
             if verdict.decision == "refuted":
                 witnesses[prop].append((member.label, verdict))
     reports = []
@@ -269,7 +333,7 @@ def _classify(op, props, horizon, tolerance):
         else:
             outcome = "inconclusive"
         reports.append(ClassificationReport(
-            op.describe(), prop, outcome, tuple(witnesses[prop]),
+            name, prop, outcome, tuple(witnesses[prop]),
             corpus.version, horizon, tolerance,
         ))
     return reports
@@ -282,7 +346,7 @@ def classify(op, prop, horizon=DEFAULT_CLASSIFY_HORIZON, tolerance=DEFAULT_CLASS
     the conclusion; consistent when no member refutes and at least one
     hypothesis was confirmed; inconclusive otherwise.
     """
-    return _classify(op, (prop,), horizon, tolerance)[0]
+    return _classify(op, (prop,), horizon, tolerance, _Walks(int(horizon)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +404,9 @@ def _norm_bounded_operator_pool():
     return ops
 
 
-def _consistent(op, props, horizon, tolerance):
+def _consistent(op, props, horizon, tolerance, walks):
     """``(label, ok, detail)``: ``op`` classifies consistent under every one of ``props``."""
-    reports = _classify(op, props, horizon, tolerance)
+    reports = _classify(op, props, horizon, tolerance, walks)
     detail = "; ".join(f"{r.property} outcome {r.outcome}"
                        for r in reports if r.outcome != "consistent")
     return op.describe(), not detail, detail
@@ -350,20 +414,41 @@ def _consistent(op, props, horizon, tolerance):
 
 def _all_consistent(pool, props, notes=""):
     """The check that every operator of ``pool()`` classifies consistent under ``props``."""
-    def check(horizon, tolerance):
-        return [_consistent(op, props, horizon, tolerance) for op in pool()], notes, {}
+    def check(horizon, tolerance, walks):
+        return [_consistent(op, props, horizon, tolerance, walks) for op in pool()], notes, {}
     return check
 
 
-def check_finite_dim_all_bounded(horizon, tolerance):
+def _walk_matrix_images(corpus, ops, walks):
+    """Count, into ``walks``, the norms of each member of the dense
+    ``corpus`` and of its images under the matrix operators ``ops`` not
+    counted yet, from one read of each chunk of the member's rows."""
+    names = [op.describe() for op in ops]
+    for member in corpus.members:
+        key = (corpus.version, member.label)
+        # None stands for the member itself
+        wanted = {key: None, **{(name, *key): op.a for name, op in zip(names, ops)}}
+        wanted = {k: a for k, a in wanted.items() if k not in walks.counts}
+        if not wanted:
+            continue
+        chunks = sequences.matrix_sweep_chunks(member, list(wanted.values()), walks.horizon)
+        for k, counts in zip(wanted, stanalysis.norm_counts_of(chunks, len(wanted), walks.horizon)):
+            walks.keep(k, counts)
+
+
+def check_finite_dim_all_bounded(horizon, tolerance, walks):
     """20 seeded random matrices on R^d (d <= 8) all classify st-bounded."""
     rng = np.random.default_rng(7)
-    outcomes = []
+    ops = []
     for i in range(20):
         d = int(rng.integers(1, 9))
-        a = rng.normal(size=(d, d))
-        _, ok, detail = _consistent(matrix_operator(a), ("st_bounded",), horizon, tolerance)
-        outcomes.append((f"seeded_matrix_{i}(d={d})", ok, detail))
+        ops.append((f"seeded_matrix_{i}(d={d})", matrix_operator(rng.normal(size=(d, d)))))
+    for d in sorted({op.domain.dim for _, op in ops}):
+        _walk_matrix_images(dense_corpus(d), [op for _, op in ops if op.domain.dim == d], walks)
+    outcomes = []
+    for label, op in ops:
+        _, ok, detail = _consistent(op, ("st_bounded",), horizon, tolerance, walks)
+        outcomes.append((label, ok, detail))
     return outcomes, "every matrix operator on a finite-dimensional space is st-bounded", {}
 
 
@@ -395,7 +480,7 @@ def _find_ratio_bound(op, corpus, horizon, tolerance, start):
     return None, _RATIO_DOUBLINGS
 
 
-def check_ratio_bound(horizon, tolerance):
+def check_ratio_bound(horizon, tolerance, walks):
     """Doubling search finds M with ||Sx_n|| <= M ||x_n|| on almost all n,
     within a factor 2 of the probe estimate for small matrices."""
     rng = np.random.default_rng(40)
@@ -476,11 +561,11 @@ def _iff_operator_pool():
     ]
 
 
-def check_bounded_iff_continuous(horizon, tolerance):
+def check_bounded_iff_continuous(horizon, tolerance, walks):
     """st_bounded and st_continuous classification outcomes agree per operator."""
     outcomes = []
     for op in _iff_operator_pool():
-        b, c = _classify(op, ("st_bounded", "st_continuous"), horizon, tolerance)
+        b, c = _classify(op, ("st_bounded", "st_continuous"), horizon, tolerance, walks)
         ok = b.outcome == c.outcome
         detail = "" if ok else f"st_bounded {b.outcome} vs st_continuous {c.outcome}"
         outcomes.append((op.describe(), ok, detail))
@@ -507,7 +592,7 @@ def _compact_composition_pool():
     return [operators.compose(s, t), operators.compose(t, r)]
 
 
-def check_compact_norm_limit(horizon, tolerance):
+def check_compact_norm_limit(horizon, tolerance, walks):
     """Finite-rank truncations converge to the reciprocal diagonal in operator
     norm with probe exactly 1/(m+1), and the limit classifies compact-consistent."""
     s = named_diagonal("inverse")
@@ -530,13 +615,13 @@ def check_compact_norm_limit(horizon, tolerance):
         detail = "" if ok else f"norm probe {probe!r} vs expected {expected!r}"
         outcomes.append((f"truncation m={m}", ok, detail))
         data["probes"].append({"m": m, "probe": probe, "expected": expected})
-    outcomes.append(_consistent(s, ("st_compact",), horizon, tolerance))
+    outcomes.append(_consistent(s, ("st_compact",), horizon, tolerance, walks))
     return outcomes, "operator-norm limits of st-compact operators are st-compact", data
 
 
-def check_unbounded_functional_not_compact(horizon, tolerance):
+def check_unbounded_functional_not_compact(horizon, tolerance, walks):
     op = rank_one(linear_growth_functional(), _e(1))
-    report = classify(op, "st_compact", horizon, tolerance)
+    report, = _classify(op, ("st_compact",), horizon, tolerance, walks)
     ok = report.outcome == "refuted" and len(report.witnesses) >= 1
     detail = "" if ok else f"outcome {report.outcome} with {len(report.witnesses)} witnesses"
     return ([(op.describe(), ok, detail)],
@@ -544,11 +629,12 @@ def check_unbounded_functional_not_compact(horizon, tolerance):
             {"witnesses": [label for label, _ in report.witnesses]})
 
 
-def check_weak_equiv(horizon, tolerance):
+def check_weak_equiv(horizon, tolerance, walks):
     """Functional-probe boundedness agrees with norm boundedness member by member."""
+    corpus = cauchy_corpus()
     outcomes = []
-    for member in cauchy_corpus().members:
-        strong = st_bounded(member, horizon=horizon, tolerance=tolerance)
+    for member in corpus.members:
+        strong = bounded_verdict(walks.norms(member, (corpus.version, member.label))(), tolerance)
         weak = weakly_st_bounded(member, horizon=horizon, tolerance=tolerance)
         ok = strong.decision == weak.decision
         detail = "" if ok else f"strong {strong.decision} vs weak {weak.decision}"
@@ -573,13 +659,15 @@ def harmonic_candidate_family():
     return family
 
 
-def check_cauchy_suite(horizon, tolerance):
+def check_cauchy_suite(horizon, tolerance, walks):
     """Convergence/Cauchy agreement on the dense corpus plus the sparse
     separating example."""
+    corpus = cauchy_corpus()
     outcomes = []
-    for member in cauchy_corpus().members:
+    for member in corpus.members:
         vc = st_cauchy(member, horizon=horizon, tolerance=tolerance)
-        vs = st_converges_search(member, horizon=horizon, tolerance=tolerance)
+        vs = converges_search(member, walks.norms(member, (corpus.version, member.label)),
+                              horizon=horizon, tolerance=tolerance)
         contradiction = {vc.decision, vs.decision} == {"confirmed", "refuted"}
         ok = not contradiction
         if vs.decision == "confirmed" and vc.decision == "refuted":
@@ -603,13 +691,13 @@ def check_cauchy_suite(horizon, tolerance):
     return outcomes, "convergence implies Cauchy; the sparse prefix sequence separates them", {}
 
 
-def check_prime_scaling_readings(horizon, tolerance):
+def check_prime_scaling_readings(horizon, tolerance, walks):
     """The prime-scaling example admits two formalizations with opposite
     st-boundedness outcomes; both are checked and the discrepancy recorded."""
     transform = prime_position_transform()
     diag = named_diagonal("prime_scale")
-    rep_t = classify(transform, "st_bounded", horizon, tolerance)
-    rep_d = classify(diag, "st_bounded", horizon, tolerance)
+    rep_t, = _classify(transform, ("st_bounded",), horizon, tolerance, walks)
+    rep_d, = _classify(diag, ("st_bounded",), horizon, tolerance, walks)
     t_ok = rep_t.outcome == "consistent"
     d_ok = rep_d.outcome == "refuted" and any(
         label == "prime_coords" for label, _ in rep_d.witnesses
@@ -631,8 +719,9 @@ def check_prime_scaling_readings(horizon, tolerance):
     return outcomes, notes, data
 
 
-# Each check maps ``(horizon, tolerance)`` to ``(outcomes, notes, data)``,
-# where an outcome is an ``(instance label, ok, detail)`` triple.
+# Each check maps ``(horizon, tolerance, walks)`` to ``(outcomes, notes,
+# data)``, where an outcome is an ``(instance label, ok, detail)`` triple and
+# ``walks`` is the run's :class:`_Walks`.
 _SUITE = {
     "bounded_inclusion": _all_consistent(
         _norm_bounded_operator_pool, ("st_bounded", "n_st_bounded"),
@@ -667,7 +756,11 @@ def check_theorem(check, horizon=DEFAULT_CLASSIFY_HORIZON,
     """Run one named suite check."""
     if check not in _SUITE:
         raise ValueError(f"unknown check {check!r}; expected one of {SUITE_CHECKS}")
-    outcomes, notes, data = _SUITE[check](int(horizon), tolerance)
+    return _check(check, int(horizon), tolerance, _Walks(int(horizon)))
+
+
+def _check(check, horizon, tolerance, walks):
+    outcomes, notes, data = _SUITE[check](horizon, tolerance, walks)
     failures = tuple({"instance": label, "detail": detail}
                      for label, ok, detail in outcomes if not ok)
     return TheoremCheckResult(check, len(outcomes), sum(1 for _, ok, _ in outcomes if ok),
@@ -675,8 +768,9 @@ def check_theorem(check, horizon=DEFAULT_CLASSIFY_HORIZON,
 
 
 def run_suite(horizon=DEFAULT_CLASSIFY_HORIZON, tolerance=DEFAULT_CLASSIFY_TOLERANCE):
-    """Run every suite check in fixed order."""
-    return tuple(check_theorem(name, horizon, tolerance) for name in SUITE_CHECKS)
+    """Run every suite check in fixed order, sharing one :class:`_Walks`."""
+    walks = _Walks(int(horizon))
+    return tuple(_check(name, int(horizon), tolerance, walks) for name in SUITE_CHECKS)
 
 
 def suite_passed(results):

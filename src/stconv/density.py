@@ -406,22 +406,23 @@ def count_table(blocks, cps):
     """Exact counts of a streamed table of masks at the increasing checkpoints ``cps``.
 
     ``blocks`` yields ``(size, masks)`` for consecutive chunks of the indices
-    ``1, 2, ...``: ``masks`` holds, for each row of the table, a boolean
-    array of ``size`` entries, or None where the row holds nowhere in the
-    chunk (it is then counted without a scan).  Row ``r`` of the result is
-    ``|{k <= c : row r holds at k}|`` at each checkpoint ``c``, summed chunk
-    by chunk into Python integers; the stream is read up to ``cps[-1]``.
+    ``1, 2, ...``: ``masks`` yields, for each row of the table in turn, a
+    boolean array of ``size`` entries, or None where the row holds nowhere
+    in the chunk (it is then counted without a scan); each mask can go once
+    it is counted.  Row ``r`` of the result is ``|{k <= c : row r holds at
+    k}|`` at each checkpoint ``c``, summed chunk by chunk into Python
+    integers; the stream is read up to ``cps[-1]``.
     """
-    table = totals = None
+    table, totals = [], []
     lo = j = 0   # the next chunk starts at index lo + 1; cps[j] is the next checkpoint
     for size, masks in blocks:
-        if table is None:
-            table = [[0] * len(cps) for _ in masks]
-            totals = [0] * len(masks)
         first = j
         while j < len(cps) and cps[j] <= lo + size:
             j += 1
         for r, mask in enumerate(masks):
+            if r == len(table):
+                table.append([0] * len(cps))
+                totals.append(0)
             start = 0
             for i in range(first, j):
                 end = cps[i] - lo

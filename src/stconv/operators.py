@@ -186,10 +186,12 @@ class FiniteRank(OperatorSpec):
         return total
 
     def image_structure(self, seq):
+        fs = tuple(f for f, _ in self.pieces)
+
         def coeffs(ns):
-            # each functional walks a prefix parent once, all of them in step
-            cols = [seq.structure.functional(seq, f, ns) for f, _ in self.pieces]
-            return (np.stack(chunk, axis=1) for chunk in zip(*cols))
+            # one walk of the sequence evaluates every functional on each chunk
+            return (np.stack(list(values), axis=1)
+                    for values in seq.structure.functionals(seq, fs, ns))
 
         basis = tuple(y0 for _, y0 in self.pieces)
         if self.codomain.kind == "dense":

@@ -41,6 +41,7 @@ evaluation strategy, never a second source of truth.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -145,10 +146,20 @@ class Structure:
                 return element_norm(sub(gen(n), candidate))
         return (np.asarray([term(n) for n in c.tolist()], dtype=float) for c in ns)
 
-    def functional(self, seq, f, ns):
-        """``f(x_n)`` at ``n`` in ``ns``; ``f`` is an ``operators.FunctionalSpec``."""
+    def functionals(self, seq, fs, ns):
+        """``f(x_n)`` at ``n`` in ``ns`` for each ``f`` of ``fs``
+        (``operators.FunctionalSpec`` objects): per chunk, an iterable of
+        fresh arrays, one per functional in order, which the caller may
+        overwrite and reads before it asks for the next chunk.  Every
+        functional reads the chunk's terms as they are made once."""
         gen = seq.generator
-        return (np.asarray([f.evaluate(gen(n)) for n in c.tolist()], dtype=float) for c in ns)
+        for c in ns:
+            out = np.empty((len(fs), len(c)))
+            for i, n in enumerate(c.tolist()):
+                x = gen(n)
+                for r, f in enumerate(fs):
+                    out[r, i] = f.evaluate(x)
+            yield tuple(out)
 
     def median(self, seq, ns):
         """Coordinatewise median of the terms at the sample indices ``ns``."""
@@ -189,15 +200,21 @@ class Structure:
 
 @dataclass(frozen=True)
 class SingleSupport(Structure):
-    """Sparse ``x_n = value_of(n) * e_{index_of(n)}``; ``index_of(ns)`` and
-    ``value_of(ns)`` yield their arrays for each chunk of the stream ``ns``."""
+    """Sparse ``x_n = v_n * e_{i_n}``: ``terms(ns)`` yields the arrays ``(i, v)``
+    of each chunk of the stream ``ns``, so a walk maps each chunk's positions
+    once.  ``support`` is the ``terms`` of the sequence whose support these
+    indices are (None: this one's own); operator images of one sequence share it."""
 
-    index_of: Callable
-    value_of: Callable
+    terms: Callable
+    support: Optional[Callable] = None
+
+    @property
+    def _support(self):
+        return self.support or self.terms
 
     def sweep(self, seq, candidate, ns):
         if candidate is None or not len(candidate.indices):
-            return (np.abs(v.astype(float)) for v in self.value_of(ns))
+            return (np.abs(val.astype(float)) for _, val in self.terms(ns))
         cidx, cval = candidate.indices, candidate.values
         acv = np.abs(cval)
         top = int(np.argmax(acv))
@@ -212,42 +229,43 @@ class SingleSupport(Structure):
             c_at = np.where(cidx[pos] == idx, cval[pos], 0.0)
             return np.maximum(np.abs(val - c_at), off)
 
-        return map(distances, self.index_of(ns), self.value_of(ns))
+        return itertools.starmap(distances, self.terms(ns))
 
-    def functional(self, seq, f, ns):
-        return (f.weights(idx) * val.astype(float)
-                for idx, val in zip(self.index_of(ns), self.value_of(ns)))
+    def functionals(self, seq, fs, ns):
+        for idx, val in self.terms(ns):
+            val = val.astype(float)
+            yield tuple(f.weights(idx) * val for f in fs)
 
     def median(self, seq, ns):
-        samples = Stream.of(ns)
-        return _sparse_median(_joined(self.index_of(samples)), _joined(self.value_of(samples)),
+        terms = list(self.terms(Stream.of(ns)))
+        return _sparse_median(_joined(idx for idx, _ in terms), _joined(val for _, val in terms),
                               np.arange(len(ns)), len(ns))
 
     def diagonal_image(self, dfun, apply_to):
         return SingleSupport(
-            self.index_of,
-            lambda ns: (dfun(idx).astype(float) * val
-                        for idx, val in zip(self.index_of(ns), self.value_of(ns))),
+            lambda ns: ((idx, dfun(idx).astype(float) * val) for idx, val in self.terms(ns)),
+            self._support,
         )
 
     def rescaled(self, seq, scale_of):
         return SingleSupport(
-            self.index_of, lambda ns: (scale_of(c) * val for c, val in zip(ns, self.value_of(ns))),
+            lambda ns: ((idx, scale_of(c) * val) for c, (idx, val) in zip(ns, self.terms(ns))),
+            self._support,
         )
 
     def combined(self, other, alpha, beta):
         # only terms on one shared support index add up to a single support;
-        # operator images of one sequence share the ``index_of`` object
-        if type(other) is not SingleSupport or other.index_of is not self.index_of:
+        # operator images of one sequence share its ``support``
+        if type(other) is not SingleSupport or other._support is not self._support:
             return super().combined(other, alpha, beta)
         return SingleSupport(
-            self.index_of,
-            lambda ns: (alpha * a + beta * b for a, b in zip(self.value_of(ns), other.value_of(ns))),
+            lambda ns: ((idx, alpha * a + beta * b)
+                        for (idx, a), (_, b) in zip(self.terms(ns), other.terms(ns))),
+            self._support,
         )
 
     def reindexed(self, seq, at):
-        return SingleSupport(lambda ns: self.index_of(ns.along(at)),
-                             lambda ns: self.value_of(ns.along(at)))
+        return SingleSupport(lambda ns: self.terms(ns.along(at)))
 
 
 @dataclass(frozen=True)
@@ -260,17 +278,21 @@ class PrefixValues(Structure):
     def _walk(ns, step):
         """``step`` over ``1, 2, ..``, one span of at most ``_CHUNK`` consecutive
         indices at a time and in order (so it may carry state across spans),
-        read at each chunk of ``ns`` and walked no further than its last index."""
-        vals, top = np.empty(0), 0        # vals holds step's values at top - len(vals) + 1 .. top
+        read at each chunk of ``ns`` and walked no further than its last index.
+        ``step`` returns its values along the last axis, so a 2-d result
+        gives one row per quantity and each chunk is read as rows too."""
+        vals, top = None, 0               # vals holds step's values at top - width + 1 .. top
         for c in ns:
-            out = np.empty(len(c))
+            out = None
             at = 0
             while at < len(c):
                 if c[at] > top:
                     lo, top = top, min(top + _CHUNK, int(c[-1]))
                     vals = step(np.arange(lo + 1, top + 1, dtype=np.int64))
+                if out is None:
+                    out = np.empty(vals.shape[:-1] + (len(c),))
                 end = at + int(np.searchsorted(c[at:], top, side="right"))
-                out[at:end] = vals[c[at:end] - (top - len(vals) + 1)]
+                out[..., at:end] = vals[..., c[at:end] - (top - vals.shape[-1] + 1)]
                 at = end
             yield out
 
@@ -305,21 +327,26 @@ class PrefixValues(Structure):
 
         return self._walk(ns, step)
 
-    def functional(self, seq, f, ns):
-        # the running sum is carried into the first term of the next span,
-        # so the partial sums are those of one cumsum over 1..ns[-1]
+    def functionals(self, seq, fs, ns):
+        # each running sum is carried into the first term of the next span,
+        # so the partial sums are those of one cumsum over 1..ns[-1]; the
+        # span's values are made once for every functional, one row each
         carry = None
 
         def step(ks):
             nonlocal carry
-            terms = f.weights(ks) * self.value_of(ks).astype(float)
-            if carry is not None:
-                terms[0] += carry
-            np.cumsum(terms, out=terms)
-            carry = terms[-1]
-            return terms
+            vals = self.value_of(ks).astype(float)
+            rows = np.empty((len(fs), len(ks)))
+            for r, f in enumerate(fs):
+                terms = rows[r]
+                np.multiply(f.weights(ks), vals, out=terms)
+                if carry is not None:
+                    terms[0] += carry[r]
+                np.cumsum(terms, out=terms)
+            carry = rows[:, -1].copy()
+            return rows
 
-        return self._walk(ns, step)
+        return (tuple(rows) for rows in self._walk(ns, step))
 
     def median(self, seq, ns):
         # prefix supports are nested: coordinate k is nonzero exactly in the
@@ -383,9 +410,9 @@ class FixedBasisCombo(Structure):
 
         return map(distances, self.coeffs(ns))
 
-    def functional(self, seq, f, ns):
-        fvec = np.asarray([f.evaluate(b) for b in self.basis])
-        return (coeff @ fvec for coeff in self.coeffs(ns))
+    def functionals(self, seq, fs, ns):
+        fvecs = [np.asarray([f.evaluate(b) for b in self.basis]) for f in fs]
+        return (tuple(coeff @ fvec for fvec in fvecs) for coeff in self.coeffs(ns))
 
     def median(self, seq, ns):
         # coordinatewise over the support: basis supports may overlap
@@ -431,16 +458,19 @@ class DenseBlock(Structure):
         c = None if candidate is None else np.asarray(candidate.coords)
         return (_block_norms(block, c) for block in self.rows(ns))
 
-    def functional(self, seq, f, ns):
-        return (block @ f.weights_upto(block.shape[1]) for block in self.rows(ns))
+    def functionals(self, seq, fs, ns):
+        ws = None
+        for block in self.rows(ns):
+            if ws is None:
+                ws = [f.weights_upto(block.shape[1]) for f in fs]
+            # made as they are read, so a walk of many functionals holds one
+            yield map(block.__matmul__, ws)
 
     def median(self, seq, ns):
         return spaces.dense_element(np.median(self.block_of(ns), axis=0))
 
     def matrix_image(self, a):
-        # a C-ordered copy of a.T: the same bits as ``block @ a.T``, and
-        # several times faster on narrow blocks
-        at = np.ascontiguousarray(a.T)
+        at = _transposed(a)
         return DenseBlock(lambda ns: (block @ at for block in self.rows(ns)))
 
     def rescaled(self, seq, scale_of):
@@ -474,8 +504,8 @@ class Reindexed(Structure):
     def sweep(self, seq, candidate, ns):
         return self.parent.structure.sweep(self.parent, candidate, ns.along(self.at))
 
-    def functional(self, seq, f, ns):
-        return self.parent.structure.functional(self.parent, f, ns.along(self.at))
+    def functionals(self, seq, fs, ns):
+        return self.parent.structure.functionals(self.parent, fs, ns.along(self.at))
 
     def median(self, seq, ns):
         return self.parent.structure.median(self.parent, self.at(ns))
@@ -499,9 +529,11 @@ class Scaled(Structure):
         base = self.parent.structure.sweep(self.parent, None, ns)
         return (b * np.abs(self.scale_of(c).astype(float)) for c, b in zip(ns, base))
 
-    def functional(self, seq, f, ns):
-        base = self.parent.structure.functional(self.parent, f, ns)
-        return (b * self.scale_of(c).astype(float) for c, b in zip(ns, base))
+    def functionals(self, seq, fs, ns):
+        base = self.parent.structure.functionals(self.parent, fs, ns)
+        for c, values in zip(ns, base):
+            scale = self.scale_of(c).astype(float)
+            yield tuple(b * scale for b in values)
 
 
 @dataclass(frozen=True)
@@ -533,8 +565,8 @@ def zero_sequence(space):
         dim = space.dim
         structure = DenseBlock(_pointwise(lambda ns: np.zeros((len(ns), dim))))
     else:
-        structure = SingleSupport(_pointwise(lambda ns: np.ones(len(ns), dtype=np.int64)),
-                                  _pointwise(lambda ns: np.zeros(len(ns))))
+        structure = SingleSupport(_pointwise(lambda ns: (np.ones(len(ns), dtype=np.int64),
+                                                         np.zeros(len(ns)))))
     return SequenceSpec(lambda n: z, space, "zero", structure=structure, norm_bound=0.0)
 
 
@@ -569,7 +601,7 @@ def harmonic_prefix_sequence():
 
 
 def unit_coordinate_sequence():
-    structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(lambda ns: np.ones(len(ns))))
+    structure = SingleSupport(_pointwise(lambda ns: (ns, np.ones(len(ns)))))
     return SequenceSpec(
         lambda n: spaces.sparse_from_arrays([n], [1.0]), sparse_space(), "unit_coords",
         structure=structure, norm_bound=1.0,
@@ -583,8 +615,7 @@ def prime_coordinate_sequence():
 
 def damped_unit_coordinate_sequence():
     """Coordinate vectors shrunk to norm ``1/sqrt(n)``: norm-null but spread out."""
-    structure = SingleSupport(_pointwise(lambda ns: ns),
-                              _pointwise(lambda ns: 1.0 / np.sqrt(ns.astype(float))))
+    structure = SingleSupport(_pointwise(lambda ns: (ns, 1.0 / np.sqrt(ns.astype(float)))))
     return SequenceSpec(
         lambda n: spaces.sparse_from_arrays([n], [1.0 / math.sqrt(n)]),
         sparse_space(), "damped_unit_coords",
@@ -655,7 +686,7 @@ def spike_sequence(space, spikes, magnitude=None, label=None):
         def gen(n):
             return spaces.sparse_from_arrays([n], [mag_at(n)])
 
-        structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(spiked))
+        structure = SingleSupport(_pointwise(lambda ns: (ns, spiked(ns))))
     else:
         dim = space.dim
 
@@ -782,7 +813,7 @@ def random_unit_ball(space, seed):
         def gen(n):
             return spaces.sparse_from_arrays([n], value_of([n]))
 
-        structure = SingleSupport(_pointwise(lambda ns: ns), _pointwise(value_of))
+        structure = SingleSupport(_pointwise(lambda ns: (ns, value_of(ns))))
 
     return SequenceSpec(
         gen, space, f"random_ball_{seed}",
@@ -831,6 +862,12 @@ def subsequence(seq, along):
 # ---------------------------------------------------------------------------
 # sweep engine
 # ---------------------------------------------------------------------------
+
+def _transposed(a):
+    """A C-ordered copy of ``a.T``: ``block @`` it has the bits of ``block @ a.T``,
+    and is several times faster on narrow blocks."""
+    return np.ascontiguousarray(a.T)
+
 
 def _abs_rowmax(rows):
     """``max_j |rows[:, j]|`` per row, folded in one column at a time.
@@ -894,9 +931,24 @@ def sweep_chunks(seq, candidate, horizon):
     return seq.structure.sweep(seq, candidate, Stream(int(horizon)))
 
 
-def functional_chunks(f, seq, horizon):
-    """``f(x_n)`` for ``n = 1..horizon``, one array per chunk, as the sequence's structure answers it."""
-    return seq.structure.functional(seq, f, Stream(int(horizon)))
+def functional_chunks(fs, seq, horizon):
+    """``f(x_n)`` for ``n = 1..horizon`` and each ``f`` of ``fs``, as the
+    sequence's structure answers it from one walk: per chunk, an iterable
+    of arrays, one per functional in order."""
+    return seq.structure.functionals(seq, tuple(fs), Stream(int(horizon)))
+
+
+def matrix_sweep_chunks(seq, mats, horizon):
+    """``||a x_n||`` for ``n = 1..horizon`` and each matrix ``a`` of ``mats``
+    (``||x_n||`` where it is None), one tuple of arrays per chunk, reading
+    each chunk of the dense rows of ``seq`` (a :class:`DenseBlock`) once.
+
+    Each array has the bits of the norm sweep of the image of ``seq`` under
+    ``a``, whose rows are ``block @ a.T`` too.
+    """
+    ats = [None if a is None else _transposed(a) for a in mats]
+    return (tuple(_block_norms(block if at is None else block @ at) for at in ats)
+            for block in seq.structure.rows(Stream(int(horizon))))
 
 
 # ---------------------------------------------------------------------------
@@ -1032,4 +1084,5 @@ __all__ = [
     "parse_sequence_at",
     "sweep_chunks",
     "functional_chunks",
+    "matrix_sweep_chunks",
 ]

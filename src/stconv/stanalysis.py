@@ -7,7 +7,9 @@ to a horizon, and the resulting density profile is judged confirmed /
 refuted / inconclusive.  The counts are folded chunk by chunk from the
 sequence's sweep (``density.count_table``), every threshold of a grid or
 probe ladder in the same pass, so no verdict holds a horizon-length sweep or
-mask.
+mask.  One walk of the norms (a :class:`NormCounts`) answers every norm
+verdict asked of a sequence together, and one walk of a sequence answers
+every probe functional of a weak verdict.
 Inconclusive is a first-class outcome; a finite horizon cannot decide a
 limit, so tests only pin down confirmed or refuted where the exceedance
 counts are analytically understood.
@@ -22,6 +24,7 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -128,18 +131,129 @@ def _normalized_grid(grid):
     return tuple(sorted(grid, reverse=True))
 
 
-def _exceedances(chunks, thresholds, strict, cps):
-    """Counts at the checkpoints ``cps`` of ``{n : v_n > t}`` (``>=`` unless
-    ``strict``) for each ``t`` of ``thresholds``, one row per threshold, over
-    the value chunks of ``v``.  A threshold that the chunk's largest value
-    does not reach counts zero there without a compare."""
-    def masks(v):
-        top = v.max()
-        if strict:
-            return len(v), [None if t >= top else v > t for t in thresholds]
-        return len(v), [None if t > top else v >= t for t in thresholds]
+def _ladder(probes):
+    probes = tuple(float(m) for m in probes)
+    if not probes or list(probes) != sorted(probes):
+        raise ValueError("probes must be a nonempty increasing ladder")
+    if not all(math.isfinite(m) for m in probes):
+        raise ValueError("probes must be finite")
+    return probes
 
-    return count_table(map(masks, chunks), cps)
+
+_DEFAULT_LADDER = _ladder(DEFAULT_PROBES)
+_DEFAULT_GRID = _normalized_grid(DEFAULT_EPS_GRID)
+
+
+@dataclass(frozen=True, slots=True)
+class NormCounts:
+    """What one walk of the values ``v_1..v_horizon`` (norms or distances)
+    tells the verdicts: at the checkpoints ``cps``, the counts of
+    ``{n : v_n > M}`` for each probe ``M`` of ``probes`` (``above``, one row
+    per probe) and of ``{n : v_n >= eps}`` for each ``eps`` of ``grid``
+    (``reach``), and the largest and smallest ``v_n`` past the first tenth
+    of the horizon (``top`` and ``bottom``, infinite where not asked for).
+
+    ``cps`` is None where nothing was counted: for ``norm_limit_zero``, and
+    for ``norm_counts`` where the default schedule has no checkpoint below
+    the horizon, so that its tail still answers; a verdict that needs the
+    counts then refuses the horizon as the schedule does.
+    """
+
+    horizon: int
+    cps: Optional[tuple]
+    probes: tuple = ()
+    above: tuple = ()
+    grid: tuple = ()
+    reach: tuple = ()
+    top: float = -math.inf
+    bottom: float = math.inf
+
+    def checkpoints(self):
+        if self.cps is None:
+            DEFAULT_SCHEDULE.checkpoints(self.horizon)    # raises, naming the horizon
+        return self.cps
+
+
+def _walk(chunks, k, horizon, cps, probes=(), grid=(), tail=False):
+    """The :class:`NormCounts` of each of ``k`` streams of non-negative
+    values ``v_1..v_horizon``, from one pass over ``chunks``, which yields
+    per chunk an iterable of ``k`` arrays, one per stream, read in turn.
+
+    Every threshold is counted in the same pass, ``v > M`` for the probes
+    and ``v >= eps`` for the grid; a threshold that the chunk's largest
+    value does not reach counts zero there without a compare.  With
+    ``tail``, the extremes past the first tenth are folded in too.  With
+    ``cps`` None nothing is counted.
+    """
+    start = horizon // 10     # the tail starts at this 0-based offset
+    extremes = [[-math.inf, math.inf] for _ in range(k)]
+
+    def masks(values, lo):
+        # one mask at a time, so that a walk of many streams holds one
+        for v, ext in zip(values, extremes):
+            peak = v.max()
+            if tail and lo + len(v) > start:
+                part = v[max(start - lo, 0):]
+                # np.maximum and np.minimum carry a NaN, as a max or min over the whole tail does
+                ext[0] = np.maximum(ext[0], part.max())
+                ext[1] = np.minimum(ext[1], part.min())
+            for m in probes:
+                yield None if m >= peak else v > m
+            for e in grid:
+                yield None if e > peak else v >= e
+
+    def blocks():
+        lo = 0
+        for values in chunks:
+            values = iter(values)
+            first = next(values)
+            size = len(first)
+            yield size, masks(itertools.chain([first], values), lo)
+            del first, values      # so the next chunk is made without this one
+            lo += size
+
+    if cps is None:
+        for _, rows in blocks():
+            for _ in rows:
+                pass
+        table = []
+    else:
+        table = count_table(blocks(), cps)
+        cps = tuple(cps)
+    width = len(probes) + len(grid)
+    out = []
+    for s, (top, bottom) in enumerate(extremes):
+        rows = [tuple(r) for r in table[s * width:(s + 1) * width]]
+        out.append(NormCounts(horizon, cps, probes, tuple(rows[:len(probes)]),
+                              grid, tuple(rows[len(probes):]), float(top), float(bottom)))
+    return out
+
+
+def _norm_walk(seq, horizon, cps, probes=(), grid=(), tail=False):
+    """The :class:`NormCounts` of ``||x_1||, .., ||x_horizon||``, from one walk."""
+    chunks = zip(sweep_chunks(seq, None, horizon))
+    return _walk(chunks, 1, horizon, cps, probes, grid, tail)[0]
+
+
+def norm_counts(seq, horizon=DEFAULT_ANALYSIS_HORIZON):
+    """Everything the norm verdicts at the default probes, grid and schedule
+    ask of ``||x_n||`` (``st_bounded``, ``st_converges`` to zero, the zero
+    candidate and the bounded fallback of ``st_converges_search``, and
+    ``norm_limit_zero``), from one walk of the norms."""
+    return norm_counts_of(zip(sweep_chunks(seq, None, horizon)), 1, horizon)[0]
+
+
+def norm_counts_of(chunks, k, horizon=DEFAULT_ANALYSIS_HORIZON):
+    """:func:`norm_counts` of ``k`` norm streams at once: ``chunks`` yields
+    one tuple of ``k`` arrays per chunk, one array per stream."""
+    horizon = int(horizon)
+    return _walk(chunks, k, horizon, _default_checkpoints(horizon), _DEFAULT_LADDER,
+                 _DEFAULT_GRID, tail=True)
+
+
+def _default_checkpoints(horizon):
+    """The default schedule's checkpoints, or None where it has none below ``horizon``."""
+    return DEFAULT_SCHEDULE.checkpoints(horizon) if DEFAULT_SCHEDULE.first < horizon else None
 
 
 def _zero_density_verdict(cps, counts, tolerance):
@@ -178,18 +292,25 @@ def st_converges(seq, candidate=None, grid=DEFAULT_EPS_GRID,
             f"candidate lives in {spaces.space_of(candidate).describe()}, "
             f"sequence in {seq.space.describe()}"
         )
-    dists = sweep_chunks(seq, candidate, horizon)
-    cps = schedule.checkpoints(horizon)
+    dists = zip(sweep_chunks(seq, candidate, horizon))
+    counts, = _walk(dists, 1, horizon, schedule.checkpoints(horizon), grid=grid)
+    return convergence_verdict(counts, candidate, tolerance)
+
+
+def convergence_verdict(counts, candidate, tolerance=DEFAULT_ST_TOLERANCE):
+    """The convergence verdict to ``candidate`` from the ``reach`` counts of
+    its distances (of the norms for the zero candidate)."""
+    cps = counts.checkpoints()
     reports = []
     witness = None
-    for eps, counts in zip(grid, _exceedances(dists, grid, False, cps)):
-        verdict = _zero_density_verdict(cps, counts, tolerance)
+    for eps, row in zip(counts.grid, counts.reach):
+        verdict = _zero_density_verdict(cps, row, tolerance)
         reports.append(EpsilonReport(eps, verdict))
         if verdict.decision == "refuted" and witness is None:
             witness = {"epsilon": eps, "checkpoint": verdict.witness}
     return StVerdict(
-        "convergence", _overall(r.decision for r in reports), horizon, grid, tuple(reports),
-        limit=candidate, witness=witness,
+        "convergence", _overall(r.decision for r in reports), counts.horizon, counts.grid,
+        tuple(reports), limit=candidate, witness=witness,
     )
 
 
@@ -204,7 +325,10 @@ def st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
 
     Refuted only when the largest probe still yields a refuted-zero verdict.
     """
-    return _bounded(sweep_chunks(seq, None, horizon), probes, horizon, tolerance, schedule)
+    horizon = int(horizon)
+    probes = _ladder(probes)
+    return bounded_verdict(_norm_walk(seq, horizon, schedule.checkpoints(horizon), probes),
+                           tolerance)
 
 
 def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
@@ -219,31 +343,33 @@ def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
     values = np.asarray(xs, dtype=float)
     if len(values) < horizon:
         raise ValueError(f"need {horizon} values, got {len(values)}")
-    return _bounded([values[:horizon]], probes, horizon, tolerance, schedule)
+    probes = _ladder(probes)
+    counts, = _walk([(np.abs(values[:horizon]),)], 1, horizon, schedule.checkpoints(horizon),
+                    probes)
+    return bounded_verdict(counts, tolerance)
 
 
-def _bounded(chunks, probes, horizon, tolerance, schedule):
-    """The boundedness verdict over the value chunks of ``x_1..x_horizon``;
+def bounded_verdict(counts, tolerance=DEFAULT_ST_TOLERANCE):
+    """The boundedness verdict from the ``above`` counts of the probe ladder;
     every bounded kind ends here."""
-    horizon = int(horizon)
-    probes = tuple(float(m) for m in probes)
-    if not probes or list(probes) != sorted(probes):
-        raise ValueError("probes must be a nonempty increasing ladder")
-    if not all(math.isfinite(m) for m in probes):
-        raise ValueError("probes must be finite")
-    cps = schedule.checkpoints(horizon)
-    table = _exceedances((np.abs(v) for v in chunks), probes, True, cps)
+    cps = counts.checkpoints()
     reports = []
-    for m, counts in zip(probes, table):
-        verdict = _zero_density_verdict(cps, counts, tolerance)
+    for m, row in zip(counts.probes, counts.above):
+        verdict = _zero_density_verdict(cps, row, tolerance)
         reports.append(EpsilonReport(m, verdict))
         if verdict.decision == "confirmed":
-            return StVerdict("bounded", "confirmed", horizon, probes, tuple(reports), bound=m)
+            return StVerdict("bounded", "confirmed", counts.horizon, counts.probes,
+                             tuple(reports), bound=m)
     last = reports[-1]
     witness = None
     if last.decision == "refuted":
         witness = {"probe": last.epsilon, "checkpoint": last.verdict.witness}
-    return StVerdict("bounded", last.decision, horizon, probes, tuple(reports), witness=witness)
+    return StVerdict("bounded", last.decision, counts.horizon, counts.probes, tuple(reports),
+                     witness=witness)
+
+
+def _magnitudes(values):
+    return (np.abs(v, out=v) for v in values)
 
 
 def _weak_probe_functionals(dim):
@@ -264,12 +390,18 @@ def weakly_st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZ
     the one for the deciding functional (the first refuting one, otherwise
     the one needing the largest confirmed probe when all confirm, otherwise
     the first inconclusive one); the witness names it unless all confirm.
+    One walk of the sequence evaluates every functional on each chunk.
     """
     if seq.space.kind != "dense":
         raise ValueError("weak boundedness probes require a dense space")
+    horizon = int(horizon)
+    probes = _ladder(probes)
+    cps = schedule.checkpoints(horizon)
+    fs = _weak_probe_functionals(seq.space.dim)
+    chunks = map(_magnitudes, functional_chunks(fs, seq, horizon))
     results = []
-    for f in _weak_probe_functionals(seq.space.dim):
-        verdict = _bounded(functional_chunks(f, seq, horizon), probes, horizon, tolerance, schedule)
+    for f, counts in zip(fs, _walk(chunks, len(fs), horizon, cps, probes)):
+        verdict = bounded_verdict(counts, tolerance)
         results.append((f, verdict))
         if verdict.decision == "refuted":
             break
@@ -322,9 +454,9 @@ def st_cauchy(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
         open_eps = [i for i, r in enumerate(found) if r is None]
         if not open_eps:
             break
-        dists = sweep_chunks(seq, seq.generator(a), horizon)
-        table = _exceedances(dists, [grid[i] for i in open_eps], False, cps)
-        for i, counts in zip(open_eps, table):
+        dists = zip(sweep_chunks(seq, seq.generator(a), horizon))
+        reach = _walk(dists, 1, horizon, cps, grid=[grid[i] for i in open_eps])[0].reach
+        for i, counts in zip(open_eps, reach):
             verdict = _zero_density_verdict(cps, counts, tolerance)
             per_anchor[i].append((a, verdict))
             if verdict.decision == "confirmed":
@@ -387,18 +519,39 @@ def st_converges_search(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HOR
     candidate.  Returns the first confirmed verdict; refutes when every
     candidate refutes, or when the sequence is not even st-bounded (an
     st-convergent sequence is st-bounded, so a refuted boundedness verdict
-    refutes convergence outright; the witness records that reason).
+    refutes convergence outright; the witness records that reason).  One
+    walk of the norms answers both the zero candidate and that boundedness
+    verdict.
     """
     horizon = int(horizon)
+
+    def norms():
+        return _norm_walk(seq, horizon, schedule.checkpoints(horizon),
+                          _DEFAULT_LADDER, _normalized_grid(grid))
+
+    return converges_search(seq, norms, grid, horizon, tolerance, schedule)
+
+
+def converges_search(seq, norms, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
+                     tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
+    """:func:`st_converges_search`, with ``norms()`` the :class:`NormCounts`
+    of the norms at the default probes and at ``grid``; it is asked only
+    after the candidates are found."""
+    horizon = int(horizon)
+    candidates = find_limit_candidates(seq, horizon)
     verdicts = []
-    for cand in find_limit_candidates(seq, horizon):
-        v = st_converges(seq, cand, grid, horizon, tolerance, schedule)
+    for cand in candidates:
+        if cand is candidates[0]:          # zero, whose distances are the norms
+            counts = norms()
+            v = convergence_verdict(counts, cand, tolerance)
+        else:
+            v = st_converges(seq, cand, grid, horizon, tolerance, schedule)
         if v.decision == "confirmed":
             return v
         verdicts.append(v)
     if all(v.decision == "refuted" for v in verdicts):
         return verdicts[0]
-    bounded = st_bounded(seq, horizon=horizon, tolerance=tolerance, schedule=schedule)
+    bounded = bounded_verdict(counts, tolerance)
     if bounded.decision == "refuted":
         base = verdicts[0]
         return StVerdict(
@@ -421,18 +574,14 @@ def norm_limit_zero(seq, horizon=DEFAULT_ANALYSIS_HORIZON, tolerance=DEFAULT_ST_
     land here).
     """
     horizon = int(horizon)
-    start = horizon // 10     # the tail starts at this 0-based offset
-    top, bottom = -math.inf, math.inf
-    lo = 0
-    for norms in sweep_chunks(seq, None, horizon):
-        tail = norms[max(start - lo, 0):]
-        if len(tail):
-            # np.maximum and np.minimum carry a NaN, as a max or min over the whole tail does
-            top, bottom = np.maximum(top, tail.max()), np.minimum(bottom, tail.min())
-        lo += len(norms)
-    if float(top) <= tolerance:
+    return norm_limit_decision(_norm_walk(seq, horizon, None, tail=True), tolerance)
+
+
+def norm_limit_decision(counts, tolerance=DEFAULT_ST_TOLERANCE):
+    """The :func:`norm_limit_zero` decision from the tail extremes of the norms."""
+    if counts.top <= tolerance:
         return "confirmed"
-    if float(bottom) >= 2 * tolerance:
+    if counts.bottom >= 2 * tolerance:
         return "refuted"
     return "inconclusive"
 
@@ -454,4 +603,11 @@ __all__ = [
     "find_limit_candidates",
     "st_converges_search",
     "norm_limit_zero",
+    "NormCounts",
+    "norm_counts",
+    "norm_counts_of",
+    "bounded_verdict",
+    "convergence_verdict",
+    "converges_search",
+    "norm_limit_decision",
 ]

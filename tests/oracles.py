@@ -156,6 +156,12 @@ def joined(chunks):
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
+def functional_values(f, seq, horizon):
+    """``f(x_n)`` for ``n = 1..horizon`` as one array, from a walk for ``f`` alone."""
+    from stconv import sequences
+    return joined(values for values, in sequences.functional_chunks((f,), seq, horizon))
+
+
 def membership_mask(s, n):
     """Entry ``k-1`` says whether ``k`` is in the index set ``s``, for ``k = 1..n``."""
     return s.mask(1, int(n))

@@ -149,7 +149,8 @@ def test_one_pass_matches_one_property_at_a_time(op, monkeypatch):
         return build_image(op_, member)
 
     monkeypatch.setattr(classify_module, "image_sequence", counted)
-    reports = classify_module._classify(op, PROPERTIES, REDUCED, 0.1)
+    reports = classify_module._classify(op, PROPERTIES, REDUCED, 0.1,
+                                        classify_module._Walks(REDUCED))
     assert len(images) == len(set(images)) <= len(corpus_for(op).members)
     for prop, report in zip(PROPERTIES, reports):
         alone = classify(op, prop, horizon=REDUCED)

@@ -40,10 +40,14 @@ def test_chunked_count_table_matches_the_joined_mask(chunk, data):
         mp.setattr(sequences, "_CHUNK", chunk)
         chunks = [values[c - 1] for c in sequences.Stream(horizon)]
     assert sum(map(len, chunks)) == horizon
-    got = stanalysis._exceedances(chunks, thresholds, strict, cps)
-    for t, counts in zip(thresholds, got):
+    counts, = stanalysis._walk(((c,) for c in chunks), 1, horizon, cps,
+                               thresholds if strict else (), () if strict else thresholds,
+                               tail=True)
+    for t, row in zip(thresholds, counts.above if strict else counts.reach):
         mask = values > t if strict else values >= t
-        assert tuple(counts) == oracles.cumsum_counts(mask, cps)
+        assert row == oracles.cumsum_counts(mask, cps)
+    tail = values[horizon // 10:]
+    assert (counts.top, counts.bottom) == (tail.max(), tail.min())
 
 
 def test_count_table_refuses_a_stream_short_of_the_horizon():

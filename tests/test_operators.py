@@ -90,7 +90,7 @@ def test_functional_sweep_matches_pointwise():
     ]
     for seq in seqs:
         for f in fns:
-            got = oracles.joined(sequences.functional_chunks(f, seq, 120))
+            got = oracles.functional_values(f, seq, 120)
             want = np.array([f.evaluate(seq.generator(n)) for n in range(1, 121)])
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), (seq.label, f.describe())
 
@@ -98,7 +98,7 @@ def test_functional_sweep_matches_pointwise():
 def test_functional_sweep_dense():
     seq = sequences.random_unit_ball(spaces.dense_space(3), seed=12)
     f = operators.dense_weights((0.5, -1.0, 2.0))
-    got = oracles.joined(sequences.functional_chunks(f, seq, 100))
+    got = oracles.functional_values(f, seq, 100)
     want = np.array([f.evaluate(seq.generator(n)) for n in range(1, 101)])
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 

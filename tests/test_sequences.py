@@ -335,7 +335,7 @@ def test_random_ball_rows_match_whole_table_normalisation(space):
         assert seq.structure.block_of(ns).tobytes() == whole[ns - 1].tobytes()
         terms = {n: np.asarray(seq.generator(n).coords) for n in (1, 2, 1025, count)}
     else:
-        values = sequences._joined(seq.structure.value_of(sequences.Stream.of(ns)))
+        values = sequences._joined(v for _, v in seq.structure.terms(sequences.Stream.of(ns)))
         assert values.tobytes() == whole[ns - 1, 0].tobytes()
         terms = {n: np.asarray([seq.generator(n).support[n]]) for n in (1, 2, 1025, count)}
     for n, term in terms.items():
@@ -371,7 +371,7 @@ def test_one_wide_random_rows_are_the_raw_draw():
     got = sequences._random_rows(seed, 1, np.arange(1, count + 1))[:, 0]
     assert got.tobytes() == want.tobytes()
     seq = sequences.random_unit_ball(spaces.sparse_space(), seed)
-    values = sequences._joined(seq.structure.value_of(sequences.Stream(count)))
+    values = sequences._joined(v for _, v in seq.structure.terms(sequences.Stream(count)))
     assert values.tobytes() == want.tobytes()
 
 

@@ -103,7 +103,7 @@ def _assert_close(got, want, what):
 
 _KINDS = (sequences.SingleSupport, sequences.PrefixValues, sequences.FixedBasisCombo,
           sequences.DenseBlock, sequences.Reindexed, sequences.Scaled)
-_METHODS = ("sweep", "functional", "median", "diagonal_image", "matrix_image", "rescaled",
+_METHODS = ("sweep", "functionals", "median", "diagonal_image", "matrix_image", "rescaled",
             "combined", "lifted", "reindexed")
 
 
@@ -141,8 +141,8 @@ def test_structured_sweeps_match_per_index(name, seq):
     _assert_close(oracles.joined(sequences.sweep_chunks(seq, candidate, H)),
                   oracles.joined(sequences.sweep_chunks(twin, candidate, H)), "distances")
     for f in FUNCTIONALS:
-        _assert_close(oracles.joined(sequences.functional_chunks(f, seq, H)),
-                      oracles.joined(sequences.functional_chunks(f, twin, H)), f.describe())
+        _assert_close(oracles.functional_values(f, seq, H),
+                      oracles.functional_values(f, twin, H), f.describe())
 
 
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
@@ -177,7 +177,7 @@ def test_dense_coordinate_outside_the_space_raises_on_both_paths():
     messages = []
     for s in (seq, _per_index(seq)):
         with pytest.raises(ValueError) as exc:
-            oracles.joined(sequences.functional_chunks(f, s, 10))
+            oracles.functional_values(f, s, 10)
         messages.append(str(exc.value))
     assert messages == ["coordinate 4 outside dense:3"] * 2
 
@@ -204,7 +204,7 @@ def test_prefix_median_matches_per_index(name, seq, horizon):
 
 def _answers(seq, candidate, horizon):
     return ([oracles.joined(sequences.sweep_chunks(seq, c, horizon)) for c in (None, candidate)]
-            + [oracles.joined(sequences.functional_chunks(f, seq, horizon)) for f in FUNCTIONALS])
+            + [oracles.functional_values(f, seq, horizon) for f in FUNCTIONALS])
 
 
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
@@ -228,21 +228,20 @@ def _tallied(fn, tally):
 
 
 def test_subsequence_sweeps_evaluate_the_parent_only_at_members():
-    asked = {"index_of": [], "value_of": []}
+    asked = []
     unit = sequences.unit_coordinate_sequence()
     parent = dataclasses.replace(unit, structure=sequences.SingleSupport(
-        _tallied(unit.structure.index_of, asked["index_of"]),
-        _tallied(unit.structure.value_of, asked["value_of"])))
+        _tallied(unit.structure.terms, asked)))
     seq = sequences.subsequence(parent, density.primes())
     h = 10_000   # the members reach p_10000 = 104729
     members = density.nth_primes(h)
     along = oracles.joined(sequences.sweep_chunks(unit, None, int(members[-1])))
     assert np.array_equal(oracles.joined(sequences.sweep_chunks(seq, None, h)), along[members - 1])
-    assert (sum(asked["index_of"]), sum(asked["value_of"])) == (0, h)
+    assert sum(asked) == h
     candidate = spaces.sparse_element({2: 1.0, 7: -0.5})
     along = oracles.joined(sequences.sweep_chunks(unit, candidate, int(members[-1])))
     assert np.array_equal(oracles.joined(sequences.sweep_chunks(seq, candidate, h)), along[members - 1])
-    assert (sum(asked["index_of"]), sum(asked["value_of"])) == (h, 2 * h)
+    assert sum(asked) == 2 * h
 
 
 _RANK_ONE_IMAGES = {
@@ -258,22 +257,21 @@ _RANK_ONE_IMAGES = {
 
 @pytest.mark.parametrize("op", list(_RANK_ONE_IMAGES.values()), ids=list(_RANK_ONE_IMAGES))
 def test_rank_one_images_walk_a_prefix_parent_once_per_sweep(op, monkeypatch):
-    # 43 chunks of 7 indices, yet each sweep walks harmonic's 300 terms once
-    # per functional of the operator
+    # 43 chunks of 7 indices, yet each sweep walks harmonic's 300 terms once,
+    # evaluating every functional of the operator on each span
     monkeypatch.setattr(sequences, "_CHUNK", 7)
     tally = []
     harmonic = sequences.harmonic_prefix_sequence()
     parent = dataclasses.replace(
         harmonic, structure=sequences.PrefixValues(_tallied(harmonic.structure.value_of, tally)))
     image = operators.image_sequence(op, parent)
-    walk = H * len(op.pieces)
     candidate = stanalysis._median_candidate(image, H)
     for sweep in (lambda: oracles.joined(sequences.sweep_chunks(image, None, H)),
                   lambda: oracles.joined(sequences.sweep_chunks(image, candidate, H)),
-                  lambda: oracles.joined(sequences.functional_chunks(FUNCTIONALS[0], image, H))):
+                  lambda: oracles.functional_values(FUNCTIONALS[0], image, H)):
         tally.clear()
         sweep()
-        assert sum(tally) == walk
+        assert sum(tally) == H
 
 
 _PRIME_PAIRS = [("prime_coords", "subseq(unit_coords, primes)"),
@@ -324,8 +322,8 @@ def test_transformed_subsequences_of_pointwise_parents_stay_structured(text, mon
 @pytest.mark.parametrize("along", [density.primes(), density.multiples(3), density.squares()],
                          ids=lambda s: s.describe())
 def test_subsequence_sweeps_ask_a_known_set_only_for_their_positions(along, monkeypatch):
-    # with chunks of 7 a sweep asks the set for each position at most twice
-    # (for the support index and for the value), each pass asking for the
+    # with chunks of 7 a sweep asks the set for each position once (the
+    # support index and the value come from one stream), asking for the
     # last position first, and the prime table is asked for no more primes
     # than the sweep reaches
     monkeypatch.setattr(sequences, "_CHUNK", 7)
@@ -338,10 +336,10 @@ def test_subsequence_sweeps_ask_a_known_set_only_for_their_positions(along, monk
     candidate = spaces.sparse_element({4: 1.0})
     for sweep in (lambda: oracles.joined(sequences.sweep_chunks(seq, None, H)),
                   lambda: oracles.joined(sequences.sweep_chunks(seq, candidate, H)),
-                  lambda: oracles.joined(sequences.functional_chunks(FUNCTIONALS[2], seq, H))):
+                  lambda: oracles.functional_values(FUNCTIONALS[2], seq, H)):
         positions.clear()
         sweep()
-        assert H < sum(positions) <= 2 * (H + 1)
+        assert H < sum(positions) <= H + 1
         assert positions[0] == 1
     assert bool(primes_asked) == (along.describe() == "primes")
     assert max(primes_asked, default=0) <= H
