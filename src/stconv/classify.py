@@ -45,10 +45,10 @@ from .sequences import (
     decaying_sequence,
     harmonic_prefix_sequence,
     index_sequence,
+    norm_chunks,
     prime_coordinate_sequence,
     random_unit_ball,
     spike_sequence,
-    sweep_chunks,
     unit_coordinate_sequence,
     zero_sequence,
 )
@@ -69,43 +69,43 @@ DEFAULT_CLASSIFY_TOLERANCE = 0.1
 _RATIO_DOUBLINGS = 60
 
 
-def _st_bounded_input(member, norms, horizon, tolerance):
-    return bounded_verdict(norms(), tolerance).decision
+def _st_bounded_input(member, counts, horizon, tolerance):
+    return bounded_verdict(counts, tolerance).decision
 
 
-def _st_null_input(member, norms, horizon, tolerance):
-    return _null(member, norms, horizon, tolerance).decision
+def _st_null_input(member, counts, horizon, tolerance):
+    return _null(member, counts, horizon, tolerance).decision
 
 
-def _norm_null_input(member, norms, horizon, tolerance):
-    return norm_limit_decision(norms(), tolerance)
+def _norm_null_input(member, counts, horizon, tolerance):
+    return norm_limit_decision(counts, tolerance)
 
 
-def _norm_bounded_input(member, norms, horizon, tolerance):
+def _norm_bounded_input(member, counts, horizon, tolerance):
     # analytic bounds only: a finite sweep cannot certify sup ||x_n||
     return "confirmed" if member.norm_bound is not None else "inconclusive"
 
 
-def _bounded(image, norms, horizon, tolerance):
-    return bounded_verdict(norms(), tolerance)
+def _bounded(image, counts, horizon, tolerance):
+    return bounded_verdict(counts, tolerance)
 
 
-def _null(image, norms, horizon, tolerance):
-    return convergence_verdict(norms(), spaces.zero(image.space), tolerance)
+def _null(image, counts, horizon, tolerance):
+    return convergence_verdict(counts, spaces.zero(image.space), tolerance)
 
 
-def _compact(image, norms, horizon, tolerance):
-    return converges_search(image, norms, horizon=horizon, tolerance=tolerance)
+def _compact(image, counts, horizon, tolerance):
+    return converges_search(image, lambda: counts, horizon=horizon, tolerance=tolerance)
 
 
 # The paper's five definitions as data.  Each property is an implication:
 # when the input x_n satisfies the hypothesis, the image T x_n must satisfy
-# the conclusion.  The hypothesis decides ``(member, norms, horizon,
-# tolerance)`` and the conclusion is the verdict of ``(image, norms, horizon,
-# tolerance)``; ``norms()`` is the ``stanalysis.NormCounts`` of the member or
-# the image, walked at most once in a run (see :class:`_Walks`), which
-# answers ``st_bounded``, ``st_converges`` to zero, ``norm_limit_zero`` and
-# the zero candidate of ``st_converges_search`` at their defaults.
+# the conclusion.  The hypothesis decides ``(member, counts, horizon,
+# tolerance)`` and the conclusion is the verdict of ``(image, counts,
+# horizon, tolerance)``; ``counts`` is the ``stanalysis.NormCounts`` of the
+# member or the image, walked at most once in a run (see :class:`_Walks`),
+# which answers ``st_bounded``, ``st_converges`` to zero, ``norm_limit_zero``
+# and the zero candidate of ``st_converges_search`` at their defaults.
 _DEFINITIONS = {
     "st_bounded": (_st_bounded_input, _bounded),
     "n_st_bounded": (_norm_bounded_input, _bounded),
@@ -260,83 +260,71 @@ class _Walks:
         self.counts = {}
         self.tuples = {}
 
-    def norms(self, seq, key):
-        """The counts of ``seq`` under ``key`` as a thunk, walked on its first call."""
-        def norms():
-            hit = self.counts.get(key)
-            if hit is None:
-                hit = self.keep(key, stanalysis.norm_counts(seq, self.horizon))
-            return hit
-
-        return norms
-
-    def keep(self, key, counts):
-        """Hold ``counts`` under ``key``, and each distinct tuple of counts
-        once: a suite at 10^5 keeps 6636 count rows of 699 distinct values."""
+    def count(self, seqs):
+        """The counts of each sequence of ``seqs``, a dict from memo key to
+        sequence, in order; those not counted yet are counted from one walk
+        of them all in step, so a member walked with its images is read once.
+        Each distinct tuple of counts is held once: a suite at 10^5 keeps
+        6636 count rows of 699 distinct values."""
         def held(t):
             return self.tuples.setdefault(t, t)
 
-        counts = replace(counts, cps=held(counts.cps), above=held(tuple(map(held, counts.above))),
-                         reach=held(tuple(map(held, counts.reach))))
-        self.counts[key] = counts
-        return counts
+        todo = {key: seq for key, seq in seqs.items() if key not in self.counts}
+        walked = stanalysis.norm_counts_of(list(todo.values()), self.horizon) if todo else ()
+        for key, c in zip(todo, walked):
+            self.counts[key] = replace(c, cps=held(c.cps), above=held(tuple(map(held, c.above))),
+                                       reach=held(tuple(map(held, c.reach))))
+        return [self.counts[key] for key in seqs]
 
 
-def _hypothesis_confirmed(member, hypothesis, norms, horizon, tolerance):
-    """Whether the corpus member satisfies ``hypothesis``, decided once per member."""
-    key = ("hypothesis", hypothesis, horizon, tolerance)
-    hit = member.cache.get(key)
-    if hit is None:
-        hit = member.cache[key] = hypothesis(member, norms, horizon, tolerance)
-    return hit == "confirmed"
+def _classify(ops, props, horizon, tolerance, walks):
+    """For each operator of ``ops``, one report per property in ``props``;
+    ``walks`` is the run's :class:`_Walks`.
 
-
-def _classify(op, props, horizon, tolerance, walks):
-    """One report per property in ``props``, from one pass over the corpus
-    of the operator's domain; ``walks`` is the run's :class:`_Walks`.
-
-    Each member's image is built at most once, and each distinct conclusion
-    verdict on it is computed at most once.
+    The pass is member-major over the corpus of each domain.  A member the
+    run has not counted yet is walked in step with its images under the
+    pool, so its chunks are read once for all of them; a counted member's
+    images are walked, in step, only where it confirms some hypothesis.
+    Each member's hypotheses are decided once per pass, from its counts,
+    and each distinct conclusion verdict on an image at most once.
     """
     for prop in props:
         if prop not in _DEFINITIONS:
             raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    corpus = corpus_for(op)
     horizon = int(horizon)
-    name = op.describe()
-    witnesses = {prop: [] for prop in props}
-    confirmed = dict.fromkeys(props, 0)
-    for member in corpus.members:
-        key = (corpus.version, member.label)
-        norms = walks.norms(member, key)
-        held = [prop for prop in props
-                if _hypothesis_confirmed(member, _DEFINITIONS[prop][0], norms, horizon, tolerance)]
-        if not held:
-            continue
-        image = image_sequence(op, member)
-        norms = walks.norms(image, (name, *key))
-        verdicts = {}
-        for prop in held:
-            confirmed[prop] += 1
-            conclude = _DEFINITIONS[prop][1]
-            verdict = verdicts.get(conclude)
-            if verdict is None:
-                verdict = verdicts[conclude] = conclude(image, norms, horizon, tolerance)
-            if verdict.decision == "refuted":
-                witnesses[prop].append((member.label, verdict))
-    reports = []
-    for prop in props:
-        if witnesses[prop]:
-            outcome = "refuted"
-        elif confirmed[prop]:
-            outcome = "consistent"
-        else:
-            outcome = "inconclusive"
-        reports.append(ClassificationReport(
-            name, prop, outcome, tuple(witnesses[prop]),
-            corpus.version, horizon, tolerance,
-        ))
-    return reports
+    names = [op.describe() for op in ops]
+    corpora = [corpus_for(op) for op in ops]
+    witnesses = [{prop: [] for prop in props} for _ in ops]
+    confirmed = [dict.fromkeys(props, 0) for _ in ops]
+    for corpus in {id(c): c for c in corpora}.values():
+        pool = [i for i, c in enumerate(corpora) if c is corpus]
+        for member in corpus.members:
+            key = (corpus.version, member.label)
+            images = {(names[i], *key): image_sequence(ops[i], member) for i in pool}
+            # a member not counted yet is walked with its images, as its hypotheses wait for it
+            counts = walks.count({key: member} if key in walks.counts else {key: member, **images})[0]
+            held = [prop for prop in props
+                    if _DEFINITIONS[prop][0](member, counts, horizon, tolerance) == "confirmed"]
+            if not held:
+                continue
+            walks.count(images)
+            for i in pool:
+                image_key = (names[i], *key)
+                image, counts = images[image_key], walks.counts[image_key]
+                verdicts = {}
+                for prop in held:
+                    confirmed[i][prop] += 1
+                    conclude = _DEFINITIONS[prop][1]
+                    verdict = verdicts.get(conclude)
+                    if verdict is None:
+                        verdict = verdicts[conclude] = conclude(image, counts, horizon, tolerance)
+                    if verdict.decision == "refuted":
+                        witnesses[i][prop].append((member.label, verdict))
+    return [[ClassificationReport(name, prop, "refuted" if found[prop] else
+                                  "consistent" if hits[prop] else "inconclusive",
+                                  tuple(found[prop]), corpus.version, horizon, tolerance)
+             for prop in props]
+            for name, corpus, found, hits in zip(names, corpora, witnesses, confirmed)]
 
 
 def classify(op, prop, horizon=DEFAULT_CLASSIFY_HORIZON, tolerance=DEFAULT_CLASSIFY_TOLERANCE):
@@ -346,7 +334,7 @@ def classify(op, prop, horizon=DEFAULT_CLASSIFY_HORIZON, tolerance=DEFAULT_CLASS
     the conclusion; consistent when no member refutes and at least one
     hypothesis was confirmed; inconclusive otherwise.
     """
-    return _classify(op, (prop,), horizon, tolerance, _Walks(int(horizon)))[0]
+    return _classify([op], (prop,), horizon, tolerance, _Walks(int(horizon)))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,36 +392,20 @@ def _norm_bounded_operator_pool():
     return ops
 
 
-def _consistent(op, props, horizon, tolerance, walks):
-    """``(label, ok, detail)``: ``op`` classifies consistent under every one of ``props``."""
-    reports = _classify(op, props, horizon, tolerance, walks)
-    detail = "; ".join(f"{r.property} outcome {r.outcome}"
-                       for r in reports if r.outcome != "consistent")
-    return op.describe(), not detail, detail
+def _consistent(ops, props, horizon, tolerance, walks):
+    """``(label, ok, detail)`` per operator of ``ops``: whether it classifies
+    consistent under every one of ``props``."""
+    details = ["; ".join(f"{r.property} outcome {r.outcome}" for r in reports
+                         if r.outcome != "consistent")
+               for reports in _classify(ops, props, horizon, tolerance, walks)]
+    return [(op.describe(), not detail, detail) for op, detail in zip(ops, details)]
 
 
 def _all_consistent(pool, props, notes=""):
     """The check that every operator of ``pool()`` classifies consistent under ``props``."""
     def check(horizon, tolerance, walks):
-        return [_consistent(op, props, horizon, tolerance, walks) for op in pool()], notes, {}
+        return _consistent(pool(), props, horizon, tolerance, walks), notes, {}
     return check
-
-
-def _walk_matrix_images(corpus, ops, walks):
-    """Count, into ``walks``, the norms of each member of the dense
-    ``corpus`` and of its images under the matrix operators ``ops`` not
-    counted yet, from one read of each chunk of the member's rows."""
-    names = [op.describe() for op in ops]
-    for member in corpus.members:
-        key = (corpus.version, member.label)
-        # None stands for the member itself
-        wanted = {key: None, **{(name, *key): op.a for name, op in zip(names, ops)}}
-        wanted = {k: a for k, a in wanted.items() if k not in walks.counts}
-        if not wanted:
-            continue
-        chunks = sequences.matrix_sweep_chunks(member, list(wanted.values()), walks.horizon)
-        for k, counts in zip(wanted, stanalysis.norm_counts_of(chunks, len(wanted), walks.horizon)):
-            walks.keep(k, counts)
 
 
 def check_finite_dim_all_bounded(horizon, tolerance, walks):
@@ -443,12 +415,8 @@ def check_finite_dim_all_bounded(horizon, tolerance, walks):
     for i in range(20):
         d = int(rng.integers(1, 9))
         ops.append((f"seeded_matrix_{i}(d={d})", matrix_operator(rng.normal(size=(d, d)))))
-    for d in sorted({op.domain.dim for _, op in ops}):
-        _walk_matrix_images(dense_corpus(d), [op for _, op in ops if op.domain.dim == d], walks)
-    outcomes = []
-    for label, op in ops:
-        _, ok, detail = _consistent(op, ("st_bounded",), horizon, tolerance, walks)
-        outcomes.append((label, ok, detail))
+    outcomes = [(label, ok, detail) for (label, _), (_, ok, detail) in zip(
+        ops, _consistent([op for _, op in ops], ("st_bounded",), horizon, tolerance, walks))]
     return outcomes, "every matrix operator on a finite-dimensional space is st-bounded", {}
 
 
@@ -458,9 +426,10 @@ def _find_ratio_bound(op, corpus, horizon, tolerance, start):
     bounds = [m * 2.0 ** k for k in range(_RATIO_DOUBLINGS)]
     cps = density.DEFAULT_SCHEDULE.checkpoints(horizon)
 
-    def exceedances(base, img):
+    def exceedances(norms):
         # norms are >= 0, so the bound m * base grows with m: once a chunk has
         # no exceedance of one bound it has none of a larger one
+        base, img = norms
         masks = [None] * len(bounds)
         for k, m in enumerate(bounds):
             mask = img > m * base * (1.0 + 1e-12)
@@ -469,9 +438,9 @@ def _find_ratio_bound(op, corpus, horizon, tolerance, start):
             masks[k] = mask
         return len(base), masks
 
-    # one walk per member, its sweep and its image's in step, counting every doubling
-    tables = [density.count_table(map(exceedances, sweep_chunks(member, None, horizon),
-                                      sweep_chunks(image_sequence(op, member), None, horizon)), cps)
+    # one walk per member, its norms and its image's in step, counting every doubling
+    tables = [density.count_table(map(exceedances, norm_chunks(
+                  [member, image_sequence(op, member)], horizon)), cps)
               for member in corpus.members]
     for k, m in enumerate(bounds):
         if all(stanalysis._zero_density_verdict(cps, table[k], tolerance).decision == "confirmed"
@@ -564,8 +533,9 @@ def _iff_operator_pool():
 def check_bounded_iff_continuous(horizon, tolerance, walks):
     """st_bounded and st_continuous classification outcomes agree per operator."""
     outcomes = []
-    for op in _iff_operator_pool():
-        b, c = _classify(op, ("st_bounded", "st_continuous"), horizon, tolerance, walks)
+    pool = _iff_operator_pool()
+    for op, (b, c) in zip(pool, _classify(pool, ("st_bounded", "st_continuous"),
+                                          horizon, tolerance, walks)):
         ok = b.outcome == c.outcome
         detail = "" if ok else f"st_bounded {b.outcome} vs st_continuous {c.outcome}"
         outcomes.append((op.describe(), ok, detail))
@@ -615,13 +585,13 @@ def check_compact_norm_limit(horizon, tolerance, walks):
         detail = "" if ok else f"norm probe {probe!r} vs expected {expected!r}"
         outcomes.append((f"truncation m={m}", ok, detail))
         data["probes"].append({"m": m, "probe": probe, "expected": expected})
-    outcomes.append(_consistent(s, ("st_compact",), horizon, tolerance, walks))
+    outcomes += _consistent([s], ("st_compact",), horizon, tolerance, walks)
     return outcomes, "operator-norm limits of st-compact operators are st-compact", data
 
 
 def check_unbounded_functional_not_compact(horizon, tolerance, walks):
     op = rank_one(linear_growth_functional(), _e(1))
-    report, = _classify(op, ("st_compact",), horizon, tolerance, walks)
+    [report], = _classify([op], ("st_compact",), horizon, tolerance, walks)
     ok = report.outcome == "refuted" and len(report.witnesses) >= 1
     detail = "" if ok else f"outcome {report.outcome} with {len(report.witnesses)} witnesses"
     return ([(op.describe(), ok, detail)],
@@ -634,7 +604,8 @@ def check_weak_equiv(horizon, tolerance, walks):
     corpus = cauchy_corpus()
     outcomes = []
     for member in corpus.members:
-        strong = bounded_verdict(walks.norms(member, (corpus.version, member.label))(), tolerance)
+        counts, = walks.count({(corpus.version, member.label): member})
+        strong = bounded_verdict(counts, tolerance)
         weak = weakly_st_bounded(member, horizon=horizon, tolerance=tolerance)
         ok = strong.decision == weak.decision
         detail = "" if ok else f"strong {strong.decision} vs weak {weak.decision}"
@@ -666,8 +637,8 @@ def check_cauchy_suite(horizon, tolerance, walks):
     outcomes = []
     for member in corpus.members:
         vc = st_cauchy(member, horizon=horizon, tolerance=tolerance)
-        vs = converges_search(member, walks.norms(member, (corpus.version, member.label)),
-                              horizon=horizon, tolerance=tolerance)
+        counts, = walks.count({(corpus.version, member.label): member})
+        vs = converges_search(member, lambda: counts, horizon=horizon, tolerance=tolerance)
         contradiction = {vc.decision, vs.decision} == {"confirmed", "refuted"}
         ok = not contradiction
         if vs.decision == "confirmed" and vc.decision == "refuted":
@@ -696,8 +667,7 @@ def check_prime_scaling_readings(horizon, tolerance, walks):
     st-boundedness outcomes; both are checked and the discrepancy recorded."""
     transform = prime_position_transform()
     diag = named_diagonal("prime_scale")
-    rep_t, = _classify(transform, ("st_bounded",), horizon, tolerance, walks)
-    rep_d, = _classify(diag, ("st_bounded",), horizon, tolerance, walks)
+    [rep_t], [rep_d] = _classify([transform, diag], ("st_bounded",), horizon, tolerance, walks)
     t_ok = rep_t.outcome == "consistent"
     d_ok = rep_d.outcome == "refuted" and any(
         label == "prime_coords" for label, _ in rep_d.witnesses

@@ -202,6 +202,8 @@ class FiniteRank(OperatorSpec):
 
     def describe(self):
         body = ";".join(f"{f.describe()},{spaces.format_element(y0)}" for f, y0 in self.pieces)
+        if self.domain.kind == "dense":          # the sparse domain goes unsaid
+            body = f"dim={self.domain.dim};{body}"
         return f"{self.name}({body})"
 
 
@@ -535,7 +537,13 @@ def _parse_operator(cur):
         (f, y0), = cur.args(_parse_piece)
         return rank_one(f, y0)
     if name == "finite_rank":
-        return finite_rank(cur.items(_parse_piece, "(", ")", ";"))
+        cur.expect("(")
+        domain = None
+        if cur.keyword("dim"):                   # a dense domain leads as ``dim=K;``
+            cur.expect("=")
+            domain = dense_space(cur.integer())
+            cur.expect(";")
+        return finite_rank(cur.items(_parse_piece, "", ")", ";"), domain)
     if name == "matrix":
         rows = cur.items(lambda c: c.items(Cursor.number, "[", "]", ","), "[", "]", ",")
         if any(len(r) != len(rows[0]) for r in rows):

@@ -24,7 +24,9 @@ members: a *pointwise* kind (term ``n`` depends on ``n`` alone) read along
 them is the same kind, and only prefix and per-index parents give
 :class:`Reindexed`.  Such a stream asks the index set for its last member
 first, so a subsequence past the member cap is refused before any chunk
-runs.
+runs.  Walks zipped over one stream (a member and its images, see
+:func:`norm_chunks`) evaluate each chunk of a pointwise leaf once: the
+stream's share hands every reader the same read-only array.
 
 Sparse terms, candidates and medians are read and built as the two arrays
 of a :class:`~stconv.spaces.SparseElement`, indices and values: a median is
@@ -72,7 +74,7 @@ CORPUS_VERSION = "v1"
 _CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stream:
     """The indices ``at(1), .., at(count)``, read ``_CHUNK`` positions at a time.
 
@@ -82,10 +84,16 @@ class Stream:
     repeated.  A stream that maps its positions asks ``at`` for the last one
     first, so an index set refuses a stream past its member cap before any
     chunk runs.
+
+    ``share`` holds, for each pointwise leaf read along the stream, the chunk
+    it read last (see :func:`_pointwise`), and one derived stream per ``at``
+    asked of :meth:`along`; it lives as long as the stream, that is as long
+    as the walks over it.
     """
 
     count: int
     at: Optional[Callable] = None
+    share: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def of(cls, ns):
@@ -94,8 +102,11 @@ class Stream:
         return cls(len(ns), lambda ks: ns[ks - 1])
 
     def along(self, at):
-        """The stream of ``at`` of this stream's indices."""
-        return Stream(self.count, at if self.at is None else lambda ks: at(self.at(ks)))
+        """The stream of ``at`` of this stream's indices, the same one for the same ``at``."""
+        if at not in self.share:
+            outer = self.at          # not ``self``: the share would hold its own stream
+            self.share[at] = Stream(self.count, at if outer is None else lambda ks: at(outer(ks)))
+        return self.share[at]
 
     def __len__(self):
         return self.count
@@ -110,8 +121,22 @@ class Stream:
 
 def _pointwise(fn):
     """The chunk stream of ``fn``, a function of index arrays whose value at
-    an index does not depend on the other indices."""
-    return lambda ns: map(fn, ns)
+    an index does not depend on the other indices.
+
+    Chunk ``i`` of a stream is evaluated once and kept in the stream's share
+    until a reader asks for another chunk, and every reader gets the same
+    read-only value: walks zipped over one stream read each chunk once."""
+    def chunks(ns):
+        for i, c in enumerate(ns):
+            kept = ns.share.get(chunks)
+            if kept is None or kept[0] != i:
+                value = fn(c)
+                for a in value if isinstance(value, tuple) else (value,):
+                    a.flags.writeable = False
+                kept = ns.share[chunks] = (i, value)
+            yield kept[1]
+
+    return chunks
 
 
 def _joined(blocks):
@@ -931,24 +956,19 @@ def sweep_chunks(seq, candidate, horizon):
     return seq.structure.sweep(seq, candidate, Stream(int(horizon)))
 
 
+def norm_chunks(seqs, horizon):
+    """``||x_n||`` for ``n = 1..horizon`` of each sequence of ``seqs``, one
+    tuple of arrays per chunk, from their walks zipped over one stream, so a
+    pointwise leaf they share (one member under its images) is read once."""
+    ns = Stream(int(horizon))
+    return zip(*(seq.structure.sweep(seq, None, ns) for seq in seqs))
+
+
 def functional_chunks(fs, seq, horizon):
     """``f(x_n)`` for ``n = 1..horizon`` and each ``f`` of ``fs``, as the
     sequence's structure answers it from one walk: per chunk, an iterable
     of arrays, one per functional in order."""
     return seq.structure.functionals(seq, tuple(fs), Stream(int(horizon)))
-
-
-def matrix_sweep_chunks(seq, mats, horizon):
-    """``||a x_n||`` for ``n = 1..horizon`` and each matrix ``a`` of ``mats``
-    (``||x_n||`` where it is None), one tuple of arrays per chunk, reading
-    each chunk of the dense rows of ``seq`` (a :class:`DenseBlock`) once.
-
-    Each array has the bits of the norm sweep of the image of ``seq`` under
-    ``a``, whose rows are ``block @ a.T`` too.
-    """
-    ats = [None if a is None else _transposed(a) for a in mats]
-    return (tuple(_block_norms(block if at is None else block @ at) for at in ats)
-            for block in seq.structure.rows(Stream(int(horizon))))
 
 
 # ---------------------------------------------------------------------------
@@ -1083,6 +1103,6 @@ __all__ = [
     "parse_sequence",
     "parse_sequence_at",
     "sweep_chunks",
+    "norm_chunks",
     "functional_chunks",
-    "matrix_sweep_chunks",
 ]

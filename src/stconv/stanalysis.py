@@ -34,7 +34,7 @@ import numpy as np
 
 from . import operators, spaces
 from .density import DEFAULT_SCHEDULE, DensityProfile, DensityVerdict, count_table, density_verdict
-from .sequences import functional_chunks, sweep_chunks
+from .sequences import functional_chunks, norm_chunks, sweep_chunks
 
 DEFAULT_ANALYSIS_HORIZON = 100_000
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
@@ -231,8 +231,7 @@ def _walk(chunks, k, horizon, cps, probes=(), grid=(), tail=False):
 
 def _norm_walk(seq, horizon, cps, probes=(), grid=(), tail=False):
     """The :class:`NormCounts` of ``||x_1||, .., ||x_horizon||``, from one walk."""
-    chunks = zip(sweep_chunks(seq, None, horizon))
-    return _walk(chunks, 1, horizon, cps, probes, grid, tail)[0]
+    return _walk(norm_chunks([seq], horizon), 1, horizon, cps, probes, grid, tail)[0]
 
 
 def norm_counts(seq, horizon=DEFAULT_ANALYSIS_HORIZON):
@@ -240,15 +239,15 @@ def norm_counts(seq, horizon=DEFAULT_ANALYSIS_HORIZON):
     ask of ``||x_n||`` (``st_bounded``, ``st_converges`` to zero, the zero
     candidate and the bounded fallback of ``st_converges_search``, and
     ``norm_limit_zero``), from one walk of the norms."""
-    return norm_counts_of(zip(sweep_chunks(seq, None, horizon)), 1, horizon)[0]
+    return norm_counts_of([seq], horizon)[0]
 
 
-def norm_counts_of(chunks, k, horizon=DEFAULT_ANALYSIS_HORIZON):
-    """:func:`norm_counts` of ``k`` norm streams at once: ``chunks`` yields
-    one tuple of ``k`` arrays per chunk, one array per stream."""
+def norm_counts_of(seqs, horizon=DEFAULT_ANALYSIS_HORIZON):
+    """:func:`norm_counts` of each sequence of ``seqs``, from their walks in
+    step over one stream (``sequences.norm_chunks``)."""
     horizon = int(horizon)
-    return _walk(chunks, k, horizon, _default_checkpoints(horizon), _DEFAULT_LADDER,
-                 _DEFAULT_GRID, tail=True)
+    return _walk(norm_chunks(seqs, horizon), len(seqs), horizon, _default_checkpoints(horizon),
+                 _DEFAULT_LADDER, _DEFAULT_GRID, tail=True)
 
 
 def _default_checkpoints(horizon):

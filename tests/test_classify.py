@@ -149,12 +149,25 @@ def test_one_pass_matches_one_property_at_a_time(op, monkeypatch):
         return build_image(op_, member)
 
     monkeypatch.setattr(classify_module, "image_sequence", counted)
-    reports = classify_module._classify(op, PROPERTIES, REDUCED, 0.1,
-                                        classify_module._Walks(REDUCED))
+    reports, = classify_module._classify([op], PROPERTIES, REDUCED, 0.1,
+                                         classify_module._Walks(REDUCED))
     assert len(images) == len(set(images)) <= len(corpus_for(op).members)
     for prop, report in zip(PROPERTIES, reports):
         alone = classify(op, prop, horizon=REDUCED)
         assert report.to_json_dict() == alone.to_json_dict()
+
+
+def test_a_pool_classified_member_major_matches_each_operator_alone():
+    # operators on two corpora, one repeated, classified in one pass
+    pool = [operators.parse_operator(text) for text in (
+        "diag(prime_scale)", "matrix[[1,2],[0,1]]", "rank1(index_weights,sparse{1:1})",
+        "diag(prime_scale)", "transform(prime_scale_by_position)", "matrix[[0,0],[0,1]]")]
+    horizon = 1000            # the transform's st_compact is quadratic in the horizon
+    together = classify_module._classify(pool, PROPERTIES, horizon, 0.1,
+                                         classify_module._Walks(horizon))
+    for op, reports in zip(pool, together):
+        for prop, report in zip(PROPERTIES, reports):
+            assert report.to_json_dict() == classify(op, prop, horizon=horizon).to_json_dict()
 
 
 # ---------------------------------------------------------------------------

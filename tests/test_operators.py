@@ -354,6 +354,23 @@ def test_operator_parse_round_trips():
         assert operators.parse_operator(parsed.describe()).describe() == text
 
 
+def test_a_dense_finite_rank_descriptor_keeps_its_domain():
+    pieces = [(operators.coordinate_functional(1), spaces.dense_element([1.0, 0.0, 0.0])),
+              (operators.dense_weights([0.5, 0.5, 0.0]), spaces.dense_element([0.0, 1.0, 0.0]))]
+    dense = operators.finite_rank(pieces, domain=spaces.dense_space(3))
+    text = "finite_rank(dim=3;coord(1),dense[1,0,0];weights[0.5,0.5,0],dense[0,1,0])"
+    assert dense.describe() == text
+    assert operators.parse_operator(text).domain == spaces.dense_space(3)
+    # the sparse domain is left unsaid, as before
+    sparse = operators.finite_rank(pieces)
+    assert sparse.describe() == text.replace("dim=3;", "")
+    assert operators.parse_operator(sparse.describe()).domain == spaces.sparse_space()
+    for bad in ("finite_rank(dim=3,coord(1),sparse{1:1})", "finite_rank(dim=0;coord(1),sparse{1:1})",
+                "finite_rank(dim=3;)"):
+        with pytest.raises(ValueError):
+            operators.parse_operator(bad)
+
+
 def test_transform_parse():
     tr = operators.parse_operator("transform(prime_scale_by_position)")
     assert isinstance(tr, operators.SequenceTransform)

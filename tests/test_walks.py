@@ -4,10 +4,11 @@ A sequence's norm verdicts (``st_bounded``, ``st_converges`` to zero,
 ``norm_limit_zero``, the zero candidate and bounded fallback of
 ``st_converges_search``) are answered from one ``stanalysis.NormCounts``; a
 weak verdict evaluates every probe functional on each chunk of one walk;
-a suite run keeps the counts of each corpus member and operator image in a
-memo that lives as long as the run; and the matrices of one dimension read
-each chunk of a member's rows once.  The answers are those of each verdict
-alone, bit for bit, whatever ran before in the process.
+walks zipped over one stream read each chunk of a pointwise leaf once, so a
+member walked in step with its images is drawn once; and a suite run keeps
+the counts of each corpus member and operator image in a memo that lives
+as long as the run.  The answers are those of each verdict alone, bit for
+bit, whatever ran before in the process.
 """
 
 import dataclasses
@@ -116,17 +117,131 @@ def test_functionals_of_one_walk_have_the_bits_of_one_at_a_time(text, chunk, mon
 
 @pytest.mark.parametrize("chunk", [sequences._CHUNK, 7])
 @pytest.mark.parametrize("dim", [1, 3, 8])
-def test_matrix_sweeps_have_the_bits_of_each_image_sweep(dim, chunk, monkeypatch):
+def test_norms_in_step_have_the_bits_of_each_sweep_alone(dim, chunk, monkeypatch):
     monkeypatch.setattr(sequences, "_CHUNK", chunk)
     rng = np.random.default_rng(dim)
     ops = [operators.matrix_operator(rng.normal(size=(dim, dim))) for _ in range(3)]
     for member in dense_corpus(dim).members:
-        together = list(sequences.matrix_sweep_chunks(member, [None] + [op.a for op in ops], 300))
-        alone = [member] + [operators.image_sequence(op, member) for op in ops]
-        for i, seq in enumerate(alone):
+        seqs = [member] + [operators.image_sequence(op, member) for op in ops]
+        together = list(sequences.norm_chunks(seqs, 300))
+        for i, seq in enumerate(seqs):
             got = oracles.joined(norms[i] for norms in together)
             want = oracles.joined(sequences.sweep_chunks(seq, None, 300))
             assert got.tobytes() == want.tobytes(), (member.label, i)
+
+
+# ---------------------------------------------------------------------------
+# the stream's share: one read of each leaf chunk for the walks over a stream
+# ---------------------------------------------------------------------------
+
+def _counting_rows(monkeypatch):
+    """A list that gets the number of random rows of each draw from now on."""
+    drawn = []
+    rows = sequences._random_rows
+
+    def counted(seed, width, ns):
+        drawn.append(len(ns))
+        return rows(seed, width, ns)
+
+    monkeypatch.setattr(sequences, "_random_rows", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("space, text", [
+    (spaces.dense_space(2), "combo(1,matrix[[2,0],[0,3]],-0.5,matrix[[1,1],[0,1]])"),
+    (spaces.sparse_space(), "combo(1,diag(inverse),2,diag(identity))"),
+    (spaces.sparse_space(), "combo(1,rank1(coord(1),sparse{1:1}),1,rank1(coord(2),sparse{2:1}))"),
+])
+def test_a_combination_of_images_draws_its_member_once(space, text, monkeypatch):
+    member = sequences.random_unit_ball(space, 201)
+    image = operators.image_sequence(operators.parse_operator(text), member)
+    drawn = _counting_rows(monkeypatch)
+    norms = oracles.joined(sequences.sweep_chunks(image, None, 50_000))
+    assert sum(drawn) == 50_000
+    assert len(norms) == 50_000
+
+
+def test_walks_in_step_draw_their_member_once_and_subsequences_share_too(monkeypatch):
+    member = sequences.parse_sequence("subseq(random(sparse, seed=5), multiples(3))")
+    seqs = [member] + [operators.image_sequence(operators.parse_operator(text), member)
+                       for text in ("diag(inverse)", "rank1(coord(3),sparse{1:1})",
+                                    "transform(prime_scale_by_position)")]
+    drawn = _counting_rows(monkeypatch)
+    counts = stanalysis.norm_counts_of(seqs, 20_000)
+    assert sum(drawn) == 20_000
+    assert counts == [stanalysis.norm_counts(seq, 20_000) for seq in seqs]
+
+
+def test_a_shared_chunk_is_read_only_and_goes_with_its_stream(monkeypatch):
+    monkeypatch.setattr(sequences, "_CHUNK", 40)
+    member = sequences.random_unit_ball(spaces.dense_space(2), 201)
+    rows = member.structure.rows
+    ns = sequences.Stream(100)
+    first, second = rows(ns), rows(ns)
+    a, b = next(first), next(second)
+    assert a is b
+    with pytest.raises(ValueError):
+        a[0, 0] = 2.0
+    # the share keeps the last chunk of the leaf, and one derived stream per ``at``
+    next(first)
+    assert len(ns.share) == 1
+    at = np.negative
+    assert ns.along(at) is ns.along(at) and len(ns.share) == 2
+    refs = [weakref.ref(x) for x in (ns, a, ns.along(at))]
+    del ns, first, second, a, b
+    assert [ref() for ref in refs] == [None] * 3
+
+
+def test_a_walk_in_step_holds_one_chunk_per_leaf_and_nothing_after(monkeypatch):
+    monkeypatch.setattr(sequences, "_CHUNK", 64)
+    member = sequences.random_unit_ball(spaces.dense_space(3), 202)
+    seqs = [member] + [operators.image_sequence(operators.parse_operator(text), member)
+                       for text in ("matrix[[1,0,0],[0,2,0],[0,0,3]]",
+                                    "finite_rank(dim=3;coord(2),dense[1,1,1])")]
+    drawn, rows = [], sequences._random_rows
+
+    def kept(seed, width, ns):
+        out = rows(seed, width, ns)
+        drawn.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(sequences, "_random_rows", kept)
+    walk = sequences.norm_chunks(seqs, 1000)
+    for _ in walk:
+        assert sum(ref() is not None for ref in drawn) == 1
+    assert len(drawn) == -(-1000 // 64)
+    del walk
+    assert all(ref() is None for ref in drawn)
+
+
+def _suite_pools(horizon=2000):
+    """The operator pools one ``run_suite(horizon)`` classifies, in order."""
+    pools = []
+    classify_ = classify_module._classify
+
+    def recorded(ops, *args):
+        pools.append(list(ops))
+        return classify_(ops, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify_module, "_classify", recorded)
+        run_suite(horizon)
+    return pools
+
+
+def test_every_pool_walked_in_step_counts_as_each_walk_alone(monkeypatch):
+    ops = {}
+    for pool in _suite_pools():
+        for op in pool:
+            ops.setdefault((op.describe(), corpus_for(op).version), op)
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    corpora = {corpus_for(op).version: corpus_for(op) for op in ops.values()}
+    for version, corpus in corpora.items():
+        pool = [op for (_, v), op in ops.items() if v == version]
+        for member in corpus.members:
+            seqs = [member] + [operators.image_sequence(op, member) for op in pool]
+            alone = [stanalysis.norm_counts(seq, 400) for seq in seqs]
+            assert stanalysis.norm_counts_of(seqs, 400) == alone, (version, member.label)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +261,9 @@ def _once(check, running, name):
 
 def test_one_suite_walks_each_member_and_image_once(monkeypatch):
     # every norm walk of a corpus member or of an operator image goes
-    # through ``stanalysis.sweep_chunks`` or ``sequences.matrix_sweep_chunks``;
-    # ratio_bound's walks of a member and its image in step, and Cauchy's
-    # anchored distance walks, are not norm walks here
+    # through ``stanalysis.norm_chunks`` (or a distance sweep at the zero
+    # candidate); ratio_bound's walks of a member and its image in step, and
+    # Cauchy's anchored distance walks, are not norm walks here
     corpora = [sparse_corpus(), cauchy_corpus()] + [dense_corpus(d) for d in range(1, 9)]
     names = {id(m): (c.version, m.label) for c in corpora for m in c.members}
     kept = []
@@ -161,20 +276,16 @@ def test_one_suite_walks_each_member_and_image_once(monkeypatch):
         return image
 
     walks = Counter()
-    sweep = stanalysis.sweep_chunks
+    norm_chunks, sweep = stanalysis.norm_chunks, stanalysis.sweep_chunks
+
+    def counted_norm_chunks(seqs, horizon):
+        walks.update(names[id(seq)] for seq in seqs if id(seq) in names)
+        return norm_chunks(seqs, horizon)
 
     def sweep_chunks(seq, candidate, horizon):
         if candidate is None and id(seq) in names:
             walks[names[id(seq)]] += 1
         return sweep(seq, candidate, horizon)
-
-    matrix_sweep = sequences.matrix_sweep_chunks
-
-    def matrix_sweep_chunks(seq, mats, horizon):
-        for a in mats:
-            image = () if a is None else (operators.Matrix(a).describe(),)
-            walks[(*image, *names[id(seq)])] += 1
-        return matrix_sweep(seq, mats, horizon)
 
     running, draws, functional_walks = [], Counter(), Counter()
     rows = sequences._random_rows
@@ -192,8 +303,8 @@ def test_one_suite_walks_each_member_and_image_once(monkeypatch):
         return functional_chunks(fs, seq, horizon)
 
     monkeypatch.setattr(classify_module, "image_sequence", image_sequence)
+    monkeypatch.setattr(stanalysis, "norm_chunks", counted_norm_chunks)
     monkeypatch.setattr(stanalysis, "sweep_chunks", sweep_chunks)
-    monkeypatch.setattr(sequences, "matrix_sweep_chunks", matrix_sweep_chunks)
     monkeypatch.setattr(sequences, "_random_rows", random_rows)
     monkeypatch.setattr(stanalysis, "functional_chunks", counted_functional_chunks)
     for name in ("finite_dim_all_bounded", "weak_equiv"):
@@ -211,6 +322,22 @@ def test_one_suite_walks_each_member_and_image_once(monkeypatch):
     assert set(draws.values()) == {1}
     corpus = cauchy_corpus()
     assert functional_walks == Counter({(corpus.version, m.label): 1 for m in corpus.members})
+
+
+def test_a_suite_draws_each_random_member_about_once_per_check(monkeypatch):
+    # 1,927,917 rows, where image walks that drew their member afresh took
+    # 3,788,682 (and 10,007,921 against 19,308,686 at 10^5): each member is
+    # drawn about once per check that walks it, plus the sample windows of
+    # medians and the anchored Cauchy walks
+    drawn = _counting_rows(monkeypatch)
+    run_suite(REDUCED)
+    assert sum(drawn) <= 97 * REDUCED
+
+
+def test_a_suite_leaves_no_state_on_its_corpus_members():
+    run_suite(REDUCED)
+    corpora = [sparse_corpus(), cauchy_corpus()] + [dense_corpus(d) for d in range(1, 9)]
+    assert [m.label for c in corpora for m in c.members if m.cache] == []
 
 
 def _contents(obj):
@@ -281,20 +408,11 @@ def test_classify_at_two_tolerances_matches_each_alone():
     assert together[0] != together[1]
 
 
-def test_operators_sharing_a_memo_key_act_alike(monkeypatch):
+def test_operators_sharing_a_memo_key_act_alike():
     # the memo keys an image by its operator's descriptor and its corpus, so
-    # the suite's operators with one key must have the same images; the
-    # descriptor reads back as such an operator, except that a finite-rank
-    # operator on a dense space is read back on the sparse one
-    ops = []
-    classify_ = classify_module._classify
-
-    def recorded(op, *args):
-        ops.append(op)
-        return classify_(op, *args)
-
-    monkeypatch.setattr(classify_module, "_classify", recorded)
-    run_suite(2000)
+    # the suite's operators with one key must have the same images; each
+    # descriptor reads back as such an operator, on the same domain
+    ops = [op for pool in _suite_pools() for op in pool]
     keys = {}
     for op in ops:
         keys.setdefault((op.describe(), corpus_for(op).version), []).append(op)
@@ -302,9 +420,10 @@ def test_operators_sharing_a_memo_key_act_alike(monkeypatch):
     for (text, version), same in keys.items():
         again = operators.parse_operator(text)
         assert again.describe() == text
-        if corpus_for(again).version == version:
-            same = same + [again]
-        for member in corpus_for(same[0]).members:
+        assert corpus_for(again).version == version
+        if not isinstance(again, operators.SequenceTransform):
+            assert again.domain == same[0].domain
+        for member in corpus_for(again).members:
             norms = {oracles.joined(sequences.sweep_chunks(
-                operators.image_sequence(op, member), None, 300)).tobytes() for op in same}
+                operators.image_sequence(op, member), None, 300)).tobytes() for op in same + [again]}
             assert len(norms) == 1, (text, member.label)
