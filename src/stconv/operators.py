@@ -416,8 +416,7 @@ def image_sequence(op, seq):
     bound = None if ob is None or seq.norm_bound is None else ob * seq.norm_bound
     structure = seq.structure
     if type(structure) is not Structure:   # a per-index sequence's image runs per index too
-        lifted = structure.lifted(lambda parent: image_sequence(op, parent))
-        structure = lifted if lifted is not None else op.image_structure(seq)
+        structure = op.image_structure(seq)
     return SequenceSpec(
         igen, op.codomain, f"image({seq.label})", structure=structure, norm_bound=bound,
     )

@@ -120,9 +120,13 @@ class Cursor:
 
 
 def parse_whole(text, part, what):
-    """Read all of ``text`` with ``part(cursor)``; trailing text is an error."""
+    """Read all of ``text`` with ``part(cursor)``; trailing text is an error,
+    and so is nesting deeper than the interpreter's recursion limit."""
     cur = Cursor(text)
-    value = part(cur)
+    try:
+        value = part(cur)
+    except RecursionError:
+        raise ParseError(text, cur.pos, "descriptor nests too deeply") from None
     cur.skip_ws()
     if cur.pos < len(text):
         cur.error(f"unexpected trailing text after {what}")

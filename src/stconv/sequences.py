@@ -3,9 +3,8 @@
 A :class:`SequenceSpec` couples a per-index generator with the space the
 sequence lives in, whose norm measures it, and with a *structure* that
 answers questions about the whole sequence: norm and distance sweeps,
-functional sweeps, windowed medians, and its image under a diagonal, a
-matrix, a positional rescale, a linear combination or, for subsequences,
-any operator.
+functional sweeps, windowed medians, its image under a diagonal, a
+matrix, a positional rescale or a linear combination, and its subsequences.
 The base :class:`Structure` is the per-index kind: it evaluates the
 generator term by term, which is fine for cheap generators and small
 horizons but would be hopeless for, say, growing-support prefixes at
@@ -21,10 +20,12 @@ verdict in ``stanalysis``) needs memory independent of the horizon.  A
 prefix kind walks ``1, 2, ..`` once, span by span, carrying its running
 maximum or running sum.  A subsequence passes its parent the stream of its
 members: a *pointwise* kind (term ``n`` depends on ``n`` alone) read along
-them is the same kind, and only prefix and per-index parents give
-:class:`Reindexed`.  Such a stream asks the index set for its last member
-first, so a subsequence past the member cap is refused before any chunk
-runs.  Walks zipped over one stream (a member and its images, see
+them is the same kind, a prefix kind walks its prefixes at the members'
+lengths, and a subsequence of a per-index sequence runs per index through
+its generator.  Such a stream asks the index set for its last member first,
+so a subsequence past the member cap is refused before any chunk runs.  A
+positional rescale is answered the same way, by every kind but the
+per-index one.  Walks zipped over one stream (a member and its images, see
 :func:`norm_chunks`) evaluate each chunk of a pointwise leaf once: the
 stream's share hands every reader the same read-only array.
 
@@ -207,20 +208,15 @@ class Structure:
 
     def rescaled(self, seq, scale_of):
         """Structure of ``n -> scale_of(n) * x_n``, ``seq`` the sequence ``x``."""
-        return Scaled(seq, scale_of)
+        return Structure()
 
     def combined(self, other, alpha, beta):
         """Structure of ``n -> alpha * x_n + beta * y_n``; ``other`` is that of ``y``."""
         return Structure()
 
-    def lifted(self, image_of):
-        """Structure of ``n -> T x_n`` for any operator ``T``, or None where it
-        depends on ``T``; ``image_of(s)`` is the sequence ``n -> T s_n``."""
-        return None
-
     def reindexed(self, seq, at):
         """Structure of ``k -> x_{m_k}``; ``seq`` is ``x``, ``at(ks)`` the indices ``m_k``."""
-        return Reindexed(seq, at)
+        return Structure()
 
 
 @dataclass(frozen=True)
@@ -295,9 +291,30 @@ class SingleSupport(Structure):
 
 @dataclass(frozen=True)
 class PrefixValues(Structure):
-    """Sparse ``x_n = {k -> value_of(k) : k <= n}``."""
+    """Sparse ``x_n = scale_of(n) * {k -> value_of(k) : k <= at(n)}``.
+
+    ``at`` maps positions to the prefix lengths of a subsequence (None: ``n``
+    itself) and ``scale_of`` is a positional rescale (None: 1).  A rescaled
+    prefix leaves its medians and its distances to a nonzero candidate to
+    the per-index kind.
+    """
 
     value_of: Callable
+    at: Optional[Callable] = None
+    scale_of: Optional[Callable] = None
+
+    def _read(self, ns, step, signed):
+        """:meth:`_walk` of ``step`` at the prefix lengths of the stream ``ns``,
+        times ``scale_of`` (``|scale_of|`` unless ``signed``) at each chunk of ``ns``."""
+        chunks = self._walk(ns if self.at is None else ns.along(self.at), step)
+        if self.scale_of is None:
+            return chunks
+
+        def scaled(c, values):
+            scale = self.scale_of(c).astype(float)
+            return values * (scale if signed else np.abs(scale))
+
+        return itertools.starmap(scaled, zip(ns, chunks))
 
     @staticmethod
     def _walk(ns, step):
@@ -322,6 +339,8 @@ class PrefixValues(Structure):
             yield out
 
     def sweep(self, seq, candidate, ns):
+        if candidate is not None and self.scale_of is not None:
+            return super().sweep(seq, candidate, ns)
         # x_n - c is value_of(k) - c_k at k <= n and -c_k past n, so its sup
         # norm is the running max of the first part against max_{k>n} |c_k|
         c = np.zeros(0)
@@ -350,7 +369,7 @@ class PrefixValues(Structure):
                 np.maximum(run[: upto - lo], later[lo + 1 : upto + 1], out=run[: upto - lo])
             return run
 
-        return self._walk(ns, step)
+        return self._read(ns, step, signed=False)
 
     def functionals(self, seq, fs, ns):
         # each running sum is carried into the first term of the next span,
@@ -371,14 +390,16 @@ class PrefixValues(Structure):
             carry = rows[:, -1].copy()
             return rows
 
-        return (tuple(rows) for rows in self._walk(ns, step))
+        return map(tuple, self._read(ns, step, signed=True))
 
     def median(self, seq, ns):
+        if self.scale_of is not None:
+            return super().median(seq, ns)
         # prefix supports are nested: coordinate k is nonzero exactly in the
         # samples n >= k, so the median is value_of(k) up to the middle
         # sample and 0 past it.  An even window has two middle samples:
         # between them half of the samples hold value_of(k), the median half
-        ns = np.sort(ns)
+        ns = np.sort(ns if self.at is None else self.at(ns))
         mid = len(ns) // 2
         ks = np.arange(1, int(ns[mid]) + 1, dtype=np.int64)
         vals = np.empty(len(ks))
@@ -389,12 +410,25 @@ class PrefixValues(Structure):
         return spaces.sparse_from_arrays(ks, vals)
 
     def diagonal_image(self, dfun, apply_to):
-        return PrefixValues(lambda ks: dfun(np.asarray(ks, dtype=np.int64)) * self.value_of(ks))
+        return replace(self, value_of=lambda ks: dfun(np.asarray(ks, dtype=np.int64))
+                       * self.value_of(ks))
+
+    def rescaled(self, seq, scale_of):
+        inner = self.scale_of
+        return replace(self, scale_of=scale_of if inner is None
+                       else lambda ks: inner(ks) * scale_of(ks))
 
     def combined(self, other, alpha, beta):
-        if type(other) is not PrefixValues:
+        # only prefixes read at the same lengths and scales add up to a prefix
+        if type(other) is not PrefixValues or (other.at, other.scale_of) != (self.at, self.scale_of):
             return super().combined(other, alpha, beta)
-        return PrefixValues(lambda ks: alpha * self.value_of(ks) + beta * other.value_of(ks))
+        return replace(self, value_of=lambda ks: alpha * self.value_of(ks)
+                       + beta * other.value_of(ks))
+
+    def reindexed(self, seq, at):
+        inner_at, inner_scale = self.at, self.scale_of
+        return replace(self, at=at if inner_at is None else lambda ks: inner_at(at(ks)),
+                       scale_of=None if inner_scale is None else lambda ks: inner_scale(at(ks)))
 
 
 @dataclass(frozen=True)
@@ -512,53 +546,6 @@ class DenseBlock(Structure):
 
     def reindexed(self, seq, at):
         return DenseBlock(lambda ns: self.rows(ns.along(at)))
-
-
-@dataclass(frozen=True)
-class Reindexed(Structure):
-    """``x_k = parent_{m_k}``, ``at(ks)`` the members ``m_k`` (see :func:`subsequence`),
-    for a parent that is not pointwise: a prefix, per-index or scaled one.
-
-    Every question about the terms ``ns`` is asked of the parent at their
-    member indices, and only there.
-    """
-
-    parent: "SequenceSpec"
-    at: Callable
-
-    def sweep(self, seq, candidate, ns):
-        return self.parent.structure.sweep(self.parent, candidate, ns.along(self.at))
-
-    def functionals(self, seq, fs, ns):
-        return self.parent.structure.functionals(self.parent, fs, ns.along(self.at))
-
-    def median(self, seq, ns):
-        return self.parent.structure.median(self.parent, self.at(ns))
-
-    def lifted(self, image_of):
-        # T(x_{m_k}) = (T x)_{m_k}: the image is the same subsequence of the parent's image
-        image = image_of(self.parent)
-        return image.structure.reindexed(image, self.at)
-
-
-@dataclass(frozen=True)
-class Scaled(Structure):
-    """``x_n = scale_of(n) * parent_n``; distance sweeps and medians run per index."""
-
-    parent: "SequenceSpec"
-    scale_of: Callable
-
-    def sweep(self, seq, candidate, ns):
-        if candidate is not None:
-            return super().sweep(seq, candidate, ns)
-        base = self.parent.structure.sweep(self.parent, None, ns)
-        return (b * np.abs(self.scale_of(c).astype(float)) for c, b in zip(ns, base))
-
-    def functionals(self, seq, fs, ns):
-        base = self.parent.structure.functionals(self.parent, fs, ns)
-        for c, values in zip(ns, base):
-            scale = self.scale_of(c).astype(float)
-            yield tuple(b * scale for b in values)
 
 
 @dataclass(frozen=True)
@@ -1084,8 +1071,6 @@ __all__ = [
     "PrefixValues",
     "FixedBasisCombo",
     "DenseBlock",
-    "Reindexed",
-    "Scaled",
     "zero_sequence",
     "constant_sequence",
     "harmonic_prefix_sequence",

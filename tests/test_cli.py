@@ -516,6 +516,25 @@ def test_parse_error_exits_two_with_position(capsys, flag, text, message):
     assert err == f"error: {message}: {text!r}\n"
 
 
+_NESTED = {
+    "set": lambda depth: "complement(" * depth + "squares" + ")" * depth,
+    "sequence": lambda depth: "subseq(" * depth + "harmonic" + ", multiples(1))" * depth,
+    "operator": lambda depth: "compose(" * depth + "diag(inverse)" + ", diag(identity))" * depth,
+}
+
+
+@pytest.mark.parametrize("flag", list(_NESTED))
+def test_a_deeply_nested_descriptor_is_a_parse_error(capsys, flag):
+    # past the interpreter's recursion limit the parse stops with a position;
+    # 300 levels of each grammar parse and run
+    code, out, err = run_text(capsys, [*_PARSE_ARGV[flag], _NESTED[flag](5000), "--horizon", "100"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: descriptor nests too deeply at position ")
+    code, out, err = run_text(capsys, [*_PARSE_ARGV[flag], _NESTED[flag](300), "--horizon", "100"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]
+
+
 # the least value of each range-checked integer literal still parses
 _SMALLEST_INTEGERS = [
     ("set", "multiples(1)"),

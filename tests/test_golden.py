@@ -10,8 +10,9 @@ file fast, one CSV report, a weak-boundedness report in each of its three outcom
 report whose anchors are equal terms, so its distance sweeps repeat one
 candidate, and two reports that run on the per-index kind: a finite-rank
 image of a mixed-kind combination, whose structure is per-index, and a
-compactness classification through the prime transform, whose ``Scaled``
-images take their medians and nonzero-candidate distance sweeps per index.
+compactness classification through the prime transform, whose rescaled
+prefix images take their medians and nonzero-candidate distance sweeps per
+index.
 Three reports at the horizon 10^6 run their sweeps in several chunks, so
 every carry across a chunk boundary is pinned too, and a subsequence whose
 members pass the horizon 13-fold is swept at its members only.  The last

@@ -1,8 +1,9 @@
 """Differential matrix: structured evaluation against the per-index path.
 
-Every corpus member, a few subsequences, and their images under the
+Every corpus member, a few subsequences, their images under the
 operators of the classify pools (compositions, linear combinations and the
-prime transform included) are swept twice: once through their structure
+prime transform included), and a prefix read along a subsequence and under
+the prime transform in library compositions are swept twice: once through their structure
 and once through a per-index twin, whose structure is the base kind.  Norms,
 distances to the windowed median candidate, functional sweeps and the
 median candidate itself must agree to 1e-12 relative.
@@ -85,7 +86,21 @@ def _cases():
         for m in members:
             if _accepts(op, m):
                 cases.append((f"{op.describe()}({m.label})", operators.image_sequence(op, m)))
+    cases += [(seq.label, seq) for seq in _folded_prefixes()]
     return [(name, seq) for name, seq in cases if type(seq.structure) is not sequences.Structure]
+
+
+def _folded_prefixes():
+    """Prefixes read along a subsequence and under the prime transform, in
+    both orders and twice rescaled: library compositions the grammar cannot spell."""
+    transform = operators.prime_position_transform()
+    harmonic = sequences.harmonic_prefix_sequence()
+    return [
+        sequences.subsequence(operators.image_sequence(transform, harmonic), density.primes()),
+        operators.image_sequence(
+            transform, sequences.subsequence(harmonic, density.multiples(3))),
+        operators.image_sequence(transform, operators.image_sequence(transform, harmonic)),
+    ]
 
 
 CASES = _cases()
@@ -102,9 +117,9 @@ def _assert_close(got, want, what):
 
 
 _KINDS = (sequences.SingleSupport, sequences.PrefixValues, sequences.FixedBasisCombo,
-          sequences.DenseBlock, sequences.Reindexed, sequences.Scaled)
+          sequences.DenseBlock)
 _METHODS = ("sweep", "functionals", "median", "diagonal_image", "matrix_image", "rescaled",
-            "combined", "lifted", "reindexed")
+            "combined", "reindexed")
 
 
 def _noting(method, key, reached):
@@ -146,11 +161,13 @@ def test_structured_sweeps_match_per_index(name, seq):
 
 
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
-def test_structured_median_matches_per_index(name, seq):
-    # every kind but Scaled answers a median itself
-    answered = type(seq.structure).median is not sequences.Structure.median
-    assert answered != isinstance(seq.structure, sequences.Scaled)
+def test_structured_median_matches_per_index(name, seq, monkeypatch):
+    # every kind answers a median itself, but a rescaled prefix asks the per-index kind
+    per_index = set()
+    monkeypatch.setattr(sequences.Structure, "median",
+                        _noting(vars(sequences.Structure)["median"], "median", per_index))
     got = stanalysis._median_candidate(seq, H)
+    assert bool(per_index) == (getattr(seq.structure, "scale_of", None) is not None)
     want = stanalysis._median_candidate(_per_index(seq), H)
     scale = max(1.0, spaces.norm(want))
     assert spaces.norm(spaces.sub(got, want)) <= RTOL * scale
@@ -160,7 +177,18 @@ def test_subsequence_images_keep_a_structure():
     seq = sequences.parse_sequence("subseq(harmonic, multiples(3))")
     op = operators.parse_operator("combo(1,diag(inverse),-0.5,diag(identity))")
     image = operators.image_sequence(op, seq)
-    assert isinstance(image.structure, sequences.Reindexed)
+    assert isinstance(image.structure, sequences.PrefixValues)
+    assert image.structure.at is not None
+
+
+@pytest.mark.parametrize("seq", _folded_prefixes(), ids=lambda seq: seq.label)
+def test_folded_prefixes_stay_prefixes_with_the_bits_of_each_term(seq):
+    # the matrix above sweeps them at its tolerance; their norms are the
+    # per-index twin's bit for bit
+    assert isinstance(seq.structure, sequences.PrefixValues)
+    assert seq.label in dict(CASES)
+    assert np.array_equal(oracles.joined(sequences.sweep_chunks(seq, None, 400)),
+                          oracles.joined(sequences.sweep_chunks(_per_index(seq), None, 400)))
 
 
 @pytest.mark.parametrize("op", list(_POOL.values()), ids=list(_POOL))
@@ -310,9 +338,9 @@ def test_transformed_subsequences_of_pointwise_parents_stay_structured(text, mon
     for name in ("sweep", "median"):
         method = vars(sequences.Structure)[name]
         monkeypatch.setattr(sequences.Structure, name, _noting(method, name, per_index))
-    seq = operators.image_sequence(operators.prime_position_transform(),
-                                   sequences.parse_sequence(text))
-    assert type(seq.structure) is not sequences.Scaled
+    parent = sequences.parse_sequence(text)
+    seq = operators.image_sequence(operators.prime_position_transform(), parent)
+    assert type(seq.structure) is type(parent.structure)
     candidate = stanalysis._median_candidate(seq, H)
     _answers(seq, candidate, H)
     _answers(seq, seq.generator(H), H)
