@@ -13,7 +13,7 @@ package encodes, at desk scale, and reports one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -69,41 +69,41 @@ DEFAULT_CLASSIFY_TOLERANCE = 0.1
 _RATIO_DOUBLINGS = 60
 
 
-def _st_bounded_input(member, counts, horizon, tolerance):
+def _st_bounded_input(member, counts, tolerance):
     return bounded_verdict(counts, tolerance).decision
 
 
-def _st_null_input(member, counts, horizon, tolerance):
-    return _null(member, counts, horizon, tolerance).decision
+def _st_null_input(member, counts, tolerance):
+    return _null(member, counts, tolerance).decision
 
 
-def _norm_null_input(member, counts, horizon, tolerance):
+def _norm_null_input(member, counts, tolerance):
     return norm_limit_decision(counts, tolerance)
 
 
-def _norm_bounded_input(member, counts, horizon, tolerance):
+def _norm_bounded_input(member, counts, tolerance):
     # analytic bounds only: a finite sweep cannot certify sup ||x_n||
     return "confirmed" if member.norm_bound is not None else "inconclusive"
 
 
-def _bounded(image, counts, horizon, tolerance):
+def _bounded(image, counts, tolerance):
     return bounded_verdict(counts, tolerance)
 
 
-def _null(image, counts, horizon, tolerance):
+def _null(image, counts, tolerance):
     return convergence_verdict(counts, spaces.zero(image.space), tolerance)
 
 
-def _compact(image, counts, horizon, tolerance):
-    return converges_search(image, lambda: counts, horizon=horizon, tolerance=tolerance)
+def _compact(image, counts, tolerance):
+    return converges_search(image, counts, tolerance)
 
 
 # The paper's five definitions as data.  Each property is an implication:
 # when the input x_n satisfies the hypothesis, the image T x_n must satisfy
-# the conclusion.  The hypothesis decides ``(member, counts, horizon,
-# tolerance)`` and the conclusion is the verdict of ``(image, counts,
-# horizon, tolerance)``; ``counts`` is the ``stanalysis.NormCounts`` of the
-# member or the image, walked at most once in a run (see :class:`_Walks`),
+# the conclusion.  The hypothesis decides ``(member, counts, tolerance)``
+# and the conclusion is the verdict of ``(image, counts, tolerance)``;
+# ``counts`` is the ``stanalysis.NormCounts`` of the member or the image, at
+# the run's horizon, walked at most once in a run (see :class:`_Walks`),
 # which answers ``st_bounded``, ``st_converges`` to zero, ``norm_limit_zero``
 # and the zero candidate of ``st_converges_search`` at their defaults.
 _DEFINITIONS = {
@@ -251,29 +251,22 @@ class _Walks:
     A member is keyed ``(corpus version, label)`` and its image under an
     operator ``(descriptor, corpus version, label)``: operators with one
     descriptor act alike on one corpus.  The memo holds
-    ``stanalysis.NormCounts`` only, never an element, a sweep or a
-    candidate, and goes when the run returns.
+    ``stanalysis.NormCounts`` only, as they were walked, never an element,
+    a sweep or a candidate, and goes when the run returns.
     """
 
     def __init__(self, horizon):
         self.horizon = horizon
         self.counts = {}
-        self.tuples = {}
 
     def count(self, seqs):
         """The counts of each sequence of ``seqs``, a dict from memo key to
         sequence, in order; those not counted yet are counted from one walk
-        of them all in step, so a member walked with its images is read once.
-        Each distinct tuple of counts is held once: a suite at 10^5 keeps
-        6636 count rows of 699 distinct values."""
-        def held(t):
-            return self.tuples.setdefault(t, t)
-
+        of them all in step, so a member walked with its images is read once."""
         todo = {key: seq for key, seq in seqs.items() if key not in self.counts}
-        walked = stanalysis.norm_counts_of(list(todo.values()), self.horizon) if todo else ()
-        for key, c in zip(todo, walked):
-            self.counts[key] = replace(c, cps=held(c.cps), above=held(tuple(map(held, c.above))),
-                                       reach=held(tuple(map(held, c.reach))))
+        if todo:
+            walked = stanalysis.norm_counts_of(list(todo.values()), self.horizon)
+            self.counts.update(zip(todo, walked))
         return [self.counts[key] for key in seqs]
 
 
@@ -304,7 +297,7 @@ def _classify(ops, props, horizon, tolerance, walks):
             # a member not counted yet is walked with its images, as its hypotheses wait for it
             counts = walks.count({key: member} if key in walks.counts else {key: member, **images})[0]
             held = [prop for prop in props
-                    if _DEFINITIONS[prop][0](member, counts, horizon, tolerance) == "confirmed"]
+                    if _DEFINITIONS[prop][0](member, counts, tolerance) == "confirmed"]
             if not held:
                 continue
             walks.count(images)
@@ -317,7 +310,7 @@ def _classify(ops, props, horizon, tolerance, walks):
                     conclude = _DEFINITIONS[prop][1]
                     verdict = verdicts.get(conclude)
                     if verdict is None:
-                        verdict = verdicts[conclude] = conclude(image, counts, horizon, tolerance)
+                        verdict = verdicts[conclude] = conclude(image, counts, tolerance)
                     if verdict.decision == "refuted":
                         witnesses[i][prop].append((member.label, verdict))
     return [[ClassificationReport(name, prop, "refuted" if found[prop] else
@@ -638,7 +631,7 @@ def check_cauchy_suite(horizon, tolerance, walks):
     for member in corpus.members:
         vc = st_cauchy(member, horizon=horizon, tolerance=tolerance)
         counts, = walks.count({(corpus.version, member.label): member})
-        vs = converges_search(member, lambda: counts, horizon=horizon, tolerance=tolerance)
+        vs = converges_search(member, counts, tolerance)
         ok = {vc.decision, vs.decision} != {"confirmed", "refuted"}
         detail = "" if ok else f"cauchy {vc.decision} vs convergence {vs.decision}"
         outcomes.append((member.label, ok, detail))

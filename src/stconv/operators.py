@@ -399,7 +399,7 @@ def image_sequence(op, seq):
 
         return SequenceSpec(
             tgen, seq.space, f"{op.label}({seq.label})",
-            structure=seq.structure.rescaled(seq, op.scale_of),
+            structure=seq.structure.rescaled(op.scale_of),
         )
 
     if seq.space != op.domain:

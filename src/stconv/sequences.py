@@ -22,8 +22,8 @@ maximum or running sum.  A subsequence passes its parent the stream of its
 members: a *pointwise* kind (term ``n`` depends on ``n`` alone) read along
 them is the same kind, a prefix kind walks its prefixes at the members'
 lengths, and a subsequence of a per-index sequence runs per index through
-its generator.  Such a stream asks the index set for its last member first,
-so a subsequence past the member cap is refused before any chunk runs.  A
+its generator.  Either way the last member is asked for first, so a
+subsequence past the member cap is refused before any chunk runs.  A
 positional rescale is answered the same way, by every kind but the
 per-index one.  Walks zipped over one stream (a member and its images, see
 :func:`norm_chunks`) evaluate each chunk of a pointwise leaf once: the
@@ -156,21 +156,17 @@ class Structure:
     """The structure protocol, and its per-index kind.
 
     This base kind answers every question by evaluating the generator term
-    by term.  Each vectorised kind below overrides what it can answer and
-    leaves the rest to this one.  Sweeps take a :class:`Stream` ``ns`` and
-    yield one array per chunk of it; a median takes an int64 index array.
+    by term (see :func:`_terms`).  Each vectorised kind below overrides what
+    it can answer and leaves the rest to this one.  Every question takes a
+    :class:`Stream` ``ns``; sweeps yield one array per chunk of it.
     """
 
     def sweep(self, seq, candidate, ns):
         """``||x_n - candidate||`` (``||x_n||`` for ``candidate=None``) at ``n`` in ``ns``."""
-        gen = seq.generator
-        if candidate is None:
-            def term(n):
-                return element_norm(gen(n))
-        else:
-            def term(n):
-                return element_norm(sub(gen(n), candidate))
-        return (np.asarray([term(n) for n in c.tolist()], dtype=float) for c in ns)
+        def distance(x):
+            return element_norm(x if candidate is None else sub(x, candidate))
+
+        return (np.fromiter(map(distance, xs), dtype=float) for xs in _terms(seq, ns))
 
     def functionals(self, seq, fs, ns):
         """``f(x_n)`` at ``n`` in ``ns`` for each ``f`` of ``fs``
@@ -178,19 +174,12 @@ class Structure:
         fresh arrays, one per functional in order, which the caller may
         overwrite and reads before it asks for the next chunk.  Every
         functional reads the chunk's terms as they are made once."""
-        gen = seq.generator
-        for c in ns:
-            out = np.empty((len(fs), len(c)))
-            for i, n in enumerate(c.tolist()):
-                x = gen(n)
-                for r, f in enumerate(fs):
-                    out[r, i] = f.evaluate(x)
-            yield tuple(out)
+        for xs in _terms(seq, ns):
+            yield tuple(np.array([[f.evaluate(x) for f in fs] for x in xs], dtype=float).T)
 
     def median(self, seq, ns):
         """Coordinatewise median of the terms at the sample indices ``ns``."""
-        gen = seq.generator
-        elements = [gen(int(n)) for n in ns]
+        elements = [x for xs in _terms(seq, ns) for x in xs]
         if seq.space.kind == "dense":
             return spaces.dense_element(np.median([x.coords for x in elements], axis=0))
         sizes = [len(x.indices) for x in elements]
@@ -206,17 +195,29 @@ class Structure:
         """Structure of ``n -> a @ x_n``."""
         return Structure()
 
-    def rescaled(self, seq, scale_of):
-        """Structure of ``n -> scale_of(n) * x_n``, ``seq`` the sequence ``x``."""
+    def rescaled(self, scale_of):
+        """Structure of ``n -> scale_of(n) * x_n``."""
         return Structure()
 
     def combined(self, other, alpha, beta):
         """Structure of ``n -> alpha * x_n + beta * y_n``; ``other`` is that of ``y``."""
         return Structure()
 
-    def reindexed(self, seq, at):
-        """Structure of ``k -> x_{m_k}``; ``seq`` is ``x``, ``at(ks)`` the indices ``m_k``."""
+    def reindexed(self, at):
+        """Structure of ``k -> x_{m_k}``, ``at(ks)`` the indices ``m_k``."""
         return Structure()
+
+
+def _terms(seq, ns):
+    """The terms ``x_n`` of ``seq`` at each chunk of the stream ``ns``, one
+    lazy iterable per chunk, made one at a time by the generator.  The term
+    at the stream's last index is made first, so a subsequence past its
+    member cap is refused before any chunk runs."""
+    gen = seq.generator
+    if len(ns):
+        gen(len(ns) if ns.at is None else int(ns.at(np.array([len(ns)], dtype=np.int64))[0]))
+    for c in ns:
+        yield map(gen, c.tolist())
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,7 @@ class SingleSupport(Structure):
             yield tuple(f.weights(idx) * val for f in fs)
 
     def median(self, seq, ns):
-        terms = list(self.terms(Stream.of(ns)))
+        terms = list(self.terms(ns))
         return _sparse_median(_joined(idx for idx, _ in terms), _joined(val for _, val in terms),
                               np.arange(len(ns)), len(ns))
 
@@ -268,7 +269,7 @@ class SingleSupport(Structure):
             self._support,
         )
 
-    def rescaled(self, seq, scale_of):
+    def rescaled(self, scale_of):
         return SingleSupport(
             lambda ns: ((idx, scale_of(c) * val) for c, (idx, val) in zip(ns, self.terms(ns))),
             self._support,
@@ -285,7 +286,7 @@ class SingleSupport(Structure):
             self._support,
         )
 
-    def reindexed(self, seq, at):
+    def reindexed(self, at):
         return SingleSupport(lambda ns: self.terms(ns.along(at)))
 
 
@@ -399,7 +400,7 @@ class PrefixValues(Structure):
         # samples n >= k, so the median is value_of(k) up to the middle
         # sample and 0 past it.  An even window has two middle samples:
         # between them half of the samples hold value_of(k), the median half
-        ns = np.sort(ns if self.at is None else self.at(ns))
+        ns = _joined(ns if self.at is None else ns.along(self.at))   # increasing, as samples are
         mid = len(ns) // 2
         ks = np.arange(1, int(ns[mid]) + 1, dtype=np.int64)
         vals = np.empty(len(ks))
@@ -413,7 +414,7 @@ class PrefixValues(Structure):
         return replace(self, value_of=lambda ks: dfun(np.asarray(ks, dtype=np.int64))
                        * self.value_of(ks))
 
-    def rescaled(self, seq, scale_of):
+    def rescaled(self, scale_of):
         inner = self.scale_of
         return replace(self, scale_of=scale_of if inner is None
                        else lambda ks: inner(ks) * scale_of(ks))
@@ -425,7 +426,7 @@ class PrefixValues(Structure):
         return replace(self, value_of=lambda ks: alpha * self.value_of(ks)
                        + beta * other.value_of(ks))
 
-    def reindexed(self, seq, at):
+    def reindexed(self, at):
         inner_at, inner_scale = self.at, self.scale_of
         return replace(self, at=at if inner_at is None else lambda ks: inner_at(at(ks)),
                        scale_of=None if inner_scale is None else lambda ks: inner_scale(at(ks)))
@@ -476,13 +477,13 @@ class FixedBasisCombo(Structure):
     def median(self, seq, ns):
         # coordinatewise over the support: basis supports may overlap
         uidx, mat = self._support_matrix()
-        med = np.median(_joined(self.coeffs(Stream.of(ns))) @ mat, axis=0)
+        med = np.median(_joined(self.coeffs(ns)) @ mat, axis=0)
         return spaces.sparse_from_arrays(uidx, med)
 
     def diagonal_image(self, dfun, apply_to):
         return FixedBasisCombo(self.coeffs, tuple(apply_to(b) for b in self.basis))
 
-    def rescaled(self, seq, scale_of):
+    def rescaled(self, scale_of):
         def coeffs(ns):
             return (coeff * scale_of(c)[:, None] for c, coeff in zip(ns, self.coeffs(ns)))
 
@@ -498,7 +499,7 @@ class FixedBasisCombo(Structure):
 
         return FixedBasisCombo(coeffs, self.basis + other.basis)
 
-    def reindexed(self, seq, at):
+    def reindexed(self, at):
         return FixedBasisCombo(lambda ns: self.coeffs(ns.along(at)), self.basis)
 
 
@@ -526,13 +527,13 @@ class DenseBlock(Structure):
             yield map(block.__matmul__, ws)
 
     def median(self, seq, ns):
-        return spaces.dense_element(np.median(self.block_of(ns), axis=0))
+        return spaces.dense_element(np.median(_joined(self.rows(ns)), axis=0))
 
     def matrix_image(self, a):
         at = _transposed(a)
         return DenseBlock(lambda ns: (block @ at for block in self.rows(ns)))
 
-    def rescaled(self, seq, scale_of):
+    def rescaled(self, scale_of):
         def rows(ns):
             return (block * scale_of(c)[:, None] for c, block in zip(ns, self.rows(ns)))
 
@@ -544,7 +545,7 @@ class DenseBlock(Structure):
         return DenseBlock(lambda ns: (alpha * a + beta * b
                                       for a, b in zip(self.rows(ns), other.rows(ns))))
 
-    def reindexed(self, seq, at):
+    def reindexed(self, at):
         return DenseBlock(lambda ns: self.rows(ns.along(at)))
 
 
@@ -866,7 +867,7 @@ def subsequence(seq, along):
     return SequenceSpec(
         gen, seq.space,
         f"subseq({seq.label},{along.describe()})",
-        structure=seq.structure.reindexed(seq, along.nth),
+        structure=seq.structure.reindexed(along.nth),
         norm_bound=seq.norm_bound,
     )
 

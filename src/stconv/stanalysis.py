@@ -34,7 +34,7 @@ import numpy as np
 
 from . import operators, spaces
 from .density import DEFAULT_SCHEDULE, DensityProfile, DensityVerdict, count_table, density_verdict
-from .sequences import functional_chunks, norm_chunks, sweep_chunks
+from .sequences import Stream, functional_chunks, norm_chunks, sweep_chunks
 
 DEFAULT_ANALYSIS_HORIZON = 100_000
 DEFAULT_EPS_GRID = (0.5, 0.1, 0.01)
@@ -497,7 +497,7 @@ def _median_candidate(seq, horizon):
     """
     lo = max(1, horizon // 2)
     ns = np.unique(np.linspace(lo, horizon, _MEDIAN_SAMPLES).astype(np.int64))
-    return seq.structure.median(seq, ns)
+    return seq.structure.median(seq, Stream.of(ns))
 
 
 def find_limit_candidates(seq, horizon=DEFAULT_ANALYSIS_HORIZON):
@@ -523,28 +523,23 @@ def st_converges_search(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HOR
     verdict.
     """
     horizon = int(horizon)
-
-    def norms():
-        return _norm_walk(seq, horizon, schedule.checkpoints(horizon),
-                          _DEFAULT_LADDER, _normalized_grid(grid))
-
-    return converges_search(seq, norms, grid, horizon, tolerance, schedule)
+    counts = _norm_walk(seq, horizon, schedule.checkpoints(horizon),
+                        _DEFAULT_LADDER, _normalized_grid(grid))
+    return converges_search(seq, counts, tolerance, schedule)
 
 
-def converges_search(seq, norms, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
-                     tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
-    """:func:`st_converges_search`, with ``norms()`` the :class:`NormCounts`
-    of the norms at the default probes and at ``grid``; it is asked only
-    after the candidates are found."""
-    horizon = int(horizon)
+def converges_search(seq, counts, tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
+    """:func:`st_converges_search` from ``counts``, the :class:`NormCounts`
+    of the norms at the default probes and at the grid, whose horizon and
+    grid the search reads."""
+    horizon = counts.horizon
     candidates = find_limit_candidates(seq, horizon)
     verdicts = []
     for cand in candidates:
         if cand is candidates[0]:          # zero, whose distances are the norms
-            counts = norms()
             v = convergence_verdict(counts, cand, tolerance)
         else:
-            v = st_converges(seq, cand, grid, horizon, tolerance, schedule)
+            v = st_converges(seq, cand, counts.grid, horizon, tolerance, schedule)
         if v.decision == "confirmed":
             return v
         verdicts.append(v)

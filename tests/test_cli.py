@@ -572,6 +572,18 @@ def test_integer_literals_are_read_exactly(capsys):
     assert err == "error: member 100 of multiples(99999999999999999999) is beyond the cap 100000000\n"
 
 
+@pytest.mark.parametrize("along", ["squares", "multiples(2000)"])
+def test_per_index_subsequence_past_the_cap_is_refused_like_a_structured_one(capsys, along):
+    # a combination of two kinds runs per index; its last term is made
+    # first, so the refusal names the same member as the structured spelling
+    errors = []
+    for parent in ("combine(unit_coords, damped_unit_coords, 1, 1)", "unit_coords"):
+        code, out, err = run_text(capsys, ["converge", "--sequence", f"subseq({parent}, {along})"])
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1] == f"error: member 100000 of {along} is beyond the cap 100000000\n"
+
+
 def test_finite_member_past_int64_is_refused(capsys):
     code, out, err = run_text(capsys, ["density", "--set", "finite(9223372036854775808)",
                                        "--horizon", "100"])

@@ -160,9 +160,12 @@ def test_structured_sweeps_match_per_index(name, seq):
                       oracles.functional_values(f, twin, H), f.describe())
 
 
+@pytest.mark.parametrize("chunk", [sequences._CHUNK, 7])
 @pytest.mark.parametrize("name,seq", CASES, ids=[name for name, _ in CASES])
-def test_structured_median_matches_per_index(name, seq, monkeypatch):
-    # every kind answers a median itself, but a rescaled prefix asks the per-index kind
+def test_structured_median_matches_per_index(name, seq, chunk, monkeypatch):
+    # every kind answers a median itself, but a rescaled prefix asks the per-index kind;
+    # with chunks of 7 the samples span many chunks of the median's stream
+    monkeypatch.setattr(sequences, "_CHUNK", chunk)
     per_index = set()
     monkeypatch.setattr(sequences.Structure, "median",
                         _noting(vars(sequences.Structure)["median"], "median", per_index))

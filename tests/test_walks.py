@@ -64,7 +64,7 @@ def test_norm_counts_answer_each_norm_verdict_as_it_is_alone(seq, tolerance):
          stanalysis.st_bounded(seq, horizon=horizon, tolerance=tolerance)),
         (stanalysis.convergence_verdict(counts, zero, tolerance),
          stanalysis.st_converges(seq, horizon=horizon, tolerance=tolerance)),
-        (stanalysis.converges_search(seq, lambda: counts, horizon=horizon, tolerance=tolerance),
+        (stanalysis.converges_search(seq, counts, tolerance),
          stanalysis.st_converges_search(seq, horizon=horizon, tolerance=tolerance)),
     ]
     for shared, alone in pairs:
