@@ -285,6 +285,8 @@ def _classify(ops, props, horizon, tolerance, walks):
         if prop not in _DEFINITIONS:
             raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     horizon = int(horizon)
+    # refused before any walk, whether or not some member's tail would answer
+    density.DEFAULT_SCHEDULE.checkpoints(horizon)
     names = [op.describe() for op in ops]
     corpora = [corpus_for(op) for op in ops]
     witnesses = [{prop: [] for prop in props} for _ in ops]

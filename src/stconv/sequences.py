@@ -10,7 +10,11 @@ generator term by term, which is fine for cheap generators and small
 horizons but would be hopeless for, say, growing-support prefixes at
 ``n = 10^5``.  The constructors here give their specs a vectorised kind
 instead, which answers in a few numpy passes and leaves to the per-index
-kind only what it cannot answer.
+kind only what it cannot answer.  Most are a scalar formula ``s(n)`` times
+a fixed element, on ``e_n`` or on ``e_1``, and are built by
+:func:`_times_element`, :func:`_times_own_coordinate` or
+:func:`_times_first_coordinate` from ``s`` on index arrays for the
+structure and ``s`` at one index for the generator.
 
 A sweep takes a :class:`Stream` of the indices it is asked about and yields
 one array per chunk of at most ``_CHUNK`` indices: it evaluates only those
@@ -572,6 +576,56 @@ def _as_index_array(ns):
 # constructors
 # ---------------------------------------------------------------------------
 
+# Each builder takes s(n) twice: ``value_of(ns)`` on index arrays for the
+# structure, and ``value_at(n)`` for the generator, which reads nothing else
+# of it, so the per-index path stays an independent reference.
+
+def _times_element(value, value_of, value_at, label):
+    """``x_n = s(n) * value``."""
+    space = spaces.space_of(value)
+    if space.kind == "dense":
+        row = value.coords
+
+        def rows(ns):
+            # column by column: numpy broadcasts onto a few-wide inner axis slowly
+            s = value_of(ns)
+            block = np.empty((len(ns), len(row)))
+            for j, r in enumerate(row):
+                np.multiply(s, r, out=block[:, j])
+            return block
+
+        structure = DenseBlock(_pointwise(rows))
+    else:
+        structure = FixedBasisCombo(_pointwise(lambda ns: value_of(ns)[:, None]), (value,))
+    return SequenceSpec(lambda n: spaces.scale(value_at(n), value), space, label,
+                        structure=structure, norm_bound=element_norm(value))
+
+
+def _times_own_coordinate(value_of, value_at, label, norm_bound=None):
+    """Sparse ``x_n = s(n) * e_n``."""
+    return SequenceSpec(
+        lambda n: spaces.sparse_from_arrays([n], [value_at(n)]), sparse_space(), label,
+        structure=SingleSupport(_pointwise(lambda ns: (ns, value_of(ns)))), norm_bound=norm_bound,
+    )
+
+
+def _times_first_coordinate(dim, value_of, value_at, label, norm_bound=None):
+    """``x_n = s(n) * e_1`` in ``dense:dim``; the other coordinates are +0.0
+    whatever the sign of ``s(n)``."""
+    def gen(n):
+        coords = [0.0] * dim
+        coords[0] = value_at(n)
+        return DenseElement(tuple(coords))
+
+    def rows(ns):
+        block = np.zeros((len(ns), dim))
+        block[:, 0] = value_of(ns)
+        return block
+
+    return SequenceSpec(gen, dense_space(dim), label,
+                        structure=DenseBlock(_pointwise(rows)), norm_bound=norm_bound)
+
+
 def zero_sequence(space):
     z = spaces.zero(space)
     if space.kind == "dense":
@@ -584,19 +638,8 @@ def zero_sequence(space):
 
 
 def constant_sequence(value, label=None):
-    space = spaces.space_of(value)
-    if space.kind == "dense":
-        row = np.asarray(value.coords)
-        structure = DenseBlock(_pointwise(lambda ns: np.tile(row, (len(ns), 1))))
-    else:
-        structure = FixedBasisCombo(_pointwise(lambda ns: np.ones((len(ns), 1))), (value,))
-    return SequenceSpec(
-        lambda n: value,
-        space,
-        label or f"constant({spaces.format_element(value)})",
-        structure=structure,
-        norm_bound=element_norm(value),
-    )
+    return _times_element(value, lambda ns: np.ones(len(ns)), lambda n: 1.0,
+                          label or f"constant({spaces.format_element(value)})")
 
 
 def harmonic_prefix_sequence():
@@ -614,11 +657,7 @@ def harmonic_prefix_sequence():
 
 
 def unit_coordinate_sequence():
-    structure = SingleSupport(_pointwise(lambda ns: (ns, np.ones(len(ns)))))
-    return SequenceSpec(
-        lambda n: spaces.sparse_from_arrays([n], [1.0]), sparse_space(), "unit_coords",
-        structure=structure, norm_bound=1.0,
-    )
+    return _times_own_coordinate(lambda ns: np.ones(len(ns)), lambda n: 1.0, "unit_coords", 1.0)
 
 
 def prime_coordinate_sequence():
@@ -628,12 +667,8 @@ def prime_coordinate_sequence():
 
 def damped_unit_coordinate_sequence():
     """Coordinate vectors shrunk to norm ``1/sqrt(n)``: norm-null but spread out."""
-    structure = SingleSupport(_pointwise(lambda ns: (ns, 1.0 / np.sqrt(ns.astype(float)))))
-    return SequenceSpec(
-        lambda n: spaces.sparse_from_arrays([n], [1.0 / math.sqrt(n)]),
-        sparse_space(), "damped_unit_coords",
-        structure=structure, norm_bound=1.0,
-    )
+    return _times_own_coordinate(lambda ns: 1.0 / np.sqrt(ns.astype(float)),
+                                 lambda n: 1.0 / math.sqrt(n), "damped_unit_coords", 1.0)
 
 
 def damped_prime_coordinate_sequence():
@@ -643,36 +678,10 @@ def damped_prime_coordinate_sequence():
 
 def decaying_sequence(value, exponent=1.0, label=None):
     """``x_n = n^(-exponent) * value``; the workhorse null sequence."""
-    space = spaces.space_of(value)
     exponent = float(exponent)
-
-    def gen(n):
-        return spaces.scale(n ** (-exponent), value)
-
-    if space.kind == "dense":
-        row = value.coords
-
-        def rows(ns):
-            # column by column: numpy broadcasts onto a few-wide inner axis slowly
-            s = ns.astype(float) ** -exponent
-            block = np.empty((len(ns), len(row)))
-            for j, r in enumerate(row):
-                np.multiply(s, r, out=block[:, j])
-            return block
-
-        structure = DenseBlock(_pointwise(rows))
-    else:
-        structure = FixedBasisCombo(
-            _pointwise(lambda ns: (ns.astype(float) ** -exponent)[:, None]), (value,)
-        )
-    return SequenceSpec(
-        gen, space, label or f"null({spaces.format_element(value)})",
-        structure=structure, norm_bound=element_norm(value),
-    )
-
-
-def _identity_magnitude(ns):
-    return np.asarray(ns, dtype=float)
+    return _times_element(value, lambda ns: ns.astype(float) ** -exponent,
+                          lambda n: n ** (-exponent),
+                          label or f"null({spaces.format_element(value)})")
 
 
 def spike_sequence(space, spikes, magnitude=None, label=None):
@@ -683,77 +692,32 @@ def spike_sequence(space, spikes, magnitude=None, label=None):
     spikes).  ``magnitude`` must accept numpy index arrays; it defaults to
     ``n -> n``.
     """
-    mag = magnitude if magnitude is not None else _identity_magnitude
+    mag = magnitude or functools.partial(np.asarray, dtype=float)
 
-    def mag_at(n):
+    def value_at(n):
         return float(mag(np.asarray([n], dtype=np.int64))[0]) if spikes.contains(n) else 0.0
 
-    def spiked(ns):
+    def value_of(ns):
         """The term's magnitude at each of ``ns``: zero off the spike set."""
-        ns = _as_index_array(ns)
         lo = int(ns.min())
         mask = spikes.mask(lo, int(ns.max()))[ns - lo]
         return np.where(mask, mag(ns).astype(float), 0.0)
 
+    label = label or f"spike({spikes.describe()},n)"
     if space.kind == "sparse":
-        def gen(n):
-            return spaces.sparse_from_arrays([n], [mag_at(n)])
-
-        structure = SingleSupport(_pointwise(lambda ns: (ns, spiked(ns))))
-    else:
-        dim = space.dim
-
-        def gen(n):
-            coords = [0.0] * dim
-            coords[0] = mag_at(n)
-            return DenseElement(tuple(coords))
-
-        def rows(ns):
-            block = np.zeros((len(ns), dim))
-            block[:, 0] = spiked(ns)
-            return block
-
-        structure = DenseBlock(_pointwise(rows))
-
-    return SequenceSpec(gen, space, label or f"spike({spikes.describe()},n)", structure=structure)
+        return _times_own_coordinate(value_of, value_at, label)
+    return _times_first_coordinate(space.dim, value_of, value_at, label)
 
 
 def index_sequence(dim=1):
     """``x_n = n * e_1`` in a dense space; the standard unbounded sequence."""
-    space = dense_space(dim)
-
-    def block_of(ns):
-        ns = _as_index_array(ns)
-        block = np.zeros((len(ns), dim))
-        block[:, 0] = ns.astype(float)
-        return block
-
-    def gen(n):
-        coords = [0.0] * dim
-        coords[0] = float(n)
-        return DenseElement(tuple(coords))
-
-    return SequenceSpec(gen, space, "index_e1",
-                        structure=DenseBlock(_pointwise(block_of)))
+    return _times_first_coordinate(dim, lambda ns: ns.astype(float), float, "index_e1")
 
 
 def alternating_sequence(dim=1):
     """``x_n = (-1)^n * e_1`` in a dense space."""
-    space = dense_space(dim)
-
-    def block_of(ns):
-        ns = _as_index_array(ns)
-        block = np.zeros((len(ns), dim))
-        block[:, 0] = np.where(ns % 2 == 0, 1.0, -1.0)
-        return block
-
-    def gen(n):
-        coords = [0.0] * dim
-        coords[0] = 1.0 if n % 2 == 0 else -1.0
-        return DenseElement(tuple(coords))
-
-    return SequenceSpec(gen, space, "alternating_e1",
-                        structure=DenseBlock(_pointwise(block_of)), norm_bound=1.0)
+    return _times_first_coordinate(dim, lambda ns: np.where(ns % 2 == 0, 1.0, -1.0),
+                                   lambda n: 1.0 if n % 2 == 0 else -1.0, "alternating_e1", 1.0)
 
 
 def _random_rows(seed, width, ns):
@@ -811,27 +775,17 @@ def random_unit_ball(space, seed):
     Every sweep chunk and every term draws its own rows; nothing is kept.
     """
     seed = whole_number(seed, "a random seed")
+    label = f"random_ball_{seed}"
+    if space.kind == "sparse":
+        return _times_own_coordinate(lambda ns: _random_rows(seed, 1, ns)[:, 0],
+                                     lambda n: _random_rows(seed, 1, [n])[0, 0], label, 1.0)
+    dim = space.dim
 
-    if space.kind == "dense":
-        dim = space.dim
+    def gen(n):
+        return DenseElement(tuple(_random_rows(seed, dim, [n])[0].tolist()))
 
-        def gen(n):
-            return DenseElement(tuple(_random_rows(seed, dim, [n])[0].tolist()))
-
-        structure = DenseBlock(_pointwise(lambda ns: _random_rows(seed, dim, ns)))
-    else:
-        def value_of(ns):
-            return _random_rows(seed, 1, ns)[:, 0]
-
-        def gen(n):
-            return spaces.sparse_from_arrays([n], value_of([n]))
-
-        structure = SingleSupport(_pointwise(lambda ns: (ns, value_of(ns))))
-
-    return SequenceSpec(
-        gen, space, f"random_ball_{seed}",
-        structure=structure, norm_bound=1.0,
-    )
+    structure = DenseBlock(_pointwise(lambda ns: _random_rows(seed, dim, ns)))
+    return SequenceSpec(gen, space, label, structure=structure, norm_bound=1.0)
 
 
 def combine(a, b, alpha, beta, label=None):

@@ -533,13 +533,13 @@ def converges_search(seq, counts, tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAU
     of the norms at the default probes and at the grid, whose horizon and
     grid the search reads."""
     horizon = counts.horizon
-    candidates = find_limit_candidates(seq, horizon)
-    verdicts = []
-    for cand in candidates:
-        if cand is candidates[0]:          # zero, whose distances are the norms
-            v = convergence_verdict(counts, cand, tolerance)
-        else:
-            v = st_converges(seq, cand, counts.grid, horizon, tolerance, schedule)
+    zero = spaces.zero(seq.space)
+    verdicts = [convergence_verdict(counts, zero, tolerance)]   # zero's distances are the norms
+    if verdicts[0].decision == "confirmed":
+        return verdicts[0]
+    median = _median_candidate(seq, horizon)
+    if median != zero:
+        v = st_converges(seq, median, counts.grid, horizon, tolerance, schedule)
         if v.decision == "confirmed":
             return v
         verdicts.append(v)

@@ -314,6 +314,16 @@ def test_horizon_below_two_rejected(capsys, argv, horizon):
     assert err == "error: horizon must be at least 2\n"
 
 
+def test_classify_refuses_a_horizon_below_the_schedule_for_every_operator(capsys):
+    # no sparse member's tail confirms a hypothesis of diag(inverse) at 5, and
+    # every dense one asks for checkpoints: both are refused before any walk
+    results = [run_text(capsys, ["classify", "--operator", op, "--property", "n_st_continuous",
+                                 "--horizon", "5"])
+               for op in ("diag(inverse)", "matrix[[1,0],[0,1]]")]
+    want = (2, "", "error: schedule geometric:10 yields fewer than 2 checkpoints at horizon 5\n")
+    assert results == [want, want]
+
+
 def test_expect_match_and_mismatch(capsys):
     ok, _, _ = run_text(
         capsys,

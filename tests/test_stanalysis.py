@@ -339,6 +339,20 @@ def test_find_limit_candidates_include_zero():
     )
 
 
+def test_search_computes_the_median_only_where_zero_does_not_confirm(monkeypatch):
+    medians = []
+    median_candidate = stanalysis._median_candidate
+    monkeypatch.setattr(stanalysis, "_median_candidate",
+                        lambda seq, horizon: medians.append(seq.label)
+                        or median_candidate(seq, horizon))
+    spikes = sequences.spike_sequence(spaces.sparse_space(), density.squares())
+    v = stanalysis.st_converges_search(spikes, horizon=H)
+    assert (v.decision, v.limit, medians) == ("confirmed", spaces.zero(spikes.space), [])
+    ones = sequences.constant_sequence(spaces.dense_element((1.0, 1.0)))
+    v = stanalysis.st_converges_search(ones, horizon=H)
+    assert (v.decision, v.limit, medians) == ("confirmed", ones.generator(1), [ones.label])
+
+
 def _classify_sparse_operators():
     pools = _norm_bounded_operator_pool() + _iff_operator_pool() + _compact_consistent_pool()
     ops = [op for op in pools if op.domain.kind == "sparse"]

@@ -1,9 +1,10 @@
 """Differential matrix: structured evaluation against the per-index path.
 
-Every corpus member, a few subsequences, their images under the
-operators of the classify pools (compositions, linear combinations and the
-prime transform included), and a prefix read along a subsequence and under
-the prime transform in library compositions are swept twice: once through their structure
+Every corpus member, a few leaves the corpora miss, a few subsequences,
+their images under the operators of the classify pools (compositions,
+linear combinations and the prime transform included), and a prefix read
+along a subsequence and under the prime transform in library compositions
+are swept twice: once through their structure
 and once through a per-index twin, whose structure is the base kind.  Norms,
 distances to the windowed median candidate, functional sweeps and the
 median candidate itself must agree to 1e-12 relative.
@@ -70,6 +71,16 @@ def _accepts(op, seq):
     return isinstance(op, operators.SequenceTransform) or seq.space == op.domain
 
 
+# leaves the corpora miss: negative spikes, a sparse constant, a dense decay
+# with a zero coordinate, and e_1 sequences in other dimensions; each is
+# labelled by how it is spelled
+_LEAVES = [dataclasses.replace(sequences.parse_sequence(text), label=text) for text in
+           ("spike(squares,-2)", "spike(primes,-2,dim=3)", "constant(sparse{1:1,3:-0.5})",
+            "index(dim=1)", "alternating(dim=2)")]
+_LEAVES.insert(3, sequences.decaying_sequence(spaces.dense_element([-1.0, 0.0, 2.0]),
+                                              exponent=0.5, label="null(dense[-1,0,2],0.5)"))
+
+
 def _cases():
     members = list(sparse_corpus().members)
     for corpus in (dense_corpus(2), dense_corpus(3), cauchy_corpus()):
@@ -81,6 +92,7 @@ def _cases():
             sequences.random_unit_ball(spaces.dense_space(3), seed=5), density.multiples(2)),
         sequences.parse_sequence("subseq(null(sparse{1:1}), squares)"),
     ]
+    members += _LEAVES
     cases = [(m.label, m) for m in members]
     for op in _operators():
         for m in members:
@@ -374,3 +386,42 @@ def test_subsequence_sweeps_ask_a_known_set_only_for_their_positions(along, monk
         assert positions[0] == 1
     assert bool(primes_asked) == (along.describe() == "primes")
     assert max(primes_asked, default=0) <= H
+
+
+# a leaf of each layout the constructors build: rows of s(n) times a fixed
+# element or of s(n) on e_1, (n, s(n)) on e_n, and the coefficients s(n) of
+# a fixed sparse element; negative values and signed zeros included
+_BUILT = ["constant(dense[1,-0,2])", "constant(sparse{1:1,3:-0.5})", "null(dense[-1,-0,2])",
+          "null(sparse{2:1.5})", "unit_coords", "damped_unit_coords", "spike(squares,n)",
+          "spike(primes,-2)", "random(sparse,seed=3)", "index(dim=1)", "index(dim=3)",
+          "alternating(dim=2)", "spike(squares,-2,dim=3)", "spike(primes,n,dim=2)"]
+
+
+@pytest.mark.parametrize("text", _BUILT)
+def test_leaf_chunks_have_the_bits_of_the_generator(text, monkeypatch):
+    # 13 indices, two chunks of 7
+    monkeypatch.setattr(sequences, "_CHUNK", 7)
+    seq = sequences.parse_sequence(text)
+    ns = np.array([1, 2, 3, 4, 5, 8, 9, 16, 17, 25, 49, 97, 100], dtype=np.int64)
+    terms = [seq.generator(int(n)) for n in ns]
+    kind, stream = seq.structure, sequences.Stream.of(ns)
+    if isinstance(kind, sequences.DenseBlock):
+        got = oracles.joined(kind.rows(stream))
+        assert got.tobytes() == np.array([x.coords for x in terms]).tobytes()
+        if text.startswith(("index", "alternating", "spike")):
+            # s(n) on e_1 leaves +0.0 off the first coordinate, whatever its sign
+            assert not np.signbit(got[:, 1:]).any()
+    elif isinstance(kind, sequences.SingleSupport):
+        idx, val = (np.concatenate(parts) for parts in zip(*kind.terms(stream)))
+        assert np.array_equal(idx, ns)
+        for n, v, x in zip(ns, val, terms):
+            # a generator drops a zero term's entry, which the leaf holds as +0.0
+            assert x.indices.tolist() == ([n] if v else [])
+            assert np.float64(x.values[0] if v else 0.0).tobytes() == v.tobytes()
+    else:
+        assert isinstance(kind, sequences.FixedBasisCombo) and len(kind.basis) == 1
+        coeffs = oracles.joined(kind.coeffs(stream))
+        (b,) = kind.basis
+        for c, x in zip(coeffs[:, 0], terms):
+            assert np.array_equal(x.indices, b.indices)
+            assert x.values.tobytes() == (c * b.values).tobytes()
