@@ -14,6 +14,7 @@ Diagonal coefficient functions and the weight functions of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -188,16 +189,22 @@ class FiniteRank(OperatorSpec):
     def image_structure(self, seq):
         fs = tuple(f for f, _ in self.pieces)
 
+        def coeff(c, values):
+            values = iter(values)
+            out = np.empty((len(c), len(fs)))
+            for j in range(len(fs)):
+                out[:, j] = next(values)     # each functional's values go once copied
+            return out
+
         def coeffs(ns):
             # one walk of the sequence evaluates every functional on each chunk
-            return (np.stack(list(values), axis=1)
-                    for values in seq.structure.functionals(seq, fs, ns))
+            return map(coeff, ns, seq.structure.functionals(seq, fs, ns))
 
         basis = tuple(y0 for _, y0 in self.pieces)
         if self.codomain.kind == "dense":
             # a combination of fixed dense elements is just a dense block
             mat = np.asarray([y0.coords for y0 in basis])
-            return DenseBlock(lambda ns: (coeff @ mat for coeff in coeffs(ns)))
+            return DenseBlock(lambda ns: map(np.matmul, coeffs(ns), itertools.repeat(mat)))
         return FixedBasisCombo(coeffs, basis)
 
     def describe(self):

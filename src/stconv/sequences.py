@@ -29,9 +29,15 @@ lengths, and a subsequence of a per-index sequence runs per index through
 its generator.  Either way the last member is asked for first, so a
 subsequence past the member cap is refused before any chunk runs.  A
 positional rescale is answered the same way, by every kind but the
-per-index one.  Walks zipped over one stream (a member and its images, see
-:func:`norm_chunks`) evaluate each chunk of a pointwise leaf once: the
-stream's share hands every reader the same read-only array.
+per-index one.  Walks in step over one stream (a member and its images, see
+:func:`norm_chunks`) evaluate each index chunk and each chunk of a pointwise
+leaf once: the stream's share hands every reader the same read-only array.
+
+Every stage of a walk makes its chunk once and lets it go before the next
+chunk is made: stages are ``map`` and ``itertools.starmap``, which hold no
+item once they return it, where a generator expression, a ``for .. yield``
+or a ``zip`` keeps its last item until it is resumed.  So a walk holds one
+chunk of each array, and walks in step hold one stream's arrays at a time.
 
 Sparse terms, candidates and medians are read and built as the two arrays
 of a :class:`~stconv.spaces.SparseElement`, indices and values: a median is
@@ -85,15 +91,16 @@ class Stream:
 
     ``at`` maps an increasing int64 array of positions to their indices,
     which increase too (None reads each position as its own index).
-    Iterating yields one int64 index array per chunk, in order, and may be
-    repeated.  A stream that maps its positions asks ``at`` for the last one
-    first, so an index set refuses a stream past its member cap before any
-    chunk runs.
+    Iterating yields one read-only int64 index array per chunk, in order,
+    and may be repeated.  A stream that maps its positions asks ``at`` for
+    the last one first, once, so an index set refuses a stream past its
+    member cap before any chunk runs.
 
-    ``share`` holds, for each pointwise leaf read along the stream, the chunk
-    it read last (see :func:`_pointwise`), and one derived stream per ``at``
-    asked of :meth:`along`; it lives as long as the stream, that is as long
-    as the walks over it.
+    ``share`` holds the index chunk read last, which every reader of the
+    stream gets as the same array, the same for each pointwise leaf read
+    along the stream (see :func:`_pointwise`), and one derived stream per
+    ``at`` asked of :meth:`along`; it lives as long as the stream, that is
+    as long as the walks over it.
     """
 
     count: int
@@ -117,29 +124,38 @@ class Stream:
         return self.count
 
     def __iter__(self):
-        if self.at is not None and self.count:
-            self.at(np.array([self.count], dtype=np.int64))
-        for lo in range(0, self.count, _CHUNK):
-            ks = np.arange(lo + 1, min(lo + _CHUNK, self.count) + 1, dtype=np.int64)
-            yield ks if self.at is None else self.at(ks)
+        if self.at is not None and self.count and Stream not in self.share:
+            self.at(np.array([self.count], dtype=np.int64))   # before the first chunk is kept
+        for i, lo in enumerate(range(0, self.count, _CHUNK)):
+            yield _kept(self.share, Stream, i, lambda: self._chunk(lo))
+
+    def _chunk(self, lo):
+        ks = np.arange(lo + 1, min(lo + _CHUNK, self.count) + 1, dtype=np.int64)
+        return ks if self.at is None else self.at(ks)
+
+
+def _kept(share, key, i, make):
+    """Chunk ``i`` of ``key``: ``make()``, made read-only and kept in the
+    stream's ``share`` until a reader asks for another chunk, so every
+    reader at chunk ``i`` gets the same value."""
+    kept = share.get(key)
+    if kept is None or kept[0] != i:
+        value = make()
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        kept = share[key] = (i, value)
+    return kept[1]
 
 
 def _pointwise(fn):
     """The chunk stream of ``fn``, a function of index arrays whose value at
     an index does not depend on the other indices.
 
-    Chunk ``i`` of a stream is evaluated once and kept in the stream's share
-    until a reader asks for another chunk, and every reader gets the same
-    read-only value: walks zipped over one stream read each chunk once."""
+    Each chunk is evaluated once for every reader of the stream (see
+    :func:`_kept`): walks in step over one stream read each chunk once."""
     def chunks(ns):
         for i, c in enumerate(ns):
-            kept = ns.share.get(chunks)
-            if kept is None or kept[0] != i:
-                value = fn(c)
-                for a in value if isinstance(value, tuple) else (value,):
-                    a.flags.writeable = False
-                kept = ns.share[chunks] = (i, value)
-            yield kept[1]
+            yield _kept(ns.share, chunks, i, lambda: fn(c))
 
     return chunks
 
@@ -240,7 +256,7 @@ class SingleSupport(Structure):
 
     def sweep(self, seq, candidate, ns):
         if candidate is None or not len(candidate.indices):
-            return (np.abs(val.astype(float)) for _, val in self.terms(ns))
+            return itertools.starmap(lambda _, val: np.abs(val, dtype=float), self.terms(ns))
         cidx, cval = candidate.indices, candidate.values
         acv = np.abs(cval)
         top = int(np.argmax(acv))
@@ -258,9 +274,11 @@ class SingleSupport(Structure):
         return itertools.starmap(distances, self.terms(ns))
 
     def functionals(self, seq, fs, ns):
-        for idx, val in self.terms(ns):
-            val = val.astype(float)
-            yield tuple(f.weights(idx) * val for f in fs)
+        def values(idx, val):
+            val = val.astype(float, copy=False)
+            return (f.weights(idx) * val for f in fs)
+
+        return itertools.starmap(values, self.terms(ns))
 
     def median(self, seq, ns):
         terms = list(self.terms(ns))
@@ -268,27 +286,27 @@ class SingleSupport(Structure):
                               np.arange(len(ns)), len(ns))
 
     def diagonal_image(self, dfun, apply_to):
-        return SingleSupport(
-            lambda ns: ((idx, dfun(idx).astype(float) * val) for idx, val in self.terms(ns)),
-            self._support,
-        )
+        def term(idx, val):
+            return idx, np.multiply(dfun(idx), val, dtype=float)
+
+        return SingleSupport(lambda ns: itertools.starmap(term, self.terms(ns)), self._support)
 
     def rescaled(self, scale_of):
-        return SingleSupport(
-            lambda ns: ((idx, scale_of(c) * val) for c, (idx, val) in zip(ns, self.terms(ns))),
-            self._support,
-        )
+        def term(c, t):
+            return t[0], scale_of(c) * t[1]
+
+        return SingleSupport(lambda ns: map(term, ns, self.terms(ns)), self._support)
 
     def combined(self, other, alpha, beta):
         # only terms on one shared support index add up to a single support;
         # operator images of one sequence share its ``support``
         if type(other) is not SingleSupport or other._support is not self._support:
             return super().combined(other, alpha, beta)
-        return SingleSupport(
-            lambda ns: ((idx, alpha * a + beta * b)
-                        for (idx, a), (_, b) in zip(self.terms(ns), other.terms(ns))),
-            self._support,
-        )
+
+        def term(s, t):
+            return s[0], alpha * s[1] + beta * t[1]
+
+        return SingleSupport(lambda ns: map(term, self.terms(ns), other.terms(ns)), self._support)
 
     def reindexed(self, at):
         return SingleSupport(lambda ns: self.terms(ns.along(at)))
@@ -319,7 +337,7 @@ class PrefixValues(Structure):
             scale = self.scale_of(c).astype(float)
             return values * (scale if signed else np.abs(scale))
 
-        return itertools.starmap(scaled, zip(ns, chunks))
+        return map(scaled, ns, chunks)
 
     @staticmethod
     def _walk(ns, step):
@@ -342,6 +360,7 @@ class PrefixValues(Structure):
                 out[..., at:end] = vals[..., c[at:end] - (top - vals.shape[-1] + 1)]
                 at = end
             yield out
+            del out
 
     def sweep(self, seq, candidate, ns):
         if candidate is not None and self.scale_of is not None:
@@ -476,7 +495,7 @@ class FixedBasisCombo(Structure):
 
     def functionals(self, seq, fs, ns):
         fvecs = [np.asarray([f.evaluate(b) for b in self.basis]) for f in fs]
-        return (tuple(coeff @ fvec for fvec in fvecs) for coeff in self.coeffs(ns))
+        return map(lambda coeff: map(coeff.__matmul__, fvecs), self.coeffs(ns))
 
     def median(self, seq, ns):
         # coordinatewise over the support: basis supports may overlap
@@ -488,20 +507,20 @@ class FixedBasisCombo(Structure):
         return FixedBasisCombo(self.coeffs, tuple(apply_to(b) for b in self.basis))
 
     def rescaled(self, scale_of):
-        def coeffs(ns):
-            return (coeff * scale_of(c)[:, None] for c, coeff in zip(ns, self.coeffs(ns)))
+        def coeff(c, a):
+            return a * scale_of(c)[:, None]
 
-        return FixedBasisCombo(coeffs, self.basis)
+        return FixedBasisCombo(lambda ns: map(coeff, ns, self.coeffs(ns)), self.basis)
 
     def combined(self, other, alpha, beta):
         if type(other) is not FixedBasisCombo:
             return super().combined(other, alpha, beta)
 
-        def coeffs(ns):
-            return (np.concatenate([alpha * a, beta * b], axis=1)
-                    for a, b in zip(self.coeffs(ns), other.coeffs(ns)))
+        def coeff(a, b):
+            return np.concatenate([alpha * a, beta * b], axis=1)
 
-        return FixedBasisCombo(coeffs, self.basis + other.basis)
+        return FixedBasisCombo(lambda ns: map(coeff, self.coeffs(ns), other.coeffs(ns)),
+                               self.basis + other.basis)
 
     def reindexed(self, at):
         return FixedBasisCombo(lambda ns: self.coeffs(ns.along(at)), self.basis)
@@ -520,34 +539,37 @@ class DenseBlock(Structure):
 
     def sweep(self, seq, candidate, ns):
         c = None if candidate is None else np.asarray(candidate.coords)
-        return (_block_norms(block, c) for block in self.rows(ns))
+        return map(_block_norms, self.rows(ns), itertools.repeat(c))
 
     def functionals(self, seq, fs, ns):
-        ws = None
-        for block in self.rows(ns):
-            if ws is None:
-                ws = [f.weights_upto(block.shape[1]) for f in fs]
+        ws = []
+
+        def values(block):
+            if not ws:
+                ws.extend(f.weights_upto(block.shape[1]) for f in fs)
             # made as they are read, so a walk of many functionals holds one
-            yield map(block.__matmul__, ws)
+            return map(block.__matmul__, ws)
+
+        return map(values, self.rows(ns))
 
     def median(self, seq, ns):
         return spaces.dense_element(np.median(_joined(self.rows(ns)), axis=0))
 
     def matrix_image(self, a):
         at = _transposed(a)
-        return DenseBlock(lambda ns: (block @ at for block in self.rows(ns)))
+        return DenseBlock(lambda ns: map(np.matmul, self.rows(ns), itertools.repeat(at)))
 
     def rescaled(self, scale_of):
-        def rows(ns):
-            return (block * scale_of(c)[:, None] for c, block in zip(ns, self.rows(ns)))
+        def row(c, block):
+            return block * scale_of(c)[:, None]
 
-        return DenseBlock(rows)
+        return DenseBlock(lambda ns: map(row, ns, self.rows(ns)))
 
     def combined(self, other, alpha, beta):
         if type(other) is not DenseBlock:
             return super().combined(other, alpha, beta)
-        return DenseBlock(lambda ns: (alpha * a + beta * b
-                                      for a, b in zip(self.rows(ns), other.rows(ns))))
+        return DenseBlock(lambda ns: map(lambda a, b: alpha * a + beta * b,
+                                         self.rows(ns), other.rows(ns)))
 
     def reindexed(self, at):
         return DenseBlock(lambda ns: self.rows(ns.along(at)))
@@ -687,23 +709,28 @@ def decaying_sequence(value, exponent=1.0, label=None):
 def spike_sequence(space, spikes, magnitude=None, label=None):
     """The zero sequence of ``space`` with spikes on the index set ``spikes``.
 
-    On a spike index ``n`` the term is ``magnitude(n) * e_n`` (sparse) or
-    ``magnitude(n) * e_1`` (dense; the first coordinate carries dense
-    spikes).  ``magnitude`` must accept numpy index arrays; it defaults to
-    ``n -> n``.
+    On a spike index ``n`` the term is ``m(n) * e_n`` (sparse) or
+    ``m(n) * e_1`` (dense; the first coordinate carries dense spikes), where
+    ``m(n)`` is ``n``, or the constant ``magnitude`` when one is given.  The
+    label names the magnitude as the descriptor does: ``spike(squares,n)``,
+    ``spike(squares,-2)``.
     """
-    mag = magnitude or functools.partial(np.asarray, dtype=float)
+    if magnitude is None:
+        mag_of, mag_at, named = (lambda ns: ns.astype(float)), float, "n"
+    else:
+        m = float(magnitude)
+        mag_of, mag_at, named = (lambda ns: np.full(len(ns), m)), (lambda n: m), format_float(m)
 
     def value_at(n):
-        return float(mag(np.asarray([n], dtype=np.int64))[0]) if spikes.contains(n) else 0.0
+        return mag_at(n) if spikes.contains(n) else 0.0
 
     def value_of(ns):
         """The term's magnitude at each of ``ns``: zero off the spike set."""
         lo = int(ns.min())
         mask = spikes.mask(lo, int(ns.max()))[ns - lo]
-        return np.where(mask, mag(ns).astype(float), 0.0)
+        return np.where(mask, mag_of(ns), 0.0)
 
-    label = label or f"spike({spikes.describe()},n)"
+    label = label or f"spike({spikes.describe()},{named})"
     if space.kind == "sparse":
         return _times_own_coordinate(value_of, value_at, label)
     return _times_first_coordinate(space.dim, value_of, value_at, label)
@@ -866,24 +893,43 @@ def _block_norms(block, offset=None):
     """The Euclidean norm of each row of ``block``, or of ``block - offset``
     for a row ``offset``, which is then subtracted column by column."""
     # x * x has the bits of |x| ** 2.0, and np.sqrt is what ** 0.5 runs
-    if block.shape[1] >= 8:
-        # numpy sums a row of 8 or more by pairwise blocks, an order that
-        # only its own row-wise reduction repeats bit for bit
+    width = block.shape[1]
+    if width >= 16:
+        # a row of 16 or more numpy sums by pairwise blocks, which a
+        # column-wise fold repeats only more slowly: columns that far apart
+        # share no cache line
         squares = np.multiply(block, block) if offset is None else block - offset
         if offset is not None:
             np.multiply(squares, squares, out=squares)
         return np.sqrt(np.sum(squares, axis=1))
-    # narrower rows numpy sums left to right, as this column-wise fold does
-    acc = np.empty(len(block))
-    col = np.empty_like(acc)
-    for j in range(block.shape[1]):
+    acc, col = np.empty(len(block)), np.empty(len(block))
+
+    def square(j, out):
         x = block[:, j]
         if offset is not None:
-            x = np.subtract(x, offset[j], out=col)
-        if j == 0:
-            np.multiply(x, x, out=acc)
-        else:
-            acc += np.multiply(x, x, out=col)
+            x = np.subtract(x, offset[j], out=out)
+        return np.multiply(x, x, out=out)
+
+    # numpy sums a row of up to 7 left to right, and a row of 8 to 15 as
+    # ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) and then the rest left to right;
+    # so does this, a column at a time, several times faster on short rows
+    square(0, acc)
+    rest = range(1, width)
+    if width >= 8:
+        right, other = np.empty(len(block)), np.empty(len(block))
+        acc += square(1, col)
+        square(2, other)
+        other += square(3, col)
+        acc += other
+        square(4, right)
+        right += square(5, col)
+        square(6, other)
+        other += square(7, col)
+        right += other
+        acc += right
+        rest = range(8, width)
+    for j in rest:
+        acc += square(j, col)
     return np.sqrt(acc, out=acc)
 
 
@@ -899,11 +945,16 @@ def sweep_chunks(seq, candidate, horizon):
 
 
 def norm_chunks(seqs, horizon):
-    """``||x_n||`` for ``n = 1..horizon`` of each sequence of ``seqs``, one
-    tuple of arrays per chunk, from their walks zipped over one stream, so a
-    pointwise leaf they share (one member under its images) is read once."""
+    """``||x_n||`` for ``n = 1..horizon`` of each sequence of ``seqs``, from
+    their walks in step over one stream, so a pointwise leaf they share (one
+    member under its images) is read once.
+
+    Per chunk, a lazy iterable of arrays, one per sequence in order, each
+    made as it is read; the caller reads every one before it asks for the
+    next chunk, so the walk holds one sequence's arrays at a time."""
     ns = Stream(int(horizon))
-    return zip(*(seq.structure.sweep(seq, None, ns) for seq in seqs))
+    walks = [seq.structure.sweep(seq, None, ns) for seq in seqs]
+    return (map(next, walks) for _ in range(-(-ns.count // _CHUNK)))
 
 
 def functional_chunks(fs, seq, horizon):
@@ -937,11 +988,8 @@ def _parse_given_space(cur):
 
 
 def _parse_magnitude(cur):
-    """``n`` for the identity magnitude, or a numeric constant."""
-    if cur.keyword("n"):
-        return None
-    value = cur.number()
-    return lambda ns: np.full(len(_as_index_array(ns)), float(value))
+    """``n`` for the identity magnitude (None), or a numeric constant."""
+    return None if cur.keyword("n") else cur.number()
 
 
 def parse_sequence_at(cur, default_seed=7):

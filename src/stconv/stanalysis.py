@@ -24,7 +24,6 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -188,28 +187,31 @@ def _walk(chunks, k, horizon, cps, probes=(), grid=(), tail=False):
     start = horizon // 10     # the tail starts at this 0-based offset
     extremes = [[-math.inf, math.inf] for _ in range(k)]
 
-    def masks(values, lo):
-        # one mask at a time, so that a walk of many streams holds one
-        for v, ext in zip(values, extremes):
+    def masks(first, values, lo):
+        # one stream's values and masks at a time: each stream's values go
+        # before the next stream's are made
+        for ext in extremes:
+            v = first.pop() if first else next(values)
             peak = v.max()
             if tail and lo + len(v) > start:
-                part = v[max(start - lo, 0):]
+                at = max(start - lo, 0)
                 # np.maximum and np.minimum carry a NaN, as a max or min over the whole tail does
-                ext[0] = np.maximum(ext[0], part.max())
-                ext[1] = np.minimum(ext[1], part.min())
+                ext[0] = np.maximum(ext[0], v[at:].max())
+                ext[1] = np.minimum(ext[1], v[at:].min())
             for m in probes:
                 yield None if m >= peak else v > m
             for e in grid:
                 yield None if e > peak else v >= e
+            del v
 
     def blocks():
         lo = 0
         for values in chunks:
             values = iter(values)
-            first = next(values)
-            size = len(first)
-            yield size, masks(itertools.chain([first], values), lo)
-            del first, values      # so the next chunk is made without this one
+            first = [next(values)]      # popped by masks, so nothing here holds it
+            size = len(first[0])
+            yield size, masks(first, values, lo)
+            del values                  # so the next chunk is made without this one
             lo += size
 
     if cps is None:
@@ -368,7 +370,7 @@ def bounded_verdict(counts, tolerance=DEFAULT_ST_TOLERANCE):
 
 
 def _magnitudes(values):
-    return (np.abs(v, out=v) for v in values)
+    return map(lambda v: np.abs(v, out=v), values)
 
 
 def _weak_probe_functionals(dim):

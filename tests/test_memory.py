@@ -65,6 +65,23 @@ def test_ratio_bound_holds_one_chunk_of_each_sweep():
     assert peak / MB <= 4
 
 
+def test_a_pool_walk_holds_one_stream_at_a_time():
+    # a random member walked in step with five matrix images at 10^5: each
+    # stream's rows and norms go before the next stream's are made; holding
+    # one chunk of every stream at once took 7.5 MB here
+    rng = np.random.default_rng(5)
+    member = sequences.random_unit_ball(spaces.dense_space(6), 201)
+    seqs = [member] + [operators.image_sequence(operators.matrix_operator(rng.normal(size=(6, 6))),
+                                                member) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        stanalysis.norm_counts_of(seqs, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / MB <= 4
+
+
 def test_a_subsequence_past_the_cap_is_refused_before_any_chunk_runs():
     # the member at the horizon is asked for first, so the prime sieve does
     # not grow chunk by chunk toward the cap before the refusal

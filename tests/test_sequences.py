@@ -148,10 +148,21 @@ def test_spikes_sit_on_zero():
     assert spiked.generator(4).coords == (4.0, 0.0, 0.0)
     assert spiked.generator(5).coords == (0.0, 0.0, 0.0)
 
-    sp = sequences.spike_sequence(spaces.sparse_space(), density.primes(),
-                                  magnitude=lambda ns: 0 * ns + 2.0)
+    sp = sequences.spike_sequence(spaces.sparse_space(), density.primes(), magnitude=2.0)
     assert dict(sp.generator(3).support) == {3: 2.0}
     assert dict(sp.generator(4).support) == {}
+
+
+@pytest.mark.parametrize("text, label", [
+    ("spike(squares, n)", "spike(squares,n)"),
+    ("spike(squares,-2)", "spike(squares,-2)"),
+    ("spike(primes, 1.5, dim=3)", "spike(primes,1.5)"),
+    ("spike(multiples(3), 2.0)", "spike(multiples(3),2)"),
+])
+def test_a_spike_label_names_its_magnitude(text, label):
+    seq = sequences.parse_sequence(text)
+    assert seq.label == label
+    assert sequences.subsequence(seq, density.squares()).label == f"subseq({label},squares)"
 
 
 def test_index_and_alternating():

@@ -123,7 +123,9 @@ def test_norms_in_step_have_the_bits_of_each_sweep_alone(dim, chunk, monkeypatch
     ops = [operators.matrix_operator(rng.normal(size=(dim, dim))) for _ in range(3)]
     for member in dense_corpus(dim).members:
         seqs = [member] + [operators.image_sequence(op, member) for op in ops]
-        together = list(sequences.norm_chunks(seqs, 300))
+        # each chunk is read whole before the next is asked for
+        together = [tuple(norms) for norms in sequences.norm_chunks(seqs, 300)]
+        assert all(len(norms) == len(seqs) for norms in together)
         for i, seq in enumerate(seqs):
             got = oracles.joined(norms[i] for norms in together)
             want = oracles.joined(sequences.sweep_chunks(seq, None, 300))
@@ -182,14 +184,20 @@ def test_a_shared_chunk_is_read_only_and_goes_with_its_stream(monkeypatch):
     assert a is b
     with pytest.raises(ValueError):
         a[0, 0] = 2.0
-    # the share keeps the last chunk of the leaf, and one derived stream per ``at``
+    ks, again = iter(ns), iter(ns)
+    k = next(ks)
+    assert k is next(again)
+    with pytest.raises(ValueError):
+        k[0] = 2
+    # the share keeps the last index chunk, the last chunk of the leaf, and
+    # one derived stream per ``at``
     next(first)
-    assert len(ns.share) == 1
+    assert len(ns.share) == 2
     at = np.negative
-    assert ns.along(at) is ns.along(at) and len(ns.share) == 2
-    refs = [weakref.ref(x) for x in (ns, a, ns.along(at))]
-    del ns, first, second, a, b
-    assert [ref() for ref in refs] == [None] * 3
+    assert ns.along(at) is ns.along(at) and len(ns.share) == 3
+    refs = [weakref.ref(x) for x in (ns, a, k, ns.along(at))]
+    del ns, first, second, a, b, ks, again, k
+    assert [ref() for ref in refs] == [None] * 4
 
 
 def test_a_walk_in_step_holds_one_chunk_per_leaf_and_nothing_after(monkeypatch):
@@ -207,11 +215,47 @@ def test_a_walk_in_step_holds_one_chunk_per_leaf_and_nothing_after(monkeypatch):
 
     monkeypatch.setattr(sequences, "_random_rows", kept)
     walk = sequences.norm_chunks(seqs, 1000)
-    for _ in walk:
+    for norms in walk:
+        assert len(list(norms)) == len(seqs)
         assert sum(ref() is not None for ref in drawn) == 1
     assert len(drawn) == -(-1000 // 64)
     del walk
     assert all(ref() is None for ref in drawn)
+
+
+def test_a_walk_in_step_holds_the_arrays_of_one_stream_at_a_time(monkeypatch):
+    # each image's rows and norms are made once and go before the next
+    # stream's are made; walks that kept their last chunk (and a zip of
+    # every stream's norms) held all of them until the next chunk
+    monkeypatch.setattr(sequences, "_CHUNK", 64)
+    rng = np.random.default_rng(3)
+    member = sequences.random_unit_ball(spaces.dense_space(3), 202)
+    seqs = [member] + [operators.image_sequence(operators.matrix_operator(rng.normal(size=(3, 3))),
+                                                member) for _ in range(4)]
+    made, alive = [], []
+    norms = sequences._block_norms
+
+    def derived(refs):
+        # the member's rows are the stream's share, made read-only once drawn
+        return sum(ref() is not None and ref().flags.writeable for ref in refs)
+
+    def watched(block, offset=None):
+        earlier = list(made)
+        alive.append(derived(earlier))
+        made.append(weakref.ref(block))
+        out = norms(block, offset)
+        alive.append(derived(earlier))
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(sequences, "_block_norms", watched)
+    counts = stanalysis.norm_counts_of(seqs, 1000)
+    # per chunk, two arrays per stream and two for the member's draw (its rows and their scales)
+    assert len(made) == 12 * -(-1000 // 64)
+    assert max(alive) <= 1
+    assert all(ref() is None for ref in made)
+    monkeypatch.undo()
+    assert counts == [stanalysis.norm_counts(seq, 1000) for seq in seqs]
 
 
 def _suite_pools(horizon=2000):
