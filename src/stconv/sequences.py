@@ -479,7 +479,7 @@ class FixedBasisCombo(Structure):
     def sweep(self, seq, candidate, ns):
         uidx, mat = self._support_matrix(candidate)
         if len(uidx) == 0:
-            return (np.zeros(len(c)) for c in ns)
+            return map(lambda c: np.zeros(len(c)), ns)
         offset = None
         if candidate is not None:
             offset = np.zeros(len(uidx))
@@ -893,43 +893,24 @@ def _block_norms(block, offset=None):
     """The Euclidean norm of each row of ``block``, or of ``block - offset``
     for a row ``offset``, which is then subtracted column by column."""
     # x * x has the bits of |x| ** 2.0, and np.sqrt is what ** 0.5 runs
-    width = block.shape[1]
-    if width >= 16:
-        # a row of 16 or more numpy sums by pairwise blocks, which a
-        # column-wise fold repeats only more slowly: columns that far apart
-        # share no cache line
+    if block.shape[1] >= 8:
+        # numpy sums a row of 8 or more by pairwise blocks, an order that
+        # only its own row-wise reduction repeats bit for bit
         squares = np.multiply(block, block) if offset is None else block - offset
         if offset is not None:
             np.multiply(squares, squares, out=squares)
         return np.sqrt(np.sum(squares, axis=1))
-    acc, col = np.empty(len(block)), np.empty(len(block))
-
-    def square(j, out):
+    # narrower rows numpy sums left to right, as this column-wise fold does
+    acc = np.empty(len(block))
+    col = np.empty_like(acc)
+    for j in range(block.shape[1]):
         x = block[:, j]
         if offset is not None:
-            x = np.subtract(x, offset[j], out=out)
-        return np.multiply(x, x, out=out)
-
-    # numpy sums a row of up to 7 left to right, and a row of 8 to 15 as
-    # ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) and then the rest left to right;
-    # so does this, a column at a time, several times faster on short rows
-    square(0, acc)
-    rest = range(1, width)
-    if width >= 8:
-        right, other = np.empty(len(block)), np.empty(len(block))
-        acc += square(1, col)
-        square(2, other)
-        other += square(3, col)
-        acc += other
-        square(4, right)
-        right += square(5, col)
-        square(6, other)
-        other += square(7, col)
-        right += other
-        acc += right
-        rest = range(8, width)
-    for j in rest:
-        acc += square(j, col)
+            x = np.subtract(x, offset[j], out=col)
+        if j == 0:
+            np.multiply(x, x, out=acc)
+        else:
+            acc += np.multiply(x, x, out=col)
     return np.sqrt(acc, out=acc)
 
 
@@ -950,11 +931,17 @@ def norm_chunks(seqs, horizon):
     member under its images) is read once.
 
     Per chunk, a lazy iterable of arrays, one per sequence in order, each
-    made as it is read; the caller reads every one before it asks for the
-    next chunk, so the walk holds one sequence's arrays at a time."""
+    made as it is read, so the walk holds one sequence's arrays at a time.
+    The caller reads every one before it asks for the next chunk: one left
+    unread would pair later chunks of the walks out of step, so asking past
+    it raises ``RuntimeError``."""
     ns = Stream(int(horizon))
     walks = [seq.structure.sweep(seq, None, ns) for seq in seqs]
-    return (map(next, walks) for _ in range(-(-ns.count // _CHUNK)))
+    for _ in range(-(-ns.count // _CHUNK)):
+        chunk = map(next, walks)      # holds the walks, never an array it made
+        yield chunk
+        if next(chunk, None) is not None:
+            raise RuntimeError("a chunk of norm_chunks was not read to its end")
 
 
 def functional_chunks(fs, seq, horizon):

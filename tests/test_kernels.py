@@ -23,9 +23,9 @@ def _block(rows, width, seed):
 
 @pytest.mark.parametrize("width", [*range(1, 41), 64, 128, 129])
 def test_block_norms_match_rowwise_reduction(width):
-    # numpy's row-wise sum is left to right below 8 columns and pairwise
-    # from 8 on, in blocks of 128; the kernel repeats that order, with or
-    # without a row offset
+    # numpy's row-wise sum is left to right below 8 columns, which the
+    # kernel's column fold repeats, and pairwise from 8 on, in blocks of 128,
+    # where the kernel calls it; with or without a row offset
     block = _block(5000, width, seed=width)
     for offset in (None, _block(1, width, seed=1000 + width)[0]):
         want = np.sum(np.abs(block if offset is None else block - offset) ** 2.0, axis=1) ** 0.5

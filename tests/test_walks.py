@@ -223,6 +223,20 @@ def test_a_walk_in_step_holds_one_chunk_per_leaf_and_nothing_after(monkeypatch):
     assert all(ref() is None for ref in drawn)
 
 
+@pytest.mark.parametrize("read", [lambda norms: next(norms), lambda norms: None])
+def test_a_chunk_in_step_left_unread_is_refused(read, monkeypatch):
+    # reading a chunk in part, or skipping it, would leave the other walks a
+    # chunk behind and pair later norms across chunks
+    monkeypatch.setattr(sequences, "_CHUNK", 64)
+    member = sequences.random_unit_ball(spaces.dense_space(3), 202)
+    seqs = [member, operators.image_sequence(operators.parse_operator("matrix[[1,0,0],[0,2,0],[0,0,3]]"),
+                                             member)]
+    walk = sequences.norm_chunks(seqs, 1000)
+    read(next(walk))
+    with pytest.raises(RuntimeError, match="not read to its end"):
+        next(walk)
+
+
 def test_a_walk_in_step_holds_the_arrays_of_one_stream_at_a_time(monkeypatch):
     # each image's rows and norms are made once and go before the next
     # stream's are made; walks that kept their last chunk (and a zip of
