@@ -154,6 +154,8 @@ def _emit_csv(rows):
 
 
 def _sequence_under_analysis(args):
+    if args.seed < 0:
+        raise ValueError(f"a random seed must be non-negative, got {args.seed}")
     seq = sequences.parse_sequence(args.sequence, default_seed=args.seed)
     if args.operator:
         op = operators.parse_operator(args.operator)

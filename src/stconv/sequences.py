@@ -533,10 +533,6 @@ class DenseBlock(Structure):
 
     rows: Callable
 
-    def block_of(self, ns):
-        """The coordinate rows at the indices ``ns``, all at once."""
-        return _joined(self.rows(Stream.of(ns)))
-
     def sweep(self, seq, candidate, ns):
         c = None if candidate is None else np.asarray(candidate.coords)
         return map(_block_norms, self.rows(ns), itertools.repeat(c))
@@ -802,6 +798,8 @@ def random_unit_ball(space, seed):
     Every sweep chunk and every term draws its own rows; nothing is kept.
     """
     seed = whole_number(seed, "a random seed")
+    if seed < 0:
+        raise ValueError(f"a random seed must be non-negative, got {seed}")
     label = f"random_ball_{seed}"
     if space.kind == "sparse":
         return _times_own_coordinate(lambda ns: _random_rows(seed, 1, ns)[:, 0],

@@ -17,7 +17,6 @@ Euclidean on dense and sup on sparse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -73,11 +72,6 @@ class SparseElement:
 
     indices: np.ndarray   # int64, increasing, >= 1
     values: np.ndarray    # float64, nonzero
-
-    @property
-    def support(self):
-        """The entries as a read-only mapping index -> value, built afresh on each read."""
-        return MappingProxyType(dict(zip(self.indices.tolist(), self.values.tolist())))
 
     def __eq__(self, other):
         if not isinstance(other, SparseElement):

@@ -146,20 +146,15 @@ _DEFAULT_GRID = _normalized_grid(DEFAULT_EPS_GRID)
 @dataclass(frozen=True, slots=True)
 class NormCounts:
     """What one walk of the values ``v_1..v_horizon`` (norms or distances)
-    tells the verdicts: at the checkpoints ``cps``, the counts of
-    ``{n : v_n > M}`` for each probe ``M`` of ``probes`` (``above``, one row
-    per probe) and of ``{n : v_n >= eps}`` for each ``eps`` of ``grid``
-    (``reach``), and the largest and smallest ``v_n`` past the first tenth
-    of the horizon (``top`` and ``bottom``, infinite where not asked for).
-
-    ``cps`` is None where nothing was counted: for ``norm_limit_zero``, and
-    for ``norm_counts`` where the default schedule has no checkpoint below
-    the horizon, so that its tail still answers; a verdict that needs the
-    counts then refuses the horizon as the schedule does.
+    tells the verdicts: at the checkpoints ``cps``, whose last is the
+    horizon, the counts of ``{n : v_n > M}`` for each probe ``M`` of
+    ``probes`` (``above``, one row per probe) and of ``{n : v_n >= eps}``
+    for each ``eps`` of ``grid`` (``reach``), and the largest and smallest
+    ``v_n`` past the first tenth of the horizon (``top`` and ``bottom``,
+    infinite where not asked for).
     """
 
-    horizon: int
-    cps: Optional[tuple]
+    cps: tuple
     probes: tuple = ()
     above: tuple = ()
     grid: tuple = ()
@@ -167,24 +162,24 @@ class NormCounts:
     top: float = -math.inf
     bottom: float = math.inf
 
-    def checkpoints(self):
-        if self.cps is None:
-            DEFAULT_SCHEDULE.checkpoints(self.horizon)    # raises, naming the horizon
-        return self.cps
+    @property
+    def horizon(self):
+        return self.cps[-1]
 
 
-def _walk(chunks, k, horizon, cps, probes=(), grid=(), tail=False):
+def _walk(chunks, k, cps, probes=(), grid=(), tail=False):
     """The :class:`NormCounts` of each of ``k`` streams of non-negative
-    values ``v_1..v_horizon``, from one pass over ``chunks``, which yields
-    per chunk an iterable of ``k`` arrays, one per stream, read in turn.
+    values ``v_1..v_horizon``, the horizon being the last of the increasing
+    checkpoints ``cps``, from one pass over ``chunks``, which yields per
+    chunk an iterable of ``k`` arrays, one per stream, read in turn.
 
     Every threshold is counted in the same pass, ``v > M`` for the probes
     and ``v >= eps`` for the grid; a threshold that the chunk's largest
     value does not reach counts zero there without a compare.  With
-    ``tail``, the extremes past the first tenth are folded in too.  With
-    ``cps`` None nothing is counted.
+    ``tail``, the extremes past the first tenth are folded in too.
     """
-    start = horizon // 10     # the tail starts at this 0-based offset
+    cps = tuple(cps)
+    start = cps[-1] // 10     # the tail starts at this 0-based offset
     extremes = [[-math.inf, math.inf] for _ in range(k)]
 
     def masks(first, values, lo):
@@ -214,47 +209,31 @@ def _walk(chunks, k, horizon, cps, probes=(), grid=(), tail=False):
             del values                  # so the next chunk is made without this one
             lo += size
 
-    if cps is None:
-        for _, rows in blocks():
-            for _ in rows:
-                pass
-        table = []
-    else:
-        table = count_table(blocks(), cps)
-        cps = tuple(cps)
+    table = count_table(blocks(), cps)
     width = len(probes) + len(grid)
     out = []
     for s, (top, bottom) in enumerate(extremes):
         rows = [tuple(r) for r in table[s * width:(s + 1) * width]]
-        out.append(NormCounts(horizon, cps, probes, tuple(rows[:len(probes)]),
+        out.append(NormCounts(cps, probes, tuple(rows[:len(probes)]),
                               grid, tuple(rows[len(probes):]), float(top), float(bottom)))
     return out
 
 
-def _norm_walk(seq, horizon, cps, probes=(), grid=(), tail=False):
-    """The :class:`NormCounts` of ``||x_1||, .., ||x_horizon||``, from one walk."""
-    return _walk(norm_chunks([seq], horizon), 1, horizon, cps, probes, grid, tail)[0]
-
-
-def norm_counts(seq, horizon=DEFAULT_ANALYSIS_HORIZON):
-    """Everything the norm verdicts at the default probes, grid and schedule
-    ask of ``||x_n||`` (``st_bounded``, ``st_converges`` to zero, the zero
-    candidate and the bounded fallback of ``st_converges_search``, and
-    ``norm_limit_zero``), from one walk of the norms."""
-    return norm_counts_of([seq], horizon)[0]
+def _seq_walk(seq, candidate, cps, probes=(), grid=(), tail=False):
+    """The :class:`NormCounts` of ``||x_n - candidate||`` (of ``||x_n||``
+    for ``candidate`` None) up to the last checkpoint, from one walk."""
+    return _walk(zip(sweep_chunks(seq, candidate, cps[-1])), 1, cps, probes, grid, tail)[0]
 
 
 def norm_counts_of(seqs, horizon=DEFAULT_ANALYSIS_HORIZON):
-    """:func:`norm_counts` of each sequence of ``seqs``, from their walks in
+    """Everything the norm verdicts at the default probes, grid and schedule
+    ask of ``||x_n||`` (``st_bounded``, ``st_converges`` to zero, the zero
+    candidate and the bounded fallback of ``st_converges_search``, and
+    ``norm_limit_zero``), for each sequence of ``seqs``, from their walks in
     step over one stream (``sequences.norm_chunks``)."""
-    horizon = int(horizon)
-    return _walk(norm_chunks(seqs, horizon), len(seqs), horizon, _default_checkpoints(horizon),
-                 _DEFAULT_LADDER, _DEFAULT_GRID, tail=True)
-
-
-def _default_checkpoints(horizon):
-    """The default schedule's checkpoints, or None where it has none below ``horizon``."""
-    return DEFAULT_SCHEDULE.checkpoints(horizon) if DEFAULT_SCHEDULE.first < horizon else None
+    cps = DEFAULT_SCHEDULE.checkpoints(horizon)
+    return _walk(norm_chunks(seqs, cps[-1]), len(seqs), cps, _DEFAULT_LADDER, _DEFAULT_GRID,
+                 tail=True)
 
 
 def _zero_density_verdict(cps, counts, tolerance):
@@ -293,19 +272,17 @@ def st_converges(seq, candidate=None, grid=DEFAULT_EPS_GRID,
             f"candidate lives in {spaces.space_of(candidate).describe()}, "
             f"sequence in {seq.space.describe()}"
         )
-    dists = zip(sweep_chunks(seq, candidate, horizon))
-    counts, = _walk(dists, 1, horizon, schedule.checkpoints(horizon), grid=grid)
+    counts = _seq_walk(seq, candidate, schedule.checkpoints(horizon), grid=grid)
     return convergence_verdict(counts, candidate, tolerance)
 
 
 def convergence_verdict(counts, candidate, tolerance=DEFAULT_ST_TOLERANCE):
     """The convergence verdict to ``candidate`` from the ``reach`` counts of
     its distances (of the norms for the zero candidate)."""
-    cps = counts.checkpoints()
     reports = []
     witness = None
     for eps, row in zip(counts.grid, counts.reach):
-        verdict = _zero_density_verdict(cps, row, tolerance)
+        verdict = _zero_density_verdict(counts.cps, row, tolerance)
         reports.append(EpsilonReport(eps, verdict))
         if verdict.decision == "refuted" and witness is None:
             witness = {"epsilon": eps, "checkpoint": verdict.witness}
@@ -328,8 +305,7 @@ def st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
     """
     horizon = int(horizon)
     probes = _ladder(probes)
-    return bounded_verdict(_norm_walk(seq, horizon, schedule.checkpoints(horizon), probes),
-                           tolerance)
+    return bounded_verdict(_seq_walk(seq, None, schedule.checkpoints(horizon), probes), tolerance)
 
 
 def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
@@ -345,18 +321,16 @@ def st_bounded_real(xs, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZON,
     if len(values) < horizon:
         raise ValueError(f"need {horizon} values, got {len(values)}")
     probes = _ladder(probes)
-    counts, = _walk([(np.abs(values[:horizon]),)], 1, horizon, schedule.checkpoints(horizon),
-                    probes)
+    counts, = _walk([(np.abs(values[:horizon]),)], 1, schedule.checkpoints(horizon), probes)
     return bounded_verdict(counts, tolerance)
 
 
 def bounded_verdict(counts, tolerance=DEFAULT_ST_TOLERANCE):
     """The boundedness verdict from the ``above`` counts of the probe ladder;
     every bounded kind ends here."""
-    cps = counts.checkpoints()
     reports = []
     for m, row in zip(counts.probes, counts.above):
-        verdict = _zero_density_verdict(cps, row, tolerance)
+        verdict = _zero_density_verdict(counts.cps, row, tolerance)
         reports.append(EpsilonReport(m, verdict))
         if verdict.decision == "confirmed":
             return StVerdict("bounded", "confirmed", counts.horizon, counts.probes,
@@ -397,11 +371,10 @@ def weakly_st_bounded(seq, probes=DEFAULT_PROBES, horizon=DEFAULT_ANALYSIS_HORIZ
         raise ValueError("weak boundedness probes require a dense space")
     horizon = int(horizon)
     probes = _ladder(probes)
-    cps = schedule.checkpoints(horizon)
     fs = _weak_probe_functionals(seq.space.dim)
     chunks = map(_magnitudes, functional_chunks(fs, seq, horizon))
     results = []
-    for f, counts in zip(fs, _walk(chunks, len(fs), horizon, cps, probes)):
+    for f, counts in zip(fs, _walk(chunks, len(fs), schedule.checkpoints(horizon), probes)):
         verdict = bounded_verdict(counts, tolerance)
         results.append((f, verdict))
         if verdict.decision == "refuted":
@@ -441,7 +414,7 @@ def st_cauchy(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
     """
     horizon = int(horizon)
     grid = _normalized_grid(grid)
-    anchors = tuple(int(a) for a in (anchors or default_anchors(horizon)))
+    anchors = tuple(int(a) for a in (default_anchors(horizon) if anchors is None else anchors))
     if not anchors:
         raise ValueError("need at least one anchor index")
     if min(anchors) < 1:
@@ -455,8 +428,7 @@ def st_cauchy(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
         open_eps = [i for i, r in enumerate(found) if r is None]
         if not open_eps:
             break
-        dists = zip(sweep_chunks(seq, seq.generator(a), horizon))
-        reach = _walk(dists, 1, horizon, cps, grid=[grid[i] for i in open_eps])[0].reach
+        reach = _seq_walk(seq, seq.generator(a), cps, grid=[grid[i] for i in open_eps]).reach
         for i, counts in zip(open_eps, reach):
             verdict = _zero_density_verdict(cps, counts, tolerance)
             per_anchor[i].append((a, verdict))
@@ -502,16 +474,6 @@ def _median_candidate(seq, horizon):
     return seq.structure.median(seq, Stream.of(ns))
 
 
-def find_limit_candidates(seq, horizon=DEFAULT_ANALYSIS_HORIZON):
-    """Zero plus the windowed coordinatewise median, deduplicated."""
-    horizon = int(horizon)
-    zero = spaces.zero(seq.space)
-    median = _median_candidate(seq, horizon)
-    if median == zero:
-        return [zero]
-    return [zero, median]
-
-
 def st_converges_search(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HORIZON,
                         tolerance=DEFAULT_ST_TOLERANCE, schedule=DEFAULT_SCHEDULE):
     """Statistical convergence with the limit found by candidate search.
@@ -525,8 +487,8 @@ def st_converges_search(seq, grid=DEFAULT_EPS_GRID, horizon=DEFAULT_ANALYSIS_HOR
     verdict.
     """
     horizon = int(horizon)
-    counts = _norm_walk(seq, horizon, schedule.checkpoints(horizon),
-                        _DEFAULT_LADDER, _normalized_grid(grid))
+    counts = _seq_walk(seq, None, schedule.checkpoints(horizon), _DEFAULT_LADDER,
+                       _normalized_grid(grid))
     return converges_search(seq, counts, tolerance, schedule)
 
 
@@ -570,7 +532,9 @@ def norm_limit_zero(seq, horizon=DEFAULT_ANALYSIS_HORIZON, tolerance=DEFAULT_ST_
     land here).
     """
     horizon = int(horizon)
-    return norm_limit_decision(_norm_walk(seq, horizon, None, tail=True), tolerance)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    return norm_limit_decision(_seq_walk(seq, None, (horizon,), tail=True), tolerance)
 
 
 def norm_limit_decision(counts, tolerance=DEFAULT_ST_TOLERANCE):
@@ -596,11 +560,9 @@ __all__ = [
     "weakly_st_bounded",
     "st_cauchy",
     "default_anchors",
-    "find_limit_candidates",
     "st_converges_search",
     "norm_limit_zero",
     "NormCounts",
-    "norm_counts",
     "norm_counts_of",
     "bounded_verdict",
     "convergence_verdict",

@@ -100,7 +100,7 @@ def sparse_window_median(generator, horizon, samples=255):
     """
     lo = max(1, horizon // 2)
     ns = sorted({int(n) for n in np.linspace(lo, horizon, samples).astype(np.int64)})
-    supports = [generator(n).support for n in ns]
+    supports = [support(generator(n)) for n in ns]
     out = {}
     for k in sorted({k for x in supports for k in x}):
         med = float(np.median([x.get(k, 0.0) for x in supports]))
@@ -114,6 +114,11 @@ def sparse_sup_norm(support):
 
 
 # Sparse algebra on plain dicts index -> value, exact zeros dropped.
+
+def support(x):
+    """The entries of the sparse element ``x`` as a plain dict index -> value."""
+    return dict(zip(x.indices.tolist(), x.values.tolist()))
+
 
 def sparse_pruned(support):
     return {k: v for k, v in support.items() if v != 0.0}

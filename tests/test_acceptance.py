@@ -103,7 +103,7 @@ def test_criterion_3_harmonic_cauchy_but_not_convergent():
     for candidate in family:
         verdict = stanalysis.st_converges(harmonic, candidate, horizon=horizon)
         all_refuted &= verdict.decision == "refuted"
-        top = max(candidate.support) if candidate.support else 0
+        top = max(oracles.support(candidate), default=0)
         for entry in verdict.per_epsilon:
             if entry.epsilon < 1.0 / (top + 1):
                 ratios_ok &= entry.verdict.final_ratio >= 0.99

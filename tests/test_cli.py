@@ -170,6 +170,27 @@ def test_cauchy_rejects_anchors_below_one(capsys, anchors):
     assert "anchor indices start at 1" in err
 
 
+@pytest.mark.parametrize("command", ["converge", "bounded", "cauchy"])
+@pytest.mark.parametrize("sequence", ["harmonic", "random(dim=3)"])
+def test_a_negative_seed_is_refused(capsys, command, sequence):
+    code, out, err = run_text(
+        capsys, [command, "--sequence", sequence, "--seed", "-1", "--horizon", "1000"])
+    assert (code, out) == (2, "")
+    assert err == "error: a random seed must be non-negative, got -1\n"
+
+
+def test_a_seed_reaches_a_random_descriptor_and_is_echoed(capsys):
+    argv = ["converge", "--sequence", "random(dim=3)", "--horizon", "1000"]
+    code, default = run_json(capsys, argv)
+    assert code == 0 and default["config"]["seed"] == 7
+    code, seeded = run_json(capsys, [*argv, "--seed", "5"])
+    assert code == 0 and seeded["config"]["seed"] == 5
+    assert seeded["verdict"] != default["verdict"]
+    code, spelled = run_json(capsys, ["converge", "--sequence", "random(dim=3, seed=5)",
+                                      "--horizon", "1000"])
+    assert spelled["verdict"] == seeded["verdict"]
+
+
 # ---------------------------------------------------------------------------
 # classify / suite
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_chunked_count_table_matches_the_joined_mask(chunk, data):
         mp.setattr(sequences, "_CHUNK", chunk)
         chunks = [values[c - 1] for c in sequences.Stream(horizon)]
     assert sum(map(len, chunks)) == horizon
-    counts, = stanalysis._walk(((c,) for c in chunks), 1, horizon, cps,
+    counts, = stanalysis._walk(((c,) for c in chunks), 1, cps,
                                thresholds if strict else (), () if strict else thresholds,
                                tail=True)
     for t, row in zip(thresholds, counts.above if strict else counts.reach):

@@ -8,6 +8,7 @@ tolerance.
 import numpy as np
 import pytest
 
+import oracles
 from stconv import operators, sequences, spaces
 
 
@@ -56,7 +57,7 @@ def test_decaying_rows_match_broadcast_product(width, exponent):
     seq = sequences.decaying_sequence(spaces.dense_element(row), exponent=exponent)
     ns = np.arange(1, 5001, dtype=np.int64)
     want = row[None, :] * (ns.astype(float) ** -exponent)[:, None]
-    assert np.array_equal(seq.structure.block_of(ns), want)
+    assert np.array_equal(oracles.joined(seq.structure.rows(sequences.Stream.of(ns))), want)
 
 
 @pytest.mark.parametrize("rows_out", [1, 3, 8])
@@ -67,7 +68,7 @@ def test_matrix_image_rows_match_matmul(width, rows_out, monkeypatch):
     block = _block(2000, width, seed=300 + width)
     a = _block(rows_out, width, seed=400 + width)
     image = sequences.DenseBlock(lambda ns: (block[c - 1] for c in ns)).matrix_image(a)
-    got = image.block_of(np.arange(1, len(block) + 1))
+    got = oracles.joined(image.rows(sequences.Stream.of(np.arange(1, len(block) + 1))))
     assert np.array_equal(got, block @ a.T)
 
 
@@ -103,11 +104,10 @@ def test_geometric_weights_match_powers_of_one_half():
 
 
 def _old_diagonal_apply(dfun, x):
-    idx = np.asarray(sorted(x.support.keys()), dtype=np.int64)
+    entries = oracles.support(x)
+    idx = np.asarray(sorted(entries), dtype=np.int64)
     vals = dfun(idx)
-    return spaces.sparse_element(
-        {int(k): float(v) * x.support[int(k)] for k, v in zip(idx, vals)}
-    )
+    return spaces.sparse_element({int(k): float(v) * entries[int(k)] for k, v in zip(idx, vals)})
 
 
 @pytest.mark.parametrize("name,arg", [("inverse_trunc", 5), ("inverse", None),
@@ -119,6 +119,6 @@ def test_sparse_diagonal_apply_matches_elementwise_products(name, arg):
     x = spaces.sparse_element({int(k): float(v) for k, v in zip(keys, rng.standard_normal(150))})
     got = operators.apply(op, x)
     want = _old_diagonal_apply(op.dfun, x)
-    assert list(got.support.items()) == list(want.support.items())
+    assert list(oracles.support(got).items()) == list(oracles.support(want).items())
     if name == "inverse_trunc":
-        assert set(got.support) == {k for k in x.support if k <= arg}
+        assert set(oracles.support(got)) == {k for k in oracles.support(x) if k <= arg}

@@ -113,7 +113,7 @@ def test_a_prefix_median_is_built_as_two_arrays():
                                    sequences.harmonic_prefix_sequence())
     tracemalloc.start()
     try:
-        zero, median = stanalysis.find_limit_candidates(seq, 10**6)
+        median = stanalysis._median_candidate(seq, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -102,7 +102,7 @@ def test_distance_to_own_term_is_zero():
 
 def test_element_block_matches_generator():
     seq = sequences.random_unit_ball(spaces.dense_space(3), seed=9)
-    block = seq.structure.block_of(np.arange(1, 31))
+    block = oracles.joined(seq.structure.rows(sequences.Stream.of(np.arange(1, 31))))
     want = np.array([seq.generator(n).coords for n in range(1, 31)])
     assert np.allclose(block, want, atol=0.0)
 
@@ -114,32 +114,32 @@ def test_element_block_matches_generator():
 def test_harmonic_terms():
     h = sequences.harmonic_prefix_sequence()
     x3 = h.generator(3)
-    assert dict(x3.support) == {1: 1.0, 2: 0.5, 3: pytest.approx(1.0 / 3.0)}
+    assert oracles.support(x3) == {1: 1.0, 2: 0.5, 3: pytest.approx(1.0 / 3.0)}
     assert h.norm_bound == 1.0
 
 
 def test_unit_and_prime_coordinates():
     u = sequences.unit_coordinate_sequence()
-    assert dict(u.generator(4).support) == {4: 1.0}
+    assert oracles.support(u.generator(4)) == {4: 1.0}
     p = sequences.prime_coordinate_sequence()
-    assert dict(p.generator(1).support) == {2: 1.0}
-    assert dict(p.generator(4).support) == {7: 1.0}
+    assert oracles.support(p.generator(1)) == {2: 1.0}
+    assert oracles.support(p.generator(4)) == {7: 1.0}
 
 
 def test_damped_sequences_decay():
     # damped coordinates shrink like 1/sqrt(n): norm-null but spread out
     d = sequences.damped_unit_coordinate_sequence()
-    assert dict(d.generator(4).support) == {4: pytest.approx(0.5)}
-    assert dict(d.generator(100).support) == {100: pytest.approx(0.1)}
+    assert oracles.support(d.generator(4)) == {4: pytest.approx(0.5)}
+    assert oracles.support(d.generator(100)) == {100: pytest.approx(0.1)}
     p = sequences.damped_prime_coordinate_sequence()
-    (idx, val), = p.generator(4).support.items()
+    (idx, val), = oracles.support(p.generator(4)).items()
     assert density.primes().contains(idx) and 0.0 < val < 1.0
 
 
 def test_decaying_sequence_scales_value():
     base = spaces.sparse_element({2: 3.0})
     seq = sequences.decaying_sequence(base, exponent=1.0)
-    assert dict(seq.generator(3).support) == {2: 1.0}
+    assert oracles.support(seq.generator(3)) == {2: 1.0}
 
 
 def test_spikes_sit_on_zero():
@@ -149,8 +149,8 @@ def test_spikes_sit_on_zero():
     assert spiked.generator(5).coords == (0.0, 0.0, 0.0)
 
     sp = sequences.spike_sequence(spaces.sparse_space(), density.primes(), magnitude=2.0)
-    assert dict(sp.generator(3).support) == {3: 2.0}
-    assert dict(sp.generator(4).support) == {}
+    assert oracles.support(sp.generator(3)) == {3: 2.0}
+    assert oracles.support(sp.generator(4)) == {}
 
 
 @pytest.mark.parametrize("text, label", [
@@ -193,13 +193,13 @@ def test_combine_rejects_space_mismatch():
 
 def test_subsequence_follows_members():
     sub = sequences.subsequence(sequences.unit_coordinate_sequence(), density.primes())
-    assert dict(sub.generator(1).support) == {2: 1.0}
-    assert dict(sub.generator(4).support) == {7: 1.0}
+    assert oracles.support(sub.generator(1)) == {2: 1.0}
+    assert oracles.support(sub.generator(4)) == {7: 1.0}
 
 
 def test_subsequence_of_finite_set_exhausts():
     sub = sequences.subsequence(sequences.unit_coordinate_sequence(), density.finite([3, 8]))
-    assert dict(sub.generator(2).support) == {8: 1.0}
+    assert oracles.support(sub.generator(2)) == {8: 1.0}
     with pytest.raises(sequences.HorizonExhausted):
         sub.generator(3)
 
@@ -225,7 +225,7 @@ def test_subsequence_terms_regrow_members_geometrically(monkeypatch):
         along = density.complement(_segments_read(density.squares(), seen))
         sub = sequences.subsequence(sequences.unit_coordinate_sequence(), along)
         terms = [sub.generator(k) for k in range(1, 5001)]
-        assert [dict(x.support) for x in terms] == [{int(m): 1.0} for m in nonsquares]
+        assert [oracles.support(x) for x in terms] == [{int(m): 1.0} for m in nonsquares]
         assert [lo for lo, _ in seen] == list(range(1, int(nonsquares[-1]) + 1, segment))
         assert seen[-1][1] - segment < nonsquares[-1] <= seen[-1][1]
         assert segment == 7 or len(seen) <= 2 * np.log2(5000)
@@ -234,10 +234,10 @@ def test_subsequence_terms_regrow_members_geometrically(monkeypatch):
     scanned = sequences.subsequence(
         sequences.unit_coordinate_sequence(),
         density.intersection(density.finite(range(1, 101)), density.multiples(1)))
-    assert [dict(scanned.generator(k).support) for k in (1, 65)] == [{1: 1.0}, {65: 1.0}]
+    assert [oracles.support(scanned.generator(k)) for k in (1, 65)] == [{1: 1.0}, {65: 1.0}]
     hundred = sequences.subsequence(sequences.unit_coordinate_sequence(),
                                     density.finite(range(1, 101)))
-    assert dict(hundred.generator(100).support) == {100: 1.0}
+    assert oracles.support(hundred.generator(100)) == {100: 1.0}
     with pytest.raises(sequences.HorizonExhausted):
         hundred.generator(101)
 
@@ -251,14 +251,14 @@ def test_scanned_finite_set_reaches_the_cap_once(monkeypatch):
     along = density.union(_segments_read(density.finite([1, 2]), seen), density.finite([3]))
     assert along.describe() == "union(finite(1,2),finite(3))"
     sub = sequences.subsequence(sequences.unit_coordinate_sequence(), along)
-    assert dict(sub.generator(1).support) == {1: 1.0}
-    assert [dict(sub.generator(k).support) for k in (2, 3)] == [{2: 1.0}, {3: 1.0}]
+    assert oracles.support(sub.generator(1)) == {1: 1.0}
+    assert [oracles.support(sub.generator(k)) for k in (2, 3)] == [{2: 1.0}, {3: 1.0}]
     assert seen == [(1, 7)]
     for _ in range(2):
         with pytest.raises(sequences.HorizonExhausted, match="scanned past cap 700 with only 3"):
             sub.generator(4)
         assert seen == [(lo, min(lo + 6, 700)) for lo in range(1, 701, 7)]
-    assert dict(sub.generator(3).support) == {3: 1.0}
+    assert oracles.support(sub.generator(3)) == {3: 1.0}
 
 
 def test_zero_sequence_norm_bound():
@@ -319,6 +319,12 @@ def test_random_ball_refuses_a_fractional_seed():
     assert sequences.random_unit_ball(spaces.dense_space(3), 7.0).label == "random_ball_7"
 
 
+@pytest.mark.parametrize("space", [spaces.dense_space(3), spaces.sparse_space()])
+def test_random_ball_refuses_a_negative_seed(space):
+    with pytest.raises(ValueError, match="^a random seed must be non-negative, got -1$"):
+        sequences.random_unit_ball(space, -1)
+
+
 def test_index_sequence_refuses_a_fractional_dimension():
     with pytest.raises(ValueError, match="whole number"):
         sequences.index_sequence(2.5)
@@ -343,12 +349,13 @@ def test_random_ball_rows_match_whole_table_normalisation(space):
     seq = sequences.random_unit_ball(space, seed)
     ns = np.asarray([count, 1, 7, 7, 1024, 1025, 2, 1999])
     if space.kind == "dense":
-        assert seq.structure.block_of(ns).tobytes() == whole[ns - 1].tobytes()
+        rows = oracles.joined(seq.structure.rows(sequences.Stream.of(ns)))
+        assert rows.tobytes() == whole[ns - 1].tobytes()
         terms = {n: np.asarray(seq.generator(n).coords) for n in (1, 2, 1025, count)}
     else:
         values = sequences._joined(v for _, v in seq.structure.terms(sequences.Stream.of(ns)))
         assert values.tobytes() == whole[ns - 1, 0].tobytes()
-        terms = {n: np.asarray([seq.generator(n).support[n]]) for n in (1, 2, 1025, count)}
+        terms = {n: np.asarray([oracles.support(seq.generator(n))[n]]) for n in (1, 2, 1025, count)}
     for n, term in terms.items():
         assert term.tobytes() == whole[n - 1].tobytes()
 
@@ -361,14 +368,17 @@ def test_random_rows_drawn_in_chunks_match_one_draw(dim, monkeypatch):
     count, seed = 5000, 17
     table = _one_draw(seed, count, dim)
     seq = sequences.random_unit_ball(spaces.dense_space(dim), seed)
-    ns = np.arange(1, count + 1)
-    assert seq.structure.block_of(ns).tobytes() == table.tobytes()
+
+    def rows(ns):
+        return oracles.joined(seq.structure.rows(sequences.Stream.of(ns)))
+
+    assert rows(np.arange(1, count + 1)).tobytes() == table.tobytes()
     norms = oracles.joined(sequences.sweep_chunks(seq, None, count))
     assert norms.tobytes() == sequences._block_norms(table).tobytes()
     for picked in ([3, 4, 20, 21, 22, 100, 1000, count], np.arange(50, 90, 3),
                    [count, 9, 9, 1, 30]):
         picked = np.asarray(picked)
-        assert seq.structure.block_of(picked).tobytes() == table[picked - 1].tobytes()
+        assert rows(picked).tobytes() == table[picked - 1].tobytes()
     sub = sequences.subsequence(seq, density.multiples(10))
     want = sequences._block_norms(table[9::10])
     norms = oracles.joined(sequences.sweep_chunks(sub, None, count // 10))
@@ -477,8 +487,8 @@ def test_parse_sequence_basic_forms():
 
 def test_parse_sequence_spike_example():
     seq = sequences.parse_sequence("spike(squares, n)")
-    assert dict(seq.generator(9).support) == {9: 9.0}
-    assert dict(seq.generator(10).support) == {}
+    assert oracles.support(seq.generator(9)) == {9: 9.0}
+    assert oracles.support(seq.generator(10)) == {}
 
 
 def test_parse_sequence_combine_example():
@@ -499,7 +509,7 @@ def test_parse_sequence_constant_and_null():
     c = sequences.parse_sequence("constant(dense[1,1,1])")
     assert c.generator(12).coords == (1.0, 1.0, 1.0)
     n = sequences.parse_sequence("null(sparse{1:1})")
-    assert dict(n.generator(2).support) == {1: 0.5}
+    assert oracles.support(n.generator(2)) == {1: 0.5}
 
 
 def test_parse_sequence_errors():

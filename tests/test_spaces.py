@@ -48,8 +48,8 @@ def test_each_space_measures_in_its_own_norm():
 
 def test_sparse_element_prunes_zeros():
     x = spaces.sparse_element({1: 0.0, 2: 1.5, 7: 0.0})
-    assert dict(x.support) == {2: 1.5}
-    assert dict(spaces.sparse_element({}).support) == {}
+    assert oracles.support(x) == {2: 1.5}
+    assert oracles.support(spaces.sparse_element({})) == {}
 
 
 def test_sparse_element_rejects_bad_indices():
@@ -59,7 +59,7 @@ def test_sparse_element_rejects_bad_indices():
 
 def test_unit_coordinate():
     e5 = spaces.unit_coordinate(spaces.sparse_space(), 5)
-    assert dict(e5.support) == {5: 1.0}
+    assert oracles.support(e5) == {5: 1.0}
     assert spaces.norm(e5) == 1.0
     e2 = spaces.unit_coordinate(spaces.dense_space(3), 2)
     assert e2.coords == (0.0, 1.0, 0.0)
@@ -91,7 +91,7 @@ def test_norm_nonnegative_and_zero_only_at_zero(x):
     value = spaces.norm(x)
     assert value >= 0.0
     is_zero = (
-        not x.support if isinstance(x, spaces.SparseElement) else all(c == 0.0 for c in x.coords)
+        not oracles.support(x) if isinstance(x, spaces.SparseElement) else all(c == 0.0 for c in x.coords)
     )
     assert (value == 0.0) == is_zero
 
@@ -125,12 +125,12 @@ def test_norm_triangle_inequality_sparse(x, y):
 def test_sub_is_add_of_negation(x, y):
     direct = spaces.sub(x, y)
     via_add = spaces.add(x, spaces.scale(-1.0, y))
-    assert dict(direct.support) == pytest.approx(dict(via_add.support), abs=ATOL)
+    assert oracles.support(direct) == pytest.approx(oracles.support(via_add), abs=ATOL)
 
 
 @given(sparse_elements)
 def test_subtracting_self_gives_zero(x):
-    assert dict(spaces.sub(x, x).support) == {}
+    assert oracles.support(spaces.sub(x, x)) == {}
 
 
 def test_add_mixed_spaces_rejected():
@@ -150,7 +150,7 @@ def test_space_of():
 
 def test_zero_elements():
     assert spaces.zero(spaces.dense_space(2)).coords == (0.0, 0.0)
-    assert dict(spaces.zero(spaces.sparse_space()).support) == {}
+    assert oracles.support(spaces.zero(spaces.sparse_space())) == {}
 
 
 # ---------------------------------------------------------------------------

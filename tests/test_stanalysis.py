@@ -253,6 +253,13 @@ def test_cauchy_rejects_anchors_below_one():
                 stanalysis.st_cauchy(seq, horizon=H, anchors=anchors)
 
 
+@pytest.mark.parametrize("anchors", [[], ()])
+def test_cauchy_rejects_an_empty_anchor_list(anchors):
+    # only None asks for the default anchors
+    with pytest.raises(ValueError, match="need at least one anchor index"):
+        stanalysis.st_cauchy(sequences.harmonic_prefix_sequence(), horizon=H, anchors=anchors)
+
+
 def test_cauchy_and_convergence_agree_for_convergent_case():
     seq = sequences.decaying_sequence(spaces.sparse_element({3: 1.0}))
     assert stanalysis.st_cauchy(seq, horizon=H).decision == "confirmed"
@@ -332,13 +339,6 @@ def test_cauchy_reports_match_sweeping_every_anchor_first(text, anchors):
 # limit search
 # ---------------------------------------------------------------------------
 
-def test_find_limit_candidates_include_zero():
-    cands = stanalysis.find_limit_candidates(sequences.harmonic_prefix_sequence(), horizon=H)
-    assert any(
-        isinstance(c, spaces.SparseElement) and not c.support for c in cands
-    )
-
-
 def test_search_computes_the_median_only_where_zero_does_not_confirm(monkeypatch):
     medians = []
     median_candidate = stanalysis._median_candidate
@@ -372,7 +372,7 @@ def test_single_support_median_matches_generator(member):
     assert len(checked) > 10
     for seq in checked:
         got = stanalysis._median_candidate(seq, 2_000)
-        assert got.support == oracles.sparse_window_median(seq.generator, 2_000), seq.label
+        assert oracles.support(got) == oracles.sparse_window_median(seq.generator, 2_000), seq.label
 
 
 def test_search_finds_nonzero_dense_limit():

@@ -9,6 +9,10 @@ member walked in step with its images is drawn once; and a suite run keeps
 the counts of each corpus member and operator image in a memo that lives
 as long as the run.  The answers are those of each verdict alone, bit for
 bit, whatever ran before in the process.
+
+A walk is told its length by its checkpoints alone: the counted walks
+refuse a horizon that the default schedule refuses, and ``norm_limit_zero``
+walks to the single checkpoint of its own horizon.
 """
 
 import dataclasses
@@ -57,7 +61,7 @@ def _norm_cases():
 @pytest.mark.parametrize("tolerance", [0.1, 0.25])
 def test_norm_counts_answer_each_norm_verdict_as_it_is_alone(seq, tolerance):
     horizon = 3000
-    counts = stanalysis.norm_counts(seq, horizon)
+    counts = stanalysis.norm_counts_of([seq], horizon)[0]
     zero = spaces.zero(seq.space)
     pairs = [
         (stanalysis.bounded_verdict(counts, tolerance),
@@ -73,18 +77,38 @@ def test_norm_counts_answer_each_norm_verdict_as_it_is_alone(seq, tolerance):
             == stanalysis.norm_limit_zero(seq, horizon, tolerance))
 
 
+def _tail_decision(seq, horizon, tolerance):
+    """``norm_limit_zero``'s decision from the norms of the generated terms past the first tenth."""
+    tail = [spaces.norm(seq.generator(n)) for n in range(horizon // 10 + 1, horizon + 1)]
+    if max(tail) <= tolerance:
+        return "confirmed"
+    if min(tail) >= 2 * tolerance:
+        return "refuted"
+    return "inconclusive"
+
+
+@pytest.mark.parametrize("seq", list(sparse_corpus().members) + list(cauchy_corpus().members)
+                         + list(dense_corpus(3).members), ids=lambda s: s.label)
+def test_the_tail_verdict_walks_to_its_horizon_alone(seq):
+    # one checkpoint, the horizon itself, at horizons the default schedule
+    # refuses and at ones it counts
+    for horizon in (1, 2, 5, 10, 11, 100):
+        for tolerance in (0.1, 0.25):
+            assert (stanalysis.norm_limit_zero(seq, horizon, tolerance)
+                    == _tail_decision(seq, horizon, tolerance)), horizon
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+        stanalysis.norm_limit_zero(seq, 0)
+
+
 def test_a_horizon_below_the_first_checkpoint_keeps_the_tail_verdict():
-    # norm_limit_zero needs no schedule; the counted verdicts refuse the
-    # horizon with the schedule's own message
+    # norm_limit_zero needs no schedule; the counted walk refuses the
+    # horizon with the schedule's own message, as the counted verdicts do
     seq = sequences.harmonic_prefix_sequence()
-    counts = stanalysis.norm_counts(seq, 5)
-    assert stanalysis.norm_limit_decision(counts, 0.1) == stanalysis.norm_limit_zero(seq, 5, 0.1)
-    for shared, alone in ((lambda: stanalysis.bounded_verdict(counts, 0.1),
-                           lambda: stanalysis.st_bounded(seq, horizon=5)),
-                          (lambda: stanalysis.convergence_verdict(counts, spaces.zero(seq.space)),
-                           lambda: stanalysis.st_converges(seq, horizon=5))):
-        with pytest.raises(ValueError) as got:
-            shared()
+    assert stanalysis.norm_limit_zero(seq, 5, 0.1) == _tail_decision(seq, 5, 0.1) == "refuted"
+    with pytest.raises(ValueError) as got:
+        stanalysis.norm_counts_of([seq], 5)
+    for alone in (lambda: stanalysis.st_bounded(seq, horizon=5),
+                  lambda: stanalysis.st_converges(seq, horizon=5)):
         with pytest.raises(ValueError) as want:
             alone()
         assert str(got.value) == str(want.value)
@@ -171,7 +195,7 @@ def test_walks_in_step_draw_their_member_once_and_subsequences_share_too(monkeyp
     drawn = _counting_rows(monkeypatch)
     counts = stanalysis.norm_counts_of(seqs, 20_000)
     assert sum(drawn) == 20_000
-    assert counts == [stanalysis.norm_counts(seq, 20_000) for seq in seqs]
+    assert counts == [stanalysis.norm_counts_of([seq], 20_000)[0] for seq in seqs]
 
 
 def test_a_shared_chunk_is_read_only_and_goes_with_its_stream(monkeypatch):
@@ -269,7 +293,7 @@ def test_a_walk_in_step_holds_the_arrays_of_one_stream_at_a_time(monkeypatch):
     assert max(alive) <= 1
     assert all(ref() is None for ref in made)
     monkeypatch.undo()
-    assert counts == [stanalysis.norm_counts(seq, 1000) for seq in seqs]
+    assert counts == [stanalysis.norm_counts_of([seq], 1000)[0] for seq in seqs]
 
 
 def _suite_pools(horizon=2000):
@@ -298,7 +322,7 @@ def test_every_pool_walked_in_step_counts_as_each_walk_alone(monkeypatch):
         pool = [op for (_, v), op in ops.items() if v == version]
         for member in corpus.members:
             seqs = [member] + [operators.image_sequence(op, member) for op in pool]
-            alone = [stanalysis.norm_counts(seq, 400) for seq in seqs]
+            alone = [stanalysis.norm_counts_of([seq], 400)[0] for seq in seqs]
             assert stanalysis.norm_counts_of(seqs, 400) == alone, (version, member.label)
 
 
